@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, EmptySupportError, EvalGrid, singular_mask
+from .core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, singular_mask
 from .dictionary import _dictionary_from_centers, rbf_dictionary
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
 from .extend import EigenfunctionExpr, expr_from_weights, normalize_to_grid, trajectory_error
@@ -117,8 +117,9 @@ def fit_local_family(
     model = fit_edmd(snaps, dic, ridge=ridge)
     h = (hi[0] - lo[0]) / (n_grid - 1)
     grid = EvalGrid((lo[0],), (hi[0],), min(h, 0.999))
-    fmap = FlowMap(
-        system.field, dt, method="exact" if system.field.exact_flow else "rk45"
+    flowed = FlowedGrid.of(
+        FlowMap(system.field, dt, method="exact" if system.field.exact_flow else "rk45"),
+        grid,
     )
     lams, W = np.linalg.eig(model.K.T)
     members = []
@@ -134,7 +135,7 @@ def fit_local_family(
             expr = normalize_to_grid(expr, grid)
         except EmptySupportError:
             continue
-        err = trajectory_error(expr, fmap, grid, p=1)
+        err = trajectory_error(expr, flowed, p=1)
         if err <= spurious_threshold:
             members.append(FamilyMember(expr, lam, err))
     members.sort(key=lambda m: -abs(m.eigenvalue))

@@ -176,7 +176,7 @@ def _tool_eig(args) -> int:
 
 
 def _tool_extend(args) -> int:
-    from .core import EvalGrid
+    from .core import EvalGrid, FlowedGrid
     from .dictionary import feature_sup_M, spectral_norm_bound_L
     from .dynamics import FlowMap, integration_error_sup, make_system
     from .extend import iterative_koopman_eigensolver, write_extension_report
@@ -186,16 +186,18 @@ def _tool_extend(args) -> int:
     sys_ = make_system(args.system)
     lo, hi, h = args.grid
     grid = EvalGrid((lo,) * sys_.dim, (hi,) * sys_.dim, h)
-    rk = FlowMap(sys_.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
+    rk_map = FlowMap(sys_.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
+    rk = FlowedGrid.of(rk_map, grid)
     if sys_.field.exact_flow is not None:
-        eps_G = integration_error_sup(rk, FlowMap(sys_.field, model.dt, method="exact"), grid)
+        exact = FlowedGrid.of(FlowMap(sys_.field, model.dt, method="exact"), grid)
+        eps_G = integration_error_sup(rk, exact)
     else:
-        eps_G = 10 * rk.abs_tol
+        eps_G = 10 * rk_map.abs_tol
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
     results = iterative_koopman_eigensolver(
-        model, grid, n=args.n, epsilon=args.epsilon, eps_G=eps_G, L=L, M=M,
-        flow=rk, p_max=args.p_max, seed=args.seed,
+        model, rk, n=args.n, epsilon=args.epsilon, eps_G=eps_G, L=L, M=M,
+        p_max=args.p_max, seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     write_extension_report(os.path.join(args.out, "extension_report.json"), results)
@@ -207,13 +209,16 @@ def _tool_extend(args) -> int:
 def _tool_phase(args) -> int:
     from .core import EvalGrid
     from .dynamics import make_system
-    from .phase import LaplaceConfig, isofield, write_phase_csv
+    from .phase import LaplaceConfig, isofield, limit_cycle_period, write_phase_csv
 
     sys_ = make_system(args.system)
     lo, hi, h = args.grid
     grid = EvalGrid((lo, lo), (hi, hi), h)
-    field = isofield(sys_, args.method, grid,
-                     LaplaceConfig() if args.method == "laplace_average" else None)
+    config = None
+    if args.method == "laplace_average":
+        _, period = limit_cycle_period(sys_, (2.0, 0.0))
+        config = LaplaceConfig(period=period)
+    field = isofield(sys_, args.method, grid, config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase.csv")
     write_phase_csv(path, field)

@@ -28,6 +28,7 @@ __all__ = [
     "singular_mask",
     "tag_nonfinite",
     "EvalGrid",
+    "FlowedGrid",
     "grid_norm",
     "masked_grid_norm",
     "principal_arg",
@@ -149,6 +150,42 @@ class EvalGrid:
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class FlowedGrid:
+    """Grid points together with their images under one time-dt flow map.
+
+    The flow of a grid depends on the system, dt and the grid, not on the
+    eigenfunction measured on it, so it is computed once (`of`) and shared by
+    every error, bound and extension loop over that grid. Both arrays are
+    held as read-only views.
+    """
+
+    points: np.ndarray
+    image: np.ndarray
+    dt: float
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float)).view()
+        img = np.atleast_2d(np.asarray(self.image, dtype=float)).view()
+        if pts.shape != img.shape:
+            raise ContractViolationError(
+                f"image shape {img.shape} does not match points shape {pts.shape}"
+            )
+        for a in (pts, img):
+            a.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "image", img)
+
+    @classmethod
+    def of(cls, flow, grid: EvalGrid) -> "FlowedGrid":
+        """Flow every grid point once with `flow` (a FlowMap or anything with
+        a `dt` that maps an (n, d) batch to an (n, d) batch)."""
+        return cls(grid.points, flow(grid.points), flow.dt)
 
     def __len__(self) -> int:
         return self.points.shape[0]

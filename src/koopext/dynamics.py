@@ -21,7 +21,7 @@ from .core import (
     DIVERGENCE_LIMIT,
     ConfigurationError,
     DivergenceError,
-    EvalGrid,
+    FlowedGrid,
     UnsupportedSystemError,
     tag_nonfinite,
 )
@@ -32,7 +32,6 @@ __all__ = [
     "AnalyticEigenfunction",
     "BenchmarkSystem",
     "SnapshotSet",
-    "flow",
     "integration_error_sup",
     "make_system",
     "sample_snapshots",
@@ -212,18 +211,13 @@ class FlowMap:
         return dp45(self.field.rhs, pts, self.dt, self.rel_tol, self.abs_tol)
 
 
-def flow(fmap: FlowMap, x) -> np.ndarray:
-    """Endpoint of the flow map applied to a single state or a batch."""
-    return fmap(x)
-
-
-def integration_error_sup(map_numeric: FlowMap, map_exact: FlowMap, grid: EvalGrid) -> float:
-    """Worst Euclidean gap between a numerical flow and the exact flow on a grid."""
-    if map_numeric.dt != map_exact.dt:
-        raise ConfigurationError("the two flow maps must share dt")
-    y_num = map_numeric(grid.points)
-    y_ref = map_exact(grid.points)
-    return float(np.max(np.linalg.norm(y_num - y_ref, axis=1)))
+def integration_error_sup(numeric: FlowedGrid, exact: FlowedGrid) -> float:
+    """Worst Euclidean gap between a numerical flow and the exact flow of one grid."""
+    if numeric.dt != exact.dt:
+        raise ConfigurationError("the two flowed grids must share dt")
+    if not np.array_equal(numeric.points, exact.points):
+        raise ConfigurationError("the two flowed grids must share their points")
+    return float(np.max(np.linalg.norm(numeric.image - exact.image, axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import phase as phase_mod
-from .core import EvalGrid, principal_arg, singular_mask, write_grid_field
+from .core import EvalGrid, FlowedGrid, principal_arg, singular_mask, write_grid_field
 from .dictionary import (
     identity_dictionary,
     rbf_dictionary,
@@ -38,6 +38,7 @@ from .dynamics import (
 from .eigensolve import deflate_spectrum, write_spectrum_json
 from .extend import (
     PairExtension,
+    PowerErrors,
     bound_constant_CFG,
     continuous_bound,
     discrete_bound,
@@ -45,9 +46,7 @@ from .extend import (
     expr_from_weights,
     extend_continuous,
     iterative_koopman_eigensolver,
-    monomial,
     normalize_to_grid,
-    trajectory_error,
     write_extension_report,
 )
 from .regression import fit_edmd, save_model
@@ -112,9 +111,11 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
     model = fit_edmd(snaps, identity_dictionary(2))
     save_model(os.path.join(out, "model"), model)
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
-    exact = FlowMap(sys_.field, p["dt"], method="exact")
-    euler = FlowMap(sys_.field, p["dt"], method="euler", step=p["euler_step"])
-    eps_G = integration_error_sup(euler, exact, grid)
+    exact = FlowedGrid.of(FlowMap(sys_.field, p["dt"], method="exact"), grid)
+    euler = FlowedGrid.of(
+        FlowMap(sys_.field, p["dt"], method="euler", step=p["euler_step"]), grid
+    )
+    eps_G = integration_error_sup(euler, exact)
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
 
@@ -154,11 +155,13 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
         dw = rng.standard_normal(2)
         dw *= p["delta_w_norm"] / np.linalg.norm(dw)
         phi_disc = expr_from_weights(model, w_x + dw, lam_x, unit_norm=False)
+        errors_c = PowerErrors(phi_cont, euler)
+        errors_d = PowerErrors(phi_disc, exact)
         for power in range(1, p["p_max_curve"] + 1):
-            e_c = trajectory_error(monomial(phi_cont, power), euler, grid, power)
+            e_c = errors_c(power)[1]
             b_c = continuous_bound(lam_x, M, L, eps_G, power)
-            e_d = trajectory_error(monomial(phi_disc, power), exact, grid, power)
-            cfg_const = bound_constant_CFG(model.dict, exact, lam_x, power, grid)
+            e_d = errors_d(power)[1]
+            cfg_const = bound_constant_CFG(model.dict, exact, lam_x, power)
             b_d = discrete_bound(p["delta_w_norm"], cfg_const, power)
             bound_violation = max(
                 bound_violation, e_c / b_c - 1.0 if b_c > 0 else 0.0,
@@ -167,16 +170,18 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
             curves.append((lam_x, power, e_c, b_c, e_d, b_d))
         # crossing fidelity: certified budget crossing vs measured crossing of
         # the unit-grid-norm eigenfunction error curve
-        phi_meas = normalize_to_grid(expr_from_weights(model, w, lam), grid)
+        errors_meas = PowerErrors(
+            normalize_to_grid(expr_from_weights(model, w, lam), grid), euler
+        )
         for eps in p["epsilons"]:
             res = extend_continuous(
-                (w, lam), model, grid, eps, eps_G, L, M, euler,
+                (w, lam), model, euler, eps, eps_G, L, M,
                 p_max=40, measure_errors=False,
             )
             p_alg_cross = res.max_power + 1
             p_emp_cross = None
             for power in range(1, 41):
-                if trajectory_error(monomial(phi_meas, power), euler, grid, power) > eps:
+                if errors_meas(power)[1] > eps:
                     p_emp_cross = power
                     break
             crossing_rows.append((lam, eps, p_alg_cross, p_emp_cross))
@@ -237,15 +242,15 @@ def _run_softplus_edmd(cfg: ExperimentConfig, out: str) -> dict:
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
-    rk = FlowMap(soft.field, p["dt"], method="rk45",
-                 rel_tol=p["rk_rel_tol"], abs_tol=p["rk_abs_tol"])
-    exact = FlowMap(soft.field, p["dt"], method="exact")
-    eps_G = integration_error_sup(rk, exact, grid)
+    rk = FlowedGrid.of(FlowMap(soft.field, p["dt"], method="rk45",
+                               rel_tol=p["rk_rel_tol"], abs_tol=p["rk_abs_tol"]), grid)
+    exact = FlowedGrid.of(FlowMap(soft.field, p["dt"], method="exact"), grid)
+    eps_G = integration_error_sup(rk, exact)
     L = spectral_norm_bound_L(dic, grid)
     M = feature_sup_M(dic, grid)
     results = iterative_koopman_eigensolver(
-        model, grid, n=p["n_eig"], epsilon=p["epsilon"], eps_G=eps_G, L=L, M=M,
-        flow=rk, p_max=p["p_cap"], tol=1e-13, seed=cfg.seed, max_iter=p["max_iter"],
+        model, rk, n=p["n_eig"], epsilon=p["epsilon"], eps_G=eps_G, L=L, M=M,
+        p_max=p["p_cap"], tol=1e-13, seed=cfg.seed, max_iter=p["max_iter"],
     )
     write_extension_report(os.path.join(out, "extension_report.json"), results)
     norm_K = np.linalg.norm(model.K)
@@ -390,7 +395,7 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
         sys_,
         "laplace_average",
         grid,
-        phase_mod.LaplaceConfig(mask=mask, x0_cycle=tuple(x0), T=p["T"], step=p["step"]),
+        phase_mod.LaplaceConfig(mask=mask, period=period, T=p["T"], step=p["step"]),
     )
     phase_mod.write_phase_csv(os.path.join(out, "vdp_phase.csv"), field)
     keep = ~singular_mask(field.values)

@@ -24,6 +24,7 @@ from .core import (
     ContractViolationError,
     EmptySupportError,
     EvalGrid,
+    FlowedGrid,
     NearDefectiveError,
     SingularInputError,
     masked_grid_norm,
@@ -46,6 +47,7 @@ __all__ = [
     "expr_from_analytic",
     "monomial",
     "real_exponent_match",
+    "PowerErrors",
     "trajectory_error",
     "trajectory_error_detailed",
     "truth_error",
@@ -129,9 +131,14 @@ class EigenfunctionExpr:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(pts.shape[0], self.scale, dtype=complex)
-        for base, m in self.factors:
-            out = out * _pow_values(_eval_base(base, pts), m)
+        return self.combine([_eval_base(base, pts) for base, _ in self.factors], pts.shape[0])
+
+    def combine(self, base_values, n: int) -> np.ndarray:
+        """scale * prod_k v_k**m_k from the base values v_k already evaluated
+        on n points, one array per factor in factor order."""
+        out = np.full(n, self.scale, dtype=complex)
+        for vals, (_, m) in zip(base_values, self.factors, strict=True):
+            out = out * _pow_values(vals, m)
         return tag_nonfinite(out)
 
     def power(self, p: float) -> "EigenfunctionExpr":
@@ -249,24 +256,52 @@ def real_exponent_match(lam_source: complex, lam_target: complex) -> float:
 # Error metrics.
 
 
-def trajectory_error_detailed(expr: EigenfunctionExpr, flow, grid: EvalGrid, p: float):
+def _residual_error(vx: np.ndarray, vy: np.ndarray, lam_step: complex, p: float):
+    norm, excluded = masked_grid_norm(vy - lam_step * vx)
+    return float(norm ** (1.0 / p)), excluded
+
+
+def trajectory_error_detailed(expr: EigenfunctionExpr, flowed: FlowedGrid, p: float):
     """Eigen-relation residual |phi(F x) - lambda_step phi(x)| in the grid
     norm, raised to 1/p. Returns (value, number of singular points excluded).
 
     For fitted expressions lambda_step is the expression's eigenvalue; for
-    analytic (generator) ones it is exp(lambda dt) with dt read off the flow.
+    analytic (generator) ones it is exp(lambda dt) with the flowed grid's dt.
     """
-    pts = grid.points
-    vx = expr.eval(pts)
-    vy = expr.eval(flow(pts))
-    lam_step = expr.step_multiplier(getattr(flow, "dt", None))
-    resid = vy - lam_step * vx
-    norm, excluded = masked_grid_norm(resid)
-    return float(norm ** (1.0 / p)), excluded
+    vx = expr.eval(flowed.points)
+    vy = expr.eval(flowed.image)
+    return _residual_error(vx, vy, expr.step_multiplier(flowed.dt), p)
 
 
-def trajectory_error(expr: EigenfunctionExpr, flow, grid: EvalGrid, p: float) -> float:
-    return trajectory_error_detailed(expr, flow, grid, p)[0]
+def trajectory_error(expr: EigenfunctionExpr, flowed: FlowedGrid, p: float) -> float:
+    return trajectory_error_detailed(expr, flowed, p)[0]
+
+
+class PowerErrors:
+    """Trajectory errors of the powers phi^p on one flowed grid.
+
+    The base factors of phi are evaluated once on the grid points and once on
+    their images; each power then costs only the elementwise combine step.
+    Called with p, it returns (monomial(phi, p), error, excluded points), the
+    same numbers trajectory_error_detailed gives for that monomial.
+    """
+
+    def __init__(self, phi, flowed: FlowedGrid):
+        self.phi = phi
+        self.flowed = flowed
+        # monomial drops zero exponents, so only the others line up with its factors
+        bases = [base for base, m in _as_factors(phi) if m != 0.0]
+        self._vx = [_eval_base(base, flowed.points) for base in bases]
+        self._vy = [_eval_base(base, flowed.image) for base in bases]
+
+    def __call__(self, p: float) -> tuple[EigenfunctionExpr, float, int]:
+        expr = monomial(self.phi, p)
+        n = len(self.flowed)
+        err, excluded = _residual_error(
+            expr.combine(self._vx, n), expr.combine(self._vy, n),
+            expr.step_multiplier(self.flowed.dt), p,
+        )
+        return expr, err, excluded
 
 
 def _mode_of(ratio: np.ndarray, bins: int = 101) -> float:
@@ -338,13 +373,13 @@ def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionE
 # Bounds.
 
 
-def bound_constant_CFG(dic: Dictionary, flow, lam: complex, p: int, grid: EvalGrid) -> float:
+def bound_constant_CFG(dic: Dictionary, flowed: FlowedGrid, lam: complex, p: int) -> float:
     """Grid norm of |Psi(F x) - lam Psi(x)| times the degree-(p-1) geometric
     sum in |Psi(F x)|, |Psi(x)| and |lam|."""
     if p < 1:
         raise ConfigurationError("p must be >= 1")
-    PX = dic.eval(grid.points)
-    PF = dic.eval(flow(grid.points))
+    PX = dic.eval(flowed.points)
+    PF = dic.eval(flowed.image)
     return _cfg_from_features(PX, PF, lam, p)
 
 
@@ -428,10 +463,9 @@ def _weights_of(eigenpair_or_weights) -> tuple[np.ndarray, complex]:
 def extend_discrete(
     eigenpair,
     model: KoopmanModel,
-    grid: EvalGrid,
+    flowed: FlowedGrid,
     epsilon: float,
     delta_w_norm: float,
-    flow,
     p_max: int = P_MAX_DEFAULT,
 ) -> ExtensionResult:
     """Emit powers p = 1, 2, ... while the eigenvector-error budget holds:
@@ -441,9 +475,9 @@ def extend_discrete(
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
     w, lam = _weights_of(eigenpair)
-    phi1 = expr_from_weights(model, w, lam)
-    PX = model.dict.eval(grid.points)
-    PF = model.dict.eval(flow(grid.points))
+    errors = PowerErrors(expr_from_weights(model, w, lam), flowed)
+    PX = model.dict.eval(flowed.points)
+    PF = model.dict.eval(flowed.image)
     out = []
     p = 1
     while p <= p_max:
@@ -453,8 +487,7 @@ def extend_discrete(
             if p == 1:
                 status = "empty: p=1 already violates the eigenvector budget"
             return ExtensionResult(tuple(out), status)
-        expr = monomial(phi1, p)
-        err, excl = trajectory_error_detailed(expr, flow, grid, p)
+        expr, err, excl = errors(p)
         out.append(
             Extension(
                 power=p,
@@ -470,12 +503,11 @@ def extend_discrete(
 def extend_continuous(
     eigenpair,
     model: KoopmanModel,
-    grid: EvalGrid,
+    flowed: FlowedGrid,
     epsilon: float,
     eps_G: float,
     L: float,
     M: float,
-    flow,
     p_max: int = P_MAX_DEFAULT,
     measure_errors: bool = True,
 ) -> ExtensionResult:
@@ -486,6 +518,7 @@ def extend_continuous(
         raise ConfigurationError("epsilon must be positive")
     w, lam = _weights_of(eigenpair)
     phi1 = expr_from_weights(model, w, lam)
+    errors = PowerErrors(phi1, flowed) if measure_errors else None
     lam_abs = abs(lam)
     out = []
     p = 1
@@ -495,11 +528,10 @@ def extend_continuous(
             if p == 1:
                 status = "empty: p=1 already violates the integration budget"
             return ExtensionResult(tuple(out), status)
-        expr = monomial(phi1, p)
-        if measure_errors:
-            err, excl = trajectory_error_detailed(expr, flow, grid, p)
+        if errors is not None:
+            expr, err, excl = errors(p)
         else:
-            err, excl = np.nan, 0
+            expr, err, excl = monomial(phi1, p), np.nan, 0
         out.append(
             Extension(
                 power=p,
@@ -525,13 +557,12 @@ class PairExtension:
 
 def iterative_koopman_eigensolver(
     model: KoopmanModel,
-    grid: EvalGrid,
+    flowed: FlowedGrid,
     n: int,
     epsilon: float,
     eps_G: float,
     L: float,
     M: float,
-    flow,
     p_max: int = P_MAX_DEFAULT,
     tol: float = 1e-13,
     seed: int = 0,
@@ -565,7 +596,7 @@ def iterative_koopman_eigensolver(
         left = _match_left(right.lam, left)
         lam, v, w_unit = right.lam, right.right, left.right
         result = extend_continuous(
-            (w_unit, lam), model, grid, epsilon, eps_G, L, M, flow,
+            (w_unit, lam), model, flowed, epsilon, eps_G, L, M,
             p_max=p_max, measure_errors=measure_errors,
         )
         out.append(PairExtension(lam, w_unit, result, max(right.residual, left.residual)))

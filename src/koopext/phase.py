@@ -342,7 +342,7 @@ class LaplaceConfig:
     lam: complex | None = None
     T: float | None = None
     step: float | None = None
-    x0_cycle: tuple = (2.0, 0.0)
+    period: float | None = None  # of the limit cycle, from limit_cycle_period
     mask: Callable | None = None  # points -> bool array; False rows stay singular
     label: str = "laplace_average"
 
@@ -352,8 +352,9 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
 
     method 'analytic' uses the system's first analytic eigenfunction (the
     polar benchmark's limit-cycle one). method 'laplace_average' integrates
-    the observable (default sin(x1 + x2)) with eigenvalue i omega from the
-    measured cycle period; horizon defaults to 50 periods and the quadrature
+    the observable (default sin(x1 + x2)) with eigenvalue i omega, omega =
+    2 pi / period, from the cycle period the config carries (measured by
+    limit_cycle_period); horizon defaults to 50 periods and the quadrature
     step to period/200.
     """
     if method == "analytic":
@@ -365,7 +366,12 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
     if method != "laplace_average":
         raise ConfigurationError("method must be 'analytic' or 'laplace_average'")
     cfg = config or LaplaceConfig()
-    omega, period = limit_cycle_period(system, np.asarray(cfg.x0_cycle, dtype=float))
+    period = cfg.period
+    if period is None or not (math.isfinite(period) and period > 0):
+        raise ConfigurationError(
+            f"laplace_average needs the positive limit-cycle period, got {period}"
+        )
+    omega = 2.0 * math.pi / period
     lam = cfg.lam if cfg.lam is not None else complex(0.0, omega)
     if lam.real == 0:
         T = cfg.T if cfg.T is not None else 50.0 * period

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from koopext.core import EvalGrid, singular_mask
+from koopext.core import EvalGrid, FlowedGrid, singular_mask
 from koopext.dictionary import (
     feature_sup_M,
     identity_dictionary,
@@ -56,9 +56,9 @@ def linear2d_setup():
     snaps = sample_snapshots(sys_, 400, 0.2, ((-2, -2), (2, 2)), seed=42)
     model = fit_edmd(snaps, identity_dictionary(2))
     grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.01)
-    exact = FlowMap(sys_.field, 0.2, method="exact")
-    euler = FlowMap(sys_.field, 0.2, method="euler", step=0.001)
-    eps_G = integration_error_sup(euler, exact, grid)
+    exact = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
+    euler = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="euler", step=0.001), grid)
+    eps_G = integration_error_sup(euler, exact)
     return sys_, model, grid, exact, euler, eps_G
 
 
@@ -87,11 +87,11 @@ def test_criterion_2_bound_validity(linear2d_setup):
         dw *= 1e-6 / np.linalg.norm(dw)
         phi_disc = expr_from_weights(model, w + dw, lam, unit_norm=False)
         for p in range(1, 11):
-            e_c = trajectory_error(monomial(phi_cont, p), euler, grid, p)
+            e_c = trajectory_error(monomial(phi_cont, p), euler, p)
             b_c = continuous_bound(lam, M, L, eps_G, p)
             worst = max(worst, e_c / b_c - 1.0)
-            e_d = trajectory_error(monomial(phi_disc, p), exact, grid, p)
-            cfg = bound_constant_CFG(model.dict, exact, lam, p, grid)
+            e_d = trajectory_error(monomial(phi_disc, p), exact, p)
+            cfg = bound_constant_CFG(model.dict, exact, lam, p)
             b_d = discrete_bound(1e-6, cfg, p)
             worst = max(worst, e_d / b_d - 1.0)
     report(
@@ -110,14 +110,14 @@ def test_criterion_3_algorithm_crossing(linear2d_setup):
         for j in range(2):
             lam, w = float(lams[j].real), W[:, j].real
             res = extend_continuous(
-                (w, lam), model, grid, eps, eps_G, L, M, euler,
+                (w, lam), model, euler, eps, eps_G, L, M,
                 p_max=40, measure_errors=False,
             )
             budget_crossing = res.max_power + 1
             phi = normalize_to_grid(expr_from_weights(model, w, lam), grid)
             empirical_crossing = None
             for p in range(1, 41):
-                if trajectory_error(monomial(phi, p), euler, grid, p) > eps:
+                if trajectory_error(monomial(phi, p), euler, p) > eps:
                     empirical_crossing = p
                     break
             gaps.append(abs(budget_crossing - empirical_crossing))
@@ -136,13 +136,15 @@ def test_criterion_4_softplus_reproduction():
     dic = rbf_dictionary(snaps, 40, bandwidth=0.7, seed=5)
     model = fit_edmd(snaps, dic, ridge=1e-10)
     grid = EvalGrid((1.0, 1.0), (2.0, 2.0), 0.01)
-    rk = FlowMap(soft.field, 0.02, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
-    exact = FlowMap(soft.field, 0.02, method="exact")
-    eps_G = integration_error_sup(rk, exact, grid)
+    rk = FlowedGrid.of(
+        FlowMap(soft.field, 0.02, method="rk45", rel_tol=1e-11, abs_tol=1e-13), grid
+    )
+    exact = FlowedGrid.of(FlowMap(soft.field, 0.02, method="exact"), grid)
+    eps_G = integration_error_sup(rk, exact)
     L = spectral_norm_bound_L(dic, grid)
     M = feature_sup_M(dic, grid)
     results = iterative_koopman_eigensolver(
-        model, grid, n=9, epsilon=0.01, eps_G=eps_G, L=L, M=M, flow=rk,
+        model, rk, n=9, epsilon=0.01, eps_G=eps_G, L=L, M=M,
         p_max=3, tol=1e-13, seed=0,
     )
     norm_K = np.linalg.norm(model.K)
@@ -303,7 +305,7 @@ def test_criterion_9_laplace_eigen_relation():
         d = np.min(np.linalg.norm(pts[:, None, :] - cyc[None, :, :], axis=2), axis=1)
         return d <= 0.55
 
-    field = isofield(sys_, "laplace_average", grid, LaplaceConfig(mask=mask))
+    field = isofield(sys_, "laplace_average", grid, LaplaceConfig(mask=mask, period=period))
     keep = ~singular_mask(field.values)
     dt = 0.7
     fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)

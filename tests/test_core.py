@@ -10,6 +10,7 @@ from koopext.core import (
     ContractViolationError,
     EmptySupportError,
     EvalGrid,
+    FlowedGrid,
     SINGULAR,
     SingularInputError,
     grid_norm,
@@ -55,6 +56,37 @@ class TestEvalGrid:
         # (1 - (-1)) / 0.01 lands just below 200 in floating point
         g = EvalGrid((-1.0,), (1.0,), 0.01)
         assert g.shape == (201,)
+
+
+class TestFlowedGrid:
+    def test_of_flows_the_grid_with_one_call(self):
+        g = EvalGrid((0.0, 0.0), (0.2, 0.2), 0.1)
+        calls = []
+
+        class Shift:
+            dt = 0.5
+
+            def __call__(self, pts):
+                calls.append(pts)
+                return pts + 1.0
+
+        fg = FlowedGrid.of(Shift(), g)
+        assert len(calls) == 1
+        assert fg.points is not g.points and np.array_equal(fg.points, g.points)
+        assert np.array_equal(fg.image, g.points + 1.0)
+        assert fg.dt == 0.5 and len(fg) == len(g)
+
+    def test_arrays_are_read_only_views(self):
+        pts = np.zeros((3, 2))
+        fg = FlowedGrid(pts, pts + 1.0, 0.1)
+        with pytest.raises(ValueError):
+            fg.image[0, 0] = 5.0
+        pts[0, 0] = 1.0  # the caller's array stays writable
+        assert fg.points[0, 0] == 1.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ContractViolationError):
+            FlowedGrid(np.zeros((3, 2)), np.zeros((2, 2)), 0.1)
 
 
 class TestGridNorm:

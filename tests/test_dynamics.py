@@ -5,12 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from koopext.core import ConfigurationError, DivergenceError, EvalGrid, singular_mask
+from koopext.core import ConfigurationError, DivergenceError, EvalGrid, FlowedGrid, singular_mask
 from koopext.dynamics import (
     FlowMap,
     bistable_transform,
     bistable_transform_inv,
-    flow,
     integration_error_sup,
     koopman_pde_residual,
     make_system,
@@ -50,20 +49,20 @@ class TestFlow:
         sys_ = make_system("vanderpol")
         fmap = FlowMap(sys_.field, 0.0, method="rk45")
         x = np.array([0.7, -0.2])
-        assert np.array_equal(flow(fmap, x), x)
+        assert np.array_equal(fmap(x), x)
 
     def test_steady_state_fixed(self):
         sys_ = make_system("quad1d")  # x' = (x-2)(x-3)
         for dt in [0.1, 1.0, 5.0]:
             fmap = FlowMap(sys_.field, dt, method="exact")
-            assert flow(fmap, np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-12)
+            assert fmap(np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_linear2d_exact_matches_matrix_exponential(self):
         sys_ = make_system("linear2d")
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         x = np.array([1.0, 1.0])
         expected = expm(A_DEFAULT * 0.2) @ x
-        assert flow(fmap, x) == pytest.approx(expected, rel=1e-13)
+        assert fmap(x) == pytest.approx(expected, rel=1e-13)
 
     def test_euler_step_must_divide_dt(self):
         sys_ = make_system("linear2d")
@@ -79,7 +78,7 @@ class TestFlow:
         sys_ = make_system("quad1d")
         fmap = FlowMap(sys_.field, 2.0, method="exact")
         with pytest.raises(DivergenceError):
-            flow(fmap, np.array([5.0]))
+            fmap(np.array([5.0]))
 
     def test_rk45_against_scipy_reference(self):
         sys_ = make_system("vanderpol")
@@ -92,7 +91,7 @@ class TestFlow:
             rtol=1e-12,
             atol=1e-13,
         ).y[:, -1]
-        assert flow(fmap, x0) == pytest.approx(ref, rel=1e-8, abs=1e-9)
+        assert fmap(x0) == pytest.approx(ref, rel=1e-8, abs=1e-9)
 
     @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
     def test_semigroup_property_of_exact_flows(self, sid):
@@ -112,19 +111,19 @@ class TestIntegrationError:
     def test_exact_vs_exact_is_zero(self):
         sys_ = make_system("linear2d")
         grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.1)
-        num = FlowMap(sys_.field, 0.2, method="exact")
-        exact = FlowMap(sys_.field, 0.2, method="exact")
-        assert integration_error_sup(num, exact, grid) == 0.0
+        num = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
+        exact = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
+        assert integration_error_sup(num, exact) == 0.0
 
     def test_euler_error_value_and_monotonicity(self):
         sys_ = make_system("linear2d")
         grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.05)
-        exact = FlowMap(sys_.field, 0.2, method="exact")
+        exact = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
         eps_coarse = integration_error_sup(
-            FlowMap(sys_.field, 0.2, method="euler", step=0.001), exact, grid
+            FlowedGrid.of(FlowMap(sys_.field, 0.2, method="euler", step=0.001), grid), exact
         )
         eps_fine = integration_error_sup(
-            FlowMap(sys_.field, 0.2, method="euler", step=0.0005), exact, grid
+            FlowedGrid.of(FlowMap(sys_.field, 0.2, method="euler", step=0.0005), grid), exact
         )
         assert 0 < eps_fine < eps_coarse
         # forward Euler is first order
@@ -142,7 +141,20 @@ class TestIntegrationError:
             ).y[:, -1]
             worst = max(worst, float(np.linalg.norm(euler(x) - ref)))
         exact = FlowMap(sys_.field, 0.2, method="exact")
-        assert integration_error_sup(euler, exact, grid) == pytest.approx(worst, rel=1e-6)
+        sup = integration_error_sup(FlowedGrid.of(euler, grid), FlowedGrid.of(exact, grid))
+        assert sup == pytest.approx(worst, rel=1e-6)
+
+    def test_flowed_grids_must_share_dt_and_points(self):
+        sys_ = make_system("linear2d")
+        grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.5)
+        exact = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
+        other_dt = FlowedGrid.of(FlowMap(sys_.field, 0.1, method="exact"), grid)
+        shifted = EvalGrid((-0.9, -1.0), (1.1, 1.0), 0.5)
+        other_points = FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), shifted)
+        with pytest.raises(ConfigurationError, match="dt"):
+            integration_error_sup(other_dt, exact)
+        with pytest.raises(ConfigurationError, match="points"):
+            integration_error_sup(other_points, exact)
 
 
 class TestMakeSystem:

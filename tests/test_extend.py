@@ -7,6 +7,7 @@ from koopext.core import (
     ConfigurationError,
     EmptySupportError,
     EvalGrid,
+    FlowedGrid,
     SingularInputError,
     principal_pow,
     singular_mask,
@@ -16,6 +17,7 @@ from koopext.dynamics import FlowMap, make_system, sample_snapshots
 from koopext.eigensolve import Eigenpair
 from koopext.extend import (
     EigenfunctionExpr,
+    PowerErrors,
     bound_constant_CFG,
     continuous_bound,
     discrete_bound,
@@ -162,7 +164,7 @@ class TestTrajectoryError:
         grid = EvalGrid((1.05,), (1.9,), 0.01)
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
-        assert trajectory_error(phi, fmap, grid, p=1) < 1e-10
+        assert trajectory_error(phi, FlowedGrid.of(fmap, grid), p=1) < 1e-10
 
     def test_power_of_exact_eigenpair_stays_zero(self, quad1d):
         # the residual itself is machine zero; the 1/p root maps tolerance too
@@ -170,7 +172,7 @@ class TestTrajectoryError:
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
         for p in (2, 4):
-            err = trajectory_error(monomial(phi, p), fmap, grid, p=p)
+            err = trajectory_error(monomial(phi, p), FlowedGrid.of(fmap, grid), p=p)
             assert err**p < 1e-12
 
     def test_positive_below_bound_for_euler_flow(self, linear2d_model):
@@ -180,16 +182,29 @@ class TestTrajectoryError:
         lams, W = np.linalg.eig(model.K.T)
         j = int(np.argmax(lams.real))
         expr = expr_from_weights(model, W[:, j].real, lams[j].real)
-        err = trajectory_error(expr, euler, grid, p=1)
+        err = trajectory_error(expr, FlowedGrid.of(euler, grid), p=1)
         assert err > 0
 
     def test_singular_points_excluded_and_counted(self, quad1d):
         grid = EvalGrid((1.5,), (2.5,), 0.25)  # hits x = 2.0 exactly
         fmap = FlowMap(quad1d.field, 0.05, method="exact")
         inv = monomial(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), -1)
-        err, excluded = trajectory_error_detailed(inv, fmap, grid, p=1)
+        err, excluded = trajectory_error_detailed(inv, FlowedGrid.of(fmap, grid), p=1)
         assert excluded >= 1
         assert math.isfinite(err)
+
+    def test_power_errors_match_the_monomial_errors_bit_for_bit(self, quad1d):
+        # cached base values, a grid scale and singular points under p < 0
+        grid = EvalGrid((1.5,), (2.5,), 0.05)
+        flowed = FlowedGrid.of(FlowMap(quad1d.field, 0.05, method="exact"), grid)
+        phi = normalize_to_grid(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), grid)
+        errors = PowerErrors(phi, flowed)
+        for p in (-1, 1, 2, 3):
+            expr, err, excluded = errors(p)
+            assert expr.factors == monomial(phi, p).factors
+            assert (err, excluded) == trajectory_error_detailed(monomial(phi, p), flowed, p)
+            if p < 0:
+                assert excluded >= 1
 
     def test_all_singular_is_empty_support(self, quad1d):
         grid = EvalGrid((1.99999,), (2.0,), 0.5)
@@ -197,7 +212,7 @@ class TestTrajectoryError:
         inv = monomial(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), -1)
         bad_grid = EvalGrid((2.0,), (2.0,), 0.5)
         with pytest.raises(EmptySupportError):
-            trajectory_error(inv, fmap, bad_grid, p=1)
+            trajectory_error(inv, FlowedGrid.of(fmap, bad_grid), p=1)
 
 
 class TestTruthError:
@@ -236,7 +251,7 @@ class TestBounds:
         grid = EvalGrid((-1, -1), (1, 1), 0.1)
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lam = float(np.max(np.linalg.eigvals(model.K).real))
-        cfg = bound_constant_CFG(model.dict, fmap, lam, 1, grid)
+        cfg = bound_constant_CFG(model.dict, FlowedGrid.of(fmap, grid), lam, 1)
         PX = grid.points
         PF = fmap(grid.points)
         oracle = np.sqrt(np.mean(np.linalg.norm(PF - lam * PX, axis=1) ** 2))
@@ -245,7 +260,7 @@ class TestBounds:
     def test_identity_map_unit_eigenvalue_zero(self):
         dic = identity_dictionary(2)
         grid = EvalGrid((-1, -1), (1, 1), 0.2)
-        cfg = bound_constant_CFG(dic, lambda pts: pts, 1.0, 3, grid)
+        cfg = bound_constant_CFG(dic, FlowedGrid(grid.points, grid.points, 0.0), 1.0, 3)
         assert cfg == 0.0
 
     def test_cfg_against_straight_loop(self, linear2d_model):
@@ -254,7 +269,7 @@ class TestBounds:
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lam = math.exp(-0.18)
         p = 3
-        cfg = bound_constant_CFG(model.dict, fmap, lam, p, grid)
+        cfg = bound_constant_CFG(model.dict, FlowedGrid.of(fmap, grid), lam, p)
         # independent straight-loop implementation
         total = 0.0
         for x in grid.points:
@@ -278,8 +293,8 @@ class TestBounds:
 
 
 class TestExtensionLoops:
-    def make_flow(self, sys_):
-        return FlowMap(sys_.field, 0.2, method="exact")
+    def make_flow(self, sys_, grid):
+        return FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid)
 
     def eigpair(self, model, which=0):
         lams, W = np.linalg.eig(model.K.T)
@@ -293,8 +308,8 @@ class TestExtensionLoops:
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         res = extend_discrete(
-            self.eigpair(model), model, grid, epsilon=0.1,
-            delta_w_norm=0.0, flow=self.make_flow(sys_), p_max=12,
+            self.eigpair(model), model, self.make_flow(sys_, grid), epsilon=0.1,
+            delta_w_norm=0.0, p_max=12,
         )
         assert res.max_power == 12
         assert "never exceeded" in res.status
@@ -303,8 +318,8 @@ class TestExtensionLoops:
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         res = extend_discrete(
-            self.eigpair(model), model, grid, epsilon=1e-12,
-            delta_w_norm=1e-3, flow=self.make_flow(sys_),
+            self.eigpair(model), model, self.make_flow(sys_, grid), epsilon=1e-12,
+            delta_w_norm=1e-3,
         )
         assert len(res) == 0
         assert "p=1" in res.status
@@ -313,8 +328,8 @@ class TestExtensionLoops:
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         res = extend_continuous(
-            self.eigpair(model), model, grid, epsilon=0.1, eps_G=0.0,
-            L=1.0, M=math.sqrt(2), flow=self.make_flow(sys_), p_max=9,
+            self.eigpair(model), model, self.make_flow(sys_, grid), epsilon=0.1, eps_G=0.0,
+            L=1.0, M=math.sqrt(2), p_max=9,
         )
         assert res.max_power == 9
 
@@ -324,8 +339,8 @@ class TestExtensionLoops:
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         eps, eps_G = 0.2, 1e-4
         res = extend_continuous(
-            self.eigpair(model), model, grid, epsilon=eps, eps_G=eps_G,
-            L=1.0, M=math.sqrt(2), flow=self.make_flow(sys_),
+            self.eigpair(model), model, self.make_flow(sys_, grid), epsilon=eps, eps_G=eps_G,
+            L=1.0, M=math.sqrt(2),
         )
         assert len(res) >= 1
         for ext in res.extensions:
@@ -344,17 +359,17 @@ class TestExtensionLoops:
         def flow(pts):
             return pts @ np.diag(np.exp(np.diag(A) * 0.1))
 
+        flowed = FlowedGrid(grid.points, flow(grid.points), 0.1)
         results = iterative_koopman_eigensolver(
-            model, grid, n=2, epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
-            flow=flow,
+            model, flowed, n=2, epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
         )
         assert len(results) == 2
         assert results[0].eigenvalue == pytest.approx(0.9 + 0j, abs=1e-10)
         assert results[1].eigenvalue == pytest.approx(0.5 + 0j, abs=1e-10)
         for got, lam in zip(results, (0.9, 0.5)):
             solo = extend_continuous(
-                (got.weights, got.eigenvalue), model, grid,
-                epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2), flow=flow,
+                (got.weights, got.eigenvalue), model, flowed,
+                epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
             )
             assert solo.max_power == got.result.max_power
             for a, b in zip(solo.extensions, got.result.extensions):
@@ -364,8 +379,7 @@ class TestExtensionLoops:
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.5)
         out = iterative_koopman_eigensolver(
-            model, grid, n=0, epsilon=0.1, eps_G=1e-5, L=1.0, M=1.0,
-            flow=self.make_flow(sys_),
+            model, self.make_flow(sys_, grid), n=0, epsilon=0.1, eps_G=1e-5, L=1.0, M=1.0,
         )
         assert out == []
 
@@ -378,8 +392,9 @@ class TestExtensionLoops:
             factors=phi.factors, eigenvalue=phi.eigenvalue,
             eigenvalue_kind=phi.eigenvalue_kind, scale=7.5 + 0j,
         )
-        e1 = trajectory_error(normalize_to_grid(phi, grid), fmap, grid, 1)
-        e2 = trajectory_error(normalize_to_grid(scaled, grid), fmap, grid, 1)
+        flowed = FlowedGrid.of(fmap, grid)
+        e1 = trajectory_error(normalize_to_grid(phi, grid), flowed, 1)
+        e2 = trajectory_error(normalize_to_grid(scaled, grid), flowed, 1)
         assert e1 == pytest.approx(e2, abs=1e-14)
 
 
@@ -429,10 +444,11 @@ class TestDiscreteLoopConsistency:
         j = int(np.argmax(lams.real))
         lam, w = float(lams[j].real), W[:, j].real
         eps, dw = 0.1, 1e-6
-        res = extend_discrete((w, lam), model, grid, eps, dw, fmap, p_max=30)
+        flowed = FlowedGrid.of(fmap, grid)
+        res = extend_discrete((w, lam), model, flowed, eps, dw, p_max=30)
         expected = []
         for p in range(1, 31):
-            cfg = bound_constant_CFG(model.dict, fmap, lam, p, grid)
+            cfg = bound_constant_CFG(model.dict, flowed, lam, p)
             if dw > eps**p / cfg:
                 break
             expected.append(p)
@@ -451,8 +467,8 @@ class TestReportRoundTrip:
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lams, W = np.linalg.eig(model.K.T)
         res = extend_continuous(
-            (W[:, 0].real, float(lams[0].real)), model, grid,
-            epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2), flow=fmap,
+            (W[:, 0].real, float(lams[0].real)), model, FlowedGrid.of(fmap, grid),
+            epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
         )
         path = tmp_path / "report.json"
         write_extension_report(path, [PairExtension(complex(lams[0]), W[:, 0].real, res, 1e-12)])

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from koopext.core import (
+    ConfigurationError,
     DivergenceError,
     DomainError,
     EvalGrid,
@@ -262,7 +263,7 @@ class TestIsofield:
             d = np.min(np.linalg.norm(pts[:, None, :] - cyc[None, :, :], axis=2), axis=1)
             return d <= 0.5
 
-        field = isofield(sys_, "laplace_average", grid, LaplaceConfig(mask=mask))
+        field = isofield(sys_, "laplace_average", grid, LaplaceConfig(mask=mask, period=period))
         keep = ~singular_mask(field.values)
         assert np.count_nonzero(keep) > 100
         dt = 0.6
@@ -277,6 +278,13 @@ class TestIsofield:
         )
         resid = np.abs(flowed - np.exp(field.eigenvalue * dt) * field.values[keep])
         assert np.max(resid) <= 5e-2 * np.max(np.abs(field.values[keep]))
+
+    @pytest.mark.parametrize("period", [None, 0.0, -1.0])
+    def test_laplace_average_needs_the_cycle_period(self, period):
+        sys_ = make_system("vanderpol")
+        grid = EvalGrid((-0.5, -0.5), (0.5, 0.5), 0.5)
+        with pytest.raises(ConfigurationError, match="period"):
+            isofield(sys_, "laplace_average", grid, LaplaceConfig(period=period))
 
     def test_phase_csv(self, tmp_path):
         sys_ = make_system("polarLC", alpha=0.0)
