@@ -71,14 +71,36 @@ _DP_B4 = np.array(
 _DP_ERR = _DP_B5 - _DP_B4
 
 
+def _dp_combine(terms, h):
+    """h * (0 + c_0 k_0 + c_1 k_1 + ...) over the (c, k) pairs of `terms`,
+    accumulated in place in the order of a Python sum() that starts at 0, so
+    the bits match that sum."""
+    terms = iter(terms)
+    c, ki = next(terms)
+    acc = np.multiply(ki, c)
+    acc += 0
+    tmp = np.empty_like(acc)
+    for c, ki in terms:
+        acc += np.multiply(ki, c, out=tmp)
+    acc *= h
+    return acc
+
+
+# stages with a nonzero weight in the 5th-order solution and in the error estimate
+_DP_B5_NZ = tuple(i for i, b in enumerate(_DP_B5) if b != 0.0)
+_DP_ERR_NZ = tuple(i for i, e in enumerate(_DP_ERR) if e != 0.0)
+
+
 def _dp_step(rhs, y, h):
     """One Dormand-Prince step: returns (y5, error_estimate, stages k)."""
     k = [rhs(y)]
     for i in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
+        yi = _dp_combine(zip(_DP_A[i], k), h)
+        yi += y
         k.append(rhs(yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
+    y5 = _dp_combine(((_DP_B5[i], k[i]) for i in _DP_B5_NZ), h)
+    y5 += y
+    err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
     return y5, err, k
 
 
@@ -683,8 +705,17 @@ def _vanderpol(mu=0.3) -> BenchmarkSystem:
     mu = float(mu)
 
     def rhs(p):
+        # mu * (1 - x*x) * y - x, evaluated in place in that order
         x, y = p[:, 0], p[:, 1]
-        return np.column_stack([y, mu * (1.0 - x * x) * y - x])
+        out = np.empty((len(p), 2))
+        out[:, 0] = y
+        dy = out[:, 1]
+        np.multiply(x, x, out=dy)
+        np.subtract(1.0, dy, out=dy)
+        dy *= mu
+        dy *= y
+        dy -= x
+        return out
 
     return BenchmarkSystem(
         id="vanderpol",

@@ -96,8 +96,10 @@ def laplace_average_batch(
     """(1/T) integral of f(F^t x) e^{-lam t} dt by trapezoid over fixed
     Dormand-Prince nodes, for every row of `points` at once.
 
-    Rows whose integrand exceeds the divergence guard raise DivergenceError;
-    callers that prefer masking should split the batch.
+    Rows never mix, so a row's value does not depend on the rest of the batch.
+    Rows whose integrand exceeds the divergence guard raise DivergenceError,
+    which names the time, the step and how many rows crossed; callers that
+    prefer masking should split the batch.
     """
     if T <= 0 or step <= 0:
         raise ConfigurationError("horizon and step must be positive")
@@ -110,14 +112,17 @@ def laplace_average_batch(
     g_prev = np.asarray(observable(y), dtype=complex)
     acc = np.zeros(pts.shape[0], dtype=complex)
     t = 0.0
-    for _ in range(n_steps):
+    for i in range(n_steps):
         y, _, _ = _dp_step(fld.rhs, y, h)
         t += h
         g = np.asarray(observable(y), dtype=complex) * np.exp(-lam * t)
         if np.any(np.abs(g) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(y)):
+            crossed = (np.abs(g) > DIVERGENCE_LIMIT) | ~np.all(np.isfinite(y), axis=1)
             raise DivergenceError(
-                "Laplace integrand exceeded the divergence guard; the eigenvalue "
-                "is incompatible with this observable over this horizon"
+                f"Laplace integrand exceeded the divergence guard {DIVERGENCE_LIMIT:g} "
+                f"at t = {t:.6g} (step {i + 1} of {n_steps}) in {int(crossed.sum())} of "
+                f"{len(crossed)} rows; the eigenvalue is incompatible with this "
+                "observable over this horizon"
             )
         acc += 0.5 * h * (g_prev + g)
         g_prev = g
@@ -140,10 +145,12 @@ def limit_cycle_period(
 ) -> tuple[float, float]:
     """(omega, period) of the attracting limit cycle reachable from x0.
 
-    The state is first relaxed onto the cycle, then a Poincare section is
-    placed through the relaxed point with the flow direction as its normal;
-    the return time is refined with Newton steps on the section-crossing
-    condition down to 1e-10.
+    The state is first relaxed onto the cycle for `settle_time`, then a
+    Poincare section is placed through the relaxed point with the flow
+    direction as its normal, and the flow is integrated until its first
+    return to the section; the return time is refined with Newton steps on
+    the section-crossing condition down to 1e-10. `horizon` caps the search
+    for that return: without one before t = horizon, DivergenceError.
     """
     from scipy.integrate import solve_ivp
 
@@ -165,6 +172,8 @@ def limit_cycle_period(
         return normal @ (u - p0)
 
     section.direction = 1.0
+    # the start point itself is the first occurrence, at t = 0; stop at the next
+    section.terminal = 2
 
     sol = solve_ivp(
         rhs1, (0.0, horizon), p0, rtol=1e-12, atol=1e-12,
@@ -366,21 +375,7 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
     if method != "laplace_average":
         raise ConfigurationError("method must be 'analytic' or 'laplace_average'")
     cfg = config or LaplaceConfig()
-    period = cfg.period
-    if period is None or not (math.isfinite(period) and period > 0):
-        raise ConfigurationError(
-            f"laplace_average needs the positive limit-cycle period, got {period}"
-        )
-    omega = 2.0 * math.pi / period
-    lam = cfg.lam if cfg.lam is not None else complex(0.0, omega)
-    if lam.real == 0:
-        T = cfg.T if cfg.T is not None else 50.0 * period
-    else:
-        T = cfg.T if cfg.T is not None else 50.0 / abs(lam.real)
-    # align the horizon with whole periods so rotating terms cancel exactly
-    T = period * max(1, round(T / period))
-    step = cfg.step if cfg.step is not None else period / 200.0
-    obs = cfg.observable or (lambda pts: np.sin(pts[:, 0] + pts[:, 1]))
+    obs, lam, T, step = _laplace_plan(cfg)
     pts = grid.points
     keep = cfg.mask(pts) if cfg.mask is not None else np.ones(len(grid), dtype=bool)
     values = np.full(len(grid), SINGULAR, dtype=complex)
@@ -395,10 +390,32 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
             "label": cfg.label,
             "T": T,
             "step": step,
-            "omega": omega,
-            "period": period,
+            "omega": 2.0 * math.pi / cfg.period,
+            "period": cfg.period,
         },
     )
+
+
+def _laplace_plan(cfg: LaplaceConfig) -> tuple[Callable, complex, float, float]:
+    """(observable, lam, T, step) of a Laplace-average field, the one rule
+    behind all of them: eigenvalue i omega, omega = 2 pi / period, unless the
+    config sets lam; the horizon (default 50 periods, or 50 / |Re lam|)
+    rounded to whole periods so rotating terms cancel exactly; the step
+    period/200 and the observable sin(x1 + x2) unless set."""
+    period = cfg.period
+    if period is None or not (math.isfinite(period) and period > 0):
+        raise ConfigurationError(
+            f"laplace_average needs the positive limit-cycle period, got {period}"
+        )
+    lam = cfg.lam if cfg.lam is not None else complex(0.0, 2.0 * math.pi / period)
+    if lam.real == 0:
+        T = cfg.T if cfg.T is not None else 50.0 * period
+    else:
+        T = cfg.T if cfg.T is not None else 50.0 / abs(lam.real)
+    T = period * max(1, round(T / period))
+    step = cfg.step if cfg.step is not None else period / 200.0
+    obs = cfg.observable or (lambda pts: np.sin(pts[:, 0] + pts[:, 1]))
+    return obs, lam, T, step
 
 
 def write_phase_csv(path, field_: PhaseField) -> None:

@@ -1,6 +1,8 @@
 """Regression tests that pin the compute-once data flow of the experiments:
 each evaluation grid is flowed once per flow map, and the limit-cycle period
-is solved once per phase run."""
+is solved once per phase run and Laplace-averaged in one batch."""
+import inspect
+
 import numpy as np
 
 from koopext import phase
@@ -39,3 +41,23 @@ def test_vdp_phase_solves_the_period_once(tmp_path, monkeypatch):
     run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
                          params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
     assert len(calls) == 1
+
+
+def test_vdp_phase_averages_the_grid_and_its_image_in_one_batch(tmp_path, monkeypatch):
+    rows = []
+    original = phase.laplace_average_batch
+    signature = inspect.signature(original)
+
+    def counting_batch(*args, **kwargs):
+        points = signature.bind(*args, **kwargs).arguments["points"]
+        rows.append(np.atleast_2d(points).shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(phase, "laplace_average_batch", counting_batch)
+    run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
+                         params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
+    singular = np.loadtxt(tmp_path / "vdp_phase.csv", delimiter=",", skiprows=1)[:, -1]
+    kept = int(np.sum(singular == 0))
+    assert kept > 0
+    # the kept grid points stacked on their time-dt images, then the 1-row trivial check
+    assert rows == [2 * kept, 1]

@@ -323,3 +323,54 @@ class TestPaperScaleSampling:
         # chained within trajectories, independent across them
         assert np.array_equal(snaps.x[5], snaps.y[4])
         assert not np.array_equal(snaps.x[10], snaps.y[9])
+
+
+def _reference_dp_step(rhs, y, h):
+    # the generator-sum form of one Dormand-Prince step that _dp_step replaces
+    from koopext.dynamics import _DP_A, _DP_B5, _DP_ERR
+
+    k = [rhs(y)]
+    for i in range(1, 7):
+        yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
+        k.append(rhs(yi))
+    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
+    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
+    return y5, err, k
+
+
+class TestDormandPrinceStep:
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("sign", [None, 1.0, -1.0])
+    def test_matches_the_generator_sum_bit_for_bit(self, d, sign):
+        from koopext.dynamics import _dp_step
+
+        rng = np.random.default_rng(d)
+        c = rng.normal(size=d)
+
+        def field(u):
+            # keeps the sign of a zero row, so the 0 a sum() starts from shows in the bits
+            return np.sin(u) - u * u - c * np.roll(u, 1, axis=1) ** 2
+
+        # dp45 passes the sign-flipped lambda; None is the plain rhs
+        rhs = field if sign is None else (lambda u: sign * field(u))
+        y = rng.normal(size=(64, d))
+        y[:4] = -0.0
+        for h in (0.1, 1e-3, 0.37):
+            got, want = _dp_step(rhs, y, h), _reference_dp_step(rhs, y, h)
+            self.assert_same_bits(got[0], want[0])
+            self.assert_same_bits(got[1], want[1])
+            assert len(got[2]) == len(want[2]) == 7
+            for k_got, k_want in zip(got[2], want[2]):
+                self.assert_same_bits(k_got, k_want)
+
+    def test_vanderpol_rhs_matches_column_stack(self):
+        sys_ = make_system("vanderpol", mu=0.7)
+        p = np.random.default_rng(0).normal(size=(101, 2))
+        x, y = p[:, 0], p[:, 1]
+        want = np.column_stack([y, 0.7 * (1.0 - x * x) * y - x])
+        self.assert_same_bits(sys_.field.rhs(p), want)

@@ -61,11 +61,36 @@ class TestLaplaceAverage:
 
     def test_divergence_guard(self):
         fld = scalar_linear_field(1.0)
-        with pytest.raises(DivergenceError):
+        # the integrand x e^{t} = e^{2t} passes the 1e8 guard at t = ln(1e8)/2 = 9.21
+        cause = r"t = 9\.22 \(step 922 of 3000\) in 1 of 1 rows"
+        with pytest.raises(DivergenceError, match=cause):
             laplace_average(
                 fld, lambda p: p[:, 0].astype(complex), -1.0, np.array([1.0]),
                 T=30.0, step=0.01,
             )
+
+    def test_divergence_guard_counts_the_rows_that_crossed(self):
+        fld = scalar_linear_field(1.0)
+        with pytest.raises(DivergenceError, match=r"in 2 of 3 rows"):
+            laplace_average_batch(
+                fld, lambda p: p[:, 0].astype(complex), -1.0, np.array([[1.0], [0.0], [-1.0]]),
+                T=30.0, step=0.01,
+            )
+
+    def test_batch_rows_are_independent(self):
+        # stacking two batches gives bitwise the values of two separate calls,
+        # which is what lets vdp_phase average a grid and its image at once
+        sys_ = make_system("vanderpol", mu=0.3)
+        rng = np.random.default_rng(3)
+        first, second = rng.uniform(-2.5, 2.5, (37, 2)), rng.uniform(-2.5, 2.5, (19, 2))
+
+        def average(points):
+            obs = lambda p: np.sin(p[:, 0] + p[:, 1])  # noqa: E731
+            return laplace_average_batch(sys_, obs, complex(0.0, 0.99), points, 6.0, 0.05)
+
+        stacked = average(np.vstack([first, second]))
+        apart = np.concatenate([average(first), average(second)])
+        assert stacked.tobytes() == apart.tobytes()
 
 
 class TestLimitCyclePeriod:
@@ -94,8 +119,28 @@ class TestLimitCyclePeriod:
 
     def test_no_cycle_detected_from_steady_flow(self):
         sys_ = make_system("linear2d")
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="steady state"):
             limit_cycle_period(sys_, np.array([1.0, 1.0]))
+
+    def test_vanderpol_period_stops_at_the_first_return(self):
+        fld = make_system("vanderpol", mu=0.3).field
+        calls = []
+
+        def counting_rhs(p):
+            calls.append(len(p))
+            return fld.rhs(p)
+
+        omega, period = limit_cycle_period(VectorField(2, counting_rhs), np.array([2.0, 0.0]))
+        # the value the search over the whole horizon gave, to the last bit
+        assert period == 6.318443203450758
+        assert omega == 2.0 * math.pi / period
+        # about 26,600 calls; integrating on to the horizon took 64,094
+        assert len(calls) < 35_000
+
+    def test_no_return_within_the_horizon(self):
+        sys_ = make_system("vanderpol", mu=0.3)
+        with pytest.raises(DivergenceError, match="no return"):
+            limit_cycle_period(sys_, np.array([2.0, 0.0]), horizon=1.0)
 
 
 class TestPolarEigenfunctions:
