@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .core import ConfigurationError
 from .experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
 EXIT_OK = 0
@@ -24,10 +25,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; overrides other flags")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results are thread-count independent")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="preferred tabular artifact format")
 
 
 def _add_param_overrides(parser: argparse.ArgumentParser, experiment: str) -> None:
@@ -114,15 +111,13 @@ def _config_from_args(args, experiment: str) -> ExperimentConfig:
     params = default_params(experiment)
     for item in args.param:
         if "=" not in item:
-            raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
+            raise ConfigurationError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         params[key] = _parse_value(value)
     return ExperimentConfig(
         experiment=experiment,
         seed=args.seed,
         out_dir=args.out,
-        format=args.format,
-        threads=args.threads,
         params=params,
     )
 
@@ -252,7 +247,7 @@ def main(argv=None) -> int:
             return _tool_phase(args)
         else:  # pragma: no cover
             return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001

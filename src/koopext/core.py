@@ -7,7 +7,6 @@ on how a caller might partition the work.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -260,11 +259,15 @@ def principal_pow(z, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# Grid-field CSV: header x1,...,xd,re,im, one row per grid point in
-# enumeration order, 17 significant digits.
+# CSV artifacts: a header line, then one row per record at 17 significant
+# digits. Grid fields list the grid points in enumeration order, x1,...,xd,re,im.
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+
+def _write_csv(path, header, table, newline: str = "\n") -> None:
+    """Write the 2-D `table` under a header line naming its columns, every
+    entry with %.17g."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="", newline=newline)
 
 
 def write_grid_field(path, grid: EvalGrid, values) -> None:
@@ -272,21 +275,12 @@ def write_grid_field(path, grid: EvalGrid, values) -> None:
     if v.shape[0] != len(grid):
         raise ContractViolationError("field length does not match grid")
     header = [f"x{k + 1}" for k in range(grid.dim)] + ["re", "im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for point, val in zip(grid.points, v):
-            writer.writerow([_fmt(c) for c in point] + [_fmt(val.real), _fmt(val.imag)])
+    _write_csv(path, header, np.column_stack([grid.points, v.real, v.imag]), newline="\r\n")
 
 
 def read_grid_field(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a grid-field CSV back as (points, complex values)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
-        pts, vals = [], []
-        for row in reader:
-            pts.append([float(c) for c in row[:d]])
-            vals.append(complex(float(row[d]), float(row[d + 1])))
-    return np.asarray(pts), np.asarray(vals)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    vals = np.empty(len(data), dtype=complex)
+    vals.real, vals.imag = data[:, -2], data[:, -1]
+    return data[:, :-2], vals

@@ -175,33 +175,9 @@ def rbf_dictionary(data, n_centers: int, bandwidth: float, seed: int) -> Diction
         pts = np.vstack([data.x, data.y])
     else:
         pts = np.atleast_2d(np.asarray(data, dtype=float))
-    centers = kmeans_centers(pts, n_centers, seed)
-    sigma2 = float(bandwidth) ** 2
-    d = pts.shape[1]
-
-    def eval_fn(p):
-        diff = p[:, None, :] - centers[None, :, :]
-        return np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
-
-    def jac_fn(p):
-        diff = p[:, None, :] - centers[None, :, :]  # (n, D, d)
-        feats = np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
-        return feats[:, :, None] * (-diff / sigma2)
-
-    return Dictionary(
-        dim_in=d,
-        dim_out=n_centers,
-        kind="rbf_gaussian",
-        eval_fn=eval_fn,
-        jac_fn=jac_fn,
-        spec={
-            "kind": "rbf_gaussian",
-            "dim": d,
-            "bandwidth": float(bandwidth),
-            "centers": centers.tolist(),
-            "seed": int(seed),
-        },
-    )
+    dic = _dictionary_from_centers(kmeans_centers(pts, n_centers, seed), bandwidth)
+    dic.spec["seed"] = int(seed)
+    return dic
 
 
 def _dictionary_from_centers(centers: np.ndarray, bandwidth: float) -> Dictionary:

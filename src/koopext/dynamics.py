@@ -8,6 +8,7 @@ are tagged (complex NaN), never returned as Inf.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .core import (
     DivergenceError,
     FlowedGrid,
     UnsupportedSystemError,
+    _write_csv,
     tag_nonfinite,
 )
 
@@ -142,22 +144,6 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
     return y
 
 
-def dp45_fixed(rhs, y0: np.ndarray, h: float, n_steps: int, observe=None):
-    """Fixed-step Dormand-Prince; optionally records observe(y) at every node.
-
-    Returns (y_final, observations or None) where observations has shape
-    (n_steps + 1, ...) including the initial node.
-    """
-    y = np.array(y0, dtype=float)
-    recorded = [observe(y)] if observe is not None else None
-    for _ in range(n_steps):
-        y, _, _ = _dp_step(rhs, y, h)
-        _check_divergence(y, "fixed-step integration")
-        if observe is not None:
-            recorded.append(observe(y))
-    return y, (np.array(recorded) if observe is not None else None)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -175,6 +161,10 @@ class VectorField:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.rhs(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def ode_rhs(self, _t, u: np.ndarray) -> np.ndarray:
+        """F at the single state u, in the (t, u) signature of solve_ivp."""
+        return self.rhs(u[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -427,27 +417,6 @@ def _quad1d(a=2.0, b=3.0) -> BenchmarkSystem:
     )
 
 
-def quad1d_eigenfunction(system: BenchmarkSystem, k: int, anchored_at_a: bool = True):
-    """Integer-power member of the quad1d family, ((x-a)/(x-b))^k or its mirror."""
-    a, b = system.metadata["a"], system.metadata["b"]
-    base = system.analytic_eigenfunctions[0 if anchored_at_a else 1]
-
-    def evaluator(pts):
-        x = pts[:, 0]
-        num, den = (a, b) if anchored_at_a else (b, a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = ((x - num) / (x - den)) ** k
-        return tag_nonfinite(vals)
-
-    return AnalyticEigenfunction(
-        eigenvalue=complex(base.eigenvalue * k),
-        evaluator=evaluator,
-        singular_set=base.singular_set,
-        name=f"{base.name[:-2]}^{k}",
-        mask_fn=base.mask_fn,
-    )
-
-
 def _left_eigenvectors_2x2(A: np.ndarray):
     lams, W = np.linalg.eig(A.T)
     if np.any(np.abs(lams.imag) > 1e-12):
@@ -464,16 +433,16 @@ def _left_eigenvectors_2x2(A: np.ndarray):
     return vecs
 
 
+def _expm_propagator(A: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> expm(A t), computed once per t."""
+    return functools.cache(lambda t: expm(A * t))
+
+
 def _linear2d(A=None) -> BenchmarkSystem:
     A = np.array([[-0.9, 0.1], [0.0, -0.8]] if A is None else A, dtype=float)
     if A.shape != (2, 2):
         raise ConfigurationError("linear2d needs a 2x2 matrix")
-    cache: dict[float, np.ndarray] = {}
-
-    def propagator(t: float) -> np.ndarray:
-        if t not in cache:
-            cache[t] = expm(A * t)
-        return cache[t]
+    propagator = _expm_propagator(A)
 
     def rhs(x):
         return x @ A.T
@@ -518,12 +487,7 @@ def softplus_inv(y):
 
 def _softplus2d(A=None) -> BenchmarkSystem:
     A = np.array([[-0.9, 0.1], [0.0, -0.8]] if A is None else A, dtype=float)
-    cache: dict[float, np.ndarray] = {}
-
-    def propagator(t: float) -> np.ndarray:
-        if t not in cache:
-            cache[t] = expm(A * t)
-        return cache[t]
+    propagator = _expm_propagator(A)
 
     def rhs(y):
         x = softplus_inv(y)
@@ -578,12 +542,7 @@ def _lin5d(a=-0.4, b=-1.0) -> BenchmarkSystem:
     if b == 0 or abs(2 * a - b) < 1e-12 or a == 0:
         raise ConfigurationError("lin5d needs a != 0, b != 0 and b != 2a")
     A = _lin5d_matrix(a, b)
-    cache: dict[float, np.ndarray] = {}
-
-    def propagator(t: float) -> np.ndarray:
-        if t not in cache:
-            cache[t] = expm(A * t)
-        return cache[t]
+    propagator = _expm_propagator(A)
 
     r = (2 * a - b) / b
     lefts = [
@@ -630,6 +589,33 @@ def lin5d_base_flow(x2d: np.ndarray, t: float, a: float = -0.4, b: float = -1.0)
     return np.column_stack([x1t, x2t])
 
 
+# The polar benchmark's two eigenfunctions in (r, theta), shared with
+# phase.polar_eigenfunctions. Singular points come out non-finite, untagged.
+
+
+def _polar_twist(r, den, mu: float, alpha: float):
+    """(alpha / sqrt(mu)) log((sqrt(mu) + r) / den), the radial part of the
+    eigenfunction angle: den = r for phi_lc, sqrt(mu - r^2) for phi_ss."""
+    smu = math.sqrt(mu)
+    return (alpha / smu) * np.log((smu + r) / den)
+
+
+def _polar_lc_values(r, theta, mu: float, alpha: float, C: float):
+    """phi_lc = C |mu - r^2| / r^2 exp(i (theta - twist)); singular at r = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = C * np.abs(mu - r**2) / r**2
+        return mag * np.exp(1j * (theta - _polar_twist(r, r, mu, alpha)))
+
+
+def _polar_ss_values(r, theta, mu: float, alpha: float, C: float):
+    """phi_ss = C r / sqrt(mu - r^2) exp(i (theta - twist)) on r < sqrt(mu),
+    0 at r = 0; NaN on and beyond the cycle."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.where(r < math.sqrt(mu), mu - r**2, np.nan))
+        mag = C * r / root
+        return np.where(r == 0, 0.0, mag * np.exp(1j * (theta - _polar_twist(r, root, mu, alpha))))
+
+
 def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
     mu, omega, alpha, C = float(mu), float(omega), float(alpha), float(C)
     if mu <= 0 or omega <= 0 or C <= 0:
@@ -661,24 +647,11 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
 
     def eval_lc(p):
         x, y = p[:, 0], p[:, 1]
-        r = np.hypot(x, y)
-        th = np.arctan2(y, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = C * np.abs(mu - r**2) / r**2
-            ang = th - (alpha / smu) * np.log((smu + r) / r)
-            vals = mag * np.exp(1j * ang)
-        return tag_nonfinite(vals)
+        return tag_nonfinite(_polar_lc_values(np.hypot(x, y), np.arctan2(y, x), mu, alpha, C))
 
     def eval_ss(p):
         x, y = p[:, 0], p[:, 1]
-        r = np.hypot(x, y)
-        th = np.arctan2(y, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(np.where(r < smu, mu - r**2, np.nan))
-            mag = C * r / root
-            ang = th - (alpha / smu) * np.log((smu + r) / root)
-            vals = np.where(r == 0, 0.0, mag * np.exp(1j * ang))
-        return tag_nonfinite(vals)
+        return tag_nonfinite(_polar_ss_values(np.hypot(x, y), np.arctan2(y, x), mu, alpha, C))
 
     def mask_lc(p):
         r = np.hypot(p[:, 0], p[:, 1])
@@ -1083,9 +1056,7 @@ def _trace_branch(system: BenchmarkSystem, seed_pt: np.ndarray, window_lo, windo
     def inside(p):
         return bool(np.all(p >= window_lo) and np.all(p <= window_hi))
 
-    def rhs1(_t, u):
-        return system.field.rhs(u[None, :])[0]
-
+    rhs1 = system.field.ode_rhs
     pts = [seed_pt.copy()]
     x = seed_pt.copy()
     horizon, chunk, t_used = 2000.0, 1.0, 0.0
@@ -1170,16 +1141,11 @@ def koopman_pde_residual(
 
 
 def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
-    import csv as _csv
     import json
 
     d = snaps.dim
     header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(d)]
-    with open(f"{path_stem}.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(header)
-        for xr, yr in zip(snaps.x, snaps.y):
-            w.writerow([format(v, ".17g") for v in (*xr, *yr)])
+    _write_csv(f"{path_stem}.csv", header, np.hstack([snaps.x, snaps.y]), newline="\r\n")
     sidecar = {"dt": snaps.dt, **snaps.metadata}
     with open(f"{path_stem}.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -1188,10 +1154,8 @@ def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
 def read_snapshots(path_stem: str) -> SnapshotSet:
     import json
 
-    import numpy as _np
-
     with open(f"{path_stem}.json") as fh:
         meta = json.load(fh)
-    data = _np.loadtxt(f"{path_stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt(f"{path_stem}.csv", delimiter=",", skiprows=1, ndmin=2)
     d = data.shape[1] // 2
     return SnapshotSet(x=data[:, :d], y=data[:, d:], dt=float(meta.pop("dt")), metadata=meta)

@@ -284,27 +284,16 @@ def _match_left(lam_right: complex, pair_left: Eigenpair) -> Eigenpair:
     )
 
 
-def deflate_spectrum(
-    A: np.ndarray,
-    n_pairs: int,
-    tol: float = 1e-13,
-    seed: int = 0,
-    max_iter: int = 50000,
-    residual_tol: float | None = None,
-) -> list[Eigenpair]:
-    """Dominant eigenpairs of a real matrix by biorthogonal deflation.
-
-    Per round: right pair from A, left pair from A^T, normalize w so that
-    w^T v = 1, deflate A <- A - lambda v w^T. When Im(lambda) > 1e-6 the
-    conjugate pair is emitted and deflated as well, after which the working
-    matrix is real again up to roundoff.
+def _deflation_rounds(A: np.ndarray, n_pairs: int, tol: float, seed: int, max_iter: int,
+                      residual_tol: float | None):
+    """The deflation loop behind deflate_spectrum and the extension
+    eigensolver. Per round: right pair from the working matrix, left pair
+    from its transpose, w = left / (left^T v), A <- A - lambda v w^T; yields
+    (right, left, w, conjugate). With Im(lambda) > 1e-6 the conjugate pair is
+    deflated too and counts as the next pair, even past n_pairs, so complex
+    eigenvalues of a real matrix come in pairs and the matrix stays real.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if n_pairs > n:
-        raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
-    work = A.copy()
-    out: list[Eigenpair] = []
+    work = np.asarray(A, dtype=float).copy()
     i = 0
     while i < n_pairs:
         right = power_iteration_complex(
@@ -314,24 +303,43 @@ def deflate_spectrum(
             work.T, tol=tol, seed=seed + i, max_iter=max_iter, residual_tol=residual_tol
         )
         left = _match_left(right.lam, left)
-        lam, v, w = right.lam, right.right, left.right
-        s = w @ v
+        lam, v = right.lam, right.right
+        s = left.right @ v
         if abs(s) < 1e-12:
             raise NearDefectiveError(
                 f"eigenpair {i}: |w^T v| = {abs(s):.3e}, matrix is near defective"
             )
-        w = w / s
-        out.append(Eigenpair(lam=lam, right=v, left=w, normalized=True, residual=right.residual))
+        w = left.right / s
         workc = work.astype(complex) - lam * np.outer(v, w)
+        conjugate = lam.imag > 1e-6
+        yield right, left, w, conjugate
         i += 1
-        if lam.imag > 1e-6:
-            # conjugate partner always ships with its twin, even past n_pairs,
-            # so that complex eigenvalues of a real matrix come in pairs
-            conj = out[-1].conjugate()
-            out.append(conj)
-            workc = workc - conj.lam * np.outer(conj.right, conj.left)
+        if conjugate:
+            workc = workc - np.conj(lam) * np.outer(np.conj(v), np.conj(w))
             i += 1
         work = workc.real
+
+
+def deflate_spectrum(
+    A: np.ndarray,
+    n_pairs: int,
+    tol: float = 1e-13,
+    seed: int = 0,
+    max_iter: int = 50000,
+    residual_tol: float | None = None,
+) -> list[Eigenpair]:
+    """Dominant eigenpairs of a real matrix by biorthogonal deflation
+    (see _deflation_rounds); each carries its biorthogonal left vector and
+    the residual of its right pair."""
+    n = np.shape(A)[0]
+    if n_pairs > n:
+        raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
+    out: list[Eigenpair] = []
+    for right, _, w, conjugate in _deflation_rounds(A, n_pairs, tol, seed, max_iter, residual_tol):
+        out.append(Eigenpair(lam=right.lam, right=right.right, left=w, normalized=True,
+                             residual=right.residual))
+        if conjugate:
+            out.append(out[-1].conjugate())
     return out
 
 

@@ -9,13 +9,21 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import bridge as bridge_mod
 from . import phase as phase_mod
-from .core import SINGULAR, EvalGrid, FlowedGrid, principal_arg, write_grid_field
+from .core import (
+    SINGULAR,
+    ConfigurationError,
+    EvalGrid,
+    FlowedGrid,
+    _write_csv,
+    principal_arg,
+    write_grid_field,
+)
 from .dictionary import (
     identity_dictionary,
     rbf_dictionary,
@@ -24,6 +32,7 @@ from .dictionary import (
 )
 from .dynamics import (
     FlowMap,
+    VectorField,
     integration_error_sup,
     lin5d_base_flow,
     lin5d_lift,
@@ -61,8 +70,6 @@ class ExperimentConfig:
     experiment: str
     seed: int = 0
     out_dir: str = "."
-    format: str = "csv"
-    threads: int = 1
     params: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
@@ -74,6 +81,11 @@ class ExperimentConfig:
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ConfigurationError(f"{path}: unknown config keys {unknown}")
+        if "experiment" not in raw:
+            raise ConfigurationError(f"{path}: the config names no experiment")
         return ExperimentConfig(**raw)
 
 
@@ -132,10 +144,9 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
     )
     # reconstruction = one-step prediction from every training state
     recon = snaps.x @ model.K.T
-    with open(os.path.join(out, "reconstruction.csv"), "w") as fh:
-        fh.write("x1,x2,pred_y1,pred_y2,y1,y2\n")
-        for xr, pr, yr in zip(snaps.x, recon, snaps.y):
-            fh.write(",".join(format(v, ".17g") for v in (*xr, *pr, *yr)) + "\n")
+    _write_csv(os.path.join(out, "reconstruction.csv"),
+               ["x1", "x2", "pred_y1", "pred_y2", "y1", "y2"],
+               np.column_stack([snaps.x, recon, snaps.y]))
 
     criteria = [_leq("dmd_eigenvalue_recovery", eig_err, 1e-3)]
     rng = np.random.default_rng(cfg.seed)
@@ -193,10 +204,10 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
     worst_cross = max(abs(a - b) for _, _, a, b in crossing_rows)
     criteria.append(_leq("algorithm_crossing_gap", worst_cross, 1))
 
-    with open(os.path.join(out, "error_curves.csv"), "w") as fh:
-        fh.write("lambda,p,traj_err_integration,bound_integration,traj_err_eigvec,bound_eigvec\n")
-        for row in curves:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    _write_csv(os.path.join(out, "error_curves.csv"),
+               ["lambda", "p", "traj_err_integration", "bound_integration",
+                "traj_err_eigvec", "bound_eigvec"],
+               np.array(curves))
     with open(os.path.join(out, "crossings.csv"), "w") as fh:
         fh.write("lambda,epsilon,budget_crossing,empirical_crossing\n")
         for row in crossing_rows:
@@ -338,10 +349,8 @@ def _run_bridge1d(cfg: ExperimentConfig, out: str) -> dict:
     truth = np.abs(cubic.analytic_eigenfunctions[0].eval(xs))
     scale = float(np.sum(cont * truth) / np.sum(cont**2))
     cubic_err = float(np.sqrt(np.mean((scale * cont - truth) ** 2)) / np.sqrt(np.mean(truth**2)))
-    with open(os.path.join(out, "continued_field.csv"), "w") as fh:
-        fh.write("x,continued,analytic\n")
-        for x, cv, tv in zip(xs[:, 0], scale * cont, truth):
-            fh.write(f"{x:.17g},{cv:.17g},{tv:.17g}\n")
+    _write_csv(os.path.join(out, "continued_field.csv"), ["x", "continued", "analytic"],
+               np.column_stack([xs[:, 0], scale * cont, truth]))
     return {
         "criteria": [
             _leq("analytic_c_forward_error", analytic_err, 1e-10),
@@ -375,15 +384,11 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     sys_ = make_system("vanderpol", mu=p["mu"])
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
-
-    def rhs1(_t, u):
-        return sys_.field.rhs(u[None, :])[0]
-
     x0 = np.asarray(p["x0_cycle"], dtype=float)
     omega, period = phase_mod.limit_cycle_period(sys_, x0)
-    p0 = solve_ivp(rhs1, (0, 60.0), x0, rtol=1e-10, atol=1e-10).y[:, -1]
+    p0 = solve_ivp(sys_.field.ode_rhs, (0, 60.0), x0, rtol=1e-10, atol=1e-10).y[:, -1]
     cyc = solve_ivp(
-        rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
+        sys_.field.ode_rhs, (0, period), p0, rtol=1e-10, atol=1e-10,
         t_eval=np.linspace(0, period, 400),
     ).y.T
 
@@ -409,8 +414,6 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     ratio = float(np.max(resid) / np.max(np.abs(vals)))
 
     # trivial scalar check: x' = lam x with f = x averages to x exactly
-    from .dynamics import VectorField
-
     lam0 = p["trivial_lambda"]
     fld = VectorField(1, rhs=lambda q: lam0 * q,
                       exact_flow=lambda q, t: q * math.exp(lam0 * t))
@@ -469,10 +472,8 @@ def _run_polar_transforms(cfg: ExperimentConfig, out: str) -> dict:
         pt = fmap(pt)
     traj = np.asarray(rows)
     mapped = phase_mod.map_trajectory_outside(traj, mu, om, al, C)
-    with open(os.path.join(out, "mapped_trajectory.csv"), "w") as fh:
-        fh.write("r_in,theta_in,r_out,theta_out\n")
-        for (ri, ti), (ro, to) in zip(traj, mapped):
-            fh.write(f"{ri:.17g},{ti:.17g},{ro:.17g},{to:.17g}\n")
+    _write_csv(os.path.join(out, "mapped_trajectory.csv"),
+               ["r_in", "theta_in", "r_out", "theta_out"], np.hstack([traj, mapped]))
     return {
         "criteria": [
             _leq("Ti_round_trip_error", round_trip, 1e-12),
@@ -677,7 +678,7 @@ def run(config: ExperimentConfig) -> dict:
     every output regenerates identically from the same config and seed.
     """
     if config.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
+        raise ConfigurationError(f"unknown experiment {config.experiment!r}")
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     config.to_json(os.path.join(out, "config.json"))

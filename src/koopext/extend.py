@@ -25,7 +25,6 @@ from .core import (
     EmptySupportError,
     EvalGrid,
     FlowedGrid,
-    NearDefectiveError,
     SingularInputError,
     masked_grid_norm,
     principal_arg,
@@ -34,7 +33,7 @@ from .core import (
     tag_nonfinite,
 )
 from .dictionary import Dictionary
-from .eigensolve import _match_left, power_iteration_complex
+from .eigensolve import _deflation_rounds
 from .regression import KoopmanModel
 
 __all__ = [
@@ -140,9 +139,6 @@ class EigenfunctionExpr:
         for vals, (_, m) in zip(base_values, self.factors, strict=True):
             out = out * _pow_values(vals, m)
         return tag_nonfinite(out)
-
-    def power(self, p: float) -> "EigenfunctionExpr":
-        return monomial(self, p)
 
     def step_multiplier(self, dt: float | None) -> complex:
         """The factor phi picks up over one step of the given length."""
@@ -572,69 +568,40 @@ def iterative_koopman_eigensolver(
 ) -> list[PairExtension]:
     """Deflation-driven extension of the n dominant eigenpairs of the model.
 
-    Per round: the dominant right pair of the working matrix and the left
-    pair of its transpose are computed by the Arnoldi-accelerated power
-    iteration; the left vector (unit norm) defines the eigenfunction, the
-    integration-error budget loop emits its certified powers, the pair is
-    biorthogonally normalized and deflated. A conjugate partner (Im > 1e-6)
-    is deflated alongside and inherits the conjugated extension list.
+    Runs the deflation loop of eigensolve.deflate_spectrum; per round the
+    unit-norm left vector defines the eigenfunction, the integration-error
+    budget loop emits its certified powers, and the residual reported is the
+    larger of the right and left ones. A conjugate partner (Im > 1e-6)
+    inherits the conjugated extension list.
     """
     if n < 0:
         raise ConfigurationError("n must be >= 0")
     if n > model.dim:
         raise ConfigurationError(f"asked for {n} eigenpairs of a {model.dim}-dim model")
-    work = model.K.copy()
     out: list[PairExtension] = []
-    i = 0
-    while i < n:
-        right = power_iteration_complex(
-            work, tol=tol, seed=seed + i, max_iter=max_iter, residual_tol=residual_tol
-        )
-        left = power_iteration_complex(
-            work.T, tol=tol, seed=seed + i, max_iter=max_iter, residual_tol=residual_tol
-        )
-        left = _match_left(right.lam, left)
-        lam, v, w_unit = right.lam, right.right, left.right
+    for right, left, _, conjugate in _deflation_rounds(
+        model.K, n, tol, seed, max_iter, residual_tol
+    ):
+        lam, w_unit = right.lam, left.right
         result = extend_continuous(
             (w_unit, lam), model, flowed, epsilon, eps_G, L, M,
             p_max=p_max, measure_errors=measure_errors,
         )
-        out.append(PairExtension(lam, w_unit, result, max(right.residual, left.residual)))
-        s = w_unit @ v
-        if abs(s) < 1e-12:
-            raise NearDefectiveError(
-                f"eigenpair {i}: |w^T v| = {abs(s):.3e}, deflation would be unstable"
-            )
-        w_bi = w_unit / s
-        workc = work.astype(complex) - lam * np.outer(v, w_bi)
-        primary_index = len(out) - 1
-        i += 1
-        if lam.imag > 1e-6:
-            v2, w2 = np.conj(v), np.conj(w_bi)
-            lam2 = np.conj(lam)
-            workc = workc - lam2 * np.outer(v2, w2)
+        residual = max(right.residual, left.residual)
+        out.append(PairExtension(lam, w_unit, result, residual))
+        if conjugate:
+            lam2, w2 = np.conj(lam), np.conj(w_unit)
             conj_exts = tuple(
                 Extension(
                     power=e.power,
-                    expr=monomial(
-                        expr_from_weights(model, np.conj(w_unit), lam2), e.power
-                    ),
+                    expr=monomial(expr_from_weights(model, w2, lam2), e.power),
                     eigenvalue=np.conj(e.eigenvalue),
                     report=e.report,
                 )
                 for e in result.extensions
             )
-            out.append(
-                PairExtension(
-                    lam2,
-                    np.conj(w_unit),
-                    ExtensionResult(conj_exts, result.status),
-                    out[primary_index].residual,
-                    conjugate_of=primary_index,
-                )
-            )
-            i += 1
-        work = workc.real
+            out.append(PairExtension(lam2, w2, ExtensionResult(conj_exts, result.status),
+                                     residual, conjugate_of=len(out) - 1))
     return out
 
 

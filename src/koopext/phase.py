@@ -8,7 +8,6 @@ isostable coordinate, the principal argument the isochron coordinate.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,10 +22,19 @@ from .core import (
     EvalGrid,
     SINGULAR,
     SingularInputError,
+    _write_csv,
     principal_arg,
+    singular_mask,
     tag_nonfinite,
 )
-from .dynamics import BenchmarkSystem, VectorField, _dp_step
+from .dynamics import (
+    BenchmarkSystem,
+    VectorField,
+    _dp_step,
+    _polar_lc_values,
+    _polar_ss_values,
+    _polar_twist,
+)
 
 __all__ = [
     "PhaseField",
@@ -154,11 +162,7 @@ def limit_cycle_period(
     """
     from scipy.integrate import solve_ivp
 
-    fld = _field_of(system_or_field)
-
-    def rhs1(_t, u):
-        return fld.rhs(u[None, :])[0]
-
+    rhs1 = _field_of(system_or_field).ode_rhs
     relax = solve_ivp(rhs1, (0.0, settle_time), np.asarray(x0, dtype=float),
                       rtol=1e-12, atol=1e-12)
     p0 = relax.y[:, -1]
@@ -219,33 +223,20 @@ def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
                 raise DomainError("interior branch needs 0 < r < sqrt(mu)")
             if not inside and np.any(r <= smu):
                 raise DomainError("exterior branch needs r > sqrt(mu)")
-            mag = C * np.abs(mu - r**2) / r**2
-            ang = theta - (alpha / smu) * np.log((smu + r) / r)
-            return mag * np.exp(1j * ang)
+            return _polar_lc_values(r, theta, mu, alpha, C)
 
         return evaluator
 
     def phi_lc_any(r, theta):
         # single-formula evaluator valid on r > 0; zero on the cycle itself
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = C * np.abs(mu - r**2) / r**2
-            ang = theta - (alpha / smu) * np.log((smu + r) / r)
-            vals = mag * np.exp(1j * ang)
-        return tag_nonfinite(vals)
+        return tag_nonfinite(_polar_lc_values(r, np.asarray(theta, dtype=float), mu, alpha, C))
 
     def phi_ss(r, theta):
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         if np.any(r >= smu + 1e-15):
             raise DomainError("steady-state eigenfunction is defined for 0 <= r < sqrt(mu)")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(mu - r**2)
-            mag = C * r / root
-            ang = theta - (alpha / smu) * np.log((smu + r) / root)
-            vals = np.where(r == 0, 0.0, mag * np.exp(1j * ang))
-        return tag_nonfinite(vals)
+        return tag_nonfinite(_polar_ss_values(r, np.asarray(theta, dtype=float), mu, alpha, C))
 
     phi_lc = BranchedEigenfunction(
         interior=phi_lc_branch(True),
@@ -284,14 +275,6 @@ def transform_Ti_inv(v, mu: float, alpha: float, C: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def _lc_angle(r, theta, mu, alpha):
-    return theta - (alpha / math.sqrt(mu)) * np.log((math.sqrt(mu) + r) / r)
-
-
-def _lc_angle_inv(r, ang, mu, alpha):
-    return ang + (alpha / math.sqrt(mu)) * np.log((math.sqrt(mu) + r) / r)
-
-
 def transform_To(r, theta, mu: float, alpha: float, C: float):
     """Carry interior points across the cycle while preserving the isochron.
 
@@ -306,10 +289,10 @@ def transform_To(r, theta, mu: float, alpha: float, C: float):
     if np.any((r <= 0) | (r >= smu)):
         raise DomainError("transform_To needs 0 < r < sqrt(mu)")
     s = C * (mu / r**2 - 1.0)
-    ang = _lc_angle(r, theta, mu, alpha)
+    ang = theta - _polar_twist(r, r, mu, alpha)
     s_out = C * s / (1.0 + s)
     r_out = np.sqrt(mu / (1.0 - s_out / C))
-    theta_out = np.mod(_lc_angle_inv(r_out, ang, mu, alpha), 2.0 * math.pi)
+    theta_out = np.mod(ang + _polar_twist(r_out, r_out, mu, alpha), 2.0 * math.pi)
     if r_out.ndim == 0:
         return float(r_out), float(theta_out)
     return r_out, theta_out
@@ -336,7 +319,7 @@ def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C:
         ang = np.asarray(principal_arg(v))
         s_out = C * s / (1.0 + s)
         r_out = np.sqrt(mu / (1.0 - s_out / C))
-        th_out = np.mod(_lc_angle_inv(r_out, ang, mu, alpha), 2.0 * math.pi)
+        th_out = np.mod(ang + _polar_twist(r_out, r_out, mu, alpha), 2.0 * math.pi)
         out[ok, 0] = r_out
         out[ok, 1] = th_out
     return out
@@ -419,23 +402,13 @@ def _laplace_plan(cfg: LaplaceConfig) -> tuple[Callable, complex, float, float]:
 
 
 def write_phase_csv(path, field_: PhaseField) -> None:
-    """CSV rows x1,...,xd,abs,arg,singular in grid enumeration order."""
+    """CSV rows x1,...,xd,abs,arg,singular in grid enumeration order; the
+    abs and arg of singular rows read nan."""
     grid = field_.grid
-    vals = field_.values
-    from .core import singular_mask
-
+    vals = np.asarray(field_.values, dtype=complex)
     sing = singular_mask(vals)
+    # hypot, not np.abs: it matches the scalar abs() of each value bit for bit
+    mag = np.where(sing, np.nan, np.hypot(vals.real, vals.imag))
+    arg = np.where(sing, np.nan, principal_arg(vals))
     header = [f"x{k + 1}" for k in range(grid.dim)] + ["abs", "arg", "singular"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for point, v, s in zip(grid.points, vals, sing):
-            if s:
-                row = [format(c, ".17g") for c in point] + ["nan", "nan", "1"]
-            else:
-                row = [format(c, ".17g") for c in point] + [
-                    format(abs(v), ".17g"),
-                    format(float(principal_arg(v)), ".17g"),
-                    "0",
-                ]
-            w.writerow(row)
+    _write_csv(path, header, np.column_stack([grid.points, mag, arg, sing]), newline="\r\n")

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from koopext.cli import main
+from koopext.core import ConfigurationError
 from koopext.experiments import ExperimentConfig, default_params, run
 
 
@@ -22,6 +25,22 @@ class TestExitCodes:
     def test_usage_error_on_missing_config(self, tmp_path):
         code = run_cli(["run", "--config", str(tmp_path / "nope.json")])
         assert code == 2
+
+    def test_removed_threads_flag_is_a_usage_error(self, tmp_path):
+        assert run_cli(["lin5d_check", "--out", str(tmp_path), "--threads", "2"]) == 2
+
+    def test_param_without_a_value_is_a_usage_error(self, tmp_path):
+        assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "n_pairs"]) == 2
+
+    def test_usage_error_on_unknown_config_key(self, tmp_path, capsys):
+        # a config written before `threads` and `format` were dropped
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"experiment": "lin5d_check", "seed": 1,
+                                    "out_dir": str(tmp_path), "format": "csv",
+                                    "threads": 1, "params": {}}))
+        assert run_cli(["run", "--config", str(path)]) == 2
+        assert "['format', 'threads']" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_success_exit_zero(self, tmp_path):
         code = run_cli(["lin5d_check", "--out", str(tmp_path), "--seed", "1"])
@@ -59,16 +78,6 @@ class TestDeterminism:
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["criteria"] == s2["criteria"]
 
-    def test_thread_flag_does_not_change_numbers(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t8"
-        assert run_cli(["lin5d_check", "--out", str(out1), "--seed", "3", "--threads", "1"]) == 0
-        assert run_cli(["lin5d_check", "--out", str(out2), "--seed", "3", "--threads", "8"]) == 0
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
-        v1 = [c["value"] for c in s1["criteria"]]
-        v2 = [c["value"] for c in s2["criteria"]]
-        assert all(abs(a - b) <= 1e-13 * max(1.0, abs(a)) for a, b in zip(v1, v2))
-
 
 class TestConfig:
     def test_round_trip_bitwise(self, tmp_path):
@@ -85,6 +94,18 @@ class TestConfig:
         back.to_json(tmp_path / "cfg2.json")
         assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "cfg2.json").read_bytes()
 
+    def test_unknown_keys_raise_a_configuration_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "lin5d_check", "threads": 4, "colour": 1}))
+        with pytest.raises(ConfigurationError, match=r"\['colour', 'threads'\]"):
+            ExperimentConfig.from_json(path)
+
+    def test_config_without_an_experiment_raises_a_configuration_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1}))
+        with pytest.raises(ConfigurationError, match="no experiment"):
+            ExperimentConfig.from_json(path)
+
     def test_param_override(self, tmp_path):
         code = run_cli([
             "lin5d_check", "--out", str(tmp_path), "--seed", "1",
@@ -93,6 +114,8 @@ class TestConfig:
         assert code == 0
         cfg = json.loads((tmp_path / "config.json").read_text())
         assert cfg["params"]["n_pairs"] == 200
+        # no `threads` or `format`: nothing read them
+        assert sorted(cfg) == ["experiment", "out_dir", "params", "schema_version", "seed"]
 
     def test_help_lists_defaults(self):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -243,3 +244,44 @@ class TestGridFieldCSV:
         write_grid_field(p1, g, vals)
         write_grid_field(p2, g, vals)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def awkward_values(n, seed=0):
+    """Complex values across many magnitudes plus signed zeros, infinities
+    and NaN parts, to pin every formatting corner of the CSV writers."""
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(-300, 300, n)
+    vals = mag * rng.standard_normal(n) + 1j * mag[::-1] * rng.standard_normal(n)
+    vals[:8] = [0.0, -0.0, complex(-0.0, -0.0), np.inf, complex(-np.inf, 1.0),
+                complex(np.nan, 0.0), complex(1.0, np.nan), 1e-17]
+    return vals
+
+
+class TestGridFieldCSVBytes:
+    """write_grid_field writes the bytes of its earlier per-row csv.writer
+    loop; that loop is kept here as the reference."""
+
+    @staticmethod
+    def reference(path, grid, values):
+        v = np.asarray(values, dtype=complex)
+        header = [f"x{k + 1}" for k in range(grid.dim)] + ["re", "im"]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for point, val in zip(grid.points, v):
+                writer.writerow([format(float(c), ".17g") for c in point]
+                                + [format(float(val.real), ".17g"),
+                                   format(float(val.imag), ".17g")])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_the_row_loop(self, tmp_path, dim):
+        grid = EvalGrid((-0.7,) * dim, (0.9,) * dim, 0.7 if dim == 3 else 0.03)
+        vals = awkward_values(len(grid), seed=dim)
+        write_grid_field(tmp_path / "new.csv", grid, vals)
+        self.reference(tmp_path / "old.csv", grid, vals)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        # csv.writer ends every line with CRLF, the header included
+        assert new.count(b"\r\n") == len(grid) + 1 == new.count(b"\n")
+        pts, back = read_grid_field(tmp_path / "new.csv")
+        assert pts.tobytes() == grid.points.tobytes() and back.tobytes() == vals.tobytes()

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 from koopext.core import ConfigurationError, DivergenceError, EvalGrid, FlowedGrid, singular_mask
 from koopext.dynamics import (
     FlowMap,
+    SnapshotSet,
     bistable_transform,
     bistable_transform_inv,
     integration_error_sup,
@@ -268,6 +270,23 @@ class TestSampling:
         assert np.array_equal(back.x, snaps.x)
         assert back.dt == snaps.dt
         assert back.metadata["seed"] == 1
+
+
+    def test_snapshot_csv_bytes_match_the_row_loop(self, tmp_path):
+        # the earlier per-row csv.writer loop, kept as the reference
+        rng = np.random.default_rng(4)
+        x = 10.0 ** rng.uniform(-12, 12, (500, 3)) * rng.standard_normal((500, 3))
+        x[0] = [0.0, -0.0, np.nan]
+        snaps = SnapshotSet(x=x, y=-x[::-1] / 3.0, dt=0.1)
+        write_snapshots(str(tmp_path / "new"), snaps)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x1", "x2", "x3", "y1", "y2", "y3"])
+            for xr, yr in zip(snaps.x, snaps.y):
+                w.writerow([format(v, ".17g") for v in (*xr, *yr)])
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == 501 == new.count(b"\n")
 
 
 class TestUnstableManifold:

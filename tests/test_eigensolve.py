@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from koopext.core import ConfigurationError, ConvergenceError
+from koopext.core import ConfigurationError, ConvergenceError, FlowedGrid, NearDefectiveError
+from koopext.dictionary import identity_dictionary
 from koopext.eigensolve import (
     deflate_spectrum,
     eigen2d,
@@ -13,6 +14,8 @@ from koopext.eigensolve import (
     qr_iteration,
     quasi_triangular_eigenvalues,
 )
+from koopext.extend import iterative_koopman_eigensolver
+from koopext.regression import KoopmanModel
 
 
 def random_matrix_with_spectrum(lams, seed, cond_cap=20.0):
@@ -189,6 +192,21 @@ class TestDeflation:
     def test_too_many_pairs_rejected(self):
         with pytest.raises(ConfigurationError):
             deflate_spectrum(np.eye(2), 3)
+
+    def test_near_defective_matrix_raises_in_both_solvers(self):
+        # eigenvalues 1 and 0.5, but the huge coupling makes the left and
+        # right eigenvectors of 1 nearly orthogonal: |w^T v| ~ 6e-14
+        K = np.array([[1.0, 1e13], [0.0, 0.5]])
+        with pytest.raises(NearDefectiveError, match=r"eigenpair 0: \|w\^T v\|"):
+            deflate_spectrum(K, 2)
+        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0,
+                             decoder=np.eye(2))
+        pts = np.array([[0.5, -0.5]])
+        with pytest.raises(NearDefectiveError, match=r"eigenpair 0: \|w\^T v\|"):
+            iterative_koopman_eigensolver(
+                model, FlowedGrid(pts, pts, 0.1), n=2, epsilon=0.1, eps_G=1e-9, L=1.0,
+                M=1.0, measure_errors=False,
+            )
 
 
 class TestQRIteration:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from koopext.core import (
 from koopext.dynamics import FlowMap, VectorField, make_system
 from koopext.phase import (
     LaplaceConfig,
+    PhaseField,
     isofield,
     laplace_average,
     laplace_average_batch,
@@ -175,6 +177,43 @@ class TestPolarEigenfunctions:
         vals_out = np.abs(phi_lc.exterior(r_out, np.zeros_like(r_out)))
         assert np.all(np.diff(vals_out) > 0)  # strictly increasing outside
         assert np.all(vals_out < 1.0)  # supremum C = 1
+
+
+class TestPolarClosedFormsAgree:
+    """The planar evaluators of make_system("polarLC") and the (r, theta)
+    evaluators of polar_eigenfunctions are one formula: bit for bit equal."""
+
+    PARAMS = [(1.0, 1.0, 1.0, 1.0), (0.7, 1.3, -0.4, 2.5), (2.0, 0.5, 3.0, 0.3)]
+
+    @staticmethod
+    def planar_points(mu, n=4000, seed=0):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, 2.5 * math.sqrt(mu), n)
+        th = rng.uniform(-math.pi, math.pi, n)
+        xy = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        xy[:3] = [[0.0, 0.0], [math.sqrt(mu), 0.0], [-1e-3, -0.0]]
+        return xy
+
+    @pytest.mark.parametrize("mu,omega,alpha,C", PARAMS)
+    def test_phi_lc_anywhere(self, mu, omega, alpha, C):
+        xy = self.planar_points(mu)
+        sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=alpha, C=C)
+        phi_lc, _ = polar_eigenfunctions(mu, omega, alpha, C)
+        planar = sys_.analytic_eigenfunctions[0].eval(xy)
+        polar = phi_lc.anywhere(np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0]))
+        assert planar.tobytes() == polar.tobytes()
+        assert singular_mask(planar)[0] and not singular_mask(planar)[3:].any()
+
+    @pytest.mark.parametrize("mu,omega,alpha,C", PARAMS)
+    def test_phi_ss_inside_the_cycle(self, mu, omega, alpha, C):
+        xy = self.planar_points(mu, seed=1)
+        r, th = np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])
+        inside = r < math.sqrt(mu)
+        sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=alpha, C=C)
+        _, phi_ss = polar_eigenfunctions(mu, omega, alpha, C)
+        planar = sys_.analytic_eigenfunctions[1].eval(xy[inside])
+        assert planar.tobytes() == phi_ss(r[inside], th[inside]).tobytes()
+        assert planar[0] == 0 and inside.sum() > 1000
 
 
 class TestTransformTi:
@@ -381,3 +420,44 @@ class TestSaddleTransversality:
                 grad /= np.linalg.norm(grad)
                 normal = np.array([-tg[1], tg[0]])
                 assert abs(grad @ normal) > 0.5
+
+
+class TestPhaseCSVBytes:
+    """write_phase_csv writes the bytes of its earlier per-row csv.writer
+    loop, singular rows included; that loop is kept here as the reference."""
+
+    @staticmethod
+    def reference(path, field_):
+        grid, vals = field_.grid, field_.values
+        sing = singular_mask(vals)
+        header = [f"x{k + 1}" for k in range(grid.dim)] + ["abs", "arg", "singular"]
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for point, v, s in zip(grid.points, vals, sing):
+                if s:
+                    row = [format(c, ".17g") for c in point] + ["nan", "nan", "1"]
+                else:
+                    row = [format(c, ".17g") for c in point] + [
+                        format(abs(v), ".17g"),
+                        format(float(principal_arg(v)), ".17g"),
+                        "0",
+                    ]
+                w.writerow(row)
+
+    def test_bytes_match_the_row_loop(self, tmp_path):
+        grid = EvalGrid((-2.0, -2.0), (2.0, 2.0), 0.02)
+        rng = np.random.default_rng(5)
+        vals = (10.0 ** rng.uniform(-8, 8, len(grid))) * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, len(grid)))
+        vals[rng.random(len(grid)) < 0.05] = complex(np.nan, np.nan)
+        # signed zeros, the branch edge -pi folded onto +pi, a NaN imaginary part
+        vals[:6] = [0.0, complex(-0.0, -0.0), complex(-1.0, -0.0), complex(-1.0, 0.0),
+                    complex(1.0, np.nan), complex(3.0, -4.0)]
+        field_ = PhaseField(grid, vals, 1j)
+        write_phase_csv(tmp_path / "new.csv", field_)
+        self.reference(tmp_path / "old.csv", field_)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == len(grid) + 1 == new.count(b"\n")
+        assert b",nan,nan,1\r\n" in new and b",3.1415926535897931,0\r\n" in new
