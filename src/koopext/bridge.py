@@ -11,12 +11,12 @@ past the singularity where it was never fit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, singular_mask
-from .dictionary import _dictionary_from_centers, rbf_dictionary
+from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
 from .extend import EigenfunctionExpr, expr_from_weights, normalize_to_grid, trajectory_error
 from .regression import fit_edmd
@@ -72,6 +72,7 @@ class BridgeMap:
 
 
 IMAG_TOL = 1e-8
+_DICT_KEYS = ("n_centers", "bandwidth")  # of fit_local_family's dict_config
 
 
 def fit_local_family(
@@ -83,39 +84,37 @@ def fit_local_family(
     n_pairs: int = 2000,
     dt: float = 0.05,
     seed: int = 0,
-    ridge: float = 1e-10,
-    n_grid: int = 257,
-    samples_per_traj: int = 2,
 ) -> LocalFamily:
     """EDMD around one steady state, keeping only credible real-eigenvalue
     eigenfunctions.
 
     Snapshots are sampled uniformly in [anchor - radius, anchor + radius].
+    The dictionary is `dict_config["n_centers"]` (default 60) Gaussians of
+    sigma `dict_config["bandwidth"]` with centers evenly tiled over the
+    window, fit with ridge 1e-10; any other key is a ConfigurationError.
     A member survives when its eigenvalue is real (|Im| <= 1e-8) and its
-    power-1 trajectory error on the window, after normalization to unit grid
-    norm there, stays below `spurious_threshold`.
+    power-1 trajectory error on a 257-point grid over the window, after
+    normalization to unit grid norm there, stays below `spurious_threshold`.
     """
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     if system.dim != 1:
         raise ConfigurationError("local families are built for 1D systems")
-    lo, hi = anchor - radius, anchor + radius
-    snaps = sample_snapshots(system, n_pairs, dt, (lo, hi), seed, samples_per_traj)
-    n_centers = dict_config.get("n_centers", 60)
-    if dict_config.get("placement", "uniform") == "uniform":
-        # tight 1D kernels need evenly tiled centers over the fit window
-        span = float(np.max(np.abs(snaps.y - anchor)))
-        reach = max(radius, span)
-        centers = np.linspace(anchor[0] - reach, anchor[0] + reach, n_centers)
-        dic = _dictionary_from_centers(centers.reshape(-1, 1), dict_config["bandwidth"])
-    else:
-        dic = rbf_dictionary(
-            snaps,
-            n_centers=n_centers,
-            bandwidth=dict_config["bandwidth"],
-            seed=dict_config.get("seed", seed),
+    unknown = sorted(set(dict_config) - set(_DICT_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown local dictionary keys {unknown}; expected {list(_DICT_KEYS)}"
         )
-    model = fit_edmd(snaps, dic, ridge=ridge)
-    h = (hi[0] - lo[0]) / (n_grid - 1)
+    if "bandwidth" not in dict_config:
+        raise ConfigurationError("the local dictionary needs a 'bandwidth'")
+    lo, hi = anchor - radius, anchor + radius
+    snaps = sample_snapshots(system, n_pairs, dt, (lo, hi), seed)
+    # tight 1D kernels need evenly tiled centers over the fit window
+    reach = max(radius, float(np.max(np.abs(snaps.y - anchor))))
+    n_centers = dict_config.get("n_centers", 60)
+    centers = np.linspace(anchor[0] - reach, anchor[0] + reach, n_centers)
+    dic = _dictionary_from_centers(centers.reshape(-1, 1), dict_config["bandwidth"])
+    model = fit_edmd(snaps, dic, ridge=1e-10)
+    h = (hi[0] - lo[0]) / 256
     grid = EvalGrid((lo[0],), (hi[0],), min(h, 0.999))
     flowed = FlowedGrid.of(
         FlowMap(system.field, dt, method="exact" if system.field.exact_flow else "rk45"),
@@ -142,21 +141,19 @@ def fit_local_family(
     return LocalFamily(anchor=anchor, model=model, members=tuple(members), window=(lo, hi))
 
 
-def leading_member(family: LocalFamily, exclude_trivial: bool = True) -> FamilyMember:
-    """Largest-|eigenvalue| member; by default the near-unit trivial mode
-    (constant-like eigenfunction, degenerate in log space) is skipped."""
+def leading_member(family: LocalFamily) -> FamilyMember:
+    """Largest-|eigenvalue| member, skipping the near-unit trivial mode
+    (constant-like eigenfunction, degenerate in log space)."""
     for m in family.members:
-        if exclude_trivial and abs(m.eigenvalue - 1.0) < 1e-4:
+        if abs(m.eigenvalue - 1.0) < 1e-4:
             continue
         return m
     raise EmptySupportError("family has no usable members")
 
 
-def _member_expr(side, selection) -> EigenfunctionExpr:
+def _member_expr(side) -> EigenfunctionExpr:
     if isinstance(side, LocalFamily):
-        if selection is None:
-            return leading_member(side).expr
-        return side.members[selection].expr
+        return leading_member(side).expr
     if isinstance(side, EigenfunctionExpr):
         return side
     if hasattr(side, "eval") and hasattr(side, "eigenvalue"):
@@ -174,29 +171,18 @@ def _log_magnitudes(expr: EigenfunctionExpr, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rescaled(expr: EigenfunctionExpr, factor: float) -> EigenfunctionExpr:
-    return EigenfunctionExpr(
-        factors=expr.factors,
-        eigenvalue=expr.eigenvalue,
-        eigenvalue_kind=expr.eigenvalue_kind,
-        scale=expr.scale * factor,
-        provenance=expr.provenance,
-    )
-
-
 def fit_bridge(
     left,
     right,
     window,
     tikhonov: float = 1e-8,
-    selection: tuple | None = None,
-    n_samples: int = 256,
 ) -> BridgeMap:
-    """Fit log|phi_left| c = log|phi_right| (and the reverse) on the window.
+    """Fit log|phi_left| c = log|phi_right| (and the reverse) on 256 evenly
+    spaced window points.
 
-    `left`/`right` are LocalFamily instances (a member index pair may be given
-    through `selection`), expressions, or analytic eigenfunctions. Points where
-    either log field is non-finite are masked; an empty mask is an error.
+    `left`/`right` are LocalFamily instances (their leading members are used),
+    expressions, or analytic eigenfunctions. Points where either log field is
+    non-finite are masked; an empty mask is an error.
 
     Each member is first rescaled to zero log-magnitude mean over the window
     samples. Eigenfunctions are only defined up to a scalar, and the
@@ -206,11 +192,10 @@ def fit_bridge(
     """
     if tikhonov < 0:
         raise ConfigurationError("tikhonov must be nonnegative")
-    sel_l, sel_r = selection if selection is not None else (None, None)
-    le = _member_expr(left, sel_l)
-    re_ = _member_expr(right, sel_r)
+    le = _member_expr(left)
+    re_ = _member_expr(right)
     wlo, whi = float(window[0]), float(window[1])
-    pts = np.linspace(wlo, whi, n_samples).reshape(-1, 1)
+    pts = np.linspace(wlo, whi, 256).reshape(-1, 1)
     gl = _log_magnitudes(le, pts)
     gr = _log_magnitudes(re_, pts)
     keep = np.isfinite(gl) & np.isfinite(gr)
@@ -218,8 +203,8 @@ def fit_bridge(
         raise EmptySupportError("both log fields are masked everywhere on the window")
     m_l = float(np.mean(gl[keep]))
     m_r = float(np.mean(gr[keep]))
-    le = _rescaled(le, np.exp(-m_l))
-    re_ = _rescaled(re_, np.exp(-m_r))
+    le = replace(le, scale=le.scale * np.exp(-m_l))
+    re_ = replace(re_, scale=re_.scale * np.exp(-m_r))
     gl = gl[keep] - m_l
     gr = gr[keep] - m_r
     c_fwd = float(gl @ gr / (gl @ gl + tikhonov))
@@ -256,7 +241,7 @@ def continue_across(bmap: BridgeMap, source: str, points) -> np.ndarray:
         return np.exp(c * g)
 
 
-def write_bridge_report(path, bmap: BridgeMap, member_indices=(None, None)) -> None:
+def write_bridge_report(path, bmap: BridgeMap) -> None:
     payload = {
         "c_forward": bmap.c_forward,
         "c_backward": bmap.c_backward,
@@ -264,7 +249,8 @@ def write_bridge_report(path, bmap: BridgeMap, member_indices=(None, None)) -> N
         "residual_forward": bmap.residuals[0],
         "residual_backward": bmap.residuals[1],
         "tikhonov": bmap.tikhonov,
-        "member_indices": list(member_indices),
+        # no member indices: fit_bridge always pairs the two leading members
+        "member_indices": [None, None],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

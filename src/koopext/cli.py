@@ -1,9 +1,9 @@
 """Command-line experiment runner and tool surface.
 
 One experiment per invocation: a subcommand per benchmark study plus generic
-tool subcommands (simulate, fit, eig, extend, bridge, phase). Every default
-is listed by --help. Exit codes: 0 success, 1 numeric failure (acceptance
-thresholds unmet), 2 usage error, 3 internal error.
+tool subcommands (simulate, fit, eig, extend, phase). Every default is listed
+by --help. Exit codes: 0 success, 1 numeric failure (acceptance thresholds
+unmet), 2 usage error, 3 internal error.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; overrides other flags")
+def _add_out_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -57,11 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
+        p.add_argument("--config", help="JSON config file; overrides other flags")
+        _add_out_seed(p)
         _add_param_overrides(p, name)
 
     sim = sub.add_parser("simulate", help="sample snapshot pairs from a benchmark system")
-    _add_common(sim)
+    _add_out_seed(sim)
     sim.add_argument("--system", required=True)
     sim.add_argument("--n-pairs", type=int, default=400)
     sim.add_argument("--dt", type=float, default=0.2)
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples-per-traj", type=int, default=2)
 
     fit = sub.add_parser("fit", help="fit a Koopman matrix from stored snapshots")
-    _add_common(fit)
+    _add_out_seed(fit)
     fit.add_argument("--snapshots", required=True, help="snapshot file stem")
     fit.add_argument("--dict", dest="dict_kind", choices=("identity", "rbf"), default="identity")
     fit.add_argument("--n-centers", type=int, default=40)
@@ -77,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--ridge", type=float, default=0.0)
 
     eig = sub.add_parser("eig", help="dominant eigenpairs of a stored model by deflation")
-    _add_common(eig)
+    _add_out_seed(eig)
     eig.add_argument("--model", required=True, help="model file stem")
     eig.add_argument("--n", type=int, default=5)
 
     ext = sub.add_parser("extend", help="certified eigenfunction powers for a stored model")
-    _add_common(ext)
+    _add_out_seed(ext)
     ext.add_argument("--model", required=True)
     ext.add_argument("--system", required=True)
     ext.add_argument("--n", type=int, default=5)
@@ -91,13 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI", "H"))
     ext.add_argument("--p-max", type=int, default=64)
 
-    brg = sub.add_parser("bridge", help="log-space bridge between two local families")
-    _add_common(brg)
-    brg.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                     help=f"override bridge1d defaults: {json.dumps(default_params('bridge1d'))}")
-
     ph = sub.add_parser("phase", help="isochron/isostable field for a benchmark system")
-    _add_common(ph)
+    ph.add_argument("--out", default=".", help="output directory")
     ph.add_argument("--system", choices=("polarLC", "vanderpol"), default="polarLC")
     ph.add_argument("--method", choices=("analytic", "laplace_average"), default="analytic")
     ph.add_argument("--grid", type=float, nargs=3, default=(-1.8, 1.8, 0.1),
@@ -241,8 +236,6 @@ def main(argv=None) -> int:
             return _tool_eig(args)
         elif args.command == "extend":
             return _tool_extend(args)
-        elif args.command == "bridge":
-            summary = run(_config_from_args(args, "bridge1d"))
         elif args.command == "phase":
             return _tool_phase(args)
         else:  # pragma: no cover

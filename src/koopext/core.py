@@ -259,13 +259,14 @@ def principal_pow(z, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts: a header line, then one row per record at 17 significant
-# digits. Grid fields list the grid points in enumeration order, x1,...,xd,re,im.
+# CSV artifacts: a header line (none for model matrices), then one row per
+# record at 17 significant digits. Grid fields list the grid points in
+# enumeration order, x1,...,xd,re,im.
 
 
 def _write_csv(path, header, table, newline: str = "\n") -> None:
     """Write the 2-D `table` under a header line naming its columns, every
-    entry with %.17g."""
+    entry with %.17g; an empty `header` writes no header line."""
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
                comments="", newline=newline)
 

@@ -114,14 +114,9 @@ def monomial_dictionary(d: int, max_degree: int) -> Dictionary:
     )
 
 
-def kmeans_centers(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ initialization.
+def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ initialization, at most 100 sweeps,
+    stopping once no center moves by 1e-8 or more.
 
     Deterministic given the seed. An empty cluster is re-seeded at the point
     farthest from every current center.
@@ -145,7 +140,7 @@ def kmeans_centers(
             idx = min(idx, pts.shape[0] - 1)
         centers = np.vstack([centers, pts[idx]])
 
-    for _ in range(max_iter):
+    for _ in range(100):
         d2 = sq_dists(centers)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -158,7 +153,7 @@ def kmeans_centers(
                 new_centers[j] = members.mean(axis=0)
         motion = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        if motion < tol:
+        if motion < 1e-8:
             break
     return centers
 

@@ -114,9 +114,11 @@ def _check_divergence(y, context: str):
 def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 1e-10):
     """Adaptive Dormand-Prince integration of a batch of independent states.
 
-    `y0` has shape (n, d); every row is advanced from time 0 to `t` with a
-    shared step controlled by the worst scaled error over the batch, which
-    keeps results independent of how the batch is split.
+    `y0` has shape (n, d); every row is advanced from time 0 to `t` along
+    one step sequence, controlled by the worst scaled error over the batch.
+    A row's bits therefore depend on the batch it is in (a row integrated
+    alone takes other steps and can differ at the 1e-9 level), while a rerun
+    of the same batch gives the same bits.
     """
     if t == 0.0:
         return y0.copy()
@@ -699,9 +701,20 @@ def _vanderpol(mu=0.3) -> BenchmarkSystem:
     )
 
 
+# saddle2d lives in z = expm1(R x / pi) of the linear saddle x' = diag(-1, 1.5) x
+# rotated by 60 degrees; shared with the saddle_fields transversality check.
+_SADDLE_THETA = math.radians(60.0)
+_SADDLE_R = np.array([[math.cos(_SADDLE_THETA), -math.sin(_SADDLE_THETA)],
+                      [math.sin(_SADDLE_THETA), math.cos(_SADDLE_THETA)]])
+
+
+def _saddle_embed(x):
+    """The saddle2d state z = expm1((x @ R^T) / pi) of linear coordinates x."""
+    return np.expm1((x @ _SADDLE_R.T) / math.pi)
+
+
 def _saddle2d() -> BenchmarkSystem:
-    theta = math.radians(60.0)
-    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    R = _SADDLE_R
     lam1, lam2 = -1.0, 1.5
     M = R @ np.diag([lam1, lam2]) @ R.T
 
@@ -713,8 +726,7 @@ def _saddle2d() -> BenchmarkSystem:
     def exact_flow(z, t):
         with np.errstate(divide="ignore", invalid="ignore"):
             x0 = math.pi * (np.log1p(z) @ R)
-        xt = x0 * np.array([math.exp(lam1 * t), math.exp(lam2 * t)])
-        return np.expm1((xt @ R.T) / math.pi)
+        return _saddle_embed(x0 * np.array([math.exp(lam1 * t), math.exp(lam2 * t)]))
 
     def coord_eig(idx: int, lam: float) -> AnalyticEigenfunction:
         def evaluator(z):
@@ -929,10 +941,10 @@ def sample_snapshots(
     box,
     seed: int,
     samples_per_traj: int = 2,
-    method: str | None = None,
 ) -> SnapshotSet:
     """Deterministically sample snapshot pairs with initial conditions uniform
-    on `box`.
+    on `box`, flowed exactly where the system has a closed-form flow and by
+    rk45 otherwise (the method is recorded in metadata['method']).
 
     With samples_per_traj = s, each trajectory contributes s - 1 consecutive
     pairs, so (s - 1) must divide n_pairs. Divergent trajectories are dropped
@@ -950,8 +962,7 @@ def sample_snapshots(
         )
     n_traj = n_pairs // per_traj
     lo, hi = (np.asarray(v, dtype=float) for v in box)
-    if method is None:
-        method = "exact" if system.field.exact_flow is not None else "rk45"
+    method = "exact" if system.field.exact_flow is not None else "rk45"
     fmap = FlowMap(system.field, dt, method=method)
     # counter-based generator: sampling order is reproducible however batched
     rng = np.random.Generator(np.random.Philox(seed))
@@ -1019,13 +1030,14 @@ def transform_snapshots(snaps: SnapshotSet, fn: Callable[[np.ndarray], np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scale: float = 1e-6):
-    """Central-difference Jacobian of a batch map at a single state."""
+def numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray):
+    """Central-difference Jacobian of a batch map at a single state, with
+    step 1e-6 (1 + |x_j|) along coordinate j."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     J = np.empty((d, d))
     for j in range(d):
-        h = scale * (1.0 + abs(x[j]))
+        h = 1e-6 * (1.0 + abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
@@ -1115,18 +1127,16 @@ def unstable_manifold_sample(system: BenchmarkSystem, n: int, window) -> np.ndar
 
 
 def koopman_pde_residual(
-    system: BenchmarkSystem,
-    eigenfunction: AnalyticEigenfunction,
-    points: np.ndarray,
-    fd_scale: float = 1e-6,
+    system: BenchmarkSystem, eigenfunction: AnalyticEigenfunction, points: np.ndarray
 ) -> np.ndarray:
     """|grad(phi) . F - lambda phi| at each point, with grad(phi) from central
-    differences of the evaluator. Validation oracle for analytic eigenfunctions."""
+    differences of the evaluator (step 1e-6 (1 + |x_j|)). Validation oracle
+    for analytic eigenfunctions."""
     pts = _as_points(points)
     n, d = pts.shape
     grad = np.zeros((n, d), dtype=complex)
     for j in range(d):
-        h = fd_scale * (1.0 + np.abs(pts[:, j]))
+        h = 1e-6 * (1.0 + np.abs(pts[:, j]))
         pp, pm = pts.copy(), pts.copy()
         pp[:, j] += h
         pm[:, j] -= h

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, ConvergenceError, NearDefectiveError
+from .core import ConfigurationError, ConvergenceError, NearDefectiveError, _write_csv
 
 __all__ = [
     "Eigenpair",
@@ -35,7 +35,7 @@ __all__ = [
 class Eigenpair:
     """Eigenvalue with unit right eigenvector and, optionally, the left one.
 
-    When `normalized` is set the pair is biorthogonal: w^T v = 1 (plain
+    The pairs deflate_spectrum returns are biorthogonal: w^T v = 1 (plain
     transpose, no conjugation), the pairing the deflation update
     A - lambda v w^T requires.
     """
@@ -43,7 +43,6 @@ class Eigenpair:
     lam: complex
     right: np.ndarray | None = None
     left: np.ndarray | None = None
-    normalized: bool = False
     residual: float = np.nan
 
     def conjugate(self) -> "Eigenpair":
@@ -51,7 +50,6 @@ class Eigenpair:
             lam=np.conj(self.lam),
             right=None if self.right is None else np.conj(self.right),
             left=None if self.left is None else np.conj(self.left),
-            normalized=self.normalized,
             residual=self.residual,
         )
 
@@ -69,16 +67,22 @@ def _eig_sort_key(lam: complex):
     return (-abs(lam), -lam.real, -lam.imag)
 
 
+# stopping rules of power_iteration and power_iteration_complex (see their docstrings)
+_POWER_TOL = 1e-12
+_ARNOLDI_TOL = 1e-13
+_WARM_START_ITERS = 500
+_RESIDUAL_TOL = 1e-10
+
+
 def power_iteration(
     A: np.ndarray,
-    tol: float = 1e-12,
     max_iter: int = 20000,
     seed: int = 0,
     require_convergence: bool = True,
 ):
     """Classic power iteration for a dominant real simple eigenvalue.
 
-    Returns (lambda, v) with |A v - lambda v| <= tol * |A|. An alternating
+    Returns (lambda, v) with |A v - lambda v| <= 1e-12 * |A|. An alternating
     Rayleigh quotient is reported as a ConvergenceError suggesting a complex
     dominant pair; the caller should switch to power_iteration_complex.
     """
@@ -99,7 +103,7 @@ def power_iteration(
         v_new = w / nw
         lam = float(v_new @ (A @ v_new))
         lam_hist.append(lam)
-        if np.linalg.norm(A @ v_new - lam * v_new) <= tol * max(norm_A, 1e-300):
+        if np.linalg.norm(A @ v_new - lam * v_new) <= _POWER_TOL * max(norm_A, 1e-300):
             return lam, _fix_phase(v_new.astype(complex)).real
         if len(lam_hist) >= 6:
             a, b, c, d = lam_hist[-4:]
@@ -115,7 +119,7 @@ def power_iteration(
         v = v_new
     if require_convergence:
         raise ConvergenceError(
-            f"power iteration did not reach tol={tol} in {max_iter} iterations",
+            f"power iteration did not reach tol={_POWER_TOL} in {max_iter} iterations",
             last_iterate=v,
         )
     lam = float(v @ (A @ v))
@@ -189,33 +193,24 @@ def _arnoldi_2col(A: np.ndarray, x: np.ndarray):
     return h, V
 
 
-def power_iteration_complex(
-    A: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 50000,
-    seed: int = 0,
-    warm_start_iters: int = 500,
-    residual_tol: float | None = None,
-) -> Eigenpair:
+def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0) -> Eigenpair:
     """Arnoldi-accelerated power iteration for real non-Hermitian matrices
     whose dominant eigenvalue is simple or a complex-conjugate pair.
 
-    Warm-starts with plain power iteration (fixed iteration budget, no
-    convergence requirement), then repeats: orthonormalize the two-column
-    Krylov basis of the current vector, take the larger-modulus eigenvalue of
-    the projected 2x2 matrix, and lift its eigenvector. Stops once the
-    eigenvalue change drops below `tol` and the residual is below
-    `residual_tol * |A|` (residual_tol defaults to 1e-10).
+    Warm-starts with 500 plain power steps (no convergence requirement),
+    then repeats: orthonormalize the two-column Krylov basis of the current
+    vector, take the larger-modulus eigenvalue of the projected 2x2 matrix,
+    and lift its eigenvector. Stops once the relative eigenvalue change drops
+    below 1e-13 and the residual is below 1e-10 * |A|.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if n == 1:
         return Eigenpair(lam=complex(A[0, 0]), right=np.array([1.0 + 0j]), residual=0.0)
-    if residual_tol is None:
-        residual_tol = 1e-10
     norm_A = max(np.linalg.norm(A), 1e-300)
     try:
-        _, x = power_iteration(A, max_iter=warm_start_iters, seed=seed, require_convergence=False)
+        _, x = power_iteration(A, max_iter=_WARM_START_ITERS, seed=seed,
+                               require_convergence=False)
     except ConvergenceError as err:
         x = err.last_iterate
     x = np.asarray(x, dtype=float)
@@ -249,7 +244,8 @@ def power_iteration_complex(
             lam, v, res = lam_c, v_c, res_c
         if best is None or res < best.residual:
             best = Eigenpair(lam=lam, right=v, residual=res)
-        if abs(lam - lam_old) < tol * max(1.0, abs(lam)) and res <= residual_tol * norm_A:
+        converged = abs(lam - lam_old) < _ARNOLDI_TOL * max(1.0, abs(lam))
+        if converged and res <= _RESIDUAL_TOL * norm_A:
             return Eigenpair(lam=lam, right=v, residual=res)
         lam_old = lam
         # advance the underlying vector by a plain power step; the sequence
@@ -261,7 +257,7 @@ def power_iteration_complex(
         if nx < 1e-300:
             break
         x = x_next / nx
-    if best is not None and best.residual <= residual_tol * norm_A:
+    if best is not None and best.residual <= _RESIDUAL_TOL * norm_A:
         return best
     raise ConvergenceError(
         f"complex power iteration stagnated after {max_iter} iterations "
@@ -284,8 +280,7 @@ def _match_left(lam_right: complex, pair_left: Eigenpair) -> Eigenpair:
     )
 
 
-def _deflation_rounds(A: np.ndarray, n_pairs: int, tol: float, seed: int, max_iter: int,
-                      residual_tol: float | None):
+def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
     """The deflation loop behind deflate_spectrum and the extension
     eigensolver. Per round: right pair from the working matrix, left pair
     from its transpose, w = left / (left^T v), A <- A - lambda v w^T; yields
@@ -296,12 +291,8 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, tol: float, seed: int, max_it
     work = np.asarray(A, dtype=float).copy()
     i = 0
     while i < n_pairs:
-        right = power_iteration_complex(
-            work, tol=tol, seed=seed + i, max_iter=max_iter, residual_tol=residual_tol
-        )
-        left = power_iteration_complex(
-            work.T, tol=tol, seed=seed + i, max_iter=max_iter, residual_tol=residual_tol
-        )
+        right = power_iteration_complex(work, seed=seed + i, max_iter=max_iter)
+        left = power_iteration_complex(work.T, seed=seed + i, max_iter=max_iter)
         left = _match_left(right.lam, left)
         lam, v = right.lam, right.right
         s = left.right @ v
@@ -320,14 +311,7 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, tol: float, seed: int, max_it
         work = workc.real
 
 
-def deflate_spectrum(
-    A: np.ndarray,
-    n_pairs: int,
-    tol: float = 1e-13,
-    seed: int = 0,
-    max_iter: int = 50000,
-    residual_tol: float | None = None,
-) -> list[Eigenpair]:
+def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpair]:
     """Dominant eigenpairs of a real matrix by biorthogonal deflation
     (see _deflation_rounds); each carries its biorthogonal left vector and
     the residual of its right pair."""
@@ -335,9 +319,8 @@ def deflate_spectrum(
     if n_pairs > n:
         raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
     out: list[Eigenpair] = []
-    for right, _, w, conjugate in _deflation_rounds(A, n_pairs, tol, seed, max_iter, residual_tol):
-        out.append(Eigenpair(lam=right.lam, right=right.right, left=w, normalized=True,
-                             residual=right.residual))
+    for right, _, w, conjugate in _deflation_rounds(A, n_pairs, seed, max_iter=50000):
+        out.append(Eigenpair(lam=right.lam, right=right.right, left=w, residual=right.residual))
         if conjugate:
             out.append(out[-1].conjugate())
     return out
@@ -396,4 +379,4 @@ def write_eigenvectors_csv(path_stem, pairs: list[Eigenpair]) -> None:
             continue
         mat = np.column_stack(vecs)
         stacked = np.vstack([mat.real, mat.imag])
-        np.savetxt(f"{path_stem}_{side}.csv", stacked, delimiter=",", fmt="%.17g")
+        _write_csv(f"{path_stem}_{side}.csv", [], stacked)

@@ -33,6 +33,7 @@ from .dictionary import (
 from .dynamics import (
     FlowMap,
     VectorField,
+    _saddle_embed,
     integration_error_sup,
     lin5d_base_flow,
     lin5d_lift,
@@ -261,7 +262,7 @@ def _run_softplus_edmd(cfg: ExperimentConfig, out: str) -> dict:
     M = feature_sup_M(dic, grid)
     results = iterative_koopman_eigensolver(
         model, rk, n=p["n_eig"], epsilon=p["epsilon"], eps_G=eps_G, L=L, M=M,
-        p_max=p["p_cap"], tol=1e-13, seed=cfg.seed, max_iter=p["max_iter"],
+        p_max=p["p_cap"], seed=cfg.seed, max_iter=p["max_iter"],
     )
     write_extension_report(os.path.join(out, "extension_report.json"), results)
     norm_K = np.linalg.norm(model.K)
@@ -398,11 +399,11 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     dt = p["dt_check"]
     fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)
     # the rows are independent, so the grid and its time-dt image share one batch
-    obs, lam, T, step = phase_mod._laplace_plan(
+    lam, T, step = phase_mod._laplace_plan(
         phase_mod.LaplaceConfig(period=period, T=p["T"], step=p["step"])
     )
     averaged = phase_mod.laplace_average_batch(
-        sys_, obs, lam, np.vstack([x_keep, fmap(x_keep)]), T, step
+        sys_, phase_mod._sin_sum, lam, np.vstack([x_keep, fmap(x_keep)]), T, step
     )
     vals, flowed_vals = averaged[: len(x_keep)], averaged[len(x_keep):]
     values = np.full(len(grid), SINGULAR, dtype=complex)
@@ -508,24 +509,18 @@ def _run_saddle_fields(cfg: ExperimentConfig, out: str) -> dict:
     node_err = float(np.max(np.abs(got - expected)))
 
     # transversality of the saddle eigenfunction level sets
-    theta = math.radians(60.0)
-    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-
-    def embed(x):
-        return np.expm1((x @ R.T) / math.pi)
-
     worst = 1.0
     ts = np.linspace(-1.2, 1.2, 25)
     for eig_idx, axis in ((0, 1), (1, 0)):
         eig = sys_.analytic_eigenfunctions[eig_idx]
         pts = np.zeros((len(ts), 2))
         pts[:, axis] = ts
-        zc = embed(pts)
+        zc = _saddle_embed(pts)
         eps = 1e-6
         pp, pm = pts.copy(), pts.copy()
         pp[:, axis] += eps
         pm[:, axis] -= eps
-        tang = (embed(pp) - embed(pm)) / (2 * eps)
+        tang = (_saddle_embed(pp) - _saddle_embed(pm)) / (2 * eps)
         tang /= np.linalg.norm(tang, axis=1, keepdims=True)
         for zz, tg in zip(zc, tang):
             g = np.zeros(2)
@@ -574,8 +569,7 @@ def _run_duffing_edmd(cfg: ExperimentConfig, out: str) -> dict:
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, p["window"])))
-    np.savetxt(os.path.join(out, "manifold_samples.csv"), S, delimiter=",",
-               header="x1,x2", comments="", fmt="%.17g")
+    _write_csv(os.path.join(out, "manifold_samples.csv"), ["x1", "x2"], S)
     saddle_idx = int(np.argmin(np.linalg.norm(S, axis=1)))
     lams, W = np.linalg.eig(model.K.T)
     order = np.argsort(-np.abs(lams))[: p["top_k"]]

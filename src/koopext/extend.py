@@ -15,7 +15,7 @@ the bound arithmetic through their modulus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,9 +99,8 @@ def _pow_values(vals: np.ndarray, m: float) -> np.ndarray:
         if m_int == 0:
             out = np.where(zero, 1.0 + 0j, out)
     else:
-        safe = np.where(zero | out_singular, 1.0, vals)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(m * (np.log(np.abs(safe)) + 1j * np.asarray(principal_arg(safe))))
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = principal_pow(np.where(zero | out_singular, 1.0, vals), m)
         out = np.where(zero, 0.0 + 0j if m > 0 else np.nan, out)
     return tag_nonfinite(out)
 
@@ -161,7 +160,7 @@ def _combined_eigenvalue(factors, kind: str) -> complex:
 
 
 def expr_from_weights(
-    dic_or_model, weights, eigenvalue: complex, name: str = "", unit_norm: bool = True
+    dic_or_model, weights, eigenvalue: complex, unit_norm: bool = True
 ) -> EigenfunctionExpr:
     """Wrap a left-eigenvector weight vector as a power-1 expression.
 
@@ -173,12 +172,12 @@ def expr_from_weights(
     w = np.asarray(weights, dtype=complex)
     if unit_norm:
         w = w / np.linalg.norm(w)
-    base = DictionaryEigenfunction(dic, w, complex(eigenvalue), name=name)
+    base = DictionaryEigenfunction(dic, w, complex(eigenvalue))
     return EigenfunctionExpr(
         factors=((base, 1.0),),
         eigenvalue=complex(eigenvalue),
         eigenvalue_kind="multiplier",
-        provenance=name or "fit",
+        provenance="fit",
     )
 
 
@@ -309,26 +308,18 @@ def _mode_of(ratio: np.ndarray, bins: int = 101) -> float:
     return float(0.5 * (edges[k] + edges[k + 1]))
 
 
-def truth_error_report(
-    expr: EigenfunctionExpr,
-    truth,
-    grid: EvalGrid,
-    p: float,
-    eps_exclude: float = 1e-8,
-) -> dict:
+def truth_error_report(expr: EigenfunctionExpr, truth, grid: EvalGrid, p: float) -> dict:
     """Scale-invariant distance from a computed eigenfunction to an analytic one.
 
-    Points where either field is singular-tagged or smaller than eps_exclude
-    in modulus are excluded; the remaining pointwise ratio truth/expr is
+    Points where either field is singular-tagged or smaller than 1e-8 in
+    modulus are excluded; the remaining pointwise ratio truth/expr is
     summarized by its histogram mode (101 bins over the central 99 percent)
     and the error is |truth - c_mode * expr| in the grid norm, to the 1/p.
     """
     pts = grid.points
     a = np.asarray(truth.eval(pts) if hasattr(truth, "eval") else truth(pts), dtype=complex)
     b = expr.eval(pts)
-    bad = singular_mask(a) | singular_mask(b) | (np.abs(a) < eps_exclude) | (
-        np.abs(b) < eps_exclude
-    )
+    bad = singular_mask(a) | singular_mask(b) | (np.abs(a) < 1e-8) | (np.abs(b) < 1e-8)
     if np.all(bad):
         raise EmptySupportError("no grid points survive the exclusion thresholds")
     ratio = a[~bad] / b[~bad]
@@ -347,8 +338,8 @@ def truth_error_report(
     }
 
 
-def truth_error(expr, truth, grid: EvalGrid, p: float, eps_exclude: float = 1e-8) -> float:
-    return truth_error_report(expr, truth, grid, p, eps_exclude)["error"]
+def truth_error(expr, truth, grid: EvalGrid, p: float) -> float:
+    return truth_error_report(expr, truth, grid, p)["error"]
 
 
 def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionExpr:
@@ -356,13 +347,7 @@ def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionE
     norm, _ = masked_grid_norm(expr.eval(grid.points))
     if norm == 0:
         raise EmptySupportError("cannot normalize an identically zero field")
-    return EigenfunctionExpr(
-        factors=expr.factors,
-        eigenvalue=expr.eigenvalue,
-        eigenvalue_kind=expr.eigenvalue_kind,
-        scale=expr.scale / norm,
-        provenance=expr.provenance,
-    )
+    return replace(expr, scale=expr.scale / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +545,8 @@ def iterative_koopman_eigensolver(
     L: float,
     M: float,
     p_max: int = P_MAX_DEFAULT,
-    tol: float = 1e-13,
     seed: int = 0,
     max_iter: int = 50000,
-    residual_tol: float | None = None,
-    measure_errors: bool = True,
 ) -> list[PairExtension]:
     """Deflation-driven extension of the n dominant eigenpairs of the model.
 
@@ -579,14 +561,9 @@ def iterative_koopman_eigensolver(
     if n > model.dim:
         raise ConfigurationError(f"asked for {n} eigenpairs of a {model.dim}-dim model")
     out: list[PairExtension] = []
-    for right, left, _, conjugate in _deflation_rounds(
-        model.K, n, tol, seed, max_iter, residual_tol
-    ):
+    for right, left, _, conjugate in _deflation_rounds(model.K, n, seed, max_iter):
         lam, w_unit = right.lam, left.right
-        result = extend_continuous(
-            (w_unit, lam), model, flowed, epsilon, eps_G, L, M,
-            p_max=p_max, measure_errors=measure_errors,
-        )
+        result = extend_continuous((w_unit, lam), model, flowed, epsilon, eps_G, L, M, p_max=p_max)
         residual = max(right.residual, left.residual)
         out.append(PairExtension(lam, w_unit, result, residual))
         if conjugate:
@@ -618,9 +595,9 @@ class PrincipalComponents:
     kept: np.ndarray  # boolean row mask applied before the SVD
 
 
-def principal_filter(log_fields, rel_tol: float = 1e-8) -> PrincipalComponents:
+def principal_filter(log_fields) -> PrincipalComponents:
     """SVD of column-stacked log-magnitude fields, rows masked where any field
-    is non-finite. The rank counts singular values above rel_tol * sigma_1."""
+    is non-finite. The rank counts singular values above 1e-8 * sigma_1."""
     cols = [np.asarray(f, dtype=float).ravel() for f in log_fields]
     if not cols:
         raise ContractViolationError("need at least one field")
@@ -633,7 +610,7 @@ def principal_filter(log_fields, rel_tol: float = 1e-8) -> PrincipalComponents:
         raise EmptySupportError("every row carries a non-finite entry")
     Lk = L[kept]
     U, s, Vt = np.linalg.svd(Lk, full_matrices=False)
-    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > 1e-8 * s[0])) if s[0] > 0 else 0
     return PrincipalComponents(
         rank=rank,
         basis=U[:, :rank],

@@ -145,15 +145,10 @@ def laplace_average(
     return complex(out[0])
 
 
-def limit_cycle_period(
-    system_or_field,
-    x0,
-    settle_time: float = 60.0,
-    horizon: float = 100.0,
-) -> tuple[float, float]:
+def limit_cycle_period(system_or_field, x0, horizon: float = 100.0) -> tuple[float, float]:
     """(omega, period) of the attracting limit cycle reachable from x0.
 
-    The state is first relaxed onto the cycle for `settle_time`, then a
+    The state is first relaxed onto the cycle for 60 time units, then a
     Poincare section is placed through the relaxed point with the flow
     direction as its normal, and the flow is integrated until its first
     return to the section; the return time is refined with Newton steps on
@@ -163,7 +158,7 @@ def limit_cycle_period(
     from scipy.integrate import solve_ivp
 
     rhs1 = _field_of(system_or_field).ode_rhs
-    relax = solve_ivp(rhs1, (0.0, settle_time), np.asarray(x0, dtype=float),
+    relax = solve_ivp(rhs1, (0.0, 60.0), np.asarray(x0, dtype=float),
                       rtol=1e-12, atol=1e-12)
     p0 = relax.y[:, -1]
     normal = rhs1(0.0, p0)
@@ -330,13 +325,10 @@ def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C:
 
 @dataclass(frozen=True)
 class LaplaceConfig:
-    observable: Callable | None = None
-    lam: complex | None = None
     T: float | None = None
     step: float | None = None
     period: float | None = None  # of the limit cycle, from limit_cycle_period
     mask: Callable | None = None  # points -> bool array; False rows stay singular
-    label: str = "laplace_average"
 
 
 def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) -> PhaseField:
@@ -344,8 +336,8 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
 
     method 'analytic' uses the system's first analytic eigenfunction (the
     polar benchmark's limit-cycle one). method 'laplace_average' integrates
-    the observable (default sin(x1 + x2)) with eigenvalue i omega, omega =
-    2 pi / period, from the cycle period the config carries (measured by
+    the observable sin(x1 + x2) with eigenvalue i omega, omega = 2 pi /
+    period, from the cycle period the config carries (measured by
     limit_cycle_period); horizon defaults to 50 periods and the quadrature
     step to period/200.
     """
@@ -358,19 +350,18 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
     if method != "laplace_average":
         raise ConfigurationError("method must be 'analytic' or 'laplace_average'")
     cfg = config or LaplaceConfig()
-    obs, lam, T, step = _laplace_plan(cfg)
+    lam, T, step = _laplace_plan(cfg)
     pts = grid.points
     keep = cfg.mask(pts) if cfg.mask is not None else np.ones(len(grid), dtype=bool)
     values = np.full(len(grid), SINGULAR, dtype=complex)
     if np.any(keep):
-        values[keep] = laplace_average_batch(system, obs, lam, pts[keep], T, step)
+        values[keep] = laplace_average_batch(system, _sin_sum, lam, pts[keep], T, step)
     return PhaseField(
         grid,
         values,
         lam,
         {
             "method": "laplace_average",
-            "label": cfg.label,
             "T": T,
             "step": step,
             "omega": 2.0 * math.pi / cfg.period,
@@ -379,26 +370,26 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
     )
 
 
-def _laplace_plan(cfg: LaplaceConfig) -> tuple[Callable, complex, float, float]:
-    """(observable, lam, T, step) of a Laplace-average field, the one rule
-    behind all of them: eigenvalue i omega, omega = 2 pi / period, unless the
-    config sets lam; the horizon (default 50 periods, or 50 / |Re lam|)
-    rounded to whole periods so rotating terms cancel exactly; the step
-    period/200 and the observable sin(x1 + x2) unless set."""
+def _sin_sum(pts: np.ndarray) -> np.ndarray:
+    """sin(x1 + x2), the observable every Laplace-average field averages."""
+    return np.sin(pts[:, 0] + pts[:, 1])
+
+
+def _laplace_plan(cfg: LaplaceConfig) -> tuple[complex, float, float]:
+    """(lam, T, step) of a Laplace-average field, the one rule behind all of
+    them: eigenvalue i omega, omega = 2 pi / period; the horizon (default 50
+    periods) rounded to whole periods so rotating terms cancel exactly; the
+    step period/200 unless set."""
     period = cfg.period
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
             f"laplace_average needs the positive limit-cycle period, got {period}"
         )
-    lam = cfg.lam if cfg.lam is not None else complex(0.0, 2.0 * math.pi / period)
-    if lam.real == 0:
-        T = cfg.T if cfg.T is not None else 50.0 * period
-    else:
-        T = cfg.T if cfg.T is not None else 50.0 / abs(lam.real)
+    lam = complex(0.0, 2.0 * math.pi / period)
+    T = cfg.T if cfg.T is not None else 50.0 * period
     T = period * max(1, round(T / period))
     step = cfg.step if cfg.step is not None else period / 200.0
-    obs = cfg.observable or (lambda pts: np.sin(pts[:, 0] + pts[:, 1]))
-    return obs, lam, T, step
+    return lam, T, step
 
 
 def write_phase_csv(path, field_: PhaseField) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, IllConditionedError
+from .core import ConfigurationError, IllConditionedError, _write_csv
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
 
@@ -102,9 +102,9 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
     }
     with open(f"{path_stem}.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
-    np.savetxt(f"{path_stem}_K.csv", model.K, delimiter=",", fmt="%.17g")
+    _write_csv(f"{path_stem}_K.csv", [], model.K)
     if model.decoder is not None:
-        np.savetxt(f"{path_stem}_decoder.csv", model.decoder, delimiter=",", fmt="%.17g")
+        _write_csv(f"{path_stem}_decoder.csv", [], model.decoder)
 
 
 def load_model(path_stem: str) -> KoopmanModel:

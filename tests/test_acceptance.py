@@ -145,7 +145,7 @@ def test_criterion_4_softplus_reproduction():
     M = feature_sup_M(dic, grid)
     results = iterative_koopman_eigensolver(
         model, rk, n=9, epsilon=0.01, eps_G=eps_G, L=L, M=M,
-        p_max=3, tol=1e-13, seed=0,
+        p_max=3, seed=0,
     )
     norm_K = np.linalg.norm(model.K)
     worst_res = max(pe.residual for pe in results) / norm_K

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from koopext.bridge import (
     fit_local_family,
     leading_member,
 )
-from koopext.core import EmptySupportError, EvalGrid
+from koopext.core import ConfigurationError, EmptySupportError, EvalGrid
 from koopext.extend import expr_from_analytic
 from koopext.dynamics import make_system
 
@@ -66,6 +68,15 @@ class TestLocalFamilies:
             got = np.abs(lead.expr.eval(grid.points))
             assert abs(np.corrcoef(truth, got)[0, 1]) >= 0.99
 
+    @pytest.mark.parametrize("config, named", [
+        # the placement is fixed to evenly tiled centers; the key is refused, not ignored
+        ({"n_centers": 8, "bandwidth": 0.1, "placement": "kmeans"}, "['placement']"),
+        ({"n_centers": 8}, "needs a 'bandwidth'"),
+    ])
+    def test_bad_dictionary_keys_are_named(self, quad1d, config, named):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            fit_local_family(quad1d, 2.0, 0.85, config)
+
     def test_zero_threshold_empties_family(self, quad1d):
         fam = fit_local_family(
             quad1d, 2.0, 0.85, A_CONFIG, spurious_threshold=0.0, seed=1,
@@ -121,7 +132,7 @@ class TestFitBridge:
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
         inv = monomial(phi, -1)
         with pytest.raises(EmptySupportError):
-            fit_bridge(inv, inv, (2.0, 2.0), tikhonov=0.0, n_samples=1)
+            fit_bridge(inv, inv, (2.0, 2.0), tikhonov=0.0)
 
 
 class TestContinueAcross:

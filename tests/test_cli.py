@@ -29,6 +29,21 @@ class TestExitCodes:
     def test_removed_threads_flag_is_a_usage_error(self, tmp_path):
         assert run_cli(["lin5d_check", "--out", str(tmp_path), "--threads", "2"]) == 2
 
+    def test_phase_rejects_config_and_seed(self, tmp_path):
+        # phase reads neither flag, so argparse refuses both
+        assert run_cli(["phase", "--config", str(tmp_path / "x.json"), "--seed", "5",
+                        "--grid", "-1", "1", "0.5", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "phase.csv").exists()
+
+    def test_tool_rejects_config(self, tmp_path, capsys):
+        assert run_cli(["eig", "--config", str(tmp_path / "x.json"),
+                        "--model", str(tmp_path / "model"), "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_removed_bridge_subcommand_is_a_usage_error(self, tmp_path):
+        # bridge1d is the one way to run the bridge study
+        assert run_cli(["bridge", "--out", str(tmp_path)]) == 2
+
     def test_param_without_a_value_is_a_usage_error(self, tmp_path):
         assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "n_pairs"]) == 2
 

@@ -285,3 +285,21 @@ class TestGridFieldCSVBytes:
         assert new.count(b"\r\n") == len(grid) + 1 == new.count(b"\n")
         pts, back = read_grid_field(tmp_path / "new.csv")
         assert pts.tobytes() == grid.points.tobytes() and back.tobytes() == vals.tobytes()
+
+
+class TestHeaderlessCSVBytes:
+    """Model matrices and eigenvectors go through _write_csv with no header;
+    the reference is the np.savetxt call those writers made before."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 40)])
+    def test_bytes_match_headerless_savetxt(self, tmp_path, shape):
+        from koopext.core import _write_csv
+
+        rng = np.random.default_rng(shape[0])
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        table.flat[0] = -0.0
+        _write_csv(tmp_path / "new.csv", [], table)
+        np.savetxt(tmp_path / "old.csv", table, delimiter=",", fmt="%.17g")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == shape[0]

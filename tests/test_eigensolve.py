@@ -205,7 +205,7 @@ class TestDeflation:
         with pytest.raises(NearDefectiveError, match=r"eigenpair 0: \|w\^T v\|"):
             iterative_koopman_eigensolver(
                 model, FlowedGrid(pts, pts, 0.1), n=2, epsilon=0.1, eps_G=1e-9, L=1.0,
-                M=1.0, measure_errors=False,
+                M=1.0,
             )
 
 

@@ -301,7 +301,7 @@ class TestExtensionLoops:
         order = np.argsort(-lams.real)
         j = order[which]
         return Eigenpair(
-            lam=complex(lams[j].real), left=W[:, j].real, normalized=False
+            lam=complex(lams[j].real), left=W[:, j].real
         )
 
     def test_zero_eigenvector_error_caps_at_pmax(self, linear2d_model):
