@@ -1,5 +1,5 @@
 """Shared domain types: evaluation grids, the grid norm, principal-branch
-complex arithmetic, singular-value tagging, and grid-field CSV I/O.
+complex powers, singular-value tagging, and the grid-field CSV writer.
 
 Everything here is immutable after construction and safe to share. Grid
 reductions go through numpy's pairwise summation, so results do not depend
@@ -28,13 +28,10 @@ __all__ = [
     "tag_nonfinite",
     "EvalGrid",
     "FlowedGrid",
-    "grid_norm",
     "masked_grid_norm",
     "principal_arg",
-    "principal_log",
     "principal_pow",
     "write_grid_field",
-    "read_grid_field",
 ]
 
 
@@ -190,30 +187,14 @@ class FlowedGrid:
         return self.points.shape[0]
 
 
-def grid_norm(values, grid: EvalGrid | None = None) -> float:
-    """Root-mean-square of `values` over the grid; complex entries contribute
-    their modulus. `grid` is optional but, when given, the lengths must match."""
-    v = np.asarray(values)
-    if grid is not None and v.shape[0] != len(grid):
-        raise ContractViolationError(
-            f"got {v.shape[0]} values for a grid of {len(grid)} points"
-        )
-    if v.size == 0:
-        raise EmptySupportError("grid norm of an empty value set")
-    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
-
-
-def masked_grid_norm(values, grid: EvalGrid | None = None) -> tuple[float, int]:
-    """Grid norm restricted to non-singular entries.
+def masked_grid_norm(values) -> tuple[float, int]:
+    """Root-mean-square of the non-singular entries of `values`; complex
+    entries contribute their modulus.
 
     Returns (norm, number of excluded points). The mean runs over the
     surviving points only. Raises EmptySupportError when nothing survives.
     """
     v = np.asarray(values)
-    if grid is not None and v.shape[0] != len(grid):
-        raise ContractViolationError(
-            f"got {v.shape[0]} values for a grid of {len(grid)} points"
-        )
     bad = singular_mask(v)
     n_excluded = int(np.count_nonzero(bad))
     if n_excluded == v.shape[0]:
@@ -229,20 +210,8 @@ def principal_arg(z) -> np.ndarray | float:
     return a if a.ndim else float(a)
 
 
-def principal_log(z):
-    """ln|z| + i*arg(z) with arg in (-pi, pi]. Scalar or elementwise on arrays.
-
-    Raises SingularInputError for z = 0 anywhere in the input.
-    """
-    zz = np.asarray(z, dtype=complex)
-    if np.any(zz == 0):
-        raise SingularInputError("principal_log is undefined at z = 0")
-    out = np.log(np.abs(zz)) + 1j * np.asarray(principal_arg(zz))
-    return complex(out) if out.ndim == 0 else out
-
-
 def principal_pow(z, alpha: float):
-    """z**alpha through the principal branch: exp(alpha * principal_log(z)).
+    """z**alpha through the principal branch: exp(alpha (ln|z| + i principal_arg(z))).
 
     z = 0 is allowed only for alpha > 0 (result 0). Integer alpha agrees with
     repeated multiplication to roundoff. Scalar or elementwise on arrays.
@@ -277,11 +246,3 @@ def write_grid_field(path, grid: EvalGrid, values) -> None:
         raise ContractViolationError("field length does not match grid")
     header = [f"x{k + 1}" for k in range(grid.dim)] + ["re", "im"]
     _write_csv(path, header, np.column_stack([grid.points, v.real, v.imag]), newline="\r\n")
-
-
-def read_grid_field(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a grid-field CSV back as (points, complex values)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    vals = np.empty(len(data), dtype=complex)
-    vals.real, vals.imag = data[:, -2], data[:, -1]
-    return data[:, :-2], vals

@@ -8,7 +8,6 @@ constant M used by the extension error bounds.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,8 +23,6 @@ __all__ = [
     "kmeans_centers",
     "spectral_norm_bound_L",
     "feature_sup_M",
-    "dictionary_to_json",
-    "dictionary_from_json",
     "dictionary_from_spec",
 ]
 
@@ -55,9 +52,6 @@ class Dictionary:
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.jac_fn(pts)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.eval(points)
 
 
 def identity_dictionary(d: int) -> Dictionary:
@@ -217,11 +211,6 @@ def feature_sup_M(dic: Dictionary, grid: EvalGrid) -> float:
     return float(np.max(np.linalg.norm(feats, axis=1)))
 
 
-def dictionary_to_json(dic: Dictionary, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dic.spec, fh, indent=2, sort_keys=True)
-
-
 def dictionary_from_spec(spec: dict) -> Dictionary:
     kind = spec["kind"]
     if kind == "identity":
@@ -231,8 +220,3 @@ def dictionary_from_spec(spec: dict) -> Dictionary:
     if kind == "rbf_gaussian":
         return _dictionary_from_centers(np.asarray(spec["centers"]), spec["bandwidth"])
     raise ConfigurationError(f"unknown dictionary kind {kind!r}")
-
-
-def dictionary_from_json(path) -> Dictionary:
-    with open(path) as fh:
-        return dictionary_from_spec(json.load(fh))

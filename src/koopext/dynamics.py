@@ -39,7 +39,7 @@ __all__ = [
     "sample_snapshots",
     "transform_snapshots",
     "unstable_manifold_sample",
-    "koopman_pde_residual",
+    "dp45",
     "numeric_jacobian",
     "softplus",
     "softplus_inv",
@@ -161,9 +161,6 @@ class VectorField:
     rhs: Callable[[np.ndarray], np.ndarray]
     exact_flow: Callable[[np.ndarray, float], np.ndarray] | None = None
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.rhs(np.atleast_2d(np.asarray(points, dtype=float)))
-
     def ode_rhs(self, _t, u: np.ndarray) -> np.ndarray:
         """F at the single state u, in the (t, u) signature of solve_ivp."""
         return self.rhs(u[None, :])[0]
@@ -249,7 +246,6 @@ class AnalyticEigenfunction:
 
     eigenvalue: complex
     evaluator: Callable[[np.ndarray], np.ndarray]
-    singular_set: str = ""
     name: str = ""
     mask_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -346,11 +342,9 @@ def _cubic1d(a=-1.0, b=0.0, c=3.0) -> BenchmarkSystem:
                 vals = np.exp(logmag)
             return tag_nonfinite(vals)
 
-        singular_roots = [float(r) for e, r in zip(exps, roots) if e < 0]
         return AnalyticEigenfunction(
             eigenvalue=complex(lams[idx]),
             evaluator=evaluator,
-            singular_set=f"x in {singular_roots}",
             name=f"phi{idx + 1}",
             mask_fn=lambda pts: np.min(np.abs(pts[:, :1] - roots), axis=1) > 0.1,
         )
@@ -403,7 +397,6 @@ def _quad1d(a=2.0, b=3.0) -> BenchmarkSystem:
         return AnalyticEigenfunction(
             eigenvalue=complex(lam),
             evaluator=evaluator,
-            singular_set=f"x = {den}" if k > 0 else f"x = {num}",
             name=f"phi_{'a' if anchored_at_a else 'b'}^{k}",
             mask_fn=lambda pts: np.minimum(np.abs(pts[:, 0] - a), np.abs(pts[:, 0] - b))
             > 0.05,
@@ -510,7 +503,6 @@ def _softplus2d(A=None) -> BenchmarkSystem:
                 AnalyticEigenfunction(
                     eigenvalue=complex(lam),
                     evaluator=evaluator,
-                    singular_set="any coordinate <= 0",
                     name=f"<w,{lam:g}> o softplus_inv",
                     mask_fn=lambda pts, w=w: (np.min(pts, axis=1) > 0.05)
                     & (np.abs(softplus_inv(pts) @ w) > 0.05),
@@ -668,8 +660,8 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
         field=VectorField(2, rhs, exact_flow),
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=(
-            AnalyticEigenfunction(lam_lc, eval_lc, "r = 0", "phi_lc", mask_lc),
-            AnalyticEigenfunction(lam_ss, eval_ss, f"r = sqrt(mu) = {smu:g}", "phi_ss", mask_ss),
+            AnalyticEigenfunction(lam_lc, eval_lc, "phi_lc", mask_lc),
+            AnalyticEigenfunction(lam_ss, eval_ss, "phi_ss", mask_ss),
         ),
         metadata={"mu": mu, "omega": omega, "alpha": alpha, "C": C},
         valid_box=((-2 * smu, -2 * smu), (2 * smu, 2 * smu)),
@@ -737,7 +729,6 @@ def _saddle2d() -> BenchmarkSystem:
         return AnalyticEigenfunction(
             eigenvalue=complex(lam),
             evaluator=evaluator,
-            singular_set="any coordinate <= -1",
             name=f"phi{idx + 1}",
             mask_fn=lambda z: (np.min(z, axis=1) > -0.9)
             & (np.abs(math.pi * (np.log1p(np.maximum(z, -0.9)) @ R)[:, idx]) > 0.05),
@@ -823,7 +814,6 @@ def _bistable2d() -> BenchmarkSystem:
         return AnalyticEigenfunction(
             eigenvalue=complex(lam),
             evaluator=evaluator,
-            singular_set="y1 in {0, +-1/4} (image under the transform)",
             name=name,
             mask_fn=mask,
         )
@@ -836,7 +826,6 @@ def _bistable2d() -> BenchmarkSystem:
         return AnalyticEigenfunction(
             eigenvalue=complex(lam_s2),
             evaluator=evaluator,
-            singular_set="",
             name="phi2",
             mask_fn=lambda x: np.abs(bistable_transform_inv(x)[:, 1]) > 0.03,
         )
@@ -1124,26 +1113,6 @@ def unstable_manifold_sample(system: BenchmarkSystem, n: int, window) -> np.ndar
     minus = _trace_branch(system, saddle - delta * v_u, lo, hi, ds)
     poly = np.vstack([minus[::-1], plus])
     return _resample_polyline(poly, n)
-
-
-def koopman_pde_residual(
-    system: BenchmarkSystem, eigenfunction: AnalyticEigenfunction, points: np.ndarray
-) -> np.ndarray:
-    """|grad(phi) . F - lambda phi| at each point, with grad(phi) from central
-    differences of the evaluator (step 1e-6 (1 + |x_j|)). Validation oracle
-    for analytic eigenfunctions."""
-    pts = _as_points(points)
-    n, d = pts.shape
-    grad = np.zeros((n, d), dtype=complex)
-    for j in range(d):
-        h = 1e-6 * (1.0 + np.abs(pts[:, j]))
-        pp, pm = pts.copy(), pts.copy()
-        pp[:, j] += h
-        pm[:, j] -= h
-        grad[:, j] = (eigenfunction.eval(pp) - eigenfunction.eval(pm)) / (2 * h)
-    F = system.field.rhs(pts)
-    phi = eigenfunction.eval(pts)
-    return np.abs(np.sum(grad * F, axis=1) - eigenfunction.eigenvalue * phi)
 
 
 # ---------------------------------------------------------------------------

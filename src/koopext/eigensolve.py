@@ -338,16 +338,17 @@ def qr_iteration(A: np.ndarray, n_steps: int) -> np.ndarray:
     return work
 
 
-def quasi_triangular_eigenvalues(T: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (nearly) quasi-triangular matrix by scanning the
-    subdiagonal for 2x2 blocks, solved with eigen2d."""
+    subdiagonal for 2x2 blocks (entries above 1e-8 times the largest entry),
+    solved with eigen2d."""
     T = np.asarray(T, dtype=float)
     n = T.shape[0]
     scale = max(np.abs(T).max(), 1e-300)
     lams: list[complex] = []
     i = 0
     while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > tol * scale:
+        if i + 1 < n and abs(T[i + 1, i]) > 1e-8 * scale:
             lams.extend(eigen2d(T[i : i + 2, i : i + 2]))
             i += 2
         else:

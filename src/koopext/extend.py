@@ -25,9 +25,7 @@ from .core import (
     EmptySupportError,
     EvalGrid,
     FlowedGrid,
-    SingularInputError,
     masked_grid_norm,
-    principal_arg,
     principal_pow,
     singular_mask,
     tag_nonfinite,
@@ -45,12 +43,9 @@ __all__ = [
     "expr_from_weights",
     "expr_from_analytic",
     "monomial",
-    "real_exponent_match",
     "PowerErrors",
     "trajectory_error",
     "trajectory_error_detailed",
-    "truth_error",
-    "truth_error_report",
     "normalize_to_grid",
     "bound_constant_CFG",
     "discrete_bound",
@@ -88,8 +83,9 @@ def _eval_base(base, points: np.ndarray) -> np.ndarray:
 
 def _pow_values(vals: np.ndarray, m: float) -> np.ndarray:
     """vals**m with singular tagging: integer powers by numpy's repeated
-    multiplication, fractional powers through the principal branch; zeros
-    under a nonpositive exponent become singular tags."""
+    multiplication, fractional powers through the principal branch; singular
+    inputs stay singular, and zeros under a nonpositive exponent become
+    singular tags."""
     out_singular = singular_mask(vals)
     zero = (vals == 0) & ~out_singular
     if float(m).is_integer():
@@ -102,7 +98,7 @@ def _pow_values(vals: np.ndarray, m: float) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
             out = principal_pow(np.where(zero | out_singular, 1.0, vals), m)
         out = np.where(zero, 0.0 + 0j if m > 0 else np.nan, out)
-    return tag_nonfinite(out)
+    return tag_nonfinite(np.where(out_singular, np.nan, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +121,6 @@ class EigenfunctionExpr:
     eigenvalue: complex
     eigenvalue_kind: str = "multiplier"
     scale: complex = 1.0 + 0j
-    provenance: str = ""
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -177,7 +172,6 @@ def expr_from_weights(
         factors=((base, 1.0),),
         eigenvalue=complex(eigenvalue),
         eigenvalue_kind="multiplier",
-        provenance="fit",
     )
 
 
@@ -192,7 +186,6 @@ def expr_from_analytic(analytic) -> EigenfunctionExpr:
         factors=((analytic, 1.0),),
         eigenvalue=complex(analytic.eigenvalue),
         eigenvalue_kind="generator",
-        provenance=getattr(analytic, "name", "") or "analytic",
     )
 
 
@@ -229,22 +222,7 @@ def monomial(phi1, p: float, phi2=None, q: float = 0.0) -> EigenfunctionExpr:
         eigenvalue=_combined_eigenvalue(factors, kind),
         eigenvalue_kind=kind,
         scale=complex(scale),
-        provenance="monomial",
     )
-
-
-def real_exponent_match(lam_source: complex, lam_target: complex) -> float:
-    """The real power p with lam_source^p = lam_target for unit-modulus inputs.
-
-    Uses principal arguments: p = arg(target) / arg(source).
-    """
-    ls, lt = complex(lam_source), complex(lam_target)
-    if abs(abs(ls) - 1.0) > 1e-10 or abs(abs(lt) - 1.0) > 1e-10:
-        raise ConfigurationError("both eigenvalues must lie on the unit circle")
-    c = principal_arg(ls)
-    if c == 0.0:
-        raise SingularInputError("source eigenvalue 1 is degenerate; any power fixes it")
-    return float(principal_arg(lt)) / float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -297,49 +275,6 @@ class PowerErrors:
             expr.step_multiplier(self.flowed.dt), p,
         )
         return expr, err, excluded
-
-
-def _mode_of(ratio: np.ndarray, bins: int = 101) -> float:
-    lo, hi = np.quantile(ratio, [0.005, 0.995])
-    if not (hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi))):
-        return float(np.median(ratio))
-    hist, edges = np.histogram(ratio, bins=bins, range=(lo, hi))
-    k = int(np.argmax(hist))
-    return float(0.5 * (edges[k] + edges[k + 1]))
-
-
-def truth_error_report(expr: EigenfunctionExpr, truth, grid: EvalGrid, p: float) -> dict:
-    """Scale-invariant distance from a computed eigenfunction to an analytic one.
-
-    Points where either field is singular-tagged or smaller than 1e-8 in
-    modulus are excluded; the remaining pointwise ratio truth/expr is
-    summarized by its histogram mode (101 bins over the central 99 percent)
-    and the error is |truth - c_mode * expr| in the grid norm, to the 1/p.
-    """
-    pts = grid.points
-    a = np.asarray(truth.eval(pts) if hasattr(truth, "eval") else truth(pts), dtype=complex)
-    b = expr.eval(pts)
-    bad = singular_mask(a) | singular_mask(b) | (np.abs(a) < 1e-8) | (np.abs(b) < 1e-8)
-    if np.all(bad):
-        raise EmptySupportError("no grid points survive the exclusion thresholds")
-    ratio = a[~bad] / b[~bad]
-    if np.max(np.abs(ratio.imag)) > 1e-6 * max(np.max(np.abs(ratio.real)), 1e-30):
-        ratio_vals = np.abs(ratio)
-    else:
-        ratio_vals = ratio.real
-    c_mode = _mode_of(ratio_vals)
-    c_median = float(np.median(ratio_vals))
-    err = float(np.sqrt(np.mean(np.abs(a[~bad] - c_mode * b[~bad]) ** 2)) ** (1.0 / p))
-    return {
-        "error": err,
-        "c_mode": c_mode,
-        "c_median": c_median,
-        "excluded": int(np.count_nonzero(bad)),
-    }
-
-
-def truth_error(expr, truth, grid: EvalGrid, p: float) -> float:
-    return truth_error_report(expr, truth, grid, p)["error"]
 
 
 def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionExpr:
@@ -404,7 +339,6 @@ class ErrorReport:
     power: int
     trajectory_error: float
     bound: float
-    bound_kind: str  # 'integration' or 'eigenvector'
     excluded_points: int = 0
 
 
@@ -430,15 +364,16 @@ class ExtensionResult:
 
 
 def _weights_of(eigenpair_or_weights) -> tuple[np.ndarray, complex]:
-    """Accepts an Eigenpair (left vector preferred) or a (weights, lam) tuple."""
+    """Accepts an Eigenpair carrying its left vector or a (weights, lam) tuple;
+    eigenfunction weights are left eigenvectors of K."""
     ep = eigenpair_or_weights
     if isinstance(ep, tuple) and len(ep) == 2:
         return np.asarray(ep[0]), complex(ep[1])
-    if getattr(ep, "left", None) is not None:
-        return np.asarray(ep.left), complex(ep.lam)
-    if getattr(ep, "right", None) is not None:
-        return np.asarray(ep.right), complex(ep.lam)
-    raise ConfigurationError("need an eigenpair carrying a weight vector")
+    if getattr(ep, "left", None) is None:
+        raise ConfigurationError(
+            "the eigenpair has no left eigenvector; eigenfunction weights are left eigenvectors"
+        )
+    return np.asarray(ep.left), complex(ep.lam)
 
 
 def extend_discrete(
@@ -474,7 +409,7 @@ def extend_discrete(
                 power=p,
                 expr=expr,
                 eigenvalue=expr.eigenvalue,
-                report=ErrorReport(p, err, discrete_bound(delta_w_norm, cfg, p), "eigenvector", excl),
+                report=ErrorReport(p, err, discrete_bound(delta_w_norm, cfg, p), excl),
             )
         )
         p += 1
@@ -519,7 +454,7 @@ def extend_continuous(
                 expr=expr,
                 eigenvalue=expr.eigenvalue,
                 report=ErrorReport(
-                    p, err, continuous_bound(lam_abs, M, L, eps_G, p), "integration", excl
+                    p, err, continuous_bound(lam_abs, M, L, eps_G, p), excl
                 ),
             )
         )

@@ -47,6 +47,7 @@ __all__ = [
     "transform_Ti_inv",
     "transform_To",
     "map_trajectory_outside",
+    "LaplaceConfig",
     "isofield",
     "write_phase_csv",
 ]
@@ -80,7 +81,6 @@ class BranchedEigenfunction:
 
     interior: Callable
     exterior: Callable | None
-    boundary: str = ""
     anywhere: Callable | None = None
     eigenvalue: complex = 0j
 
@@ -236,7 +236,6 @@ def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
     phi_lc = BranchedEigenfunction(
         interior=phi_lc_branch(True),
         exterior=phi_lc_branch(False),
-        boundary=f"limit cycle r = sqrt(mu) = {smu:g}",
         anywhere=phi_lc_any,
         eigenvalue=complex(-2 * mu, omega),
     )
