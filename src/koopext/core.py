@@ -192,9 +192,12 @@ def masked_grid_norm(values) -> tuple[float, int]:
     entries contribute their modulus.
 
     Returns (norm, number of excluded points). The mean runs over the
-    surviving points only. Raises EmptySupportError when nothing survives.
+    surviving points only. Raises EmptySupportError when the input is empty
+    or nothing survives.
     """
     v = np.asarray(values)
+    if v.size == 0:
+        raise EmptySupportError("empty value set: the grid has no points")
     bad = singular_mask(v)
     n_excluded = int(np.count_nonzero(bad))
     if n_excluded == v.shape[0]:

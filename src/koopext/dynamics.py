@@ -88,22 +88,24 @@ def _dp_combine(terms, h):
     return acc
 
 
-# stages with a nonzero weight in the 5th-order solution and in the error estimate
-_DP_B5_NZ = tuple(i for i, b in enumerate(_DP_B5) if b != 0.0)
+# stages with a nonzero weight in the error estimate
 _DP_ERR_NZ = tuple(i for i, e in enumerate(_DP_ERR) if e != 0.0)
 
 
-def _dp_step(rhs, y, h):
-    """One Dormand-Prince step: returns (y5, error_estimate, stages k)."""
-    k = [rhs(y)]
+def _dp_step(rhs, y, h, k0):
+    """One first-same-as-last Dormand-Prince step from y, where k0 = rhs(y).
+
+    Returns (y5, stages k). Stage 7 is evaluated at y5: _DP_A[6] holds the
+    _DP_B5 weights, and its zero weight on k[1] adds only +-0 to a sum that
+    `+= 0` made non-negative zero. So k[6] = rhs(y5) is the next step's k0,
+    and a step makes 6 rhs calls.
+    """
+    k = [k0]
     for i in range(1, 7):
         yi = _dp_combine(zip(_DP_A[i], k), h)
         yi += y
         k.append(rhs(yi))
-    y5 = _dp_combine(((_DP_B5[i], k[i]) for i in _DP_B5_NZ), h)
-    y5 += y
-    err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
-    return y5, err, k
+    return yi, k
 
 
 def _check_divergence(y, context: str):
@@ -119,6 +121,11 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
     A row's bits therefore depend on the batch it is in (a row integrated
     alone takes other steps and can differ at the 1e-9 level), while a rerun
     of the same batch gives the same bits.
+
+    The pair is first-same-as-last: an accepted step hands its 7th stage on
+    as the next step's 1st, and a rejected step reuses its 1st stage, since y
+    did not move. So every step attempt makes 6 new rhs calls, plus one at
+    the start.
     """
     if t == 0.0:
         return y0.copy()
@@ -127,16 +134,19 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
     sign = 1.0 if t > 0 else -1.0
     remaining = abs(t)
     h = remaining / 16.0
+    signed_rhs = lambda u: sign * rhs(u)
+    k0 = signed_rhs(y)
     while remaining > 0.0:
         h = min(h, remaining)
-        y_new, err, _ = _dp_step(lambda u: sign * rhs(u), y, h)
+        y_new, k = _dp_step(signed_rhs, y, h, k0)
+        err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore"):
             err_norm = float(np.nanmax(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
         if not math.isfinite(err_norm):
             err_norm = 10.0
         if err_norm <= 1.0:
-            y = y_new
+            y, k0 = y_new, k[6]
             remaining -= h
             _check_divergence(y, "integration")
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0

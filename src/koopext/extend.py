@@ -524,10 +524,7 @@ def iterative_koopman_eigensolver(
 @dataclass(frozen=True, eq=False)
 class PrincipalComponents:
     rank: int
-    basis: np.ndarray  # (n_points_kept, rank) left singular vectors
-    coordinates: np.ndarray  # (rank, n_fields)
     singular_values: np.ndarray
-    kept: np.ndarray  # boolean row mask applied before the SVD
 
 
 def principal_filter(log_fields) -> PrincipalComponents:
@@ -543,16 +540,9 @@ def principal_filter(log_fields) -> PrincipalComponents:
     kept = np.all(np.isfinite(L), axis=1)
     if not np.any(kept):
         raise EmptySupportError("every row carries a non-finite entry")
-    Lk = L[kept]
-    U, s, Vt = np.linalg.svd(Lk, full_matrices=False)
+    s = np.linalg.svd(L[kept], compute_uv=False)
     rank = int(np.count_nonzero(s > 1e-8 * s[0])) if s[0] > 0 else 0
-    return PrincipalComponents(
-        rank=rank,
-        basis=U[:, :rank],
-        coordinates=(s[:, None] * Vt)[:rank],
-        singular_values=s,
-        kept=kept,
-    )
+    return PrincipalComponents(rank=rank, singular_values=s)
 
 
 def write_extension_report(path, pairs: list[PairExtension]) -> None:

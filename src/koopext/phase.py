@@ -108,20 +108,29 @@ def laplace_average_batch(
     Rows whose integrand exceeds the divergence guard raise DivergenceError,
     which names the time, the step and how many rows crossed; callers that
     prefer masking should split the batch.
+
+    The steps are first-same-as-last: each step's 7th stage is the next
+    step's 1st, so the average makes 6 rhs calls per step, plus one at t = 0.
     """
     if T <= 0 or step <= 0:
         raise ConfigurationError("horizon and step must be positive")
+    n_steps = int(round(T / step))
+    if n_steps == 0:
+        raise ConfigurationError(
+            f"horizon T = {T:g} is under half the step = {step:g}, so it rounds to 0 steps"
+        )
     fld = _field_of(system_or_field)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n_steps = int(round(T / step))
     h = T / n_steps
     lam = complex(lam)
     y = pts.copy()
     g_prev = np.asarray(observable(y), dtype=complex)
     acc = np.zeros(pts.shape[0], dtype=complex)
     t = 0.0
+    k0 = fld.rhs(y)
     for i in range(n_steps):
-        y, _, _ = _dp_step(fld.rhs, y, h)
+        y, k = _dp_step(fld.rhs, y, h, k0)
+        k0 = k[6]
         t += h
         g = np.asarray(observable(y), dtype=complex) * np.exp(-lam * t)
         if np.any(np.abs(g) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(y)):

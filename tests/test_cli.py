@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import koopext
 from koopext.cli import main
 from koopext.core import ConfigurationError
 from koopext.experiments import ExperimentConfig, default_params, run
@@ -14,12 +15,20 @@ def run_cli(args):
     return main(list(args))
 
 
+def run_cli_process(*args):
+    # the child imports the koopext these tests import, whether or not
+    # PYTHONPATH names it
+    src = os.path.dirname(os.path.dirname(koopext.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "koopext.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestExitCodes:
     def test_usage_error_on_unknown_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "koopext.cli", "lin5d_check", "--nosuchflag"],
-            capture_output=True,
-        )
+        proc = run_cli_process("lin5d_check", "--nosuchflag")
         assert proc.returncode == 2
 
     def test_usage_error_on_missing_config(self, tmp_path):
@@ -46,6 +55,13 @@ class TestExitCodes:
 
     def test_param_without_a_value_is_a_usage_error(self, tmp_path):
         assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "n_pairs"]) == 2
+
+    def test_laplace_step_longer_than_the_horizon_is_a_usage_error(self, tmp_path, capsys):
+        # T rounds up to one period (about 6.3), under half of step = 13
+        code = run_cli(["vdp_phase", "--out", str(tmp_path),
+                        "--param", "T=1", "--param", "step=13"])
+        assert code == 2
+        assert "rounds to 0 steps" in capsys.readouterr().err
 
     def test_usage_error_on_unknown_config_key(self, tmp_path, capsys):
         # a config written before `threads` and `format` were dropped
@@ -133,10 +149,7 @@ class TestConfig:
         assert sorted(cfg) == ["experiment", "out_dir", "params", "schema_version", "seed"]
 
     def test_help_lists_defaults(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "koopext.cli", "softplus_edmd", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli_process("softplus_edmd", "--help")
         assert proc.returncode == 0
         assert "bandwidth" in proc.stdout
         assert "0.7" in proc.stdout

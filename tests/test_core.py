@@ -139,6 +139,10 @@ class TestGridNorm:
         with pytest.raises(EmptySupportError):
             masked_grid_norm(np.array([SINGULAR, SINGULAR]))
 
+    def test_empty_input_is_named(self):
+        with pytest.raises(EmptySupportError, match="empty value set"):
+            masked_grid_norm(np.array([]))
+
 
 class TestPrincipalLog:
     """The principal branch of the logarithm, as principal_arg and

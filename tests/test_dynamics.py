@@ -374,6 +374,32 @@ def _reference_dp_step(rhs, y, h):
     return y5, err, k
 
 
+def _reference_dp45(rhs, y0, t, rel_tol=1e-8, abs_tol=1e-10):
+    # the adaptive loop dp45 ran before it carried stages over, 7 rhs calls per
+    # attempt; returns (y, accepted steps, rejected steps)
+    y = np.array(y0, dtype=float)
+    sign = 1.0 if t > 0 else -1.0
+    remaining = abs(t)
+    h = remaining / 16.0
+    accepted = rejected = 0
+    while remaining > 0.0:
+        h = min(h, remaining)
+        y_new, err, _ = _reference_dp_step(lambda u: sign * rhs(u), y, h)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.nanmax(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
+        if not math.isfinite(err_norm):
+            err_norm = 10.0
+        if err_norm <= 1.0:
+            y = y_new
+            remaining -= h
+            accepted += 1
+        else:
+            rejected += 1
+        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return y, accepted, rejected
+
+
 class TestDormandPrinceStep:
     @staticmethod
     def assert_same_bits(a, b):
@@ -383,7 +409,7 @@ class TestDormandPrinceStep:
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("sign", [None, 1.0, -1.0])
     def test_matches_the_generator_sum_bit_for_bit(self, d, sign):
-        from koopext.dynamics import _dp_step
+        from koopext.dynamics import _DP_ERR, _DP_ERR_NZ, _dp_combine, _dp_step
 
         rng = np.random.default_rng(d)
         c = rng.normal(size=d)
@@ -397,12 +423,41 @@ class TestDormandPrinceStep:
         y = rng.normal(size=(64, d))
         y[:4] = -0.0
         for h in (0.1, 1e-3, 0.37):
-            got, want = _dp_step(rhs, y, h), _reference_dp_step(rhs, y, h)
-            self.assert_same_bits(got[0], want[0])
-            self.assert_same_bits(got[1], want[1])
-            assert len(got[2]) == len(want[2]) == 7
-            for k_got, k_want in zip(got[2], want[2]):
+            y5, k = _dp_step(rhs, y, h, rhs(y))
+            want_y5, want_err, want_k = _reference_dp_step(rhs, y, h)
+            self.assert_same_bits(y5, want_y5)
+            assert len(k) == len(want_k) == 7
+            for k_got, k_want in zip(k, want_k):
                 self.assert_same_bits(k_got, k_want)
+            # the 7th stage is the next step's 1st
+            self.assert_same_bits(k[6], rhs(want_y5))
+            # the error estimate as dp45 forms it
+            err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
+            self.assert_same_bits(err, want_err)
+
+    @pytest.mark.parametrize("t", [8.0, -4.0])
+    def test_dp45_matches_the_seven_call_loop_through_rejections(self, t):
+        from koopext.dynamics import dp45
+
+        fld = make_system("vanderpol", mu=1.0).field
+        calls = []
+
+        def counting_rhs(u):
+            calls.append(len(u))
+            return fld.rhs(u)
+
+        # inside the cycle, so the backward flow stays bounded
+        y0 = np.random.default_rng(4).uniform(-1.0, 1.0, (40, 2))
+        y0[0] = -0.0
+        got = dp45(counting_rhs, y0, t)
+        n_calls = len(calls)
+        want, accepted, rejected = _reference_dp45(fld.rhs, y0, t)
+        # the first step, t/16, is too long for the tolerance, so the
+        # rejected path, which reuses the 1st stage, runs at least once
+        assert rejected > 0
+        self.assert_same_bits(got, want)
+        # one call at the start, then 6 per attempt instead of 7
+        assert n_calls == 6 * (accepted + rejected) + 1
 
     def test_vanderpol_rhs_matches_column_stack(self):
         sys_ = make_system("vanderpol", mu=0.7)

@@ -94,6 +94,34 @@ class TestLaplaceAverage:
         apart = np.concatenate([average(first), average(second)])
         assert stacked.tobytes() == apart.tobytes()
 
+    def test_each_step_makes_six_rhs_calls(self):
+        # the 7th stage of a step is the next step's 1st: 6 calls per step and
+        # one at t = 0, where seven independent stages took 7 per step
+        fld = make_system("vanderpol", mu=0.3).field
+        calls = []
+
+        def counting_rhs(p):
+            calls.append(len(p))
+            return fld.rhs(p)
+
+        obs = lambda p: np.sin(p[:, 0] + p[:, 1])  # noqa: E731
+        pts = np.random.default_rng(5).uniform(-2.0, 2.0, (11, 2))
+        got = laplace_average_batch(
+            VectorField(2, counting_rhs), obs, complex(0.0, 1.0), pts, 3.0, 0.1
+        )
+        assert calls == [11] * (6 * 30 + 1)
+        want = laplace_average_batch(fld, obs, complex(0.0, 1.0), pts, 3.0, 0.1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("T", [1.0, np.float64(1.0)], ids=["float", "float64"])
+    def test_horizon_under_half_a_step_is_refused(self, T):
+        # round(T / step) == 0 steps once divided by zero or averaged nothing
+        fld = scalar_linear_field(-0.5)
+        with pytest.raises(ConfigurationError, match=r"T = 1 .*step = 13"):
+            laplace_average_batch(
+                fld, lambda p: p[:, 0].astype(complex), -0.5, np.array([[1.0]]), T, 13.0
+            )
+
 
 class TestLimitCyclePeriod:
     def test_polar_unit_cycle(self):
