@@ -206,7 +206,7 @@ def _tool_phase(args) -> int:
     grid = EvalGrid((lo, lo), (hi, hi), h)
     config = None
     if args.method == "laplace_average":
-        _, period = limit_cycle_period(sys_, (2.0, 0.0))
+        _, period, _ = limit_cycle_period(sys_, (2.0, 0.0))
         config = LaplaceConfig(period=period)
     field = isofield(sys_, args.method, grid, config)
     os.makedirs(args.out, exist_ok=True)

@@ -56,7 +56,6 @@ __all__ = [
 # Dormand-Prince 5(4) tableau, used both adaptively (flows) and at fixed step
 # (quadrature nodes for averaging). Batched: every stage acts on (n, d).
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = (
     (),
     (1 / 5,),
@@ -92,17 +91,22 @@ def _dp_combine(terms, h):
 _DP_ERR_NZ = tuple(i for i, e in enumerate(_DP_ERR) if e != 0.0)
 
 
+# the (weight, stage) pairs of each _DP_A row whose weight is nonzero
+_DP_A_NZ = tuple(tuple((a, j) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
+
+
 def _dp_step(rhs, y, h, k0):
     """One first-same-as-last Dormand-Prince step from y, where k0 = rhs(y).
 
     Returns (y5, stages k). Stage 7 is evaluated at y5: _DP_A[6] holds the
-    _DP_B5 weights, and its zero weight on k[1] adds only +-0 to a sum that
-    `+= 0` made non-negative zero. So k[6] = rhs(y5) is the next step's k0,
-    and a step makes 6 rhs calls.
+    _DP_B5 weights. So k[6] = rhs(y5) is the next step's k0, and a step makes
+    6 rhs calls. Zero weights are skipped: _DP_A[6]'s on k[1] would add only
+    +-0 to a sum that `+= 0` made non-negative, so the bits are those of the
+    full row whenever k[1] is finite.
     """
     k = [k0]
     for i in range(1, 7):
-        yi = _dp_combine(zip(_DP_A[i], k), h)
+        yi = _dp_combine(((a, k[j]) for a, j in _DP_A_NZ[i]), h)
         yi += y
         k.append(rhs(yi))
     return yi, k

@@ -378,23 +378,32 @@ def _vdp_defaults():
     }
 
 
-def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
-    from scipy.integrate import solve_ivp
+def _distance_to_samples(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Distance from each planar point to its nearest sample.
 
+    Bit for bit np.min(np.linalg.norm(points[:, None] - samples[None],
+    axis=2), axis=1), without its (n, m, 2) tensor: the norm of 2 entries is
+    sqrt(x0*x0 + x1*x1) and sqrt is monotone, so a running minimum of
+    dx*dx + dy*dy over the samples takes one sqrt at the end.
+    """
+    x, y = points[:, 0], points[:, 1]
+    d2 = np.full(len(points), np.inf)
+    for sx, sy in samples:
+        dx = x - sx
+        dy = y - sy
+        np.minimum(d2, dx * dx + dy * dy, out=d2)
+    return np.sqrt(d2)
+
+
+def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     p = {**_vdp_defaults(), **cfg.params}
     sys_ = make_system("vanderpol", mu=p["mu"])
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
     x0 = np.asarray(p["x0_cycle"], dtype=float)
-    omega, period = phase_mod.limit_cycle_period(sys_, x0)
-    p0 = solve_ivp(sys_.field.ode_rhs, (0, 60.0), x0, rtol=1e-10, atol=1e-10).y[:, -1]
-    cyc = solve_ivp(
-        sys_.field.ode_rhs, (0, period), p0, rtol=1e-10, atol=1e-10,
-        t_eval=np.linspace(0, period, 400),
-    ).y.T
-
-    near = np.min(np.linalg.norm(grid.points[:, None, :] - cyc[None, :, :], axis=2), axis=1)
-    keep = near <= p["band"]
+    omega, period, orbit = phase_mod.limit_cycle_period(sys_, x0)
+    cyc = orbit(np.linspace(0, period, 400)).T
+    keep = _distance_to_samples(grid.points, cyc) <= p["band"]
     x_keep = grid.points[keep]
     dt = p["dt_check"]
     fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)

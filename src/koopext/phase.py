@@ -154,8 +154,10 @@ def laplace_average(
     return complex(out[0])
 
 
-def limit_cycle_period(system_or_field, x0, horizon: float = 100.0) -> tuple[float, float]:
-    """(omega, period) of the attracting limit cycle reachable from x0.
+def limit_cycle_period(
+    system_or_field, x0, horizon: float = 100.0
+) -> tuple[float, float, Callable]:
+    """(omega, period, orbit) of the attracting limit cycle reachable from x0.
 
     The state is first relaxed onto the cycle for 60 time units, then a
     Poincare section is placed through the relaxed point with the flow
@@ -163,6 +165,12 @@ def limit_cycle_period(system_or_field, x0, horizon: float = 100.0) -> tuple[flo
     return to the section; the return time is refined with Newton steps on
     the section-crossing condition down to 1e-10. `horizon` caps the search
     for that return: without one before t = horizon, DivergenceError.
+
+    `orbit` is the dense output of that one-period integration (rtol = atol
+    = 1e-12): orbit(t) is the state at time t after the relaxed point, for
+    0 <= t <= the event time of the first return, which the Newton steps
+    refine into `period` (past it, the last interpolant extrapolates). So
+    orbit(np.linspace(0, period, n)) samples the cycle once round.
     """
     from scipy.integrate import solve_ivp
 
@@ -200,7 +208,7 @@ def limit_cycle_period(system_or_field, x0, horizon: float = 100.0) -> tuple[flo
             break
         t_star -= g / dg
     period = t_star
-    return 2.0 * math.pi / period, period
+    return 2.0 * math.pi / period, period, sol.sol
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,8 @@ def _laplace_plan(cfg: LaplaceConfig) -> tuple[complex, float, float]:
     """(lam, T, step) of a Laplace-average field, the one rule behind all of
     them: eigenvalue i omega, omega = 2 pi / period; the horizon (default 50
     periods) rounded to whole periods so rotating terms cancel exactly; the
-    step period/200 unless set."""
+    step period/200 unless set. A step over twice the rounded horizon, which
+    leaves 0 steps, is refused with both horizons named."""
     period = cfg.period
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
@@ -397,6 +406,12 @@ def _laplace_plan(cfg: LaplaceConfig) -> tuple[complex, float, float]:
     T = cfg.T if cfg.T is not None else 50.0 * period
     T = period * max(1, round(T / period))
     step = cfg.step if cfg.step is not None else period / 200.0
+    if step > 0 and round(T / step) == 0:
+        given = "50 periods" if cfg.T is None else f"{cfg.T:g}"
+        raise ConfigurationError(
+            f"horizon T = {given}, rounded to whole periods {T:g}, is under half "
+            f"the step = {step:g}, so it rounds to 0 steps"
+        )
     return lam, T, step
 
 

@@ -296,7 +296,7 @@ def test_criterion_9_laplace_eigen_relation():
     def rhs1(_t, u):
         return sys_.field.rhs(u[None, :])[0]
 
-    _, period = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+    _, period, _ = limit_cycle_period(sys_, np.array([2.0, 0.0]))
     p0 = solve_ivp(rhs1, (0, 60.0), [2.0, 0.0], rtol=1e-10, atol=1e-10).y[:, -1]
     cyc = solve_ivp(rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
                     t_eval=np.linspace(0, period, 400)).y.T

@@ -63,6 +63,13 @@ class TestExitCodes:
         assert code == 2
         assert "rounds to 0 steps" in capsys.readouterr().err
 
+    def test_laplace_horizon_error_names_the_given_and_the_rounded_T(self, tmp_path, capsys):
+        code = run_cli(["vdp_phase", "--out", str(tmp_path),
+                        "--param", "T=1", "--param", "step=13"])
+        assert code == 2
+        # the T the user gave, then the whole period it was rounded up to
+        assert "horizon T = 1, rounded to whole periods 6.31844," in capsys.readouterr().err
+
     def test_usage_error_on_unknown_config_key(self, tmp_path, capsys):
         # a config written before `threads` and `format` were dropped
         path = tmp_path / "old.json"

@@ -1,9 +1,11 @@
 """Regression tests that pin the compute-once data flow of the experiments:
 each evaluation grid is flowed once per flow map, and the limit-cycle period
-is solved once per phase run and Laplace-averaged in one batch."""
+and orbit are solved once per phase run and Laplace-averaged in one batch."""
 import inspect
+import tracemalloc
 
 import numpy as np
+import scipy.integrate
 
 from koopext import phase
 from koopext.core import EvalGrid
@@ -41,6 +43,34 @@ def test_vdp_phase_solves_the_period_once(tmp_path, monkeypatch):
     run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
                          params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
     assert len(calls) == 1
+
+
+def test_vdp_phase_makes_two_solve_ivp_calls(tmp_path, monkeypatch):
+    spans = []
+    original = scipy.integrate.solve_ivp
+
+    def counting_solve_ivp(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return original(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
+                         params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
+    # limit_cycle_period's relaxation, then its one period, whose dense
+    # output gives the band samples
+    assert spans == [(0.0, 60.0), (0.0, 100.0)]
+
+
+def test_vdp_phase_peak_memory_stays_under_16_mb(tmp_path):
+    # the run's own arrays: the band mask streams its distances instead of
+    # holding a (points, samples, 2) tensor
+    tracemalloc.start()
+    try:
+        run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path), params={"T": 20.0}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_vdp_phase_averages_the_grid_and_its_image_in_one_batch(tmp_path, monkeypatch):

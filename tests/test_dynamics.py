@@ -361,14 +361,23 @@ class TestPaperScaleSampling:
         assert not np.array_equal(snaps.x[10], snaps.y[9])
 
 
-def _reference_dp_step(rhs, y, h):
-    # the generator-sum form of one Dormand-Prince step that _dp_step replaces
-    from koopext.dynamics import _DP_A, _DP_B5, _DP_ERR
+def _seven_term_dp_step(rhs, y, h, k0):
+    # the stages in generator-sum form over every weight of each _DP_A row,
+    # _DP_A[6]'s zero on k[1] included; returns (stage 7's input, stages)
+    from koopext.dynamics import _DP_A
 
-    k = [rhs(y)]
+    k = [k0]
     for i in range(1, 7):
         yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
         k.append(rhs(yi))
+    return yi, k
+
+
+def _reference_dp_step(rhs, y, h):
+    # the generator-sum form of one Dormand-Prince step that _dp_step replaces
+    from koopext.dynamics import _DP_B5, _DP_ERR
+
+    _, k = _seven_term_dp_step(rhs, y, h, rhs(y))
     y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
     err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
     return y5, err, k
@@ -434,6 +443,60 @@ class TestDormandPrinceStep:
             # the error estimate as dp45 forms it
             err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
             self.assert_same_bits(err, want_err)
+
+    def test_zero_stages_match_the_seven_term_rows(self):
+        from koopext.dynamics import _dp_step
+
+        c = np.array([1.5, -2.0, 0.5])
+
+        def rhs(u):
+            # keeps every zero signed: c * (-0) is -0 or +0 by the sign of c
+            return c * u
+
+        y = np.zeros((6, 3))
+        y[1::2] = -0.0
+        y[4:, 2] = np.random.default_rng(3).normal(size=2)
+        for h in (0.1, 1e-3, 0.37):
+            y5, k = _dp_step(rhs, y, h, rhs(y))
+            want_y7, want_k = _seven_term_dp_step(rhs, y, h, rhs(y))
+            # every stage of the first four rows is exactly +0 or -0, both signs present
+            zeros = np.stack(want_k)[:, :4]
+            assert np.all(zeros == 0.0)
+            assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+            self.assert_same_bits(y5, want_y7)
+            for k_got, k_want in zip(k, want_k):
+                self.assert_same_bits(k_got, k_want)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_non_finite_second_stage_ends_in_the_same_divergence_error(self, monkeypatch):
+        from koopext import dynamics, phase
+        from koopext.dynamics import VectorField, _dp_step, dp45
+        from koopext.phase import laplace_average_batch
+
+        # x' = e^x blows up in finite time: from x = 700 the 2nd stage overflows
+        rhs = np.exp
+        y0 = np.array([[700.0], [0.5], [-1.0]])
+        _, k = _dp_step(rhs, y0, 0.1, rhs(y0))
+        assert np.isfinite(k[0][0, 0]) and not np.isfinite(k[1][0, 0])
+        assert np.all(np.isfinite(np.stack(k)[:, 1:]))
+
+        def messages():
+            out = []
+            with pytest.raises(DivergenceError) as flow:
+                dp45(rhs, y0, 0.1)
+            out.append(str(flow.value))
+            with pytest.raises(DivergenceError) as average:
+                laplace_average_batch(
+                    VectorField(1, rhs), lambda p: p[:, 0].astype(complex), -0.5, y0, 1.0, 0.1
+                )
+            out.append(str(average.value))
+            return out
+
+        got = messages()
+        monkeypatch.setattr(dynamics, "_dp_step", _seven_term_dp_step)
+        monkeypatch.setattr(phase, "_dp_step", _seven_term_dp_step)
+        assert got == messages()
+        assert "during integration" in got[0] and "in 1 of 3 rows" in got[1]
 
     @pytest.mark.parametrize("t", [8.0, -4.0])
     def test_dp45_matches_the_seven_call_loop_through_rejections(self, t):

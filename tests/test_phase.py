@@ -15,6 +15,7 @@ from koopext.core import (
     singular_mask,
 )
 from koopext.dynamics import FlowMap, VectorField, make_system
+from koopext.experiments import _distance_to_samples
 from koopext.phase import (
     LaplaceConfig,
     PhaseField,
@@ -126,19 +127,19 @@ class TestLaplaceAverage:
 class TestLimitCyclePeriod:
     def test_polar_unit_cycle(self):
         sys_ = make_system("polarLC", mu=1.0, omega=1.0, alpha=0.0)
-        omega, period = limit_cycle_period(sys_, np.array([1.5, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_, np.array([1.5, 0.0]))
         assert period == pytest.approx(2 * math.pi, abs=1e-8)
 
     def test_polar_double_speed(self):
         sys_ = make_system("polarLC", mu=1.0, omega=2.0, alpha=0.0)
-        omega, period = limit_cycle_period(sys_, np.array([1.5, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_, np.array([1.5, 0.0]))
         assert period == pytest.approx(math.pi, abs=1e-8)
 
     def test_vanderpol_period_closes_the_loop(self):
         # independent check: integrating exactly one measured period returns
         # to the starting point on the cycle, at reference tolerance
         sys_ = make_system("vanderpol")
-        omega, period = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_, np.array([2.0, 0.0]))
 
         def rhs1(t, u):
             return sys_.field.rhs(u[None, :])[0]
@@ -146,6 +147,13 @@ class TestLimitCyclePeriod:
         p0 = solve_ivp(rhs1, (0, 80.0), [2.0, 0.0], rtol=1e-12, atol=1e-12).y[:, -1]
         p1 = solve_ivp(rhs1, (0, period), p0, rtol=1e-12, atol=1e-12).y[:, -1]
         assert np.linalg.norm(p1 - p0) < 1e-6 * max(1.0, np.linalg.norm(p0))
+
+    def test_orbit_closes_after_one_period(self):
+        sys_ = make_system("vanderpol")
+        _, period, orbit = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        start, end = orbit(0.0), orbit(period)
+        assert orbit(np.linspace(0, period, 400)).shape == (2, 400)
+        assert np.linalg.norm(end - start) < 1e-8 * np.linalg.norm(start)
 
     def test_no_cycle_detected_from_steady_flow(self):
         sys_ = make_system("linear2d")
@@ -160,7 +168,7 @@ class TestLimitCyclePeriod:
             calls.append(len(p))
             return fld.rhs(p)
 
-        omega, period = limit_cycle_period(VectorField(2, counting_rhs), np.array([2.0, 0.0]))
+        omega, period, _ = limit_cycle_period(VectorField(2, counting_rhs), np.array([2.0, 0.0]))
         # the value the search over the whole horizon gave, to the last bit
         assert period == 6.318443203450758
         assert omega == 2.0 * math.pi / period
@@ -171,6 +179,60 @@ class TestLimitCyclePeriod:
         sys_ = make_system("vanderpol", mu=0.3)
         with pytest.raises(DivergenceError, match="no return"):
             limit_cycle_period(sys_, np.array([2.0, 0.0]), horizon=1.0)
+
+
+class TestCycleBand:
+    """The grid band around the Van der Pol cycle that vdp_phase averages on."""
+
+    @staticmethod
+    def broadcast_distance(points, samples):
+        # the (n, m, 2) construction _distance_to_samples streams
+        return np.min(np.linalg.norm(points[:, None, :] - samples[None, :, :], axis=2), axis=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streamed_distance_matches_the_broadcast_norm_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = EvalGrid((-2.8, -2.8), (2.8, 2.8), 0.1)
+        scattered = rng.normal(scale=2.0, size=(500, 2))
+        samples = rng.normal(scale=2.0, size=(97, 2))
+        # points that lie on a sample, one of them a signed zero
+        samples[0] = -0.0
+        on_sample = np.vstack([samples[:10], [[0.0, -0.0]]])
+        # exact ties: dyadic points 2 apart, each with samples at offsets
+        # (3, 4), (-5, 0) and (0, 5) eighths, all at squared distance 25/64
+        tied = 2.0 * rng.permutation(np.mgrid[-3:3, -3:3].reshape(2, -1).T)[:8] + 0.125
+        offsets = np.array([[3.0, 4.0], [-5.0, 0.0], [0.0, 5.0]]) / 8.0
+        tie_samples = (tied[:, None, :] + offsets).reshape(-1, 2)
+        cases = [
+            (grid.points, samples),
+            (np.vstack([on_sample, scattered]), samples),
+            (tied, tie_samples),
+            (grid.points, np.vstack([tie_samples, samples])),
+        ]
+        for points, at in cases:
+            got = _distance_to_samples(points, at)
+            assert got.tobytes() == self.broadcast_distance(points, at).tobytes()
+        assert np.all(_distance_to_samples(on_sample, samples) == 0.0)
+        assert np.all(_distance_to_samples(tied, tie_samples) == 5.0 / 8.0)
+
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 2.0])
+    def test_band_from_the_orbit_keeps_the_points_of_a_second_relaxation(self, mu):
+        sys_ = make_system("vanderpol", mu=mu)
+        grid = EvalGrid((-2.8, -2.8), (2.8, 2.8), 0.1)  # the vdp_phase default
+        _, period, orbit = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        near = _distance_to_samples(grid.points, orbit(np.linspace(0, period, 400)).T)
+        # the oracle: relax x0 a second time at 1e-10, then integrate one
+        # period, as vdp_phase did before it sampled the orbit
+        rhs1 = sys_.field.ode_rhs
+        p0 = solve_ivp(rhs1, (0, 60.0), [2.0, 0.0], rtol=1e-10, atol=1e-10).y[:, -1]
+        cyc = solve_ivp(
+            rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
+            t_eval=np.linspace(0, period, 400),
+        ).y.T
+        old = self.broadcast_distance(grid.points, cyc)
+        for band in (0.3, 0.55):
+            assert np.count_nonzero(old <= band) > 100
+            assert np.array_equal(near <= band, old <= band)
 
 
 class TestPolarEigenfunctions:
@@ -365,7 +427,7 @@ class TestIsofield:
             return sys_.field.rhs(u[None, :])[0]
 
         p0 = solve_ivp(rhs1, (0, 60.0), [2.0, 0.0], rtol=1e-10, atol=1e-10).y[:, -1]
-        _, period = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        _, period, _ = limit_cycle_period(sys_, np.array([2.0, 0.0]))
         cyc = solve_ivp(
             rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
             t_eval=np.linspace(0, period, 300),
