@@ -37,20 +37,13 @@ __all__ = [
 class FamilyMember:
     expr: EigenfunctionExpr  # normalized to unit grid norm on the window
     eigenvalue: float
-    trajectory_error: float
 
 
 @dataclass(frozen=True, eq=False)
 class LocalFamily:
     """Real-eigenvalue eigenfunctions fit from data near one steady state."""
 
-    anchor: np.ndarray
-    model: object
     members: tuple
-    window: tuple  # (lo, hi) box of validity
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +127,10 @@ def fit_local_family(
             expr = normalize_to_grid(expr, grid)
         except EmptySupportError:
             continue
-        err = trajectory_error(expr, flowed, p=1)
-        if err <= spurious_threshold:
-            members.append(FamilyMember(expr, lam, err))
+        if trajectory_error(expr, flowed, p=1) <= spurious_threshold:
+            members.append(FamilyMember(expr, lam))
     members.sort(key=lambda m: -abs(m.eigenvalue))
-    return LocalFamily(anchor=anchor, model=model, members=tuple(members), window=(lo, hi))
+    return LocalFamily(tuple(members))
 
 
 def leading_member(family: LocalFamily) -> FamilyMember:

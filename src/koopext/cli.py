@@ -36,6 +36,13 @@ def _add_param_overrides(parser: argparse.ArgumentParser, experiment: str) -> No
     )
 
 
+_N_HELP = "eigenpairs to compute (default: min(5, model dimension))"
+
+
+def _n_pairs(args, model) -> int:
+    return min(5, model.dim) if args.n is None else args.n
+
+
 def _parse_value(text: str):
     try:
         return json.loads(text)
@@ -79,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     eig = sub.add_parser("eig", help="dominant eigenpairs of a stored model by deflation")
     _add_out_seed(eig)
     eig.add_argument("--model", required=True, help="model file stem")
-    eig.add_argument("--n", type=int, default=5)
+    eig.add_argument("--n", type=int, help=_N_HELP)
 
     ext = sub.add_parser("extend", help="certified eigenfunction powers for a stored model")
     _add_out_seed(ext)
     ext.add_argument("--model", required=True)
     ext.add_argument("--system", required=True)
-    ext.add_argument("--n", type=int, default=5)
+    ext.add_argument("--n", type=int, help=_N_HELP)
     ext.add_argument("--epsilon", type=float, default=0.01)
     ext.add_argument("--grid", type=float, nargs=3, default=(-1.0, 1.0, 0.01),
                      metavar=("LO", "HI", "H"))
@@ -155,7 +162,7 @@ def _tool_eig(args) -> int:
     from .regression import load_model
 
     model = load_model(args.model)
-    pairs = deflate_spectrum(model.K, args.n, seed=args.seed)
+    pairs = deflate_spectrum(model.K, _n_pairs(args, model), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.json")
     write_spectrum_json(path, pairs)
@@ -186,7 +193,7 @@ def _tool_extend(args) -> int:
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
     results = iterative_koopman_eigensolver(
-        model, rk, n=args.n, epsilon=args.epsilon, eps_G=eps_G, L=L, M=M,
+        model, rk, n=_n_pairs(args, model), epsilon=args.epsilon, eps_G=eps_G, L=L, M=M,
         p_max=args.p_max, seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -206,7 +213,7 @@ def _tool_phase(args) -> int:
     grid = EvalGrid((lo, lo), (hi, hi), h)
     config = None
     if args.method == "laplace_average":
-        _, period, _ = limit_cycle_period(sys_, (2.0, 0.0))
+        _, period, _ = limit_cycle_period(sys_.field, (2.0, 0.0))
         config = LaplaceConfig(period=period)
     field = isofield(sys_, args.method, grid, config)
     os.makedirs(args.out, exist_ok=True)

@@ -117,7 +117,6 @@ class EvalGrid:
     hi: tuple[float, ...]
     spacing: float
     points: np.ndarray = field(init=False, repr=False)
-    shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
@@ -140,7 +139,6 @@ class EvalGrid:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "spacing", h)
-        object.__setattr__(self, "shape", counts)
         object.__setattr__(self, "points", pts)
 
     @property

@@ -35,7 +35,6 @@ class Dictionary:
     """
 
     dim_in: int
-    dim_out: int
     kind: str
     eval_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     jac_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -60,7 +59,6 @@ def identity_dictionary(d: int) -> Dictionary:
         raise ConfigurationError("dimension must be >= 1")
     return Dictionary(
         dim_in=d,
-        dim_out=d,
         kind="identity",
         eval_fn=lambda pts: pts.copy(),
         jac_fn=lambda pts: np.broadcast_to(np.eye(d), (pts.shape[0], d, d)).copy(),
@@ -100,7 +98,6 @@ def monomial_dictionary(d: int, max_degree: int) -> Dictionary:
 
     return Dictionary(
         dim_in=d,
-        dim_out=E.shape[0],
         kind="monomial",
         eval_fn=eval_fn,
         jac_fn=jac_fn,
@@ -185,7 +182,6 @@ def _dictionary_from_centers(centers: np.ndarray, bandwidth: float) -> Dictionar
 
     return Dictionary(
         dim_in=d,
-        dim_out=centers.shape[0],
         kind="rbf_gaussian",
         eval_fn=eval_fn,
         jac_fn=jac_fn,

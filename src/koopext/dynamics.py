@@ -254,14 +254,12 @@ class AnalyticEigenfunction:
     """Closed-form Koopman eigenfunction: phi(F^t x) = exp(lambda t) phi(x).
 
     `evaluator` maps (n, d) states to (n,) complex values, tagging singular
-    evaluations. `mask_fn`, when present, marks states comfortably away from
-    the singular set (used when sampling validation points).
+    evaluations.
     """
 
     eigenvalue: complex
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    mask_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.evaluator(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -274,7 +272,6 @@ class BenchmarkSystem:
     steady_states: tuple
     analytic_eigenfunctions: tuple[AnalyticEigenfunction, ...] = ()
     metadata: dict = field(default_factory=dict)
-    valid_box: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -360,7 +357,6 @@ def _cubic1d(a=-1.0, b=0.0, c=3.0) -> BenchmarkSystem:
             eigenvalue=complex(lams[idx]),
             evaluator=evaluator,
             name=f"phi{idx + 1}",
-            mask_fn=lambda pts: np.min(np.abs(pts[:, :1] - roots), axis=1) > 0.1,
         )
 
     return BenchmarkSystem(
@@ -369,7 +365,6 @@ def _cubic1d(a=-1.0, b=0.0, c=3.0) -> BenchmarkSystem:
         steady_states=(np.array([a]), np.array([b]), np.array([c])),
         analytic_eigenfunctions=tuple(make_eig(i) for i in range(3)),
         metadata={"a": a, "b": b, "c": c, "eigenvalues": [float(v) for v in lams]},
-        valid_box=((a - 1.0,), (c + 1.0,)),
     )
 
 
@@ -412,8 +407,6 @@ def _quad1d(a=2.0, b=3.0) -> BenchmarkSystem:
             eigenvalue=complex(lam),
             evaluator=evaluator,
             name=f"phi_{'a' if anchored_at_a else 'b'}^{k}",
-            mask_fn=lambda pts: np.minimum(np.abs(pts[:, 0] - a), np.abs(pts[:, 0] - b))
-            > 0.05,
         )
 
     return BenchmarkSystem(
@@ -422,7 +415,6 @@ def _quad1d(a=2.0, b=3.0) -> BenchmarkSystem:
         steady_states=(np.array([a]), np.array([b])),
         analytic_eigenfunctions=(ratio_eig(1, True), ratio_eig(1, False)),
         metadata={"a": a, "b": b},
-        valid_box=((a - 1.0,), (b + 1.0,)),
     )
 
 
@@ -468,7 +460,6 @@ def _linear2d(A=None) -> BenchmarkSystem:
                     eigenvalue=complex(lam),
                     evaluator=lambda pts, w=w: (pts @ w).astype(complex),
                     name=f"<w,{lam:g}>",
-                    mask_fn=lambda pts, w=w: np.abs(pts @ w) > 0.05,
                 )
             )
     return BenchmarkSystem(
@@ -477,7 +468,6 @@ def _linear2d(A=None) -> BenchmarkSystem:
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=tuple(funcs),
         metadata={"A": A.tolist()},
-        valid_box=((-2.0, -2.0), (2.0, 2.0)),
     )
 
 
@@ -518,8 +508,6 @@ def _softplus2d(A=None) -> BenchmarkSystem:
                     eigenvalue=complex(lam),
                     evaluator=evaluator,
                     name=f"<w,{lam:g}> o softplus_inv",
-                    mask_fn=lambda pts, w=w: (np.min(pts, axis=1) > 0.05)
-                    & (np.abs(softplus_inv(pts) @ w) > 0.05),
                 )
             )
     return BenchmarkSystem(
@@ -528,7 +516,6 @@ def _softplus2d(A=None) -> BenchmarkSystem:
         steady_states=(softplus(np.zeros(2)),),
         analytic_eigenfunctions=tuple(funcs),
         metadata={"A": A.tolist()},
-        valid_box=((0.1, 0.1), (2.5, 2.5)),
     )
 
 
@@ -566,7 +553,6 @@ def _lin5d(a=-0.4, b=-1.0) -> BenchmarkSystem:
             eigenvalue=complex(lam),
             evaluator=lambda pts, w=w: (pts @ w).astype(complex),
             name=f"phi{i + 1}",
-            mask_fn=lambda pts, w=w: np.abs(pts @ w) > 0.1,
         )
         for i, (lam, w) in enumerate(lefts)
     )
@@ -576,7 +562,6 @@ def _lin5d(a=-0.4, b=-1.0) -> BenchmarkSystem:
         steady_states=(np.zeros(5),),
         analytic_eigenfunctions=funcs,
         metadata={"a": a, "b": b},
-        valid_box=((-2.0,) * 5, (2.0,) * 5),
     )
 
 
@@ -661,24 +646,15 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
         x, y = p[:, 0], p[:, 1]
         return tag_nonfinite(_polar_ss_values(np.hypot(x, y), np.arctan2(y, x), mu, alpha, C))
 
-    def mask_lc(p):
-        r = np.hypot(p[:, 0], p[:, 1])
-        return (r > 0.1) & (np.abs(r - smu) > 0.05)
-
-    def mask_ss(p):
-        r = np.hypot(p[:, 0], p[:, 1])
-        return (r > 0.05) & (r < smu - 0.05)
-
     return BenchmarkSystem(
         id="polarLC",
         field=VectorField(2, rhs, exact_flow),
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=(
-            AnalyticEigenfunction(lam_lc, eval_lc, "phi_lc", mask_lc),
-            AnalyticEigenfunction(lam_ss, eval_ss, "phi_ss", mask_ss),
+            AnalyticEigenfunction(lam_lc, eval_lc, "phi_lc"),
+            AnalyticEigenfunction(lam_ss, eval_ss, "phi_ss"),
         ),
         metadata={"mu": mu, "omega": omega, "alpha": alpha, "C": C},
-        valid_box=((-2 * smu, -2 * smu), (2 * smu, 2 * smu)),
     )
 
 
@@ -703,7 +679,6 @@ def _vanderpol(mu=0.3) -> BenchmarkSystem:
         field=VectorField(2, rhs),
         steady_states=(np.zeros(2),),
         metadata={"mu": mu},
-        valid_box=((-3.0, -3.0), (3.0, 3.0)),
     )
 
 
@@ -744,8 +719,6 @@ def _saddle2d() -> BenchmarkSystem:
             eigenvalue=complex(lam),
             evaluator=evaluator,
             name=f"phi{idx + 1}",
-            mask_fn=lambda z: (np.min(z, axis=1) > -0.9)
-            & (np.abs(math.pi * (np.log1p(np.maximum(z, -0.9)) @ R)[:, idx]) > 0.05),
         )
 
     return BenchmarkSystem(
@@ -754,7 +727,6 @@ def _saddle2d() -> BenchmarkSystem:
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=(coord_eig(0, lam1), coord_eig(1, lam2)),
         metadata={"lambda1": lam1, "lambda2": lam2, "rotation_deg": 60.0},
-        valid_box=((-0.8, -0.8), (2.0, 2.0)),
     )
 
 
@@ -819,17 +791,10 @@ def _bistable2d() -> BenchmarkSystem:
                 vals = np.abs(base_ratio(y[:, 0])) ** exponent
             return tag_nonfinite(vals)
 
-        def mask(x):
-            y = bistable_transform_inv(x)
-            return (np.abs(y[:, 0]) > 0.06) & (
-                np.minimum(np.abs(y[:, 0] - 0.25), np.abs(y[:, 0] + 0.25)) > 0.06
-            )
-
         return AnalyticEigenfunction(
             eigenvalue=complex(lam),
             evaluator=evaluator,
             name=name,
-            mask_fn=mask,
         )
 
     def y2_eig() -> AnalyticEigenfunction:
@@ -841,7 +806,6 @@ def _bistable2d() -> BenchmarkSystem:
             eigenvalue=complex(lam_s2),
             evaluator=evaluator,
             name="phi2",
-            mask_fn=lambda x: np.abs(bistable_transform_inv(x)[:, 1]) > 0.03,
         )
 
     nodes_y = (np.array([0.0, 0.0]), np.array([0.25, 0.0]), np.array([-0.25, 0.0]))
@@ -856,7 +820,6 @@ def _bistable2d() -> BenchmarkSystem:
             y2_eig(),
         ),
         metadata={"eigenvalues": [lam_u, lam_s2, lam_s1]},
-        valid_box=((-1.0, -1.0), (1.0, 1.0)),
     )
 
 
@@ -878,7 +841,6 @@ def _duffing(delta=0.5, beta=-1.0, alpha=0.1) -> BenchmarkSystem:
         field=VectorField(2, rhs),
         steady_states=tuple(steady),
         metadata={"delta": delta, "beta": beta, "alpha": alpha},
-        valid_box=((-6.0, -6.0), (6.0, 6.0)),
     )
 
 

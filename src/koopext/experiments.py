@@ -401,7 +401,7 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
     x0 = np.asarray(p["x0_cycle"], dtype=float)
-    omega, period, orbit = phase_mod.limit_cycle_period(sys_, x0)
+    omega, period, orbit = phase_mod.limit_cycle_period(sys_.field, x0)
     cyc = orbit(np.linspace(0, period, 400)).T
     keep = _distance_to_samples(grid.points, cyc) <= p["band"]
     x_keep = grid.points[keep]
@@ -412,7 +412,7 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
         phase_mod.LaplaceConfig(period=period, T=p["T"], step=p["step"])
     )
     averaged = phase_mod.laplace_average_batch(
-        sys_, phase_mod._sin_sum, lam, np.vstack([x_keep, fmap(x_keep)]), T, step
+        sys_.field, phase_mod._sin_sum, lam, np.vstack([x_keep, fmap(x_keep)]), T, step
     )
     vals, flowed_vals = averaged[: len(x_keep)], averaged[len(x_keep):]
     values = np.full(len(grid), SINGULAR, dtype=complex)
@@ -425,12 +425,11 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
 
     # trivial scalar check: x' = lam x with f = x averages to x exactly
     lam0 = p["trivial_lambda"]
-    fld = VectorField(1, rhs=lambda q: lam0 * q,
-                      exact_flow=lambda q, t: q * math.exp(lam0 * t))
-    trivial = phase_mod.laplace_average(
-        fld, lambda q: q[:, 0].astype(complex), lam0, np.array([1.3]), T=5.0, step=0.01
+    trivial = phase_mod.laplace_average_batch(
+        VectorField(1, rhs=lambda q: lam0 * q), lambda q: q[:, 0].astype(complex), lam0,
+        np.array([[1.3]]), T=5.0, step=0.01,
     )
-    trivial_err = abs(trivial - 1.3)
+    trivial_err = abs(trivial[0] - 1.3)
     with open(os.path.join(out, "phase_config.json"), "w") as fh:
         json.dump(
             {"observable": "sin(x1+x2)", "lambda": [0.0, omega],

@@ -9,7 +9,7 @@ isostable coordinate, the principal argument the isochron coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,6 @@ from .core import (
     DivergenceError,
     DomainError,
     EvalGrid,
-    SINGULAR,
     SingularInputError,
     _write_csv,
     principal_arg,
@@ -39,7 +38,6 @@ from .dynamics import (
 __all__ = [
     "PhaseField",
     "BranchedEigenfunction",
-    "laplace_average",
     "laplace_average_batch",
     "limit_cycle_period",
     "polar_eigenfunctions",
@@ -61,40 +59,19 @@ class PhaseField:
     grid: EvalGrid
     values: np.ndarray
     eigenvalue: complex
-    source: dict = field(default_factory=dict)
-
-    @property
-    def isostable(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def isochron(self) -> np.ndarray:
-        return np.asarray(principal_arg(self.values))
 
 
 @dataclass(frozen=True)
 class BranchedEigenfunction:
     """Closed-form eigenfunction split into interior/exterior branches of a
-    limit cycle; each branch maps (r, theta) arrays to complex values.
-    `anywhere`, when present, is the branch-free evaluator with singular tags
-    instead of domain errors."""
+    limit cycle; each branch maps (r, theta) arrays to complex values."""
 
     interior: Callable
-    exterior: Callable | None
-    anywhere: Callable | None = None
-    eigenvalue: complex = 0j
-
-
-def _field_of(system_or_field) -> VectorField:
-    if isinstance(system_or_field, BenchmarkSystem):
-        return system_or_field.field
-    if isinstance(system_or_field, VectorField):
-        return system_or_field
-    raise ConfigurationError("expected a BenchmarkSystem or VectorField")
+    exterior: Callable
 
 
 def laplace_average_batch(
-    system_or_field,
+    fld: VectorField,
     observable: Callable[[np.ndarray], np.ndarray],
     lam: complex,
     points: np.ndarray,
@@ -119,7 +96,6 @@ def laplace_average_batch(
         raise ConfigurationError(
             f"horizon T = {T:g} is under half the step = {step:g}, so it rounds to 0 steps"
         )
-    fld = _field_of(system_or_field)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     h = T / n_steps
     lam = complex(lam)
@@ -146,16 +122,8 @@ def laplace_average_batch(
     return acc / T
 
 
-def laplace_average(
-    system_or_field, observable, lam: complex, x, T: float, step: float
-) -> complex:
-    """Laplace average at a single state; see laplace_average_batch."""
-    out = laplace_average_batch(system_or_field, observable, lam, np.atleast_2d(x), T, step)
-    return complex(out[0])
-
-
 def limit_cycle_period(
-    system_or_field, x0, horizon: float = 100.0
+    fld: VectorField, x0, horizon: float = 100.0
 ) -> tuple[float, float, Callable]:
     """(omega, period, orbit) of the attracting limit cycle reachable from x0.
 
@@ -174,7 +142,7 @@ def limit_cycle_period(
     """
     from scipy.integrate import solve_ivp
 
-    rhs1 = _field_of(system_or_field).ode_rhs
+    rhs1 = fld.ode_rhs
     relax = solve_ivp(rhs1, (0.0, 60.0), np.asarray(x0, dtype=float),
                       rtol=1e-12, atol=1e-12)
     p0 = relax.y[:, -1]
@@ -239,11 +207,6 @@ def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
 
         return evaluator
 
-    def phi_lc_any(r, theta):
-        # single-formula evaluator valid on r > 0; zero on the cycle itself
-        r = np.asarray(r, dtype=float)
-        return tag_nonfinite(_polar_lc_values(r, np.asarray(theta, dtype=float), mu, alpha, C))
-
     def phi_ss(r, theta):
         r = np.asarray(r, dtype=float)
         if np.any(r >= smu + 1e-15):
@@ -253,10 +216,7 @@ def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
     phi_lc = BranchedEigenfunction(
         interior=phi_lc_branch(True),
         exterior=phi_lc_branch(False),
-        anywhere=phi_lc_any,
-        eigenvalue=complex(-2 * mu, omega),
     )
-    phi_ss.eigenvalue = complex(mu, omega - alpha * smu)
     return phi_lc, phi_ss
 
 
@@ -344,7 +304,6 @@ class LaplaceConfig:
     T: float | None = None
     step: float | None = None
     period: float | None = None  # of the limit cycle, from limit_cycle_period
-    mask: Callable | None = None  # points -> bool array; False rows stay singular
 
 
 def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) -> PhaseField:
@@ -362,28 +321,13 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
             raise ConfigurationError(f"{system.id} has no analytic eigenfunctions")
         eig = system.analytic_eigenfunctions[0]
         vals = eig.eval(grid.points)
-        return PhaseField(grid, vals, complex(eig.eigenvalue), {"method": "analytic"})
+        return PhaseField(grid, vals, complex(eig.eigenvalue))
     if method != "laplace_average":
         raise ConfigurationError("method must be 'analytic' or 'laplace_average'")
     cfg = config or LaplaceConfig()
     lam, T, step = _laplace_plan(cfg)
-    pts = grid.points
-    keep = cfg.mask(pts) if cfg.mask is not None else np.ones(len(grid), dtype=bool)
-    values = np.full(len(grid), SINGULAR, dtype=complex)
-    if np.any(keep):
-        values[keep] = laplace_average_batch(system, _sin_sum, lam, pts[keep], T, step)
-    return PhaseField(
-        grid,
-        values,
-        lam,
-        {
-            "method": "laplace_average",
-            "T": T,
-            "step": step,
-            "omega": 2.0 * math.pi / cfg.period,
-            "period": cfg.period,
-        },
-    )
+    values = laplace_average_batch(system.field, _sin_sum, lam, grid.points, T, step)
+    return PhaseField(grid, values, lam)
 
 
 def _sin_sum(pts: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ from koopext.bridge import (
     fit_local_family,
     leading_member,
 )
-from koopext.core import ConfigurationError, EmptySupportError, EvalGrid
-from koopext.extend import expr_from_analytic
-from koopext.dynamics import make_system
+from koopext.core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid
+from koopext.extend import expr_from_analytic, trajectory_error
+from koopext.dynamics import FlowMap, make_system
 
 A_CONFIG = {"n_centers": 100, "bandwidth": 0.05}
 B_CONFIG = {"n_centers": 80, "bandwidth": 0.15}
@@ -38,11 +38,15 @@ def edmd_bridge(family_a, family_b):
 
 
 class TestLocalFamilies:
-    def test_members_pass_spurious_filter(self, family_a, family_b):
-        for fam in (family_a, family_b):
-            assert len(fam) >= 1
+    def test_members_pass_spurious_filter(self, quad1d, family_a, family_b):
+        for fam, anchor in ((family_a, 2.0), (family_b, 3.0)):
+            assert len(fam.members) >= 1
+            # the filter's grid: 257 points over the fit window, flowed by dt
+            lo, hi = anchor - 0.85, anchor + 0.85
+            grid = EvalGrid((lo,), (hi,), (hi - lo) / 256)
+            flowed = FlowedGrid.of(FlowMap(quad1d.field, 0.1, method="exact"), grid)
             for m in fam.members:
-                assert m.trajectory_error <= 1e-2
+                assert trajectory_error(m.expr, flowed, p=1) <= 1e-2
                 assert m.eigenvalue.imag == 0 if isinstance(m.eigenvalue, complex) else True
 
     def test_anchor2_leading_member_tracks_analytic(self, quad1d, family_a):
@@ -82,7 +86,7 @@ class TestLocalFamilies:
             quad1d, 2.0, 0.85, A_CONFIG, spurious_threshold=0.0, seed=1,
             dt=0.1, n_pairs=400,
         )
-        assert len(fam) == 0
+        assert len(fam.members) == 0
 
 
 class TestFitBridge:

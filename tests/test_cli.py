@@ -178,6 +178,26 @@ class TestToolSubcommands:
         assert abs(lams[0] - math.exp(-0.18)) < 1e-6
         assert abs(lams[1] - math.exp(-0.16)) < 1e-6
 
+    def test_eig_and_extend_default_to_at_most_the_model_dimension(self, tmp_path, capsys):
+        out = str(tmp_path)
+        model = os.path.join(out, "model")
+        assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",
+                        "--out", out, "--seed", "4"]) == 0
+        assert run_cli(["fit", "--snapshots", os.path.join(out, "snapshots"),
+                        "--out", out]) == 0
+        assert run_cli(["eig", "--model", model, "--out", out]) == 0
+        assert len(json.loads((tmp_path / "spectrum.json").read_text())) == 2
+        extend = ["extend", "--model", model, "--system", "linear2d",
+                  "--grid", "-1", "1", "0.25", "--p-max", "4", "--out", out]
+        assert run_cli(extend) == 0
+        assert len(json.loads((tmp_path / "extension_report.json").read_text())) == 2
+        capsys.readouterr()
+        # an explicit count above the dimension is still refused
+        assert run_cli(["eig", "--model", model, "--n", "3", "--out", out]) == 2
+        assert "asked for 3 eigenpairs of a 2x2 matrix" in capsys.readouterr().err
+        assert run_cli([*extend, "--n", "3"]) == 2
+        assert "asked for 3 eigenpairs of a 2-dim model" in capsys.readouterr().err
+
     def test_phase_tool(self, tmp_path):
         assert run_cli(["phase", "--system", "polarLC", "--method", "analytic",
                         "--grid", "-1.5", "1.5", "0.25", "--out", str(tmp_path)]) == 0

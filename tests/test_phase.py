@@ -19,8 +19,9 @@ from koopext.experiments import _distance_to_samples
 from koopext.phase import (
     LaplaceConfig,
     PhaseField,
+    _laplace_plan,
+    _sin_sum,
     isofield,
-    laplace_average,
     laplace_average_batch,
     limit_cycle_period,
     map_trajectory_outside,
@@ -45,30 +46,30 @@ class TestLaplaceAverage:
         # x' = lam x with f(x) = x: the integrand is constant, so the average
         # equals x for every horizon
         fld = scalar_linear_field(-0.7)
-        out = laplace_average(
-            fld, lambda p: p[:, 0].astype(complex), -0.7, np.array([1.3]), T=5.0, step=0.01
+        out = laplace_average_batch(
+            fld, lambda p: p[:, 0].astype(complex), -0.7, np.array([[1.3]]), T=5.0, step=0.01
         )
-        assert out == pytest.approx(1.3, abs=1e-10)
+        assert out[0] == pytest.approx(1.3, abs=1e-10)
 
     def test_zero_at_steady_state(self):
         sys_ = make_system("polarLC", alpha=0.0)
-        out = laplace_average(
-            sys_,
+        out = laplace_average_batch(
+            sys_.field,
             lambda p: np.sin(p[:, 0] + p[:, 1]).astype(complex),
             complex(0, 1.0),
-            np.array([0.0, 0.0]),
+            np.array([[0.0, 0.0]]),
             T=10.0,
             step=0.01,
         )
-        assert abs(out) < 1e-12
+        assert abs(out[0]) < 1e-12
 
     def test_divergence_guard(self):
         fld = scalar_linear_field(1.0)
         # the integrand x e^{t} = e^{2t} passes the 1e8 guard at t = ln(1e8)/2 = 9.21
         cause = r"t = 9\.22 \(step 922 of 3000\) in 1 of 1 rows"
         with pytest.raises(DivergenceError, match=cause):
-            laplace_average(
-                fld, lambda p: p[:, 0].astype(complex), -1.0, np.array([1.0]),
+            laplace_average_batch(
+                fld, lambda p: p[:, 0].astype(complex), -1.0, np.array([[1.0]]),
                 T=30.0, step=0.01,
             )
 
@@ -89,7 +90,7 @@ class TestLaplaceAverage:
 
         def average(points):
             obs = lambda p: np.sin(p[:, 0] + p[:, 1])  # noqa: E731
-            return laplace_average_batch(sys_, obs, complex(0.0, 0.99), points, 6.0, 0.05)
+            return laplace_average_batch(sys_.field, obs, complex(0.0, 0.99), points, 6.0, 0.05)
 
         stacked = average(np.vstack([first, second]))
         apart = np.concatenate([average(first), average(second)])
@@ -127,19 +128,19 @@ class TestLaplaceAverage:
 class TestLimitCyclePeriod:
     def test_polar_unit_cycle(self):
         sys_ = make_system("polarLC", mu=1.0, omega=1.0, alpha=0.0)
-        omega, period, _ = limit_cycle_period(sys_, np.array([1.5, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_.field, np.array([1.5, 0.0]))
         assert period == pytest.approx(2 * math.pi, abs=1e-8)
 
     def test_polar_double_speed(self):
         sys_ = make_system("polarLC", mu=1.0, omega=2.0, alpha=0.0)
-        omega, period, _ = limit_cycle_period(sys_, np.array([1.5, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_.field, np.array([1.5, 0.0]))
         assert period == pytest.approx(math.pi, abs=1e-8)
 
     def test_vanderpol_period_closes_the_loop(self):
         # independent check: integrating exactly one measured period returns
         # to the starting point on the cycle, at reference tolerance
         sys_ = make_system("vanderpol")
-        omega, period, _ = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        omega, period, _ = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
 
         def rhs1(t, u):
             return sys_.field.rhs(u[None, :])[0]
@@ -150,7 +151,7 @@ class TestLimitCyclePeriod:
 
     def test_orbit_closes_after_one_period(self):
         sys_ = make_system("vanderpol")
-        _, period, orbit = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        _, period, orbit = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
         start, end = orbit(0.0), orbit(period)
         assert orbit(np.linspace(0, period, 400)).shape == (2, 400)
         assert np.linalg.norm(end - start) < 1e-8 * np.linalg.norm(start)
@@ -158,7 +159,7 @@ class TestLimitCyclePeriod:
     def test_no_cycle_detected_from_steady_flow(self):
         sys_ = make_system("linear2d")
         with pytest.raises(ConfigurationError, match="steady state"):
-            limit_cycle_period(sys_, np.array([1.0, 1.0]))
+            limit_cycle_period(sys_.field, np.array([1.0, 1.0]))
 
     def test_vanderpol_period_stops_at_the_first_return(self):
         fld = make_system("vanderpol", mu=0.3).field
@@ -178,7 +179,7 @@ class TestLimitCyclePeriod:
     def test_no_return_within_the_horizon(self):
         sys_ = make_system("vanderpol", mu=0.3)
         with pytest.raises(DivergenceError, match="no return"):
-            limit_cycle_period(sys_, np.array([2.0, 0.0]), horizon=1.0)
+            limit_cycle_period(sys_.field, np.array([2.0, 0.0]), horizon=1.0)
 
 
 class TestCycleBand:
@@ -219,7 +220,7 @@ class TestCycleBand:
     def test_band_from_the_orbit_keeps_the_points_of_a_second_relaxation(self, mu):
         sys_ = make_system("vanderpol", mu=mu)
         grid = EvalGrid((-2.8, -2.8), (2.8, 2.8), 0.1)  # the vdp_phase default
-        _, period, orbit = limit_cycle_period(sys_, np.array([2.0, 0.0]))
+        _, period, orbit = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
         near = _distance_to_samples(grid.points, orbit(np.linspace(0, period, 400)).T)
         # the oracle: relax x0 a second time at 1e-10, then integrate one
         # period, as vdp_phase did before it sampled the orbit
@@ -238,7 +239,9 @@ class TestCycleBand:
 class TestPolarEigenfunctions:
     def test_isostable_values(self):
         phi_lc, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.0, 1.0)
-        assert abs(phi_lc.anywhere(np.array([1.0]), np.array([0.3]))[0]) == pytest.approx(0.0)
+        planar_lc = make_system("polarLC", alpha=0.0).analytic_eigenfunctions[0]
+        on_cycle = [[math.cos(0.3), math.sin(0.3)]]
+        assert abs(planar_lc.eval(on_cycle)[0]) == pytest.approx(0.0)
         # C (mu/r^2 - 1) at r = 0.5 is 3
         assert abs(phi_lc.interior(np.array([0.5]), np.array([0.0]))[0]) == pytest.approx(3.0)
         # C r / sqrt(mu - r^2) at r = 0.6 is 0.75
@@ -254,8 +257,9 @@ class TestPolarEigenfunctions:
             phi_ss(np.array([1.2]), np.array([0.0]))
 
     def test_singular_tags(self):
-        phi_lc, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.5, 1.0)
-        assert singular_mask(phi_lc.anywhere(np.array([0.0]), np.array([0.0])))[0]
+        _, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.5, 1.0)
+        planar_lc = make_system("polarLC", alpha=0.5).analytic_eigenfunctions[0]
+        assert singular_mask(planar_lc.eval([[0.0, 0.0]]))[0]
         assert singular_mask(phi_ss(np.array([1.0]), np.array([0.0])))[0]
 
     def test_branch_monotonicity_alpha_zero(self):
@@ -285,14 +289,19 @@ class TestPolarClosedFormsAgree:
         return xy
 
     @pytest.mark.parametrize("mu,omega,alpha,C", PARAMS)
-    def test_phi_lc_anywhere(self, mu, omega, alpha, C):
+    def test_phi_lc_branches(self, mu, omega, alpha, C):
         xy = self.planar_points(mu)
+        r, th = np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])
+        inside, outside = (r > 0) & (r < math.sqrt(mu)), r > math.sqrt(mu)
         sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=alpha, C=C)
         phi_lc, _ = polar_eigenfunctions(mu, omega, alpha, C)
         planar = sys_.analytic_eigenfunctions[0].eval(xy)
-        polar = phi_lc.anywhere(np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0]))
-        assert planar.tobytes() == polar.tobytes()
-        assert singular_mask(planar)[0] and not singular_mask(planar)[3:].any()
+        assert planar[inside].tobytes() == phi_lc.interior(r[inside], th[inside]).tobytes()
+        assert planar[outside].tobytes() == phi_lc.exterior(r[outside], th[outside]).tobytes()
+        assert inside.sum() > 1000 and outside.sum() > 1000
+        # singular at the origin only; zero on the cycle itself
+        assert singular_mask(planar)[0] and not singular_mask(planar)[1:].any()
+        assert abs(planar[1]) < 1e-14
 
     @pytest.mark.parametrize("mu,omega,alpha,C", PARAMS)
     def test_phi_ss_inside_the_cycle(self, mu, omega, alpha, C):
@@ -408,7 +417,7 @@ class TestIsofield:
         # the argument is undefined where the field vanishes (on the cycle)
         keep = ~singular_mask(field.values) & (np.abs(field.values) > 1e-12)
         theta = np.arctan2(grid.points[keep, 1], grid.points[keep, 0])
-        diff = np.angle(np.exp(1j * (field.isochron[keep] - theta)))
+        diff = np.angle(np.exp(1j * (np.asarray(principal_arg(field.values[keep])) - theta)))
         assert np.max(np.abs(diff)) < 1e-10
 
     def test_modulus_vanishes_on_cycle(self):
@@ -420,38 +429,33 @@ class TestIsofield:
         assert np.nanmin(np.abs(field.values[near_cycle])) < 0.11
 
     def test_vanderpol_laplace_field_eigen_relation(self):
+        # the vdp_phase recipe: a band around the cycle's orbit, the one plan
         sys_ = make_system("vanderpol")
         grid = EvalGrid((-2.6, -2.6), (2.6, 2.6), 0.2)
-
-        def rhs1(t, u):
-            return sys_.field.rhs(u[None, :])[0]
-
-        p0 = solve_ivp(rhs1, (0, 60.0), [2.0, 0.0], rtol=1e-10, atol=1e-10).y[:, -1]
-        _, period, _ = limit_cycle_period(sys_, np.array([2.0, 0.0]))
-        cyc = solve_ivp(
-            rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
-            t_eval=np.linspace(0, period, 300),
-        ).y.T
-
-        def mask(pts):
-            d = np.min(np.linalg.norm(pts[:, None, :] - cyc[None, :, :], axis=2), axis=1)
-            return d <= 0.5
-
-        field = isofield(sys_, "laplace_average", grid, LaplaceConfig(mask=mask, period=period))
-        keep = ~singular_mask(field.values)
-        assert np.count_nonzero(keep) > 100
+        _, period, orbit = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
+        near = _distance_to_samples(grid.points, orbit(np.linspace(0, period, 300)).T)
+        band = grid.points[near <= 0.5]
+        assert len(band) > 100
+        lam, T, step = _laplace_plan(LaplaceConfig(period=period))
         dt = 0.6
         fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)
-        flowed = laplace_average_batch(
-            sys_,
-            lambda p: np.sin(p[:, 0] + p[:, 1]).astype(complex),
-            field.eigenvalue,
-            fmap(grid.points[keep]),
-            field.source["T"],
-            field.source["step"],
+        averaged = laplace_average_batch(
+            sys_.field, _sin_sum, lam, np.vstack([band, fmap(band)]), T, step
         )
-        resid = np.abs(flowed - np.exp(field.eigenvalue * dt) * field.values[keep])
-        assert np.max(resid) <= 5e-2 * np.max(np.abs(field.values[keep]))
+        vals, flowed = averaged[: len(band)], averaged[len(band):]
+        resid = np.abs(flowed - np.exp(lam * dt) * vals)
+        assert np.max(resid) <= 5e-2 * np.max(np.abs(vals))
+
+    def test_laplace_field_averages_every_grid_point(self):
+        sys_ = make_system("vanderpol")
+        grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.5)
+        _, period, _ = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
+        cfg = LaplaceConfig(T=2 * period, period=period)
+        field = isofield(sys_, "laplace_average", grid, cfg)
+        lam, T, step = _laplace_plan(cfg)
+        want = laplace_average_batch(sys_.field, _sin_sum, lam, grid.points, T, step)
+        assert field.eigenvalue == lam
+        assert field.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("period", [None, 0.0, -1.0])
     def test_laplace_average_needs_the_cycle_period(self, period):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,42 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
         if inspect.isfunction(getattr(mod, attr)) or inspect.isclass(getattr(mod, attr))
     }
     assert exported == defined
+
+
+SRC = Path(koopext.__file__).resolve().parent
+# the record principal_filter returns: its fields are the function's answer
+RECORDS = {"PrincipalComponents"}
+
+
+def _is_dataclass_def(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _declared_and_read():
+    declared, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef) or node.name in RECORDS:
+                continue
+            dataclass = _is_dataclass_def(node)
+            for item in node.body:
+                if dataclass and isinstance(item, ast.AnnAssign):
+                    declared.append(f"{path.stem}.{node.name}.{item.target.id}")
+                elif isinstance(item, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list
+                ):
+                    declared.append(f"{path.stem}.{node.name}.{item.name}")
+    return declared, read
+
+
+def test_every_dataclass_field_and_property_is_read_in_src():
+    declared, read = _declared_and_read()
+    assert declared
+    assert [name for name in declared if name.rsplit(".", 1)[1] not in read] == []
