@@ -18,7 +18,8 @@ import numpy as np
 from .core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, singular_mask
 from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
-from .extend import EigenfunctionExpr, expr_from_weights, normalize_to_grid, trajectory_error
+from .extend import (EigenfunctionExpr, expr_from_weights, normalize_to_grid,
+                     trajectory_error_detailed)
 from .regression import fit_edmd
 
 __all__ = [
@@ -127,7 +128,7 @@ def fit_local_family(
             expr = normalize_to_grid(expr, grid)
         except EmptySupportError:
             continue
-        if trajectory_error(expr, flowed, p=1) <= spurious_threshold:
+        if trajectory_error_detailed(expr, flowed, p=1)[0] <= spurious_threshold:
             members.append(FamilyMember(expr, lam))
     members.sort(key=lambda m: -abs(m.eigenvalue))
     return LocalFamily(tuple(members))

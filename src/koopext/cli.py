@@ -179,17 +179,19 @@ def _tool_extend(args) -> int:
     from .extend import iterative_koopman_eigensolver, write_extension_report
     from .regression import load_model
 
-    model = load_model(args.model)
     sys_ = make_system(args.system)
+    if sys_.field.exact_flow is None:
+        raise ConfigurationError(
+            f"{args.system} has no closed-form flow to measure the integration error "
+            "eps_G against, so extend cannot certify a bound for it"
+        )
+    model = load_model(args.model)
     lo, hi, h = args.grid
     grid = EvalGrid((lo,) * sys_.dim, (hi,) * sys_.dim, h)
     rk_map = FlowMap(sys_.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
     rk = FlowedGrid.of(rk_map, grid)
-    if sys_.field.exact_flow is not None:
-        exact = FlowedGrid.of(FlowMap(sys_.field, model.dt, method="exact"), grid)
-        eps_G = integration_error_sup(rk, exact)
-    else:
-        eps_G = 10 * rk_map.abs_tol
+    exact = FlowedGrid.of(FlowMap(sys_.field, model.dt, method="exact"), grid)
+    eps_G = integration_error_sup(rk, exact)
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
     results = iterative_koopman_eigensolver(
@@ -206,16 +208,15 @@ def _tool_extend(args) -> int:
 def _tool_phase(args) -> int:
     from .core import EvalGrid
     from .dynamics import make_system
-    from .phase import LaplaceConfig, isofield, limit_cycle_period, write_phase_csv
+    from .phase import isofield, limit_cycle_period, write_phase_csv
 
     sys_ = make_system(args.system)
     lo, hi, h = args.grid
     grid = EvalGrid((lo, lo), (hi, hi), h)
-    config = None
+    period = None
     if args.method == "laplace_average":
         _, period, _ = limit_cycle_period(sys_.field, (2.0, 0.0))
-        config = LaplaceConfig(period=period)
-    field = isofield(sys_, args.method, grid, config)
+    field = isofield(sys_, args.method, grid, period)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase.csv")
     write_phase_csv(path, field)

@@ -199,7 +199,7 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
             crossing_rows.append((lam, eps, p_alg_cross, p_emp_cross))
             write_extension_report(
                 os.path.join(out, f"extension_eps{eps:g}_lam{lam:.4f}.json"),
-                [PairExtension(complex(lam), w, res, 0.0)],
+                [PairExtension(complex(lam), res, 0.0)],
             )
     criteria.append(_leq("bound_violation_relative", max(bound_violation, 0.0), 1e-9))
     worst_cross = max(abs(a - b) for _, _, a, b in crossing_rows)
@@ -268,7 +268,7 @@ def _run_softplus_edmd(cfg: ExperimentConfig, out: str) -> dict:
     norm_K = np.linalg.norm(model.K)
     worst_res = max(pe.residual for pe in results) / norm_K
     worst_bound = max(
-        (e.report.bound for pe in results for e in pe.result.extensions), default=0.0
+        (e.bound for pe in results for e in pe.result.extensions), default=0.0
     )
     min_power = min(pe.result.max_power for pe in results)
     # field data for the leading extended eigenfunction family
@@ -302,7 +302,6 @@ def _bridge_defaults():
         "window": [2.25, 2.75],
         "tikhonov": 1e-8,
         "spurious_threshold": 1e-2,
-        "continuation_range": [3.02, 3.5],
     }
 
 
@@ -408,9 +407,7 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     dt = p["dt_check"]
     fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)
     # the rows are independent, so the grid and its time-dt image share one batch
-    lam, T, step = phase_mod._laplace_plan(
-        phase_mod.LaplaceConfig(period=period, T=p["T"], step=p["step"])
-    )
+    lam, T, step = phase_mod._laplace_plan(period, p["T"], p["step"])
     averaged = phase_mod.laplace_average_batch(
         sys_.field, phase_mod._sin_sum, lam, np.vstack([x_keep, fmap(x_keep)]), T, step
     )
@@ -681,10 +678,13 @@ def run(config: ExperimentConfig) -> dict:
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {config.experiment!r}")
+    runner, defaults = EXPERIMENTS[config.experiment]
+    unknown = sorted(set(config.params) - set(defaults()))
+    if unknown:
+        raise ConfigurationError(f"unknown {config.experiment} parameters {unknown}")
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     config.to_json(os.path.join(out, "config.json"))
-    runner, _ = EXPERIMENTS[config.experiment]
     result = runner(config, out)
     summary = {
         "experiment": config.experiment,

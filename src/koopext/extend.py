@@ -3,8 +3,8 @@
 Given eigenpairs of a fitted Koopman matrix (or analytic oracles), this module
 builds product/power eigenfunction expressions, measures their trajectory
 error on a grid, evaluates the two closed-form error bounds (one against
-eigenvector error, one against integration error), and runs the extension
-loops that emit powers until the certified budget is exhausted. A log-space
+eigenvector error, one against integration error), and runs the certified
+extension loop that emits powers until its budget is exhausted. A log-space
 PCA filter identifies how many independent directions a family of
 eigenfunctions really spans.
 
@@ -37,14 +37,12 @@ from .regression import KoopmanModel
 __all__ = [
     "DictionaryEigenfunction",
     "EigenfunctionExpr",
-    "ErrorReport",
     "Extension",
     "ExtensionResult",
     "expr_from_weights",
     "expr_from_analytic",
     "monomial",
     "PowerErrors",
-    "trajectory_error",
     "trajectory_error_detailed",
     "normalize_to_grid",
     "bound_constant_CFG",
@@ -246,10 +244,6 @@ def trajectory_error_detailed(expr: EigenfunctionExpr, flowed: FlowedGrid, p: fl
     return _residual_error(vx, vy, expr.step_multiplier(flowed.dt), p)
 
 
-def trajectory_error(expr: EigenfunctionExpr, flowed: FlowedGrid, p: float) -> float:
-    return trajectory_error_detailed(expr, flowed, p)[0]
-
-
 class PowerErrors:
     """Trajectory errors of the powers phi^p on one flowed grid.
 
@@ -296,10 +290,6 @@ def bound_constant_CFG(dic: Dictionary, flowed: FlowedGrid, lam: complex, p: int
         raise ConfigurationError("p must be >= 1")
     PX = dic.eval(flowed.points)
     PF = dic.eval(flowed.image)
-    return _cfg_from_features(PX, PF, lam, p)
-
-
-def _cfg_from_features(PX: np.ndarray, PF: np.ndarray, lam: complex, p: int) -> float:
     lam_abs = abs(lam)
     resid = np.linalg.norm(PF - complex(lam) * PX.astype(complex), axis=1)
     nx = np.linalg.norm(PX, axis=1)
@@ -331,23 +321,21 @@ def _continuous_budget(lam_abs: float, M: float, L: float, eps: float, p: int) -
 
 
 # ---------------------------------------------------------------------------
-# Reports and extension loops.
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    power: int
-    trajectory_error: float
-    bound: float
-    excluded_points: int = 0
+# The certified extension loop.
 
 
 @dataclass(frozen=True, eq=False)
 class Extension:
+    """One emitted power phi^p: its expression and eigenvalue, the measured
+    trajectory error (nan when not measured), the certified bound, and the
+    number of singular grid points the error excluded."""
+
     power: int
     expr: EigenfunctionExpr
     eigenvalue: complex
-    report: ErrorReport
+    trajectory_error: float
+    bound: float
+    excluded_points: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,17 +351,27 @@ class ExtensionResult:
         return max((e.power for e in self.extensions), default=0)
 
 
-def _weights_of(eigenpair_or_weights) -> tuple[np.ndarray, complex]:
-    """Accepts an Eigenpair carrying its left vector or a (weights, lam) tuple;
-    eigenfunction weights are left eigenvectors of K."""
-    ep = eigenpair_or_weights
-    if isinstance(ep, tuple) and len(ep) == 2:
-        return np.asarray(ep[0]), complex(ep[1])
-    if getattr(ep, "left", None) is None:
-        raise ConfigurationError(
-            "the eigenpair has no left eigenvector; eigenfunction weights are left eigenvectors"
-        )
-    return np.asarray(ep.left), complex(ep.lam)
+def _extension_loop(phi1, flowed, budget, budget_name, p_max, measure_errors):
+    """Emit phi1^p for p = 1, ..., p_max until budget(p) -> (exceeded, bound)
+    reports the certified budget exceeded; each emitted power carries its
+    bound and, when measured, its trajectory error on the flowed grid."""
+    errors = PowerErrors(phi1, flowed) if measure_errors else None
+    out = []
+    p = 1
+    while p <= p_max:
+        exceeded, bound = budget(p)
+        if exceeded:
+            status = f"budget exceeded at p={p}"
+            if p == 1:
+                status = f"empty: p=1 already violates the {budget_name} budget"
+            return ExtensionResult(tuple(out), status)
+        if errors is not None:
+            expr, err, excl = errors(p)
+        else:
+            expr, err, excl = monomial(phi1, p), np.nan, 0
+        out.append(Extension(p, expr, expr.eigenvalue, err, bound, excl))
+        p += 1
+    return ExtensionResult(tuple(out), f"budget never exceeded (capped at p_max={p_max})")
 
 
 def extend_discrete(
@@ -384,36 +382,22 @@ def extend_discrete(
     delta_w_norm: float,
     p_max: int = P_MAX_DEFAULT,
 ) -> ExtensionResult:
-    """Emit powers p = 1, 2, ... while the eigenvector-error budget holds:
-    |dw| <= eps^p / C_FG(p, lambda). Each emitted power carries its certified
-    bound and the measured trajectory error.
+    """Emit powers p = 1, 2, ... of the eigenfunction of eigenpair =
+    (weights, lambda), the weights a left eigenvector of K, while the
+    eigenvector-error budget holds: |dw| <= eps^p / C_FG(p, lambda). Each
+    emitted power carries its certified bound and the measured trajectory error.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    w, lam = _weights_of(eigenpair)
-    errors = PowerErrors(expr_from_weights(model, w, lam), flowed)
-    PX = model.dict.eval(flowed.points)
-    PF = model.dict.eval(flowed.image)
-    out = []
-    p = 1
-    while p <= p_max:
-        cfg = _cfg_from_features(PX, PF, lam, p)
+    phi1 = expr_from_weights(model, *eigenpair)
+
+    def budget(p):
+        cfg = bound_constant_CFG(model.dict, flowed, phi1.eigenvalue, p)
         if cfg > 0 and delta_w_norm > epsilon**p / cfg:
-            status = f"budget exceeded at p={p}"
-            if p == 1:
-                status = "empty: p=1 already violates the eigenvector budget"
-            return ExtensionResult(tuple(out), status)
-        expr, err, excl = errors(p)
-        out.append(
-            Extension(
-                power=p,
-                expr=expr,
-                eigenvalue=expr.eigenvalue,
-                report=ErrorReport(p, err, discrete_bound(delta_w_norm, cfg, p), excl),
-            )
-        )
-        p += 1
-    return ExtensionResult(tuple(out), f"budget never exceeded (capped at p_max={p_max})")
+            return True, None
+        return False, discrete_bound(delta_w_norm, cfg, p)
+
+    return _extension_loop(phi1, flowed, budget, "eigenvector", p_max, True)
 
 
 def extend_continuous(
@@ -427,45 +411,26 @@ def extend_continuous(
     p_max: int = P_MAX_DEFAULT,
     measure_errors: bool = True,
 ) -> ExtensionResult:
-    """Emit powers p = 1, 2, ... while the integration-error budget holds:
+    """Emit powers p = 1, 2, ... of the eigenfunction of eigenpair =
+    (weights, lambda) while the integration-error budget holds:
     eps_G <= (1/L)((eps^p + (|lambda| M)^p)^(1/p) - |lambda| M).
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    w, lam = _weights_of(eigenpair)
-    phi1 = expr_from_weights(model, w, lam)
-    errors = PowerErrors(phi1, flowed) if measure_errors else None
-    lam_abs = abs(lam)
-    out = []
-    p = 1
-    while p <= p_max:
+    phi1 = expr_from_weights(model, *eigenpair)
+    lam_abs = abs(phi1.eigenvalue)
+
+    def budget(p):
         if eps_G > _continuous_budget(lam_abs, M, L, epsilon, p):
-            status = f"budget exceeded at p={p}"
-            if p == 1:
-                status = "empty: p=1 already violates the integration budget"
-            return ExtensionResult(tuple(out), status)
-        if errors is not None:
-            expr, err, excl = errors(p)
-        else:
-            expr, err, excl = monomial(phi1, p), np.nan, 0
-        out.append(
-            Extension(
-                power=p,
-                expr=expr,
-                eigenvalue=expr.eigenvalue,
-                report=ErrorReport(
-                    p, err, continuous_bound(lam_abs, M, L, eps_G, p), excl
-                ),
-            )
-        )
-        p += 1
-    return ExtensionResult(tuple(out), f"budget never exceeded (capped at p_max={p_max})")
+            return True, None
+        return False, continuous_bound(lam_abs, M, L, eps_G, p)
+
+    return _extension_loop(phi1, flowed, budget, "integration", p_max, measure_errors)
 
 
 @dataclass(frozen=True, eq=False)
 class PairExtension:
     eigenvalue: complex
-    weights: np.ndarray
     result: ExtensionResult
     residual: float
     conjugate_of: int | None = None
@@ -500,19 +465,15 @@ def iterative_koopman_eigensolver(
         lam, w_unit = right.lam, left.right
         result = extend_continuous((w_unit, lam), model, flowed, epsilon, eps_G, L, M, p_max=p_max)
         residual = max(right.residual, left.residual)
-        out.append(PairExtension(lam, w_unit, result, residual))
+        out.append(PairExtension(lam, result, residual))
         if conjugate:
-            lam2, w2 = np.conj(lam), np.conj(w_unit)
+            lam2 = np.conj(lam)
+            phi2 = expr_from_weights(model, np.conj(w_unit), lam2)
             conj_exts = tuple(
-                Extension(
-                    power=e.power,
-                    expr=monomial(expr_from_weights(model, w2, lam2), e.power),
-                    eigenvalue=np.conj(e.eigenvalue),
-                    report=e.report,
-                )
+                replace(e, expr=monomial(phi2, e.power), eigenvalue=np.conj(e.eigenvalue))
                 for e in result.extensions
             )
-            out.append(PairExtension(lam2, w2, ExtensionResult(conj_exts, result.status),
+            out.append(PairExtension(lam2, ExtensionResult(conj_exts, result.status),
                                      residual, conjugate_of=len(out) - 1))
     return out
 
@@ -564,10 +525,10 @@ def write_extension_report(path, pairs: list[PairExtension]) -> None:
                         "re_lambda_p": e.eigenvalue.real,
                         "im_lambda_p": e.eigenvalue.imag,
                         "trajectory_error": None
-                        if np.isnan(e.report.trajectory_error)
-                        else e.report.trajectory_error,
-                        "bound": e.report.bound,
-                        "excluded_points": e.report.excluded_points,
+                        if np.isnan(e.trajectory_error)
+                        else e.trajectory_error,
+                        "bound": e.bound,
+                        "excluded_points": e.excluded_points,
                     }
                     for e in pe.result.extensions
                 ],

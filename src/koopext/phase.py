@@ -45,7 +45,6 @@ __all__ = [
     "transform_Ti_inv",
     "transform_To",
     "map_trajectory_outside",
-    "LaplaceConfig",
     "isofield",
     "write_phase_csv",
 ]
@@ -299,22 +298,14 @@ def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceConfig:
-    T: float | None = None
-    step: float | None = None
-    period: float | None = None  # of the limit cycle, from limit_cycle_period
-
-
-def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) -> PhaseField:
+def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, period=None) -> PhaseField:
     """Complex eigenfunction values on a grid, by closed form or Laplace average.
 
     method 'analytic' uses the system's first analytic eigenfunction (the
     polar benchmark's limit-cycle one). method 'laplace_average' integrates
     the observable sin(x1 + x2) with eigenvalue i omega, omega = 2 pi /
-    period, from the cycle period the config carries (measured by
-    limit_cycle_period); horizon defaults to 50 periods and the quadrature
-    step to period/200.
+    period, from the given cycle period (measured by limit_cycle_period),
+    over 50 periods at the quadrature step period/200.
     """
     if method == "analytic":
         if not system.analytic_eigenfunctions:
@@ -324,8 +315,7 @@ def isofield(system: BenchmarkSystem, method: str, grid: EvalGrid, config=None) 
         return PhaseField(grid, vals, complex(eig.eigenvalue))
     if method != "laplace_average":
         raise ConfigurationError("method must be 'analytic' or 'laplace_average'")
-    cfg = config or LaplaceConfig()
-    lam, T, step = _laplace_plan(cfg)
+    lam, T, step = _laplace_plan(period)
     values = laplace_average_batch(system.field, _sin_sum, lam, grid.points, T, step)
     return PhaseField(grid, values, lam)
 
@@ -335,28 +325,27 @@ def _sin_sum(pts: np.ndarray) -> np.ndarray:
     return np.sin(pts[:, 0] + pts[:, 1])
 
 
-def _laplace_plan(cfg: LaplaceConfig) -> tuple[complex, float, float]:
+def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     """(lam, T, step) of a Laplace-average field, the one rule behind all of
     them: eigenvalue i omega, omega = 2 pi / period; the horizon (default 50
     periods) rounded to whole periods so rotating terms cancel exactly; the
     step period/200 unless set. A step over twice the rounded horizon, which
     leaves 0 steps, is refused with both horizons named."""
-    period = cfg.period
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
             f"laplace_average needs the positive limit-cycle period, got {period}"
         )
     lam = complex(0.0, 2.0 * math.pi / period)
-    T = cfg.T if cfg.T is not None else 50.0 * period
-    T = period * max(1, round(T / period))
-    step = cfg.step if cfg.step is not None else period / 200.0
-    if step > 0 and round(T / step) == 0:
-        given = "50 periods" if cfg.T is None else f"{cfg.T:g}"
+    horizon = 50.0 * period if T is None else T
+    rounded = period * max(1, round(horizon / period))
+    step = period / 200.0 if step is None else step
+    if step > 0 and round(rounded / step) == 0:
+        given = "50 periods" if T is None else f"{T:g}"
         raise ConfigurationError(
-            f"horizon T = {given}, rounded to whole periods {T:g}, is under half "
+            f"horizon T = {given}, rounded to whole periods {rounded:g}, is under half "
             f"the step = {step:g}, so it rounds to 0 steps"
         )
-    return lam, T, step
+    return lam, rounded, step
 
 
 def write_phase_csv(path, field_: PhaseField) -> None:

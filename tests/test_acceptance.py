@@ -37,7 +37,7 @@ from koopext.extend import (
     monomial,
     normalize_to_grid,
     principal_filter,
-    trajectory_error,
+    trajectory_error_detailed,
 )
 from koopext.bridge import continue_across, fit_bridge, fit_local_family
 from koopext.experiments import ExperimentConfig, run
@@ -86,10 +86,10 @@ def test_criterion_2_bound_validity(linear2d_setup):
         dw *= 1e-6 / np.linalg.norm(dw)
         phi_disc = expr_from_weights(model, w + dw, lam, unit_norm=False)
         for p in range(1, 11):
-            e_c = trajectory_error(monomial(phi_cont, p), euler, p)
+            e_c = trajectory_error_detailed(monomial(phi_cont, p), euler, p)[0]
             b_c = continuous_bound(lam, M, L, eps_G, p)
             worst = max(worst, e_c / b_c - 1.0)
-            e_d = trajectory_error(monomial(phi_disc, p), exact, p)
+            e_d = trajectory_error_detailed(monomial(phi_disc, p), exact, p)[0]
             cfg = bound_constant_CFG(model.dict, exact, lam, p)
             b_d = discrete_bound(1e-6, cfg, p)
             worst = max(worst, e_d / b_d - 1.0)
@@ -116,7 +116,7 @@ def test_criterion_3_algorithm_crossing(linear2d_setup):
             phi = normalize_to_grid(expr_from_weights(model, w, lam), grid)
             empirical_crossing = None
             for p in range(1, 41):
-                if trajectory_error(monomial(phi, p), euler, p) > eps:
+                if trajectory_error_detailed(monomial(phi, p), euler, p)[0] > eps:
                     empirical_crossing = p
                     break
             gaps.append(abs(budget_crossing - empirical_crossing))
@@ -148,7 +148,7 @@ def test_criterion_4_softplus_reproduction():
     )
     norm_K = np.linalg.norm(model.K)
     worst_res = max(pe.residual for pe in results) / norm_K
-    worst_bound = max(e.report.bound for pe in results for e in pe.result.extensions)
+    worst_bound = max(e.bound for pe in results for e in pe.result.extensions)
     min_p = min(pe.result.max_power for pe in results)
     ok = worst_res <= 1e-8 and worst_bound <= 0.01 * (1 + 1e-12) and min_p == 3
     report(

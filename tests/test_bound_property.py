@@ -23,7 +23,7 @@ from koopext.extend import (
     discrete_bound,
     expr_from_weights,
     monomial,
-    trajectory_error,
+    trajectory_error_detailed,
 )
 
 P_MAX = 10
@@ -94,10 +94,10 @@ def test_certified_bounds_hold_on_random_stable_linear_systems(system, dw_log10,
             # allowance; after the 1/p root it would read as a visible error
             # wherever a bound is 0 (A = -I makes every vector an eigenvector).
             roundoff = 64 * np.finfo(float).eps * p * max(1.0, abs(lam) * M) ** p
-            e_c = trajectory_error(monomial(phi_cont, p), euler, p)
+            e_c = trajectory_error_detailed(monomial(phi_cont, p), euler, p)[0]
             b_c = continuous_bound(abs(lam), M, L, eps_G, p)
             assert e_c**p <= b_c**p * (1 + 1e-9) + roundoff, (p, lam, e_c, b_c)
-            e_d = trajectory_error(monomial(phi_disc, p), exact, p)
+            e_d = trajectory_error_detailed(monomial(phi_disc, p), exact, p)[0]
             b_d = discrete_bound(dw_norm, bound_constant_CFG(dic, exact, lam, p), p)
             assert e_d**p <= b_d**p * (1 + 1e-9) + roundoff, (p, lam, e_d, b_d)
             # the cached power loop gives the very same number

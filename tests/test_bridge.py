@@ -10,7 +10,7 @@ from koopext.bridge import (
     leading_member,
 )
 from koopext.core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid
-from koopext.extend import expr_from_analytic, trajectory_error
+from koopext.extend import expr_from_analytic, trajectory_error_detailed
 from koopext.dynamics import FlowMap, make_system
 
 A_CONFIG = {"n_centers": 100, "bandwidth": 0.05}
@@ -46,7 +46,7 @@ class TestLocalFamilies:
             grid = EvalGrid((lo,), (hi,), (hi - lo) / 256)
             flowed = FlowedGrid.of(FlowMap(quad1d.field, 0.1, method="exact"), grid)
             for m in fam.members:
-                assert trajectory_error(m.expr, flowed, p=1) <= 1e-2
+                assert trajectory_error_detailed(m.expr, flowed, p=1)[0] <= 1e-2
                 assert m.eigenvalue.imag == 0 if isinstance(m.eigenvalue, complex) else True
 
     def test_anchor2_leading_member_tracks_analytic(self, quad1d, family_a):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 import koopext
 from koopext.cli import main
 from koopext.core import ConfigurationError
-from koopext.experiments import ExperimentConfig, default_params, run
+from koopext.experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
 
 def run_cli(args):
@@ -55,6 +56,11 @@ class TestExitCodes:
 
     def test_param_without_a_value_is_a_usage_error(self, tmp_path):
         assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "n_pairs"]) == 2
+
+    def test_unknown_param_is_a_usage_error_that_names_it(self, tmp_path, capsys):
+        assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "typo=3"]) == 2
+        assert "['typo']" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_laplace_step_longer_than_the_horizon_is_a_usage_error(self, tmp_path, capsys):
         # T rounds up to one period (about 6.3), under half of step = 13
@@ -155,6 +161,12 @@ class TestConfig:
         # no `threads` or `format`: nothing read them
         assert sorted(cfg) == ["experiment", "out_dir", "params", "schema_version", "seed"]
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_default_parameter_is_read_by_its_runner(self, name):
+        runner, defaults = EXPERIMENTS[name]
+        source = inspect.getsource(runner)
+        assert [key for key in defaults() if f'p["{key}"]' not in source] == []
+
     def test_help_lists_defaults(self):
         proc = run_cli_process("softplus_edmd", "--help")
         assert proc.returncode == 0
@@ -222,3 +234,17 @@ class TestExtendTool:
             assert entry["extensions"], "every pair should certify at least p=1"
             for ext in entry["extensions"]:
                 assert ext["bound"] <= 0.1 * (1 + 1e-9)
+
+    def test_system_without_a_closed_form_flow_is_refused(self, tmp_path, capsys):
+        # without an exact flow there is no measured eps_G to certify a bound with
+        out = str(tmp_path)
+        assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",
+                        "--out", out, "--seed", "2"]) == 0
+        assert run_cli(["fit", "--snapshots", os.path.join(out, "snapshots"),
+                        "--out", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["extend", "--model", os.path.join(out, "model"),
+                        "--system", "duffing", "--grid", "-1", "1", "0.25",
+                        "--out", out]) == 2
+        assert "duffing has no closed-form flow" in capsys.readouterr().err
+        assert not (tmp_path / "extension_report.json").exists()

@@ -14,10 +14,10 @@ from koopext.core import (
 )
 from koopext.dictionary import identity_dictionary
 from koopext.dynamics import FlowMap, make_system, sample_snapshots
-from koopext.eigensolve import Eigenpair
 from koopext.extend import (
     EigenfunctionExpr,
     PowerErrors,
+    _continuous_budget,
     _pow_values,
     bound_constant_CFG,
     continuous_bound,
@@ -30,7 +30,6 @@ from koopext.extend import (
     monomial,
     normalize_to_grid,
     principal_filter,
-    trajectory_error,
     trajectory_error_detailed,
 )
 from koopext.regression import KoopmanModel, fit_edmd
@@ -155,15 +154,16 @@ class TestTrajectoryError:
         grid = EvalGrid((1.05,), (1.9,), 0.01)
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
-        assert trajectory_error(phi, FlowedGrid.of(fmap, grid), p=1) < 1e-10
+        assert trajectory_error_detailed(phi, FlowedGrid.of(fmap, grid), p=1)[0] < 1e-10
 
     def test_power_of_exact_eigenpair_stays_zero(self, quad1d):
         # the residual itself is machine zero; the 1/p root maps tolerance too
         grid = EvalGrid((1.05,), (1.9,), 0.01)
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
+        flowed = FlowedGrid.of(fmap, grid)
         for p in (2, 4):
-            err = trajectory_error(monomial(phi, p), FlowedGrid.of(fmap, grid), p=p)
+            err = trajectory_error_detailed(monomial(phi, p), flowed, p=p)[0]
             assert err**p < 1e-12
 
     def test_positive_below_bound_for_euler_flow(self, linear2d_model):
@@ -173,7 +173,7 @@ class TestTrajectoryError:
         lams, W = np.linalg.eig(model.K.T)
         j = int(np.argmax(lams.real))
         expr = expr_from_weights(model, W[:, j].real, lams[j].real)
-        err = trajectory_error(expr, FlowedGrid.of(euler, grid), p=1)
+        err = trajectory_error_detailed(expr, FlowedGrid.of(euler, grid), p=1)[0]
         assert err > 0
 
     def test_singular_points_excluded_and_counted(self, quad1d):
@@ -203,7 +203,7 @@ class TestTrajectoryError:
         inv = monomial(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), -1)
         bad_grid = EvalGrid((2.0,), (2.0,), 0.5)
         with pytest.raises(EmptySupportError):
-            trajectory_error(inv, FlowedGrid.of(fmap, bad_grid), p=1)
+            trajectory_error_detailed(inv, FlowedGrid.of(fmap, bad_grid), p=1)[0]
 
 
 def mode_of(ratio: np.ndarray) -> float:
@@ -324,9 +324,7 @@ class TestExtensionLoops:
         lams, W = np.linalg.eig(model.K.T)
         order = np.argsort(-lams.real)
         j = order[which]
-        return Eigenpair(
-            lam=complex(lams[j].real), left=W[:, j].real
-        )
+        return W[:, j].real, complex(lams[j].real)
 
     def test_zero_eigenvector_error_caps_at_pmax(self, linear2d_model):
         sys_, model = linear2d_model
@@ -368,7 +366,7 @@ class TestExtensionLoops:
         )
         assert len(res) >= 1
         for ext in res.extensions:
-            assert ext.report.bound <= eps * (1 + 1e-12)
+            assert ext.bound <= eps * (1 + 1e-12)
 
     def test_weights_are_the_left_eigenvector(self):
         K = np.array([[0.9, 0.3], [0.0, 0.5]])
@@ -378,9 +376,7 @@ class TestExtensionLoops:
         grid = EvalGrid((-1, -1), (1, 1), 0.5)
         flowed = FlowedGrid(grid.points, grid.points @ K, 0.1)
         kw = dict(epsilon=0.5, eps_G=0.0, L=1.0, M=math.sqrt(2), p_max=1)
-        with pytest.raises(ConfigurationError, match="left eigenvector"):
-            extend_continuous(Eigenpair(lam=0.9, right=np.array([1.0, 0.0])), model, flowed, **kw)
-        res = extend_continuous(Eigenpair(lam=0.9, left=np.array([0.8, 0.6])), model, flowed, **kw)
+        res = extend_continuous((np.array([0.8, 0.6]), 0.9), model, flowed, **kw)
         base = res.extensions[0].expr.factors[0][0]
         assert base.weights == pytest.approx([0.8, 0.6], abs=1e-15)
 
@@ -403,14 +399,15 @@ class TestExtensionLoops:
         assert len(results) == 2
         assert results[0].eigenvalue == pytest.approx(0.9 + 0j, abs=1e-10)
         assert results[1].eigenvalue == pytest.approx(0.5 + 0j, abs=1e-10)
-        for got, lam in zip(results, (0.9, 0.5)):
+        for got in results:
+            base = got.result.extensions[0].expr.factors[0][0]
             solo = extend_continuous(
-                (got.weights, got.eigenvalue), model, flowed,
+                (base.weights, got.eigenvalue), model, flowed,
                 epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
             )
             assert solo.max_power == got.result.max_power
             for a, b in zip(solo.extensions, got.result.extensions):
-                assert a.report.bound == pytest.approx(b.report.bound, rel=1e-12)
+                assert a.bound == pytest.approx(b.bound, rel=1e-12)
 
     def test_iterative_n_zero_empty(self, linear2d_model):
         sys_, model = linear2d_model
@@ -430,8 +427,8 @@ class TestExtensionLoops:
             eigenvalue_kind=phi.eigenvalue_kind, scale=7.5 + 0j,
         )
         flowed = FlowedGrid.of(fmap, grid)
-        e1 = trajectory_error(normalize_to_grid(phi, grid), flowed, 1)
-        e2 = trajectory_error(normalize_to_grid(scaled, grid), flowed, 1)
+        e1 = trajectory_error_detailed(normalize_to_grid(phi, grid), flowed, 1)[0]
+        e2 = trajectory_error_detailed(normalize_to_grid(scaled, grid), flowed, 1)[0]
         assert e1 == pytest.approx(e2, abs=1e-14)
 
 
@@ -471,25 +468,35 @@ class TestPrincipalFilter:
             principal_filter([np.full(5, np.nan), np.full(5, np.inf)])
 
 
-class TestDiscreteLoopConsistency:
-    def test_emitted_range_matches_manual_budget(self, linear2d_model):
-        # the loop must emit exactly the powers whose eigenvector budget holds
+class TestLoopConsistency:
+    @pytest.mark.parametrize("loop", ["extend_discrete", "extend_continuous"])
+    def test_emitted_range_matches_manual_budget(self, linear2d_model, loop):
+        # each loop must emit exactly the powers whose budget holds, p by p,
+        # each with the closed-form bound of that power
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.1)
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lams, W = np.linalg.eig(model.K.T)
         j = int(np.argmax(lams.real))
         lam, w = float(lams[j].real), W[:, j].real
-        eps, dw = 0.1, 1e-6
+        eps, dw, eps_G, L, M = 0.1, 1e-6, 1e-4, 1.0, math.sqrt(2)
         flowed = FlowedGrid.of(fmap, grid)
-        res = extend_discrete((w, lam), model, flowed, eps, dw, p_max=30)
+        if loop == "extend_discrete":
+            res = extend_discrete((w, lam), model, flowed, eps, dw, p_max=30)
+        else:
+            res = extend_continuous((w, lam), model, flowed, eps, eps_G, L, M, p_max=30)
         expected = []
         for p in range(1, 31):
-            cfg = bound_constant_CFG(model.dict, flowed, lam, p)
-            if dw > eps**p / cfg:
-                break
-            expected.append(p)
-        assert [e.power for e in res.extensions] == expected
+            if loop == "extend_discrete":
+                cfg = bound_constant_CFG(model.dict, flowed, lam, p)
+                if dw > eps**p / cfg:
+                    break
+                expected.append((p, discrete_bound(dw, cfg, p)))
+            else:
+                if eps_G > _continuous_budget(abs(lam), M, L, eps, p):
+                    break
+                expected.append((p, continuous_bound(abs(lam), M, L, eps_G, p)))
+        assert [(e.power, e.bound) for e in res.extensions] == expected
         assert 1 <= len(expected) < 30
 
 
@@ -508,7 +515,7 @@ class TestReportRoundTrip:
             epsilon=0.15, eps_G=1e-4, L=1.0, M=math.sqrt(2),
         )
         path = tmp_path / "report.json"
-        write_extension_report(path, [PairExtension(complex(lams[0]), W[:, 0].real, res, 1e-12)])
+        write_extension_report(path, [PairExtension(complex(lams[0]), res, 1e-12)])
         data = json.loads(path.read_text())
         assert data[0]["extensions"][0]["p"] == 1
         assert data[0]["residual"] == 1e-12

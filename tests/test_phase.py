@@ -17,7 +17,6 @@ from koopext.core import (
 from koopext.dynamics import FlowMap, VectorField, make_system
 from koopext.experiments import _distance_to_samples
 from koopext.phase import (
-    LaplaceConfig,
     PhaseField,
     _laplace_plan,
     _sin_sum,
@@ -436,7 +435,7 @@ class TestIsofield:
         near = _distance_to_samples(grid.points, orbit(np.linspace(0, period, 300)).T)
         band = grid.points[near <= 0.5]
         assert len(band) > 100
-        lam, T, step = _laplace_plan(LaplaceConfig(period=period))
+        lam, T, step = _laplace_plan(period)
         dt = 0.6
         fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)
         averaged = laplace_average_batch(
@@ -450,9 +449,8 @@ class TestIsofield:
         sys_ = make_system("vanderpol")
         grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.5)
         _, period, _ = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
-        cfg = LaplaceConfig(T=2 * period, period=period)
-        field = isofield(sys_, "laplace_average", grid, cfg)
-        lam, T, step = _laplace_plan(cfg)
+        field = isofield(sys_, "laplace_average", grid, period)
+        lam, T, step = _laplace_plan(period)
         want = laplace_average_batch(sys_.field, _sin_sum, lam, grid.points, T, step)
         assert field.eigenvalue == lam
         assert field.values.tobytes() == want.tobytes()
@@ -462,7 +460,7 @@ class TestIsofield:
         sys_ = make_system("vanderpol")
         grid = EvalGrid((-0.5, -0.5), (0.5, 0.5), 0.5)
         with pytest.raises(ConfigurationError, match="period"):
-            isofield(sys_, "laplace_average", grid, LaplaceConfig(period=period))
+            isofield(sys_, "laplace_average", grid, period)
 
     def test_phase_csv(self, tmp_path):
         sys_ = make_system("polarLC", alpha=0.0)
