@@ -3,7 +3,8 @@
 One experiment per invocation: a subcommand per benchmark study plus generic
 tool subcommands (simulate, fit, eig, extend, phase). Every default is listed
 by --help. Exit codes: 0 success, 1 numeric failure (acceptance thresholds
-unmet), 2 usage error, 3 internal error.
+unmet, or a typed numeric error such as IllConditionedError), 2 usage error,
+3 internal error.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from .core import ConfigurationError
+from .core import ConfigurationError, NumericError
 from .experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
 EXIT_OK = 0
@@ -251,6 +252,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericError as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

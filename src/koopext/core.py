@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "NumericError",
     "ContractViolationError",
     "SingularInputError",
     "ConfigurationError",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 
+class NumericError(Exception):
+    """Base of the typed failures of the computation itself, which the CLI
+    reports as numeric failures (exit 1), naming the error."""
+
+
 class ContractViolationError(ValueError):
     """An argument violates a documented precondition (e.g. length mismatch)."""
 
@@ -47,19 +53,19 @@ class ConfigurationError(ValueError):
     """Invalid parameter combination."""
 
 
-class DomainError(ValueError):
+class DomainError(NumericError, ValueError):
     """Evaluation requested outside a function's declared domain."""
 
 
-class EmptySupportError(ValueError):
+class EmptySupportError(NumericError, ValueError):
     """Every point was masked out; nothing left to reduce over."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericError, RuntimeError):
     """A trajectory or integrand blew past the divergence guard."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericError, RuntimeError):
     """Iteration did not converge; carries the last iterate when available."""
 
     def __init__(self, message: str, last_iterate=None):
@@ -67,11 +73,11 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class IllConditionedError(RuntimeError):
+class IllConditionedError(NumericError, RuntimeError):
     """Linear solve refused; message names the condition number."""
 
 
-class NearDefectiveError(RuntimeError):
+class NearDefectiveError(NumericError, RuntimeError):
     """Biorthogonal normalization failed (w^T v ~ 0); message names the index."""
 
 

@@ -2,9 +2,10 @@
 
 Each benchmark ships with closed-form eigenfunctions of its Koopman operator
 where they exist, so downstream computations can be checked against exact
-oracles. All evaluators are vectorized over a batch of states: an array of
-shape (n, d) in, an array of shape (n,) or (n, d) out. Singular evaluations
-are tagged (complex NaN), never returned as Inf.
+oracles. A vector field's rhs maps states of shape (..., d), one state (d,)
+or a batch (n, d), to derivatives of the same shape; eigenfunction
+evaluators map a batch (n, d) to (n,). Singular evaluations are tagged
+(complex NaN), never returned as Inf.
 """
 from __future__ import annotations
 
@@ -72,26 +73,22 @@ _DP_B4 = np.array(
 _DP_ERR = _DP_B5 - _DP_B4
 
 
-def _dp_combine(terms, h):
-    """h * (0 + c_0 k_0 + c_1 k_1 + ...) over the (c, k) pairs of `terms`,
+def _dp_combine(k, row, h, tmp):
+    """h * (0 + c_0 k[j_0] + c_1 k[j_1] + ...) over the (c, j) pairs of `row`,
     accumulated in place in the order of a Python sum() that starts at 0, so
-    the bits match that sum."""
-    terms = iter(terms)
-    c, ki = next(terms)
-    acc = np.multiply(ki, c)
+    the bits match that sum. `tmp` is scratch of the stages' shape."""
+    (c, j), *rest = row
+    acc = np.multiply(k[j], c)
     acc += 0
-    tmp = np.empty_like(acc)
-    for c, ki in terms:
-        acc += np.multiply(ki, c, out=tmp)
+    for c, j in rest:
+        acc += np.multiply(k[j], c, out=tmp)
     acc *= h
     return acc
 
 
-# stages with a nonzero weight in the error estimate
-_DP_ERR_NZ = tuple(i for i, e in enumerate(_DP_ERR) if e != 0.0)
-
-
-# the (weight, stage) pairs of each _DP_A row whose weight is nonzero
+# the (weight, stage) pairs of the error estimate and of each _DP_A row
+# whose weight is nonzero
+_DP_ERR_NZ = tuple((e, i) for i, e in enumerate(_DP_ERR) if e != 0.0)
 _DP_A_NZ = tuple(tuple((a, j) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
 
 
@@ -105,8 +102,9 @@ def _dp_step(rhs, y, h, k0):
     full row whenever k[1] is finite.
     """
     k = [k0]
-    for i in range(1, 7):
-        yi = _dp_combine(((a, k[j]) for a, j in _DP_A_NZ[i]), h)
+    tmp = np.empty_like(y)
+    for row in _DP_A_NZ[1:]:
+        yi = _dp_combine(k, row, h, tmp)
         yi += y
         k.append(rhs(yi))
     return yi, k
@@ -143,7 +141,7 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
     while remaining > 0.0:
         h = min(h, remaining)
         y_new, k = _dp_step(signed_rhs, y, h, k0)
-        err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
+        err = _dp_combine(k, _DP_ERR_NZ, h, np.empty_like(y))
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore"):
             err_norm = float(np.nanmax(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
@@ -165,10 +163,12 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side of x' = F(x), vectorized over rows of (n, d) input.
+    """Right-hand side of x' = F(x): `rhs` maps states of shape (..., d) to
+    derivatives of the same shape, so one state (d,) and a batch (n, d) go
+    through the same formula, and rhs(u) has the bits of rhs(u[None])[0].
 
-    `exact_flow(points, t)`, when present, is the closed-form time-t flow used
-    by FlowMap(method='exact').
+    `exact_flow(points, t)`, when present, is the closed-form time-t flow of
+    (n, d) points used by FlowMap(method='exact').
     """
 
     dim: int
@@ -177,7 +177,7 @@ class VectorField:
 
     def ode_rhs(self, _t, u: np.ndarray) -> np.ndarray:
         """F at the single state u, in the (t, u) signature of solve_ivp."""
-        return self.rhs(u[None, :])[0]
+        return self.rhs(u)
 
 
 @dataclass(frozen=True)
@@ -616,11 +616,11 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
     smu = math.sqrt(mu)
 
     def rhs(p):
-        x, y = p[:, 0], p[:, 1]
+        x, y = p[..., 0], p[..., 1]
         r2 = x * x + y * y
         radial = mu - r2
         swirl = omega + alpha * (np.sqrt(r2) - smu)
-        return np.column_stack([x * radial - y * swirl, y * radial + x * swirl])
+        return np.stack([x * radial - y * swirl, y * radial + x * swirl], axis=-1)
 
     def exact_flow(p, t):
         x, y = p[:, 0], p[:, 1]
@@ -662,16 +662,10 @@ def _vanderpol(mu=0.3) -> BenchmarkSystem:
     mu = float(mu)
 
     def rhs(p):
-        # mu * (1 - x*x) * y - x, evaluated in place in that order
-        x, y = p[:, 0], p[:, 1]
-        out = np.empty((len(p), 2))
-        out[:, 0] = y
-        dy = out[:, 1]
-        np.multiply(x, x, out=dy)
-        np.subtract(1.0, dy, out=dy)
-        dy *= mu
-        dy *= y
-        dy -= x
+        x, y = p[..., 0], p[..., 1]
+        out = np.empty_like(p)
+        out[..., 0] = y
+        out[..., 1] = mu * (1.0 - x * x) * y - x
         return out
 
     return BenchmarkSystem(
@@ -764,9 +758,8 @@ def _bistable2d() -> BenchmarkSystem:
         return J
 
     def rhs(x):
-        y = bistable_transform_inv(x)
-        dy = rhs_y(y)
-        return np.einsum("nij,nj->ni", jac_h(y), dy)
+        y = bistable_transform_inv(np.reshape(x, (-1, 2)))
+        return np.einsum("nij,nj->ni", jac_h(y), rhs_y(y)).reshape(np.shape(x))
 
     def flow_y(y, t):
         y1, y2 = y[:, 0], y[:, 1]
@@ -829,8 +822,8 @@ def _duffing(delta=0.5, beta=-1.0, alpha=0.1) -> BenchmarkSystem:
         raise ConfigurationError("duffing needs alpha != 0")
 
     def rhs(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.column_stack([y, -delta * y - x * (beta + alpha * x * x)])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([y, -delta * y - x * (beta + alpha * x * x)], axis=-1)
 
     steady = [np.zeros(2)]
     if beta / alpha < 0:

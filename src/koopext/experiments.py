@@ -396,6 +396,8 @@ def _distance_to_samples(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     p = {**_vdp_defaults(), **cfg.params}
+    if not p["dt_check"] > 0:
+        raise ConfigurationError(f"dt_check must be positive, got {p['dt_check']}")
     sys_ = make_system("vanderpol", mu=p["mu"])
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
@@ -403,6 +405,8 @@ def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
     omega, period, orbit = phase_mod.limit_cycle_period(sys_.field, x0)
     cyc = orbit(np.linspace(0, period, 400)).T
     keep = _distance_to_samples(grid.points, cyc) <= p["band"]
+    if not keep.any():
+        raise ConfigurationError(f"band = {p['band']} keeps no grid point near the cycle")
     x_keep = grid.points[keep]
     dt = p["dt_check"]
     fmap = FlowMap(sys_.field, dt, method="rk45", rel_tol=1e-10, abs_tol=1e-12)

@@ -95,12 +95,12 @@ def laplace_average_batch(
         raise ConfigurationError(
             f"horizon T = {T:g} is under half the step = {step:g}, so it rounds to 0 steps"
         )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    # column-major, so each coordinate column the rhs reads and writes is contiguous
+    y = np.array(np.atleast_2d(points), dtype=float, order="F")
     h = T / n_steps
     lam = complex(lam)
-    y = pts.copy()
     g_prev = np.asarray(observable(y), dtype=complex)
-    acc = np.zeros(pts.shape[0], dtype=complex)
+    acc = np.zeros(y.shape[0], dtype=complex)
     t = 0.0
     k0 = fld.rhs(y)
     for i in range(n_steps):
@@ -329,17 +329,20 @@ def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     """(lam, T, step) of a Laplace-average field, the one rule behind all of
     them: eigenvalue i omega, omega = 2 pi / period; the horizon (default 50
     periods) rounded to whole periods so rotating terms cancel exactly; the
-    step period/200 unless set. A step over twice the rounded horizon, which
-    leaves 0 steps, is refused with both horizons named."""
+    step period/200 unless set. A non-positive T or step is refused, and so is
+    a step over twice the rounded horizon, which leaves 0 steps."""
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
             f"laplace_average needs the positive limit-cycle period, got {period}"
         )
+    for name, value in (("T", T), ("step", step)):
+        if value is not None and not value > 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
     lam = complex(0.0, 2.0 * math.pi / period)
     horizon = 50.0 * period if T is None else T
     rounded = period * max(1, round(horizon / period))
     step = period / 200.0 if step is None else step
-    if step > 0 and round(rounded / step) == 0:
+    if round(rounded / step) == 0:
         given = "50 periods" if T is None else f"{T:g}"
         raise ConfigurationError(
             f"horizon T = {given}, rounded to whole periods {rounded:g}, is under half "

@@ -76,6 +76,52 @@ class TestExitCodes:
         # the T the user gave, then the whole period it was rounded up to
         assert "horizon T = 1, rounded to whole periods 6.31844," in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, named", [
+        ("band=0", "band = 0 keeps no grid point"),
+        ("band=-1", "band = -1 keeps no grid point"),
+        ("dt_check=0", "dt_check must be positive, got 0"),
+        ("T=-5", "T must be positive, got -5"),
+        ("step=0", "step must be positive, got 0"),
+    ])
+    def test_vdp_phase_refuses_a_criterion_over_nothing(self, tmp_path, capsys, param, named):
+        # each used to exit 3 on a zero-size reduction, pass vacuously or
+        # average over a horizon the user did not give
+        assert run_cli(["vdp_phase", "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
+        # a box of zero width gives a rank-deficient Gram matrix
+        assert run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", "box=0"]) == 1
+        assert "numeric failure: IllConditionedError: " in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("error", [
+        "IllConditionedError", "NearDefectiveError", "DivergenceError",
+        "ConvergenceError", "EmptySupportError", "DomainError",
+    ])
+    def test_every_typed_numeric_error_exits_one(self, tmp_path, capsys, monkeypatch, error):
+        from koopext import core, experiments
+
+        def raising_runner(cfg, out):
+            raise getattr(core, error)("raised by the runner")
+
+        defaults = experiments.EXPERIMENTS["lin5d_check"][1]
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, defaults))
+        assert run_cli(["lin5d_check", "--out", str(tmp_path)]) == 1
+        assert f"numeric failure: {error}: raised by the runner" in capsys.readouterr().err
+
+    def test_bare_runtime_error_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        from koopext import experiments
+
+        def raising_runner(cfg, out):
+            raise RuntimeError("a bug")
+
+        defaults = experiments.EXPERIMENTS["lin5d_check"][1]
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, defaults))
+        assert run_cli(["lin5d_check", "--out", str(tmp_path)]) == 3
+        assert "internal error: RuntimeError: a bug" in capsys.readouterr().err
+
     def test_usage_error_on_unknown_config_key(self, tmp_path, capsys):
         # a config written before `threads` and `format` were dropped
         path = tmp_path / "old.json"

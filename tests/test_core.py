@@ -290,3 +290,23 @@ class TestHeaderlessCSVBytes:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert new.count(b"\n") == shape[0]
+
+
+class TestNumericErrors:
+    @pytest.mark.parametrize("name, builtin", [
+        ("IllConditionedError", RuntimeError), ("NearDefectiveError", RuntimeError),
+        ("DivergenceError", RuntimeError), ("ConvergenceError", RuntimeError),
+        ("EmptySupportError", ValueError), ("DomainError", ValueError),
+    ])
+    def test_one_base_and_the_builtin_base_kept(self, name, builtin):
+        import koopext.core as core
+
+        cls = getattr(core, name)
+        assert issubclass(cls, core.NumericError) and issubclass(cls, builtin)
+
+    def test_usage_errors_are_not_numeric(self):
+        import koopext.core as core
+
+        for cls in (core.ConfigurationError, core.ContractViolationError,
+                    core.SingularInputError, core.UnsupportedSystemError):
+            assert not issubclass(cls, core.NumericError)

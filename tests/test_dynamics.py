@@ -446,7 +446,7 @@ class TestDormandPrinceStep:
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("sign", [None, 1.0, -1.0])
     def test_matches_the_generator_sum_bit_for_bit(self, d, sign):
-        from koopext.dynamics import _DP_ERR, _DP_ERR_NZ, _dp_combine, _dp_step
+        from koopext.dynamics import _DP_ERR_NZ, _dp_combine, _dp_step
 
         rng = np.random.default_rng(d)
         c = rng.normal(size=d)
@@ -469,7 +469,7 @@ class TestDormandPrinceStep:
             # the 7th stage is the next step's 1st
             self.assert_same_bits(k[6], rhs(want_y5))
             # the error estimate as dp45 forms it
-            err = _dp_combine(((_DP_ERR[i], k[i]) for i in _DP_ERR_NZ), h)
+            err = _dp_combine(k, _DP_ERR_NZ, h, np.empty_like(y))
             self.assert_same_bits(err, want_err)
 
     def test_zero_stages_match_the_seven_term_rows(self):
@@ -556,3 +556,103 @@ class TestDormandPrinceStep:
         x, y = p[:, 0], p[:, 1]
         want = np.column_stack([y, 0.7 * (1.0 - x * x) * y - x])
         self.assert_same_bits(sys_.field.rhs(p), want)
+
+
+def _pre_change_dp_combine(terms, h):
+    # _dp_combine before the stage table: one scratch array per stage
+    terms = iter(terms)
+    c, ki = next(terms)
+    acc = np.multiply(ki, c)
+    acc += 0
+    tmp = np.empty_like(acc)
+    for c, ki in terms:
+        acc += np.multiply(ki, c, out=tmp)
+    acc *= h
+    return acc
+
+
+def _pre_change_dp_step(rhs, y, h, k0):
+    # _dp_step before the stage table: a generator of (weight, stage) pairs
+    from koopext.dynamics import _DP_A
+
+    nonzero = tuple(tuple((a, j) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
+    k = [k0]
+    for i in range(1, 7):
+        yi = _pre_change_dp_combine(((a, k[j]) for a, j in nonzero[i]), h)
+        yi += y
+        k.append(rhs(yi))
+    return yi, k
+
+
+def _pre_change_vanderpol_rhs(mu):
+    # the in-place (n, 2) Van der Pol rhs that the (..., d) formula replaced
+    def rhs(p):
+        x, y = p[:, 0], p[:, 1]
+        out = np.empty((len(p), 2))
+        out[:, 0] = y
+        dy = out[:, 1]
+        np.multiply(x, x, out=dy)
+        np.subtract(1.0, dy, out=dy)
+        dy *= mu
+        dy *= y
+        dy -= x
+        return out
+
+    return rhs
+
+
+# a box per system in which every state is in the rhs's domain
+RHS_BOXES = {**SAMPLE_BOXES, "vanderpol": ((-3.0, -3.0), (3.0, 3.0)),
+             "duffing": ((-3.0, -3.0), (3.0, 3.0))}
+
+
+class TestSingleStateRhs:
+    """One rhs formula serves a state (d,) and a batch (n, d), bit for bit."""
+
+    def test_every_registered_system_has_a_box(self):
+        from koopext.dynamics import _FACTORIES
+
+        assert set(RHS_BOXES) == set(_FACTORIES)
+
+    @pytest.mark.parametrize("sid", sorted(RHS_BOXES))
+    def test_single_state_matches_the_one_row_batch(self, sid):
+        fld = make_system(sid).field
+        lo, hi = (np.asarray(v) for v in RHS_BOXES[sid])
+        states = lo + (hi - lo) * np.random.default_rng(11).random((200, fld.dim))
+        states[0] = -0.0
+        for u in states:
+            got = fld.rhs(u)
+            want = fld.rhs(u[None])[0]
+            assert got.shape == u.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert fld.ode_rhs(0.0, u).tobytes() == want.tobytes()
+        assert fld.rhs(states).shape == states.shape
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_vanderpol_matches_the_in_place_rhs(self, order):
+        p = np.array(np.random.default_rng(2).normal(size=(301, 2)), order=order)
+        p[:3] = -0.0
+        got = make_system("vanderpol", mu=0.3).field.rhs(p)
+        want = _pre_change_vanderpol_rhs(0.3)(p)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags[f"{order}_CONTIGUOUS"]
+
+
+class TestStageTable:
+    """_dp_step against a copy of the step it replaced."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sid", ["vanderpol", "duffing", "lin5d", "cubic1d"])
+    def test_matches_the_pre_change_step(self, sid, order):
+        from koopext.dynamics import _dp_step
+
+        fld = make_system(sid).field
+        lo, hi = (np.asarray(v) for v in RHS_BOXES[sid])
+        y = lo + (hi - lo) * np.random.default_rng(5).random((97, fld.dim))
+        y[:2] = -0.0
+        y = np.array(y, order=order)
+        for h in (0.1, 1e-3, -0.37):
+            got_y, got_k = _dp_step(fld.rhs, y, h, fld.rhs(y))
+            want_y, want_k = _pre_change_dp_step(fld.rhs, y, h, fld.rhs(y))
+            assert got_y.tobytes() == want_y.tobytes()
+            assert [k.tobytes() for k in got_k] == [k.tobytes() for k in want_k]

@@ -123,6 +123,54 @@ class TestLaplaceAverage:
                 fld, lambda p: p[:, 0].astype(complex), -0.5, np.array([[1.0]]), T, 13.0
             )
 
+    @pytest.mark.parametrize("kwargs", [{"T": -5.0}, {"T": 0.0}, {"step": 0.0},
+                                        {"step": -0.1}, {"T": math.nan}])
+    def test_non_positive_horizon_or_step_is_refused(self, kwargs):
+        # it used to be rounded up to one period, or passed on to the average
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive, got {value}"):
+            _laplace_plan(6.3, **kwargs)
+
+
+def _pre_change_laplace_average_batch(fld, observable, lam, points, T, step):
+    # laplace_average_batch before its state went column-major: C-ordered
+    # rows, the pre-change step, and no divergence guard
+    from test_dynamics import _pre_change_dp_step
+
+    n_steps = int(round(T / step))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h = T / n_steps
+    lam = complex(lam)
+    y = pts.copy()
+    g_prev = np.asarray(observable(y), dtype=complex)
+    acc = np.zeros(pts.shape[0], dtype=complex)
+    t = 0.0
+    k0 = fld.rhs(y)
+    for _ in range(n_steps):
+        y, k = _pre_change_dp_step(fld.rhs, y, h, k0)
+        k0 = k[6]
+        t += h
+        g = np.asarray(observable(y), dtype=complex) * np.exp(-lam * t)
+        acc += 0.5 * h * (g_prev + g)
+        g_prev = g
+    return acc / T
+
+
+class TestColumnMajorAverage:
+    def test_matches_the_pre_change_average_on_a_vanderpol_band(self):
+        from test_dynamics import _pre_change_vanderpol_rhs
+
+        sys_ = make_system("vanderpol", mu=0.3)
+        _, period, orbit = limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
+        grid = EvalGrid((-2.8, -2.8), (2.8, 2.8), 0.2)
+        band = grid.points[_distance_to_samples(grid.points, orbit(np.linspace(0, period, 400)).T) <= 0.3]
+        assert 50 < len(band) < 500
+        lam, T, step = _laplace_plan(period, 3 * period, 0.05)
+        got = laplace_average_batch(sys_.field, _sin_sum, lam, band, T, step)
+        old_field = VectorField(2, _pre_change_vanderpol_rhs(0.3))
+        want = _pre_change_laplace_average_batch(old_field, _sin_sum, lam, band, T, step)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLimitCyclePeriod:
     def test_polar_unit_cycle(self):
@@ -165,15 +213,17 @@ class TestLimitCyclePeriod:
         calls = []
 
         def counting_rhs(p):
-            calls.append(len(p))
+            calls.append(p.shape)
             return fld.rhs(p)
 
         omega, period, _ = limit_cycle_period(VectorField(2, counting_rhs), np.array([2.0, 0.0]))
         # the value the search over the whole horizon gave, to the last bit
         assert period == 6.318443203450758
         assert omega == 2.0 * math.pi / period
-        # about 26,600 calls; integrating on to the horizon took 64,094
-        assert len(calls) < 35_000
+        # integrating on to the horizon took 64,094 calls; every call is on
+        # one state, with no (1, d) batch around it
+        assert len(calls) == 26_618
+        assert set(calls) == {(2,)}
 
     def test_no_return_within_the_horizon(self):
         sys_ = make_system("vanderpol", mu=0.3)
