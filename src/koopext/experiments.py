@@ -49,12 +49,10 @@ from .eigensolve import deflate_spectrum, write_spectrum_json
 from .extend import (
     PairExtension,
     PowerErrors,
-    bound_constant_CFG,
-    continuous_bound,
-    discrete_bound,
     expr_from_analytic,
     expr_from_weights,
     extend_continuous,
+    extend_discrete,
     iterative_koopman_eigensolver,
     normalize_to_grid,
     write_extension_report,
@@ -118,6 +116,10 @@ def _linear2d_defaults():
 
 def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
     p = {**_linear2d_defaults(), **cfg.params}
+    if not p["p_max_curve"] >= 1:
+        raise ConfigurationError(f"p_max_curve must be >= 1, got {p['p_max_curve']}")
+    if not p["epsilons"]:
+        raise ConfigurationError(f"epsilons must hold at least one value, got {p['epsilons']}")
     sys_ = make_system("linear2d")
     b = p["box"]
     snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), cfg.seed)
@@ -162,24 +164,18 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
             key=lambda t: abs(t[0] - lam),
         )
         lam_x, w_x = exact_pair
-        phi_cont = expr_from_weights(model, w_x, lam_x)
+        cont = extend_continuous((w_x, lam_x), model, euler, math.inf, eps_G, L, M,
+                                 p_max=p["p_max_curve"])
         # discrete bound: exact flow, injected eigenvector error
         dw = rng.standard_normal(2)
         dw *= p["delta_w_norm"] / np.linalg.norm(dw)
-        phi_disc = expr_from_weights(model, w_x + dw, lam_x, unit_norm=False)
-        errors_c = PowerErrors(phi_cont, euler)
-        errors_d = PowerErrors(phi_disc, exact)
-        for power in range(1, p["p_max_curve"] + 1):
-            e_c = errors_c(power)[1]
-            b_c = continuous_bound(lam_x, M, L, eps_G, power)
-            e_d = errors_d(power)[1]
-            cfg_const = bound_constant_CFG(model.dict, exact, lam_x, power)
-            b_d = discrete_bound(p["delta_w_norm"], cfg_const, power)
-            bound_violation = max(
-                bound_violation, e_c / b_c - 1.0 if b_c > 0 else 0.0,
-                e_d / b_d - 1.0 if b_d > 0 else 0.0,
-            )
-            curves.append((lam_x, power, e_c, b_c, e_d, b_d))
+        disc = extend_discrete((w_x + dw, lam_x), model, exact, math.inf, p["delta_w_norm"],
+                               p_max=p["p_max_curve"])
+        for c, d in zip(cont.extensions, disc.extensions, strict=True):
+            bound_violation = max(bound_violation, *(
+                e.trajectory_error / e.bound - 1.0 if e.bound > 0 else 0.0 for e in (c, d)))
+            curves.append((lam_x, c.power, c.trajectory_error, c.bound,
+                           d.trajectory_error, d.bound))
         # crossing fidelity: certified budget crossing vs measured crossing of
         # the unit-grid-norm eigenfunction error curve
         errors_meas = PowerErrors(

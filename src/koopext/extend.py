@@ -8,9 +8,10 @@ extension loop that emits powers until its budget is exhausted. A log-space
 PCA filter identifies how many independent directions a family of
 eigenfunctions really spans.
 
-Bound conventions: eigenvector weights are used at unit 2-norm, which is the
-normalization both bound derivations assume, and complex eigenvalues enter
-the bound arithmetic through their modulus.
+Bound conventions: extend_continuous uses eigenvector weights at unit 2-norm,
+the normalization its bound assumes; extend_discrete uses them as given, the
+weights whose distance from the true eigenvector its delta_w_norm states.
+Complex eigenvalues enter the bound arithmetic through their modulus.
 """
 from __future__ import annotations
 
@@ -355,6 +356,8 @@ def _extension_loop(phi1, flowed, budget, budget_name, p_max, measure_errors):
     """Emit phi1^p for p = 1, ..., p_max until budget(p) -> (exceeded, bound)
     reports the certified budget exceeded; each emitted power carries its
     bound and, when measured, its trajectory error on the flowed grid."""
+    if p_max < 1:
+        raise ConfigurationError(f"p_max must be >= 1, got {p_max}")
     errors = PowerErrors(phi1, flowed) if measure_errors else None
     out = []
     p = 1
@@ -383,13 +386,14 @@ def extend_discrete(
     p_max: int = P_MAX_DEFAULT,
 ) -> ExtensionResult:
     """Emit powers p = 1, 2, ... of the eigenfunction of eigenpair =
-    (weights, lambda), the weights a left eigenvector of K, while the
-    eigenvector-error budget holds: |dw| <= eps^p / C_FG(p, lambda). Each
-    emitted power carries its certified bound and the measured trajectory error.
+    (weights, lambda), the weights taken as given (not rescaled) at distance
+    delta_w_norm from a left eigenvector of K, while the eigenvector-error
+    budget holds: |dw| <= eps^p / C_FG(p, lambda). Each emitted power carries
+    its certified bound and the measured trajectory error.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    phi1 = expr_from_weights(model, *eigenpair)
+    phi1 = expr_from_weights(model, *eigenpair, unit_norm=False)
 
     def budget(p):
         cfg = bound_constant_CFG(model.dict, flowed, phi1.eigenvalue, p)

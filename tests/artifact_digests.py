@@ -20,7 +20,7 @@ import tempfile
 from koopext.experiments import ExperimentConfig, run
 
 # The eight experiments at their README seeds and defaults, then the inputs
-# the benchmark's phase_laplace and mixed_small workloads add.
+# the benchmark's phase_laplace, mixed_small and dmd_bounds workloads add.
 CONFIGS = (
     ("linear2d_dmd", 42, {}),
     ("softplus_edmd", 5, {}),
@@ -32,6 +32,8 @@ CONFIGS = (
     ("lin5d_check", 0, {}),
     ("vdp_phase", 0, {"T": 160.0, "step": 0.063}),
     ("duffing_edmd", 3, {}),
+    ("linear2d_dmd", 42, {"grid_h": 0.02}),
+    ("linear2d_dmd", 7, {"grid_h": 0.02}),
 )
 
 

@@ -61,16 +61,32 @@ def linear2d_setup():
     return sys_, model, grid, exact, euler, eps_G
 
 
-def test_criterion_1_spectrum_recovery(linear2d_setup):
-    # DMD on 400 seeded pairs recovers exp(lambda dt) within 1e-3
+@pytest.fixture(scope="module")
+def linear2d_run(tmp_path_factory):
+    # the linear2d_dmd runner at its README seed and defaults
+    out = tmp_path_factory.mktemp("linear2d_dmd")
+    summary = run(ExperimentConfig("linear2d_dmd", seed=42, out_dir=str(out)))
+    return {c["name"]: c["value"] for c in summary["criteria"]}
+
+
+def test_criterion_1_spectrum_recovery(linear2d_setup, linear2d_run):
+    # DMD on 400 seeded pairs recovers exp(lambda dt) within 1e-3, in the
+    # runner and in the library
+    run_err = linear2d_run["dmd_eigenvalue_recovery"]
     _, model, *_ = linear2d_setup
     lams = np.sort(np.linalg.eigvals(model.K).real)
     targets = np.sort(np.exp(np.array([-0.9, -0.8]) * 0.2))
     err = float(np.max(np.abs(lams - targets)))
-    report(1, "spectrum recovery", err <= 1e-3, f"max |lam - exp(lam dt)| = {err:.3e} <= 1e-3")
+    report(
+        1, "spectrum recovery", run_err <= 1e-3 and err <= 1e-3,
+        f"max |lam - exp(lam dt)| = {run_err:.3e} (runner), {err:.3e} (library) <= 1e-3",
+    )
 
 
-def test_criterion_2_bound_validity(linear2d_setup):
+def test_criterion_2_bound_validity(linear2d_setup, linear2d_run):
+    # the runner's error curves come from the two extension loops; the library
+    # case recomputes them by hand with dw drawn from seed 2
+    run_worst = linear2d_run["bound_violation_relative"]
     sys_, model, grid, exact, euler, eps_G = linear2d_setup
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
@@ -94,12 +110,14 @@ def test_criterion_2_bound_validity(linear2d_setup):
             b_d = discrete_bound(1e-6, cfg, p)
             worst = max(worst, e_d / b_d - 1.0)
     report(
-        2, "bound validity p=1..10", worst <= 1e-9,
-        f"worst relative excess over bounds = {worst:.3e} <= 1e-9",
+        2, "bound validity p=1..10", run_worst <= 1e-9 and worst <= 1e-9,
+        f"worst relative excess over bounds = {run_worst:.3e} (runner), "
+        f"{worst:.3e} (library) <= 1e-9",
     )
 
 
-def test_criterion_3_algorithm_crossing(linear2d_setup):
+def test_criterion_3_algorithm_crossing(linear2d_setup, linear2d_run):
+    run_gap = linear2d_run["algorithm_crossing_gap"]
     sys_, model, grid, exact, euler, eps_G = linear2d_setup
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
@@ -121,8 +139,9 @@ def test_criterion_3_algorithm_crossing(linear2d_setup):
                     break
             gaps.append(abs(budget_crossing - empirical_crossing))
     report(
-        3, "algorithm crossing fidelity", max(gaps) <= 1,
-        f"worst |suggested - empirical| crossing gap = {max(gaps)} <= 1 (eps in {{0.1, 0.2}})",
+        3, "algorithm crossing fidelity", run_gap <= 1 and max(gaps) <= 1,
+        f"worst |suggested - empirical| crossing gap = {run_gap:g} (runner), {max(gaps)} "
+        f"(library) <= 1 (eps in {{0.1, 0.2}})",
     )
 
 

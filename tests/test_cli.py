@@ -90,6 +90,27 @@ class TestExitCodes:
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("param, named", [
+        ("p_max_curve=0", "p_max_curve must be >= 1, got 0"),
+        ("epsilons=[]", "epsilons must hold at least one value, got []"),
+    ])
+    def test_linear2d_dmd_refuses_a_criterion_over_nothing(self, tmp_path, capsys, param,
+                                                           named):
+        # either leaves a criterion computed over nothing: no error curve or
+        # no crossing
+        assert run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_softplus_edmd_refuses_a_zero_power_cap(self, tmp_path, capsys):
+        # extension_reaches_p3 would pass at 0 == 0 with no power extended
+        code = run_cli(["softplus_edmd", "--out", str(tmp_path), "--param", "p_cap=0",
+                        "--param", "n_rbf=8", "--param", "n_eig=1",
+                        "--param", "grid_h=0.25"])
+        assert code == 2
+        assert "error: p_max must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
         # a box of zero width gives a rank-deficient Gram matrix
         assert run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", "box=0"]) == 1
@@ -280,6 +301,20 @@ class TestExtendTool:
             assert entry["extensions"], "every pair should certify at least p=1"
             for ext in entry["extensions"]:
                 assert ext["bound"] <= 0.1 * (1 + 1e-9)
+
+    def test_zero_p_max_is_a_usage_error(self, tmp_path, capsys):
+        # a report of no certified power would certify nothing
+        out = str(tmp_path)
+        assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",
+                        "--dt", "0.2", "--out", out, "--seed", "2"]) == 0
+        assert run_cli(["fit", "--snapshots", os.path.join(out, "snapshots"),
+                        "--dict", "identity", "--out", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["extend", "--model", os.path.join(out, "model"),
+                        "--system", "linear2d", "--grid", "-1", "1", "0.25",
+                        "--p-max", "0", "--out", out]) == 2
+        assert "error: p_max must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "extension_report.json").exists()
 
     def test_system_without_a_closed_form_flow_is_refused(self, tmp_path, capsys):
         # without an exact flow there is no measured eps_G to certify a bound with

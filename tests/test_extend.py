@@ -346,6 +346,36 @@ class TestExtensionLoops:
         assert len(res) == 0
         assert "p=1" in res.status
 
+    def test_discrete_loop_certifies_the_weights_as_given(self, linear2d_model):
+        # delta_w_norm is the distance of w + dw from the eigenvector w, so the
+        # loop must measure w + dw itself, not w + dw rescaled to unit norm
+        sys_, model = linear2d_model
+        exact = self.make_flow(sys_, EvalGrid((-1, -1), (1, 1), 0.05))
+        lam, w = math.exp(-0.9 * 0.2), np.array([1.0, -1.0]) / math.sqrt(2)
+        dw = np.random.default_rng(42).standard_normal(2)
+        dw *= 1e-6 / np.linalg.norm(dw)
+        res = extend_discrete((w + dw, lam), model, exact, math.inf, 1e-6, p_max=10)
+        given = PowerErrors(expr_from_weights(model, w + dw, lam, unit_norm=False), exact)
+        assert [e.trajectory_error for e in res.extensions] == [
+            given(p)[1] for p in range(1, 11)
+        ]
+        assert all(e.trajectory_error <= e.bound for e in res.extensions)
+
+    @pytest.mark.parametrize("entry", ["extend_discrete", "extend_continuous",
+                                       "iterative_koopman_eigensolver"])
+    def test_p_max_below_one_is_refused(self, linear2d_model, entry):
+        # with no power to emit, the loop would report its budget never exceeded
+        sys_, model = linear2d_model
+        flowed = self.make_flow(sys_, EvalGrid((-1, -1), (1, 1), 0.5))
+        kw = dict(epsilon=0.1, eps_G=1e-4, L=1.0, M=math.sqrt(2), p_max=0)
+        with pytest.raises(ConfigurationError, match="p_max must be >= 1, got 0"):
+            if entry == "extend_discrete":
+                extend_discrete(self.eigpair(model), model, flowed, 0.1, 1e-6, p_max=0)
+            elif entry == "extend_continuous":
+                extend_continuous(self.eigpair(model), model, flowed, **kw)
+            else:
+                iterative_koopman_eigensolver(model, flowed, n=1, **kw)
+
     def test_zero_integration_error_caps(self, linear2d_model):
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
