@@ -188,6 +188,8 @@ def fit_bridge(
     le = _member_expr(left)
     re_ = _member_expr(right)
     wlo, whi = float(window[0]), float(window[1])
+    if not wlo < whi:
+        raise ConfigurationError(f"window must have lo < hi, got {list(window)}")
     pts = np.linspace(wlo, whi, 256).reshape(-1, 1)
     gl = _log_magnitudes(le, pts)
     gr = _log_magnitudes(re_, pts)

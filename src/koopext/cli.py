@@ -1,7 +1,8 @@
 """Command-line experiment runner and tool surface.
 
-One experiment per invocation: a subcommand per benchmark study plus generic
-tool subcommands (simulate, fit, eig, extend, phase). Every default is listed
+One experiment per invocation: a subcommand per benchmark study, `run --config`
+for the experiment a config file names, and generic tool subcommands
+(simulate, fit, eig, extend, phase). Every default is listed
 by --help. Exit codes: 0 success, 1 numeric failure (acceptance thresholds
 unmet, or a typed numeric error such as IllConditionedError), 2 usage error,
 3 internal error.
@@ -64,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file; overrides other flags")
         _add_out_seed(p)
         _add_param_overrides(p, name)
 
@@ -109,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, experiment: str) -> ExperimentConfig:
-    if args.config:
-        return ExperimentConfig.from_json(args.config)
     params = default_params(experiment)
     for item in args.param:
         if "=" not in item:

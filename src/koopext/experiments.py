@@ -114,15 +114,14 @@ def _linear2d_defaults():
     }
 
 
-def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_linear2d_defaults(), **cfg.params}
+def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     if not p["p_max_curve"] >= 1:
         raise ConfigurationError(f"p_max_curve must be >= 1, got {p['p_max_curve']}")
     if not p["epsilons"]:
         raise ConfigurationError(f"epsilons must hold at least one value, got {p['epsilons']}")
     sys_ = make_system("linear2d")
     b = p["box"]
-    snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), cfg.seed)
+    snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed)
     model = fit_edmd(snaps, identity_dictionary(2))
     save_model(os.path.join(out, "model"), model)
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
@@ -143,7 +142,7 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
     pairs = [(float(lams[j].real), W[:, j].real) for j in order]
     write_spectrum_json(
         os.path.join(out, "spectrum.json"),
-        deflate_spectrum(model.K, 2, seed=cfg.seed),
+        deflate_spectrum(model.K, 2, seed=seed),
     )
     # reconstruction = one-step prediction from every training state
     recon = snaps.x @ model.K.T
@@ -152,7 +151,7 @@ def _run_linear2d_dmd(cfg: ExperimentConfig, out: str) -> dict:
                np.column_stack([snaps.x, recon, snaps.y]))
 
     criteria = [_leq("dmd_eigenvalue_recovery", eig_err, 1e-3)]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     bound_violation = 0.0
     curves = []
     crossing_rows = []
@@ -237,16 +236,17 @@ def _softplus_defaults():
     }
 
 
-def _run_softplus_edmd(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_softplus_defaults(), **cfg.params}
+def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
+    if not p["p_cap"] >= 1:
+        raise ConfigurationError(f"p_cap must be >= 1, got {p['p_cap']}")
     lin = make_system("linear2d")
     soft = make_system("softplus2d")
     b = p["box"]
     snaps = transform_snapshots(
-        sample_snapshots(lin, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), cfg.seed), softplus
+        sample_snapshots(lin, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed), softplus
     )
     write_snapshots(os.path.join(out, "snapshots"), snaps)
-    dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=cfg.seed)
+    dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=seed)
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
@@ -258,7 +258,7 @@ def _run_softplus_edmd(cfg: ExperimentConfig, out: str) -> dict:
     M = feature_sup_M(dic, grid)
     results = iterative_koopman_eigensolver(
         model, rk, n=p["n_eig"], epsilon=p["epsilon"], eps_G=eps_G, L=L, M=M,
-        p_max=p["p_cap"], seed=cfg.seed, max_iter=p["max_iter"],
+        p_max=p["p_cap"], seed=seed, max_iter=p["max_iter"],
     )
     write_extension_report(os.path.join(out, "extension_report.json"), results)
     norm_K = np.linalg.norm(model.K)
@@ -301,8 +301,7 @@ def _bridge_defaults():
     }
 
 
-def _run_bridge1d(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_bridge_defaults(), **cfg.params}
+def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
     sys_ = make_system("quad1d")
     cubic = make_system("cubic1d")
 
@@ -317,12 +316,12 @@ def _run_bridge1d(cfg: ExperimentConfig, out: str) -> dict:
 
     fam_l = bridge_mod.fit_local_family(
         sys_, p["anchor_left"], p["radius"], p["left_dict"],
-        spurious_threshold=p["spurious_threshold"], seed=cfg.seed + 1,
+        spurious_threshold=p["spurious_threshold"], seed=seed + 1,
         dt=p["dt"], n_pairs=p["left_n_pairs"],
     )
     fam_r = bridge_mod.fit_local_family(
         sys_, p["anchor_right"], p["radius"], p["right_dict"],
-        spurious_threshold=p["spurious_threshold"], seed=cfg.seed + 2,
+        spurious_threshold=p["spurious_threshold"], seed=seed + 2,
         dt=p["dt"], n_pairs=p["right_n_pairs"],
     )
     bm = bridge_mod.fit_bridge(fam_l, fam_r, p["window"], tikhonov=p["tikhonov"])
@@ -390,8 +389,7 @@ def _distance_to_samples(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _run_vdp_phase(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_vdp_defaults(), **cfg.params}
+def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
     if not p["dt_check"] > 0:
         raise ConfigurationError(f"dt_check must be positive, got {p['dt_check']}")
     sys_ = make_system("vanderpol", mu=p["mu"])
@@ -447,17 +445,16 @@ def _polar_defaults():
     return {"mu": 1.0, "omega": 1.0, "alpha": 1.0, "C": 1.0, "n_random": 1000}
 
 
-def _run_polar_transforms(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_polar_defaults(), **cfg.params}
+def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
     mu, om, al, C = p["mu"], p["omega"], p["alpha"], p["C"]
-    rng = np.random.default_rng(cfg.seed)
+    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)  # refuses mu, omega, C <= 0
+    rng = np.random.default_rng(seed)
     z = rng.uniform(0.05, 3.0, p["n_random"]) * np.exp(
         1j * rng.uniform(-math.pi, math.pi, p["n_random"])
     )
     round_trip = float(np.max(np.abs(
         phase_mod.transform_Ti(phase_mod.transform_Ti_inv(z, mu, al, C), mu, al, C) - z
     )))
-    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)
     r = rng.uniform(0.05, 0.95 * math.sqrt(mu), p["n_random"])
     th = rng.uniform(0, 2 * math.pi, p["n_random"])
     r2, th2 = phase_mod.transform_To(r, th, mu, al, C)
@@ -494,8 +491,7 @@ def _saddle_defaults():
     return {"grid_lo": -0.7, "grid_hi": 1.6, "grid_h": 0.05}
 
 
-def _run_saddle_fields(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_saddle_defaults(), **cfg.params}
+def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
     sys_ = make_system("saddle2d")
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     for eig in sys_.analytic_eigenfunctions:
@@ -562,15 +558,14 @@ def _duffing_defaults():
     }
 
 
-def _run_duffing_edmd(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_duffing_defaults(), **cfg.params}
+def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     sys_ = make_system("duffing")
     b = p["box"]
     snaps = sample_snapshots(
-        sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), cfg.seed,
+        sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed,
         samples_per_traj=p["samples_per_traj"],
     )
-    dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=cfg.seed)
+    dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=seed)
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, p["window"])))
@@ -620,16 +615,17 @@ def _lin5d_defaults():
     return {"a": -0.4, "b": -1.0, "n_pairs": 400, "dt": 0.2, "box": 1.0, "grid_n": 21}
 
 
-def _run_lin5d_check(cfg: ExperimentConfig, out: str) -> dict:
-    p = {**_lin5d_defaults(), **cfg.params}
+def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
+    if not p["grid_n"] >= 1:
+        raise ConfigurationError(f"grid_n must be >= 1, got {p['grid_n']}")
     a, b = p["a"], p["b"]
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.Philox(seed))
     bx = p["box"]
     x0 = rng.uniform(-bx, bx, size=(p["n_pairs"], 2))
     x1 = lin5d_base_flow(x0, p["dt"], a, b)
     snaps = SnapshotSet(x=lin5d_lift(x0), y=lin5d_lift(x1), dt=p["dt"])
     model = fit_edmd(snaps, identity_dictionary(5))
-    pairs = deflate_spectrum(model.K, 5, seed=cfg.seed)
+    pairs = deflate_spectrum(model.K, 5, seed=seed)
     write_spectrum_json(os.path.join(out, "spectrum.json"), pairs)
     axis = np.linspace(-bx, bx, p["grid_n"])
     g2 = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
@@ -654,6 +650,7 @@ def _run_lin5d_check(cfg: ExperimentConfig, out: str) -> dict:
     }
 
 
+# name -> (runner(params, seed, out) -> result, defaults() -> params)
 EXPERIMENTS = {
     "linear2d_dmd": (_run_linear2d_dmd, _linear2d_defaults),
     "softplus_edmd": (_run_softplus_edmd, _softplus_defaults),
@@ -679,13 +676,15 @@ def run(config: ExperimentConfig) -> dict:
     if config.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {config.experiment!r}")
     runner, defaults = EXPERIMENTS[config.experiment]
-    unknown = sorted(set(config.params) - set(defaults()))
+    params = defaults()
+    unknown = sorted(set(config.params) - set(params))
     if unknown:
         raise ConfigurationError(f"unknown {config.experiment} parameters {unknown}")
+    params.update(config.params)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     config.to_json(os.path.join(out, "config.json"))
-    result = runner(config, out)
+    result = runner(params, config.seed, out)
     summary = {
         "experiment": config.experiment,
         "seed": config.seed,

@@ -191,7 +191,8 @@ def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
     and is singular at the cycle.
     """
     if mu <= 0 or omega <= 0 or C <= 0:
-        raise ConfigurationError("need mu > 0, omega > 0, C > 0")
+        raise ConfigurationError(f"need mu > 0, omega > 0, C > 0, got mu = {mu}, "
+                                 f"omega = {omega}, C = {C}")
     smu = math.sqrt(mu)
 
     def phi_lc_branch(inside: bool):

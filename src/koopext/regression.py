@@ -45,6 +45,8 @@ def fit_edmd(data: SnapshotSet, dic: Dictionary, ridge: float = 0.0) -> KoopmanM
     """
     if ridge < 0:
         raise ConfigurationError("ridge must be nonnegative")
+    if len(data.x) == 0:
+        raise ConfigurationError("no snapshot pairs to fit")
     PX = dic.eval(data.x)
     PY = dic.eval(data.y)
     n, D = PX.shape

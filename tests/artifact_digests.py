@@ -20,7 +20,8 @@ import tempfile
 from koopext.experiments import ExperimentConfig, run
 
 # The eight experiments at their README seeds and defaults, then the inputs
-# the benchmark's phase_laplace, mixed_small and dmd_bounds workloads add.
+# the benchmark's edmd_eig, phase_laplace, mixed_small and dmd_bounds
+# workloads add.
 CONFIGS = (
     ("linear2d_dmd", 42, {}),
     ("softplus_edmd", 5, {}),
@@ -34,19 +35,25 @@ CONFIGS = (
     ("duffing_edmd", 3, {}),
     ("linear2d_dmd", 42, {"grid_h": 0.02}),
     ("linear2d_dmd", 7, {"grid_h": 0.02}),
+    ("softplus_edmd", 5, {"n_eig": 3, "grid_h": 0.05}),
 )
+
+
+def file_digests(out) -> list[tuple[str, str]]:
+    """(name, sha256) of every file in `out` but config.json, sorted by name."""
+    rows = []
+    for name in sorted(os.listdir(out)):
+        if name == "config.json":
+            continue
+        with open(os.path.join(out, name), "rb") as fh:
+            rows.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    return rows
 
 
 def digests(experiment: str, seed: int, params: dict) -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as out:
         run(ExperimentConfig(experiment, seed=seed, out_dir=out, params=params))
-        rows = []
-        for name in sorted(os.listdir(out)):
-            if name == "config.json":
-                continue
-            with open(os.path.join(out, name), "rb") as fh:
-                rows.append((name, hashlib.sha256(fh.read()).hexdigest()))
-    return rows
+        return file_digests(out)
 
 
 def main(names: list[str]) -> None:

@@ -11,6 +11,8 @@ from koopext.cli import main
 from koopext.core import ConfigurationError
 from koopext.experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
+from artifact_digests import digests, file_digests
+
 
 def run_cli(args):
     return main(list(args))
@@ -44,6 +46,16 @@ class TestExitCodes:
         assert run_cli(["phase", "--config", str(tmp_path / "x.json"), "--seed", "5",
                         "--grid", "-1", "1", "0.5", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "phase.csv").exists()
+
+    def test_experiment_subcommand_rejects_config(self, tmp_path, capsys):
+        # `run --config` is the one config entry; the subcommand used to run
+        # whatever the file named and drop --out, --seed and --param
+        path = tmp_path / "c.json"
+        ExperimentConfig("polar_transforms", out_dir=str(tmp_path / "c")).to_json(path)
+        assert run_cli(["lin5d_check", "--config", str(path), "--out", str(tmp_path / "b"),
+                        "--seed", "1", "--param", "n_pairs=200"]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
 
     def test_tool_rejects_config(self, tmp_path, capsys):
         assert run_cli(["eig", "--config", str(tmp_path / "x.json"),
@@ -102,14 +114,31 @@ class TestExitCodes:
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("experiment, param, named", [
+        ("lin5d_check", "grid_n=0", "grid_n must be >= 1, got 0"),
+        ("lin5d_check", "n_pairs=0", "no snapshot pairs to fit"),
+        ("polar_transforms", "mu=0", "need mu > 0, omega > 0, C > 0, got mu = 0,"),
+        ("bridge1d", "window=[3,2]", "window must have lo < hi, got [3, 2]"),
+        ("bridge1d", "window=[2.5,2.5]", "window must have lo < hi, got [2.5, 2.5]"),
+    ])
+    def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
+                                                     param, named):
+        # these exited 3 on a zero-size reduction, a singular Gram matrix or a
+        # division by zero, or 1 on a fit over a reversed window; a window of
+        # no width passed its overlap criterion on 256 copies of one point
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_softplus_edmd_refuses_a_zero_power_cap(self, tmp_path, capsys):
         # extension_reaches_p3 would pass at 0 == 0 with no power extended
         code = run_cli(["softplus_edmd", "--out", str(tmp_path), "--param", "p_cap=0",
                         "--param", "n_rbf=8", "--param", "n_eig=1",
                         "--param", "grid_h=0.25"])
         assert code == 2
-        assert "error: p_max must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
+        assert "error: p_cap must be >= 1, got 0" in capsys.readouterr().err
+        # refused before sampling: no snapshot or model file is written
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
         # a box of zero width gives a rank-deficient Gram matrix
@@ -124,7 +153,7 @@ class TestExitCodes:
     def test_every_typed_numeric_error_exits_one(self, tmp_path, capsys, monkeypatch, error):
         from koopext import core, experiments
 
-        def raising_runner(cfg, out):
+        def raising_runner(p, seed, out):
             raise getattr(core, error)("raised by the runner")
 
         defaults = experiments.EXPERIMENTS["lin5d_check"][1]
@@ -135,7 +164,7 @@ class TestExitCodes:
     def test_bare_runtime_error_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         from koopext import experiments
 
-        def raising_runner(cfg, out):
+        def raising_runner(p, seed, out):
             raise RuntimeError("a bug")
 
         defaults = experiments.EXPERIMENTS["lin5d_check"][1]
@@ -188,6 +217,22 @@ class TestDeterminism:
         s1 = json.loads((out1 / "summary.json").read_text())
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["criteria"] == s2["criteria"]
+
+    @pytest.mark.parametrize("experiment, seed, params", [
+        ("bridge1d", 0, {}),
+        ("duffing_edmd", 7, {}),
+        ("saddle_fields", 0, {}),
+        ("polar_transforms", 0, {}),
+        ("lin5d_check", 0, {}),
+        ("softplus_edmd", 5, {"n_eig": 3, "grid_h": 0.05}),
+    ])
+    def test_runner_passes_and_reruns_byte_identically(self, tmp_path, experiment, seed,
+                                                       params):
+        # the benchmark's mixed_small and edmd_eig inputs, end to end
+        summary = run(ExperimentConfig(experiment, seed=seed, out_dir=str(tmp_path),
+                                       params=params))
+        assert summary["all_pass"] is True
+        assert file_digests(tmp_path) == digests(experiment, seed, params)
 
 
 class TestConfig:
