@@ -197,7 +197,9 @@ def masked_grid_norm(values) -> tuple[float, int]:
 
     Returns (norm, number of excluded points). The mean runs over the
     surviving points only. Raises EmptySupportError when the input is empty
-    or nothing survives.
+    or nothing survives. The singular mask is computed once; when it excludes
+    nothing, the mean reads `values` as given instead of a copy of the same
+    entries in the same order.
     """
     v = np.asarray(values)
     if v.size == 0:
@@ -206,7 +208,8 @@ def masked_grid_norm(values) -> tuple[float, int]:
     n_excluded = int(np.count_nonzero(bad))
     if n_excluded == v.shape[0]:
         raise EmptySupportError("all grid points are singular-tagged")
-    norm = float(np.sqrt(np.mean(np.abs(v[~bad]) ** 2)))
+    kept = v[~bad] if n_excluded else v
+    norm = float(np.sqrt(np.mean(np.abs(kept) ** 2)))
     return norm, n_excluded
 
 

@@ -176,10 +176,12 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
             curves.append((lam_x, c.power, c.trajectory_error, c.bound,
                            d.trajectory_error, d.bound))
         # crossing fidelity: certified budget crossing vs measured crossing of
-        # the unit-grid-norm eigenfunction error curve
+        # the unit-grid-norm eigenfunction error curve, whose errors at
+        # p = 1, 2, ... are measured once per pair and shared by every epsilon
         errors_meas = PowerErrors(
             normalize_to_grid(expr_from_weights(model, w, lam), grid), euler
         )
+        measured = []
         for eps in p["epsilons"]:
             res = extend_continuous(
                 (w, lam), model, euler, eps, eps_G, L, M,
@@ -188,7 +190,9 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
             p_alg_cross = res.max_power + 1
             p_emp_cross = None
             for power in range(1, 41):
-                if errors_meas(power)[1] > eps:
+                if power > len(measured):
+                    measured.append(errors_meas(power)[1])
+                if measured[power - 1] > eps:
                     p_emp_cross = power
                     break
             crossing_rows.append((lam, eps, p_alg_cross, p_emp_cross))
@@ -446,6 +450,8 @@ def _polar_defaults():
 
 
 def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
+    if not p["n_random"] >= 1:
+        raise ConfigurationError(f"n_random must be >= 1, got {p['n_random']}")
     mu, om, al, C = p["mu"], p["omega"], p["alpha"], p["C"]
     phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)  # refuses mu, omega, C <= 0
     rng = np.random.default_rng(seed)
@@ -618,6 +624,10 @@ def _lin5d_defaults():
 def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
     if not p["grid_n"] >= 1:
         raise ConfigurationError(f"grid_n must be >= 1, got {p['grid_n']}")
+    if not p["n_pairs"] >= 1:
+        raise ConfigurationError(
+            f"no snapshot pairs to fit: n_pairs must be >= 1, got {p['n_pairs']}"
+        )
     a, b = p["a"], p["b"]
     rng = np.random.Generator(np.random.Philox(seed))
     bx = p["box"]
@@ -667,6 +677,30 @@ def default_params(experiment: str) -> dict:
     return EXPERIMENTS[experiment][1]()
 
 
+# JSON type names of parameter values, bool before int since bool subclasses it
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+               ((list, tuple), "array"), (dict, "object"), (type(None), "null"))
+
+
+def _json_type(value) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
+                type(value).__name__)
+
+
+def _check_param_types(experiment: str, defaults: dict, overrides: dict) -> None:
+    """Refuse an override whose JSON type differs from its default's. A null
+    default takes any value, a number default also takes an integer, and a
+    boolean is never a number."""
+    for key, value in overrides.items():
+        want, got = _json_type(defaults[key]), _json_type(value)
+        if defaults[key] is None or got == want or (want, got) == ("number", "integer"):
+            continue
+        raise ConfigurationError(
+            f"{experiment} parameter {key!r} takes a JSON {want} like its default "
+            f"{json.dumps(defaults[key])}, got {json.dumps(value)} ({got})"
+        )
+
+
 def run(config: ExperimentConfig) -> dict:
     """Run one experiment; writes artifacts + summary.json under out_dir.
 
@@ -680,6 +714,7 @@ def run(config: ExperimentConfig) -> dict:
     unknown = sorted(set(config.params) - set(params))
     if unknown:
         raise ConfigurationError(f"unknown {config.experiment} parameters {unknown}")
+    _check_param_types(config.experiment, params, config.params)
     params.update(config.params)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)

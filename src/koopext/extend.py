@@ -75,22 +75,32 @@ class DictionaryEigenfunction:
         return feats @ np.asarray(self.weights, dtype=complex)
 
 
-def _eval_base(base, points: np.ndarray) -> np.ndarray:
-    vals = base.eval(points)
-    return np.asarray(vals, dtype=complex)
+def _base_values(vals) -> tuple:
+    """(values as complex, singular mask, zero mask) of one base
+    eigenfunction on a point set: what every power of it reads."""
+    v = np.asarray(vals, dtype=complex)
+    singular = singular_mask(v)
+    return v, singular, (v == 0) & ~singular
 
 
-def _pow_values(vals: np.ndarray, m: float) -> np.ndarray:
+def _eval_base(base, points: np.ndarray) -> tuple:
+    return _base_values(base.eval(points))
+
+
+def _pow_values(base: tuple, m: float) -> np.ndarray:
     """vals**m with singular tagging: integer powers by numpy's repeated
     multiplication, fractional powers through the principal branch; singular
     inputs stay singular, and zeros under a nonpositive exponent become
     singular tags."""
-    out_singular = singular_mask(vals)
-    zero = (vals == 0) & ~out_singular
+    vals, out_singular, zero = base
     if float(m).is_integer():
         m_int = int(m)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(zero & (m_int <= 0), np.nan, vals) ** m_int
+            if m_int > 0:
+                # a NaN part survives every complex product, so the singular
+                # entries come out non-finite and are tagged
+                return tag_nonfinite(vals**m_int)
+            out = np.where(zero, np.nan, vals) ** m_int
         if m_int == 0:
             out = np.where(zero, 1.0 + 0j, out)
     else:
@@ -127,7 +137,8 @@ class EigenfunctionExpr:
 
     def combine(self, base_values, n: int) -> np.ndarray:
         """scale * prod_k v_k**m_k from the base values v_k already evaluated
-        on n points, one array per factor in factor order."""
+        on n points (`_eval_base`, masks included), one per factor in factor
+        order."""
         out = np.full(n, self.scale, dtype=complex)
         for vals, (_, m) in zip(base_values, self.factors, strict=True):
             out = out * _pow_values(vals, m)
@@ -249,7 +260,8 @@ class PowerErrors:
     """Trajectory errors of the powers phi^p on one flowed grid.
 
     The base factors of phi are evaluated once on the grid points and once on
-    their images; each power then costs only the elementwise combine step.
+    their images, and so are their singular and zero masks; each power then
+    costs only vals**m, the singular tag, the product and the residual norm.
     Called with p, it returns (monomial(phi, p), error, excluded points), the
     same numbers trajectory_error_detailed gives for that monomial.
     """
@@ -284,19 +296,43 @@ def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionE
 # Bounds.
 
 
+class _BoundConstants:
+    """C_FG(p) = bound_constant_CFG(dic, flowed, lam, p) for every p >= 1.
+
+    The features on the grid points and on their images, the residual norms
+    |Psi(F x) - lam Psi(x)| and the feature norms |Psi(x)|, |Psi(F x)| are
+    computed once, and each array power |Psi(F x)|**k, |Psi(x)|**k once, when
+    a first p needs it. A power p then sums its p terms from those arrays.
+    """
+
+    def __init__(self, dic: Dictionary, flowed: FlowedGrid, lam: complex):
+        PX = dic.eval(flowed.points)
+        PF = dic.eval(flowed.image)
+        self._lam_abs = abs(lam)
+        self._resid = np.linalg.norm(PF - complex(lam) * PX.astype(complex), axis=1)
+        self._nx = np.linalg.norm(PX, axis=1)
+        self._nf = np.linalg.norm(PF, axis=1)
+        self._powers: list[tuple[np.ndarray, np.ndarray]] = []  # (nf**k, nx**k) by k
+
+    def __call__(self, p: int) -> float:
+        if p < 1:
+            raise ConfigurationError("p must be >= 1")
+        for k in range(len(self._powers), p):
+            self._powers.append((self._nf**k, self._nx**k))
+        pw = self._powers
+        geom = sum(pw[p - 1 - i][0] * pw[i][1] * self._lam_abs**i for i in range(p))
+        return float(np.sqrt(np.mean((self._resid * geom) ** 2)))
+
+
 def bound_constant_CFG(dic: Dictionary, flowed: FlowedGrid, lam: complex, p: int) -> float:
     """Grid norm of |Psi(F x) - lam Psi(x)| times the degree-(p-1) geometric
-    sum in |Psi(F x)|, |Psi(x)| and |lam|."""
-    if p < 1:
-        raise ConfigurationError("p must be >= 1")
-    PX = dic.eval(flowed.points)
-    PF = dic.eval(flowed.image)
-    lam_abs = abs(lam)
-    resid = np.linalg.norm(PF - complex(lam) * PX.astype(complex), axis=1)
-    nx = np.linalg.norm(PX, axis=1)
-    nf = np.linalg.norm(PF, axis=1)
-    geom = sum(nf ** (p - 1 - i) * nx**i * lam_abs**i for i in range(p))
-    return float(np.sqrt(np.mean((resid * geom) ** 2)))
+    sum in |Psi(F x)|, |Psi(x)| and |lam|.
+
+    Each call evaluates the features afresh. extend_discrete runs the same
+    code once per call and reuses the features, the norms and their array
+    powers across p.
+    """
+    return _BoundConstants(dic, flowed, lam)(p)
 
 
 def discrete_bound(delta_w_norm: float, C_FG: float, p: int) -> float:
@@ -394,9 +430,10 @@ def extend_discrete(
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
     phi1 = expr_from_weights(model, *eigenpair, unit_norm=False)
+    cfg_of = _BoundConstants(model.dict, flowed, phi1.eigenvalue)
 
     def budget(p):
-        cfg = bound_constant_CFG(model.dict, flowed, phi1.eigenvalue, p)
+        cfg = cfg_of(p)
         if cfg > 0 and delta_w_norm > epsilon**p / cfg:
             return True, None
         return False, discrete_bound(delta_w_norm, cfg, p)

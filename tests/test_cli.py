@@ -11,7 +11,29 @@ from koopext.cli import main
 from koopext.core import ConfigurationError
 from koopext.experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
-from artifact_digests import digests, file_digests
+from artifact_digests import (
+    GOLDEN_CONFIGS,
+    GOLDEN_PATH,
+    digests,
+    environment,
+    file_digests,
+    label,
+)
+
+
+@pytest.fixture(scope="module")
+def rerun_digests():
+    """Artifact digests of one run per config, shared by the tests that
+    compare against it."""
+    memo = {}
+
+    def get(experiment, seed, params):
+        key = label(experiment, seed, params)
+        if key not in memo:
+            memo[key] = digests(experiment, seed, params)
+        return memo[key]
+
+    return get
 
 
 def run_cli(args):
@@ -120,6 +142,8 @@ class TestExitCodes:
         ("polar_transforms", "mu=0", "need mu > 0, omega > 0, C > 0, got mu = 0,"),
         ("bridge1d", "window=[3,2]", "window must have lo < hi, got [3, 2]"),
         ("bridge1d", "window=[2.5,2.5]", "window must have lo < hi, got [2.5, 2.5]"),
+        ("polar_transforms", "n_random=0", "n_random must be >= 1, got 0"),
+        ("lin5d_check", "n_pairs=-1", "no snapshot pairs to fit: n_pairs must be >= 1, got -1"),
     ])
     def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
                                                      param, named):
@@ -129,6 +153,52 @@ class TestExitCodes:
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("experiment, param, named", [
+        ("linear2d_dmd", 'n_pairs="400"', "'n_pairs' takes a JSON integer like its default "
+                                          '400, got "400" (string)'),
+        ("lin5d_check", "n_pairs=2.5", "'n_pairs' takes a JSON integer like its default "
+                                       "400, got 2.5 (number)"),
+        ("lin5d_check", "grid_n=true", "'grid_n' takes a JSON integer like its default "
+                                       "21, got true (boolean)"),
+        ("lin5d_check", "a=false", "'a' takes a JSON number like its default -0.4, "
+                                   "got false (boolean)"),
+        ("lin5d_check", "box=null", "'box' takes a JSON number like its default 1.0, "
+                                    "got null (null)"),
+        ("bridge1d", "window=2.5", "'window' takes a JSON array like its default "
+                                   "[2.25, 2.75], got 2.5 (number)"),
+    ])
+    def test_override_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
+                                                            experiment, param, named):
+        # a string count exited 3 on a TypeError comparing str and int, a
+        # fractional one on numpy's TypeError
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {experiment} parameter {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_override_types_follow_the_defaults(self, tmp_path, monkeypatch):
+        from koopext import experiments
+
+        seen = []
+
+        def recording_runner(p, seed, out):
+            seen.append(p)
+            return {"criteria": []}
+
+        def defaults():
+            return {"free": None, "rate": 0.5, "count": 3, "flag": False, "pair": [1, 2]}
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (recording_runner, defaults))
+        # a null default takes any value, a number default an integer
+        given = {"free": "text", "rate": 2, "count": 4, "flag": True, "pair": [3]}
+        run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=given))
+        assert seen == [given]
+        # a boolean is never a number, and a float is no integer
+        for params in ({"rate": True}, {"count": False}, {"count": 4.0}, {"flag": 1},
+                       {"pair": "1,2"}):
+            with pytest.raises(ConfigurationError, match=repr(next(iter(params)))):
+                run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=params))
+        assert len(seen) == 1
 
     def test_softplus_edmd_refuses_a_zero_power_cap(self, tmp_path, capsys):
         # extension_reaches_p3 would pass at 0 == 0 with no power extended
@@ -218,21 +288,30 @@ class TestDeterminism:
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["criteria"] == s2["criteria"]
 
-    @pytest.mark.parametrize("experiment, seed, params", [
-        ("bridge1d", 0, {}),
-        ("duffing_edmd", 7, {}),
-        ("saddle_fields", 0, {}),
-        ("polar_transforms", 0, {}),
-        ("lin5d_check", 0, {}),
-        ("softplus_edmd", 5, {"n_eig": 3, "grid_h": 0.05}),
-    ])
-    def test_runner_passes_and_reruns_byte_identically(self, tmp_path, experiment, seed,
-                                                       params):
-        # the benchmark's mixed_small and edmd_eig inputs, end to end
+    @pytest.mark.parametrize("experiment, seed, params", GOLDEN_CONFIGS)
+    def test_runner_passes_and_reruns_byte_identically(self, tmp_path, rerun_digests,
+                                                       experiment, seed, params):
+        # the benchmark's mixed_small, edmd_eig and dmd_bounds inputs, end to end
         summary = run(ExperimentConfig(experiment, seed=seed, out_dir=str(tmp_path),
                                        params=params))
         assert summary["all_pass"] is True
-        assert file_digests(tmp_path) == digests(experiment, seed, params)
+        assert file_digests(tmp_path) == rerun_digests(experiment, seed, params)
+
+    @pytest.mark.parametrize("experiment, seed, params", GOLDEN_CONFIGS)
+    def test_artifacts_match_the_golden_manifest(self, rerun_digests, experiment, seed,
+                                                 params):
+        with open(GOLDEN_PATH) as fh:
+            golden = json.load(fh)
+        want = golden["runs"][label(experiment, seed, params)]
+        got = dict(rerun_digests(experiment, seed, params))
+        if got != want:
+            env = environment()
+            differs = {key: {"manifest": golden["environment"].get(key), "here": env[key]}
+                       for key in env if golden["environment"].get(key) != env[key]}
+            changed = sorted(name for name in set(got) | set(want)
+                             if got.get(name) != want.get(name))
+            pytest.fail(f"{changed} differ from {os.path.basename(GOLDEN_PATH)}; "
+                        f"environment differences: {differs or 'none'}")
 
 
 class TestConfig:

@@ -1,16 +1,41 @@
 """Regression tests that pin the compute-once data flow of the experiments:
-each evaluation grid is flowed once per flow map, and the limit-cycle period
-and orbit are solved once per phase run and Laplace-averaged in one batch."""
+each evaluation grid is flowed once per flow map, the limit-cycle period and
+orbit are solved once per phase run and Laplace-averaged in one batch, and
+the certified extension loop computes what does not depend on the power p
+once. The work moved out of the per-power path is pinned bit for bit against
+copies of the code that recomputed it for every p."""
 import inspect
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.integrate
 
 from koopext import phase
-from koopext.core import EvalGrid
-from koopext.dynamics import FlowMap
+from koopext.core import (
+    DIVERGENCE_LIMIT,
+    SINGULAR,
+    DivergenceError,
+    EvalGrid,
+    FlowedGrid,
+    masked_grid_norm,
+    principal_pow,
+    singular_mask,
+    tag_nonfinite,
+)
+from koopext.dictionary import Dictionary, identity_dictionary, rbf_dictionary
+from koopext.dynamics import FlowMap, _check_divergence, make_system, sample_snapshots
 from koopext.experiments import ExperimentConfig, run
+from koopext.extend import (
+    EigenfunctionExpr,
+    PowerErrors,
+    _base_values,
+    _BoundConstants,
+    _eval_base,
+    _pow_values,
+    bound_constant_CFG,
+)
+from koopext.regression import fit_edmd
 
 
 def test_linear2d_dmd_flows_the_grid_once_per_flow_map(tmp_path, monkeypatch):
@@ -91,3 +116,167 @@ def test_vdp_phase_averages_the_grid_and_its_image_in_one_batch(tmp_path, monkey
     assert kept > 0
     # the kept grid points stacked on their time-dt images, then the 1-row trivial check
     assert rows == [2 * kept, 1]
+
+
+# ---------------------------------------------------------------------------
+# The certified extension loop computes once what does not depend on p.
+
+
+def test_linear2d_dmd_evaluates_the_features_at_most_21_times(tmp_path, monkeypatch):
+    # the benchmark's dmd_bounds inputs; recomputing C_FG's features for every
+    # power made 57 calls, and re-walking the measured errors for every
+    # epsilon 58 PowerErrors calls
+    evals, powers = [], []
+    original_eval, original_call = Dictionary.eval, PowerErrors.__call__
+
+    def counting_eval(self, points):
+        evals.append(len(points))
+        return original_eval(self, points)
+
+    def counting_call(self, p):
+        powers.append(p)
+        return original_call(self, p)
+
+    monkeypatch.setattr(Dictionary, "eval", counting_eval)
+    monkeypatch.setattr(PowerErrors, "__call__", counting_call)
+    summary = run(ExperimentConfig("linear2d_dmd", seed=42, out_dir=str(tmp_path),
+                                   params={"grid_h": 0.02}))
+    assert summary["all_pass"]
+    assert len(evals) <= 21
+    # 10 + 10 error-curve powers and the 5 measured crossing powers, per pair
+    assert len(powers) == 50
+
+
+def _old_bound_constant_CFG(dic, flowed, lam, p):
+    # bound_constant_CFG as it was: the features evaluated afresh for every p
+    PX = dic.eval(flowed.points)
+    PF = dic.eval(flowed.image)
+    lam_abs = abs(lam)
+    resid = np.linalg.norm(PF - complex(lam) * PX.astype(complex), axis=1)
+    nx = np.linalg.norm(PX, axis=1)
+    nf = np.linalg.norm(PF, axis=1)
+    geom = sum(nf ** (p - 1 - i) * nx**i * lam_abs**i for i in range(p))
+    return float(np.sqrt(np.mean((resid * geom) ** 2)))
+
+
+@pytest.fixture(scope="module")
+def linear2d_case():
+    sys_ = make_system("linear2d")
+    snaps = sample_snapshots(sys_, 200, 0.2, ((-2, -2), (2, 2)), seed=3)
+    model = fit_edmd(snaps, identity_dictionary(2))
+    grid = EvalGrid((-1, -1), (1, 1), 0.05)
+    return model.dict, FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid), 0.85
+
+
+@pytest.fixture(scope="module")
+def rbf_case():
+    sys_ = make_system("linear2d")
+    snaps = sample_snapshots(sys_, 200, 0.2, ((-2, -2), (2, 2)), seed=3)
+    dic = rbf_dictionary(snaps, 12, bandwidth=0.7, seed=3)
+    model = fit_edmd(snaps, dic, ridge=1e-10)
+    lam = complex(np.max(np.linalg.eigvals(model.K)))
+    grid = EvalGrid((-1, -1), (1, 1), 0.1)
+    return dic, FlowedGrid.of(FlowMap(sys_.field, 0.2, method="exact"), grid), lam
+
+
+@pytest.mark.parametrize("case", ["linear2d_case", "rbf_case"])
+def test_bound_constants_match_the_per_power_code_bit_for_bit(request, case):
+    dic, flowed, lam = request.getfixturevalue(case)
+    old = [_old_bound_constant_CFG(dic, flowed, lam, p) for p in range(1, 11)]
+    assert [bound_constant_CFG(dic, flowed, lam, p) for p in range(1, 11)] == old
+    # one instance across p, as extend_discrete uses it, in and out of order
+    shared = _BoundConstants(dic, flowed, lam)
+    assert [shared(p) for p in range(1, 11)] == old
+    shared = _BoundConstants(dic, flowed, lam)
+    assert [shared(p) for p in (10, 3, 1, 7)] == [old[9], old[2], old[0], old[6]]
+
+
+def _old_pow_values(vals, m):
+    # _pow_values as it was: the masks computed afresh for every power
+    out_singular = singular_mask(vals)
+    zero = (vals == 0) & ~out_singular
+    if float(m).is_integer():
+        m_int = int(m)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.where(zero & (m_int <= 0), np.nan, vals) ** m_int
+        if m_int == 0:
+            out = np.where(zero, 1.0 + 0j, out)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = principal_pow(np.where(zero | out_singular, 1.0, vals), m)
+        out = np.where(zero, 0.0 + 0j if m > 0 else np.nan, out)
+    return tag_nonfinite(np.where(out_singular, np.nan, out))
+
+
+# singular tags (NaN in either part), zeros of both signs, values that
+# overflow or underflow under a power, and ordinary complex values
+POW_INPUTS = np.array([
+    SINGULAR, complex(np.nan, 1.0), complex(2.0, np.nan), 0.0, complex(-0.0, -0.0),
+    complex(0.0, -0.0), 1e200, 1e-200, complex(-3.0, 1e-17), -2.5, complex(0.3, -1.7),
+    complex(1.0, 1.0), np.inf, complex(-1.0, 0.0),
+], dtype=complex)
+POW_EXPONENTS = (-7, -3, -1, 0, 1, 2, 3, 5, 7, 10, 40, 100, 0.5, -0.5, 1.5, -2.25, 1 / 3)
+
+
+@pytest.mark.parametrize("m", POW_EXPONENTS)
+def test_pow_values_match_the_per_power_masks_bit_for_bit(m):
+    new = _pow_values(_base_values(POW_INPUTS), m)
+    assert new.tobytes() == _old_pow_values(POW_INPUTS, m).tobytes()
+
+
+def test_combine_matches_the_per_power_masks_bit_for_bit():
+    a, b = POW_INPUTS, POW_INPUTS[::-1].copy()
+    for ma, mb in [(2, -1), (3, 0.5), (0, 7), (-0.5, -3), (10, 1)]:
+        expr = EigenfunctionExpr(((None, ma), (None, mb)), 1.0, scale=complex(0.7, -0.2))
+        old = np.full(len(a), expr.scale, dtype=complex)
+        old = tag_nonfinite(old * _old_pow_values(a, ma) * _old_pow_values(b, mb))
+        new = expr.combine([_base_values(a), _base_values(b)], len(a))
+        assert new.tobytes() == old.tobytes()
+
+
+def test_expression_eval_prepares_its_bases_like_power_errors():
+    sys_ = make_system("quad1d")
+    pts = np.array([[1.5], [2.0], [2.5]])  # the base vanishes at x = 2
+    base = sys_.analytic_eigenfunctions[0]
+    expr = EigenfunctionExpr(((base, -1.0),), 1.0)
+    prepared = _eval_base(base, pts)
+    assert list(prepared[2]) == [False, True, False]  # the zero mask
+    assert expr.eval(pts).tobytes() == expr.combine([prepared], 3).tobytes()
+
+
+@pytest.mark.parametrize("system", ["linear2d", "vanderpol"])
+def test_euler_flow_matches_the_copying_step_bit_for_bit(system):
+    field = make_system(system).field
+    pts = EvalGrid((-1, -1), (1, 1), 0.1).points
+    y = pts.copy()
+    for _ in range(40):
+        y = y + 0.005 * field.rhs(y)
+        if not np.all(np.isfinite(y)) or np.any(np.abs(y) > DIVERGENCE_LIMIT):
+            raise AssertionError("the reference flow diverged")
+    fmap = FlowMap(field, 0.2, method="euler", step=0.005)
+    flowed = FlowedGrid.of(fmap, EvalGrid((-1, -1), (1, 1), 0.1))
+    assert flowed.image.tobytes() == y.tobytes()
+    assert np.array_equal(flowed.points, pts)  # the grid was not stepped in place
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e9, -1e9])
+def test_divergence_check_refuses_nonfinite_and_large_states(bad):
+    y = np.array([[0.5, -0.25], [1.0, bad]])
+    with pytest.raises(DivergenceError, match="euler flow"):
+        _check_divergence(y, "euler flow")
+
+
+@pytest.mark.parametrize("y", [np.zeros((0, 2)), np.array([[DIVERGENCE_LIMIT, -1e-300]])])
+def test_divergence_check_passes_an_empty_batch_and_the_limit(y):
+    _check_divergence(y, "integration")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3.0, -4.0, 0.5]),
+    np.array([complex(1, 2), SINGULAR, complex(-0.5, 0)]),
+    np.array([complex(3, -1), complex(0, 0), complex(1e-170, 1e150)]),
+])
+def test_masked_grid_norm_matches_the_copying_mean_bit_for_bit(values):
+    bad = singular_mask(values)
+    old = float(np.sqrt(np.mean(np.abs(values[~bad]) ** 2)))
+    assert masked_grid_norm(values) == (old, int(np.count_nonzero(bad)))
