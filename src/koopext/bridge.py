@@ -10,12 +10,12 @@ past the singularity where it was never fit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, singular_mask
+from .core import (ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, _write_json,
+                   singular_mask)
 from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
 from .extend import (EigenfunctionExpr, expr_from_weights, normalize_to_grid,
@@ -23,8 +23,6 @@ from .extend import (EigenfunctionExpr, expr_from_weights, normalize_to_grid,
 from .regression import fit_edmd
 
 __all__ = [
-    "FamilyMember",
-    "LocalFamily",
     "BridgeMap",
     "fit_local_family",
     "leading_member",
@@ -32,19 +30,6 @@ __all__ = [
     "continue_across",
     "write_bridge_report",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyMember:
-    expr: EigenfunctionExpr  # normalized to unit grid norm on the window
-    eigenvalue: float
-
-
-@dataclass(frozen=True, eq=False)
-class LocalFamily:
-    """Real-eigenvalue eigenfunctions fit from data near one steady state."""
-
-    members: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +63,10 @@ def fit_local_family(
     n_pairs: int = 2000,
     dt: float = 0.05,
     seed: int = 0,
-) -> LocalFamily:
+) -> tuple[EigenfunctionExpr, ...]:
     """EDMD around one steady state, keeping only credible real-eigenvalue
-    eigenfunctions.
+    eigenfunctions: their expressions, normalized to unit grid norm on the
+    window, largest |eigenvalue| first.
 
     Snapshots are sampled uniformly in [anchor - radius, anchor + radius].
     The dictionary is `dict_config["n_centers"]` (default 60) Gaussians of
@@ -129,31 +115,20 @@ def fit_local_family(
         except EmptySupportError:
             continue
         if trajectory_error_detailed(expr, flowed, p=1)[0] <= spurious_threshold:
-            members.append(FamilyMember(expr, lam))
+            members.append(expr)
     members.sort(key=lambda m: -abs(m.eigenvalue))
-    return LocalFamily(tuple(members))
+    return tuple(members)
 
 
-def leading_member(family: LocalFamily) -> FamilyMember:
-    """Largest-|eigenvalue| member, skipping the near-unit trivial mode
-    (constant-like eigenfunction, degenerate in log space)."""
-    for m in family.members:
+def leading_member(family: tuple[EigenfunctionExpr, ...]) -> EigenfunctionExpr:
+    """Largest-|eigenvalue| member of a fit_local_family result, skipping the
+    near-unit trivial mode (constant-like eigenfunction, degenerate in log
+    space)."""
+    for m in family:
         if abs(m.eigenvalue - 1.0) < 1e-4:
             continue
         return m
     raise EmptySupportError("family has no usable members")
-
-
-def _member_expr(side) -> EigenfunctionExpr:
-    if isinstance(side, LocalFamily):
-        return leading_member(side).expr
-    if isinstance(side, EigenfunctionExpr):
-        return side
-    if hasattr(side, "eval") and hasattr(side, "eigenvalue"):
-        from .extend import expr_from_analytic
-
-        return expr_from_analytic(side)
-    raise ConfigurationError("expected a LocalFamily, expression, or analytic eigenfunction")
 
 
 def _log_magnitudes(expr: EigenfunctionExpr, points: np.ndarray) -> np.ndarray:
@@ -165,17 +140,16 @@ def _log_magnitudes(expr: EigenfunctionExpr, points: np.ndarray) -> np.ndarray:
 
 
 def fit_bridge(
-    left,
-    right,
+    left: EigenfunctionExpr,
+    right: EigenfunctionExpr,
     window,
     tikhonov: float = 1e-8,
 ) -> BridgeMap:
     """Fit log|phi_left| c = log|phi_right| (and the reverse) on 256 evenly
     spaced window points.
 
-    `left`/`right` are LocalFamily instances (their leading members are used),
-    expressions, or analytic eigenfunctions. Points where either log field is
-    non-finite are masked; an empty mask is an error.
+    Points where either log field is non-finite are masked; an empty mask is
+    an error.
 
     Each member is first rescaled to zero log-magnitude mean over the window
     samples. Eigenfunctions are only defined up to a scalar, and the
@@ -185,21 +159,19 @@ def fit_bridge(
     """
     if tikhonov < 0:
         raise ConfigurationError("tikhonov must be nonnegative")
-    le = _member_expr(left)
-    re_ = _member_expr(right)
     wlo, whi = float(window[0]), float(window[1])
     if not wlo < whi:
         raise ConfigurationError(f"window must have lo < hi, got {list(window)}")
     pts = np.linspace(wlo, whi, 256).reshape(-1, 1)
-    gl = _log_magnitudes(le, pts)
-    gr = _log_magnitudes(re_, pts)
+    gl = _log_magnitudes(left, pts)
+    gr = _log_magnitudes(right, pts)
     keep = np.isfinite(gl) & np.isfinite(gr)
     if not np.any(keep):
         raise EmptySupportError("both log fields are masked everywhere on the window")
     m_l = float(np.mean(gl[keep]))
     m_r = float(np.mean(gr[keep]))
-    le = replace(le, scale=le.scale * np.exp(-m_l))
-    re_ = replace(re_, scale=re_.scale * np.exp(-m_r))
+    left = replace(left, scale=left.scale * np.exp(-m_l))
+    right = replace(right, scale=right.scale * np.exp(-m_r))
     gl = gl[keep] - m_l
     gr = gr[keep] - m_r
     c_fwd = float(gl @ gr / (gl @ gl + tikhonov))
@@ -212,8 +184,8 @@ def fit_bridge(
         window=(wlo, whi),
         residuals=(res_fwd, res_bwd),
         tikhonov=float(tikhonov),
-        left_expr=le,
-        right_expr=re_,
+        left_expr=left,
+        right_expr=right,
     )
 
 
@@ -247,5 +219,4 @@ def write_bridge_report(path, bmap: BridgeMap) -> None:
         # no member indices: fit_bridge always pairs the two leading members
         "member_indices": [None, None],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(path, payload, sort_keys=True)

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, experiment: str) -> ExperimentConfig:
-    params = default_params(experiment)
+    params = {}
     for item in args.param:
         if "=" not in item:
             raise ConfigurationError(f"--param expects KEY=VALUE, got {item!r}")
@@ -172,30 +172,17 @@ def _tool_eig(args) -> int:
 
 
 def _tool_extend(args) -> int:
-    from .core import EvalGrid, FlowedGrid
-    from .dictionary import feature_sup_M, spectral_norm_bound_L
-    from .dynamics import FlowMap, integration_error_sup, make_system
-    from .extend import iterative_koopman_eigensolver, write_extension_report
+    from .core import EvalGrid
+    from .dynamics import make_system
+    from .extend import certify_on_grid, write_extension_report
     from .regression import load_model
 
     sys_ = make_system(args.system)
-    if sys_.field.exact_flow is None:
-        raise ConfigurationError(
-            f"{args.system} has no closed-form flow to measure the integration error "
-            "eps_G against, so extend cannot certify a bound for it"
-        )
     model = load_model(args.model)
     lo, hi, h = args.grid
     grid = EvalGrid((lo,) * sys_.dim, (hi,) * sys_.dim, h)
-    rk_map = FlowMap(sys_.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
-    rk = FlowedGrid.of(rk_map, grid)
-    exact = FlowedGrid.of(FlowMap(sys_.field, model.dt, method="exact"), grid)
-    eps_G = integration_error_sup(rk, exact)
-    L = spectral_norm_bound_L(model.dict, grid)
-    M = feature_sup_M(model.dict, grid)
-    results = iterative_koopman_eigensolver(
-        model, rk, n=_n_pairs(args, model), epsilon=args.epsilon, eps_G=eps_G, L=L, M=M,
-        p_max=args.p_max, seed=args.seed,
+    results, _, _, _ = certify_on_grid(
+        model, sys_, grid, _n_pairs(args, model), args.epsilon, args.p_max, args.seed
     )
     os.makedirs(args.out, exist_ok=True)
     write_extension_report(os.path.join(args.out, "extension_report.json"), results)

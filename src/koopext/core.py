@@ -1,5 +1,5 @@
 """Shared domain types: evaluation grids, the grid norm, principal-branch
-complex powers, singular-value tagging, and the grid-field CSV writer.
+complex powers, singular-value tagging, and the CSV and JSON artifact writers.
 
 Everything here is immutable after construction and safe to share. Grid
 reductions go through numpy's pairwise summation, so results do not depend
@@ -7,6 +7,7 @@ on how a caller might partition the work.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -248,6 +249,13 @@ def _write_csv(path, header, table, newline: str = "\n") -> None:
     entry with %.17g; an empty `header` writes no header line."""
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
                comments="", newline=newline)
+
+
+def _write_json(path, payload, sort_keys: bool) -> None:
+    """Write `payload` as a JSON artifact indented by 2, its keys sorted when
+    `sort_keys`."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
 
 
 def write_grid_field(path, grid: EvalGrid, values) -> None:

@@ -35,7 +35,6 @@ class Dictionary:
     """
 
     dim_in: int
-    kind: str
     eval_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     jac_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     spec: dict = field(default_factory=dict)
@@ -59,7 +58,6 @@ def identity_dictionary(d: int) -> Dictionary:
         raise ConfigurationError("dimension must be >= 1")
     return Dictionary(
         dim_in=d,
-        kind="identity",
         eval_fn=lambda pts: pts.copy(),
         jac_fn=lambda pts: np.broadcast_to(np.eye(d), (pts.shape[0], d, d)).copy(),
         spec={"kind": "identity", "dim": d},
@@ -98,7 +96,6 @@ def monomial_dictionary(d: int, max_degree: int) -> Dictionary:
 
     return Dictionary(
         dim_in=d,
-        kind="monomial",
         eval_fn=eval_fn,
         jac_fn=jac_fn,
         spec={"kind": "monomial", "dim": d, "max_degree": max_degree},
@@ -182,7 +179,6 @@ def _dictionary_from_centers(centers: np.ndarray, bandwidth: float) -> Dictionar
 
     return Dictionary(
         dim_in=d,
-        kind="rbf_gaussian",
         eval_fn=eval_fn,
         jac_fn=jac_fn,
         spec={

@@ -26,6 +26,7 @@ from .core import (
     FlowedGrid,
     UnsupportedSystemError,
     _write_csv,
+    _write_json,
     tag_nonfinite,
 )
 
@@ -273,7 +274,6 @@ class BenchmarkSystem:
     field: VectorField
     steady_states: tuple
     analytic_eigenfunctions: tuple[AnalyticEigenfunction, ...] = ()
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -366,7 +366,6 @@ def _cubic1d(a=-1.0, b=0.0, c=3.0) -> BenchmarkSystem:
         field=VectorField(1, rhs, exact_flow),
         steady_states=(np.array([a]), np.array([b]), np.array([c])),
         analytic_eigenfunctions=tuple(make_eig(i) for i in range(3)),
-        metadata={"a": a, "b": b, "c": c, "eigenvalues": [float(v) for v in lams]},
     )
 
 
@@ -416,7 +415,6 @@ def _quad1d(a=2.0, b=3.0) -> BenchmarkSystem:
         field=VectorField(1, rhs, exact_flow),
         steady_states=(np.array([a]), np.array([b])),
         analytic_eigenfunctions=(ratio_eig(1, True), ratio_eig(1, False)),
-        metadata={"a": a, "b": b},
     )
 
 
@@ -469,7 +467,6 @@ def _linear2d(A=None) -> BenchmarkSystem:
         field=VectorField(2, rhs, exact_flow),
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=tuple(funcs),
-        metadata={"A": A.tolist()},
     )
 
 
@@ -517,7 +514,6 @@ def _softplus2d(A=None) -> BenchmarkSystem:
         field=VectorField(2, rhs, exact_flow),
         steady_states=(softplus(np.zeros(2)),),
         analytic_eigenfunctions=tuple(funcs),
-        metadata={"A": A.tolist()},
     )
 
 
@@ -563,7 +559,6 @@ def _lin5d(a=-0.4, b=-1.0) -> BenchmarkSystem:
         field=VectorField(5, lambda y: y @ A.T, lambda pts, t: pts @ propagator(t).T),
         steady_states=(np.zeros(5),),
         analytic_eigenfunctions=funcs,
-        metadata={"a": a, "b": b},
     )
 
 
@@ -656,7 +651,6 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
             AnalyticEigenfunction(lam_lc, eval_lc, "phi_lc"),
             AnalyticEigenfunction(lam_ss, eval_ss, "phi_ss"),
         ),
-        metadata={"mu": mu, "omega": omega, "alpha": alpha, "C": C},
     )
 
 
@@ -674,7 +668,6 @@ def _vanderpol(mu=0.3) -> BenchmarkSystem:
         id="vanderpol",
         field=VectorField(2, rhs),
         steady_states=(np.zeros(2),),
-        metadata={"mu": mu},
     )
 
 
@@ -722,7 +715,6 @@ def _saddle2d() -> BenchmarkSystem:
         field=VectorField(2, rhs, exact_flow),
         steady_states=(np.zeros(2),),
         analytic_eigenfunctions=(coord_eig(0, lam1), coord_eig(1, lam2)),
-        metadata={"lambda1": lam1, "lambda2": lam2, "rotation_deg": 60.0},
     )
 
 
@@ -814,7 +806,6 @@ def _bistable2d() -> BenchmarkSystem:
             power_eig(1.0, lam_s1, "phi1_node"),
             y2_eig(),
         ),
-        metadata={"eigenvalues": [lam_u, lam_s2, lam_s1]},
     )
 
 
@@ -835,7 +826,6 @@ def _duffing(delta=0.5, beta=-1.0, alpha=0.1) -> BenchmarkSystem:
         id="duffing",
         field=VectorField(2, rhs),
         steady_states=tuple(steady),
-        metadata={"delta": delta, "beta": beta, "alpha": alpha},
     )
 
 
@@ -990,19 +980,19 @@ def transform_snapshots(snaps: SnapshotSet, fn: Callable[[np.ndarray], np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray):
+def numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a batch map at a single state, with
-    step 1e-6 (1 + |x_j|) along coordinate j."""
+    step 1e-6 (1 + |x_j|) along coordinate j: (m, d) for a map to m-vectors,
+    the gradient (d,) for a scalar map."""
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    J = np.empty((d, d))
-    for j in range(d):
+    cols = []
+    for j in range(x.shape[0]):
         h = 1e-6 * (1.0 + abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        J[:, j] = (fn(xp[None, :])[0] - fn(xm[None, :])[0]) / (2 * h)
-    return J
+        cols.append((fn(xp[None, :])[0] - fn(xm[None, :])[0]) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _find_saddle(system: BenchmarkSystem):
@@ -1091,14 +1081,10 @@ def unstable_manifold_sample(system: BenchmarkSystem, n: int, window) -> np.ndar
 
 
 def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
-    import json
-
     d = snaps.dim
     header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(d)]
     _write_csv(f"{path_stem}.csv", header, np.hstack([snaps.x, snaps.y]), newline="\r\n")
-    sidecar = {"dt": snaps.dt, **snaps.metadata}
-    with open(f"{path_stem}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    _write_json(f"{path_stem}.json", {"dt": snaps.dt, **snaps.metadata}, sort_keys=True)
 
 
 def read_snapshots(path_stem: str) -> SnapshotSet:

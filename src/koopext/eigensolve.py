@@ -10,12 +10,12 @@ and every eigenvector scaled so its largest-modulus entry is real positive.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, ConvergenceError, NearDefectiveError, _write_csv
+from .core import (ConfigurationError, ConvergenceError, NearDefectiveError, _write_csv,
+                   _write_json)
 
 __all__ = [
     "Eigenpair",
@@ -208,12 +208,7 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
     if n == 1:
         return Eigenpair(lam=complex(A[0, 0]), right=np.array([1.0 + 0j]), residual=0.0)
     norm_A = max(np.linalg.norm(A), 1e-300)
-    try:
-        _, x = power_iteration(A, max_iter=_WARM_START_ITERS, seed=seed,
-                               require_convergence=False)
-    except ConvergenceError as err:
-        x = err.last_iterate
-    x = np.asarray(x, dtype=float)
+    _, x = power_iteration(A, max_iter=_WARM_START_ITERS, seed=seed, require_convergence=False)
     lam_old = complex(np.inf)
     best: Eigenpair | None = None
     Ac = A.astype(complex)
@@ -367,8 +362,7 @@ def write_spectrum_json(path, pairs: list[Eigenpair]) -> None:
         }
         for i, p in enumerate(pairs)
     ]
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2)
+    _write_json(path, rows, sort_keys=False)
 
 
 def write_eigenvectors_csv(path_stem, pairs: list[Eigenpair]) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     EvalGrid,
     FlowedGrid,
     _write_csv,
+    _write_json,
     principal_arg,
     write_grid_field,
 )
@@ -38,6 +39,7 @@ from .dynamics import (
     lin5d_base_flow,
     lin5d_lift,
     make_system,
+    numeric_jacobian,
     sample_snapshots,
     softplus,
     transform_snapshots,
@@ -49,11 +51,11 @@ from .eigensolve import deflate_spectrum, write_spectrum_json
 from .extend import (
     PairExtension,
     PowerErrors,
+    certify_on_grid,
     expr_from_analytic,
     expr_from_weights,
     extend_continuous,
     extend_discrete,
-    iterative_koopman_eigensolver,
     normalize_to_grid,
     write_extension_report,
 )
@@ -61,6 +63,7 @@ from .regression import fit_edmd, save_model
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "default_params", "run"]
 
+# The config file format; config.json and summary.json record it.
 SCHEMA_VERSION = 1
 
 
@@ -70,21 +73,26 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "."
     params: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+        _write_json(path, {**asdict(self), "schema_version": SCHEMA_VERSION}, sort_keys=True)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+        unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)}
+                         - {"schema_version"})
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {unknown}")
         if "experiment" not in raw:
             raise ConfigurationError(f"{path}: the config names no experiment")
+        version = raw.pop("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"{path}: schema_version {json.dumps(version)} is not the supported "
+                f"{SCHEMA_VERSION}"
+            )
         return ExperimentConfig(**raw)
 
 
@@ -234,8 +242,6 @@ def _softplus_defaults():
         "n_eig": 9,
         "epsilon": 0.01,
         "p_cap": 3,
-        "rk_rel_tol": 1e-11,
-        "rk_abs_tol": 1e-13,
         "max_iter": 300000,
     }
 
@@ -254,15 +260,8 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
-    rk = FlowedGrid.of(FlowMap(soft.field, p["dt"], method="rk45",
-                               rel_tol=p["rk_rel_tol"], abs_tol=p["rk_abs_tol"]), grid)
-    exact = FlowedGrid.of(FlowMap(soft.field, p["dt"], method="exact"), grid)
-    eps_G = integration_error_sup(rk, exact)
-    L = spectral_norm_bound_L(dic, grid)
-    M = feature_sup_M(dic, grid)
-    results = iterative_koopman_eigensolver(
-        model, rk, n=p["n_eig"], epsilon=p["epsilon"], eps_G=eps_G, L=L, M=M,
-        p_max=p["p_cap"], seed=seed, max_iter=p["max_iter"],
+    results, eps_G, L, M = certify_on_grid(
+        model, soft, grid, p["n_eig"], p["epsilon"], p["p_cap"], seed, max_iter=p["max_iter"]
     )
     write_extension_report(os.path.join(out, "extension_report.json"), results)
     norm_K = np.linalg.norm(model.K)
@@ -276,8 +275,8 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     for ext in lead.result.extensions:
         vals = ext.expr.eval(grid.points)
         write_grid_field(os.path.join(out, f"eigenfunction_p{ext.power}.csv"), grid, vals)
-    with open(os.path.join(out, "constants.json"), "w") as fh:
-        json.dump({"eps_G": eps_G, "L": L, "M": M}, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "constants.json"), {"eps_G": eps_G, "L": L, "M": M},
+                sort_keys=True)
     return {
         "criteria": [
             _leq("eigensolver_relative_residual", worst_res, 1e-8),
@@ -291,8 +290,6 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
 
 def _bridge_defaults():
     return {
-        "anchor_left": 2.0,
-        "anchor_right": 3.0,
         "radius": 0.85,
         "left_dict": {"n_centers": 100, "bandwidth": 0.05},
         "right_dict": {"n_centers": 80, "bandwidth": 0.15},
@@ -318,17 +315,21 @@ def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
     )
     analytic_err = abs(bm_analytic.c_forward + 1.0)
 
+    anchor_left, anchor_right = sys_.steady_states
     fam_l = bridge_mod.fit_local_family(
-        sys_, p["anchor_left"], p["radius"], p["left_dict"],
+        sys_, anchor_left, p["radius"], p["left_dict"],
         spurious_threshold=p["spurious_threshold"], seed=seed + 1,
         dt=p["dt"], n_pairs=p["left_n_pairs"],
     )
     fam_r = bridge_mod.fit_local_family(
-        sys_, p["anchor_right"], p["radius"], p["right_dict"],
+        sys_, anchor_right, p["radius"], p["right_dict"],
         spurious_threshold=p["spurious_threshold"], seed=seed + 2,
         dt=p["dt"], n_pairs=p["right_n_pairs"],
     )
-    bm = bridge_mod.fit_bridge(fam_l, fam_r, p["window"], tikhonov=p["tikhonov"])
+    bm = bridge_mod.fit_bridge(
+        bridge_mod.leading_member(fam_l), bridge_mod.leading_member(fam_r), p["window"],
+        tikhonov=p["tikhonov"],
+    )
     bridge_mod.write_bridge_report(os.path.join(out, "bridge_report.json"), bm)
     pts = np.linspace(p["window"][0], p["window"][1], 256).reshape(-1, 1)
     mapped = bridge_mod.continue_across(bm, source="right", points=pts)
@@ -338,11 +339,10 @@ def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
     # continuation of the cubic system's first eigenfunction past its blow-up
     phi1 = expr_from_analytic(cubic.analytic_eigenfunctions[0])
     phi2 = expr_from_analytic(cubic.analytic_eigenfunctions[1])
-    a, bb = cubic.metadata["a"], cubic.metadata["b"]
+    a, bb, c_hi = (float(s[0]) for s in cubic.steady_states)
     bm_cubic = bridge_mod.fit_bridge(
         phi1, phi2, (a + 0.1 * (bb - a), bb - 0.1 * (bb - a)), tikhonov=0.0
     )
-    c_hi = cubic.metadata["c"]
     xs = np.linspace(bb + 0.02, c_hi - 0.1, 200).reshape(-1, 1)
     cont = bridge_mod.continue_across(bm_cubic, source="left", points=xs)
     truth = np.abs(cubic.analytic_eigenfunctions[0].eval(xs))
@@ -429,12 +429,12 @@ def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
         np.array([[1.3]]), T=5.0, step=0.01,
     )
     trivial_err = abs(trivial[0] - 1.3)
-    with open(os.path.join(out, "phase_config.json"), "w") as fh:
-        json.dump(
-            {"observable": "sin(x1+x2)", "lambda": [0.0, omega],
-             "T": T, "step": step, "period": period},
-            fh, indent=2, sort_keys=True,
-        )
+    _write_json(
+        os.path.join(out, "phase_config.json"),
+        {"observable": "sin(x1+x2)", "lambda": [0.0, omega], "T": T, "step": step,
+         "period": period},
+        sort_keys=True,
+    )
     return {
         "criteria": [
             _leq("laplace_eigen_relation_ratio", ratio, 5e-2),
@@ -530,13 +530,7 @@ def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
         tang = (_saddle_embed(pp) - _saddle_embed(pm)) / (2 * eps)
         tang /= np.linalg.norm(tang, axis=1, keepdims=True)
         for zz, tg in zip(zc, tang):
-            g = np.zeros(2)
-            for j in range(2):
-                hh = 1e-6 * (1 + abs(zz[j]))
-                zp, zm = zz.copy(), zz.copy()
-                zp[j] += hh
-                zm[j] -= hh
-                g[j] = (eig.eval(zp[None, :])[0].real - eig.eval(zm[None, :])[0].real) / (2 * hh)
+            g = numeric_jacobian(lambda q: eig.eval(q).real, zz)
             g /= np.linalg.norm(g)
             worst = min(worst, abs(float(g @ np.array([-tg[1], tg[0]]))))
     return {
@@ -580,11 +574,9 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     lams, W = np.linalg.eig(model.K.T)
     order = np.argsort(-np.abs(lams))[: p["top_k"]]
     feats = dic.eval(S)
-    with open(os.path.join(out, "spectrum.json"), "w") as fh:
-        json.dump(
-            [{"re": float(lams[j].real), "im": float(lams[j].imag)} for j in order],
-            fh, indent=2,
-        )
+    _write_json(os.path.join(out, "spectrum.json"),
+                [{"re": float(lams[j].real), "im": float(lams[j].imag)} for j in order],
+                sort_keys=False)
     good = total = 0
     profiles = {}
     for j in order:
@@ -604,8 +596,7 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
             total += 1
             good += bool(vals[i - 1] > vals[i])
     frac = good / total if total else 0.0
-    with open(os.path.join(out, "manifold_eigenfunctions.json"), "w") as fh:
-        json.dump(profiles, fh, indent=2)
+    _write_json(os.path.join(out, "manifold_eigenfunctions.json"), profiles, sort_keys=False)
     return {
         "criteria": [
             _criterion("monotone_growth_fraction", frac, 0.8, frac >= 0.8),
@@ -718,12 +709,12 @@ def run(config: ExperimentConfig) -> dict:
     params.update(config.params)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    config.to_json(os.path.join(out, "config.json"))
+    replace(config, params=params).to_json(os.path.join(out, "config.json"))
     result = runner(params, config.seed, out)
     summary = {
         "experiment": config.experiment,
         "seed": config.seed,
-        "schema_version": config.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "criteria": result["criteria"],
         "artifacts": result.get("artifacts", []),
         "all_pass": all(c["pass"] for c in result["criteria"]),
@@ -731,6 +722,5 @@ def run(config: ExperimentConfig) -> dict:
     for key, val in result.items():
         if key not in ("criteria", "artifacts"):
             summary[key] = val
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"), summary, sort_keys=True)
     return summary

@@ -15,7 +15,6 @@ Complex eigenvalues enter the bound arithmetic through their modulus.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,12 +25,14 @@ from .core import (
     EmptySupportError,
     EvalGrid,
     FlowedGrid,
+    _write_json,
     masked_grid_norm,
     principal_pow,
     singular_mask,
     tag_nonfinite,
 )
-from .dictionary import Dictionary
+from .dictionary import Dictionary, feature_sup_M, spectral_norm_bound_L
+from .dynamics import BenchmarkSystem, FlowMap, integration_error_sup
 from .eigensolve import _deflation_rounds
 from .regression import KoopmanModel
 
@@ -52,6 +53,7 @@ __all__ = [
     "extend_discrete",
     "extend_continuous",
     "iterative_koopman_eigensolver",
+    "certify_on_grid",
     "PairExtension",
     "principal_filter",
     "PrincipalComponents",
@@ -68,7 +70,6 @@ class DictionaryEigenfunction:
     dictionary: Dictionary
     weights: np.ndarray
     eigenvalue: complex
-    name: str = ""
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         feats = self.dictionary.eval(points)
@@ -199,33 +200,21 @@ def expr_from_analytic(analytic) -> EigenfunctionExpr:
     )
 
 
-def _as_factors(phi) -> tuple:
-    if isinstance(phi, EigenfunctionExpr):
-        return phi.factors
-    return ((phi, 1.0),)
-
-
-def _kind_of(phi) -> str:
-    if isinstance(phi, EigenfunctionExpr):
-        return phi.eigenvalue_kind
-    return "generator"  # bare analytic eigenfunction
-
-
-def monomial(phi1, p: float, phi2=None, q: float = 0.0) -> EigenfunctionExpr:
+def monomial(
+    phi1: EigenfunctionExpr, p: float, phi2: EigenfunctionExpr | None = None, q: float = 0.0
+) -> EigenfunctionExpr:
     """phi1^p (optionally times phi2^q) with the combined eigenvalue."""
-    kind = _kind_of(phi1)
-    factors = tuple((base, m * p) for base, m in _as_factors(phi1))
-    scale1 = getattr(phi1, "scale", 1.0 + 0j)
-    scale = principal_pow(complex(scale1), float(p)) if scale1 != 1.0 else 1.0 + 0j
+    kind = phi1.eigenvalue_kind
+    factors = tuple((base, m * p) for base, m in phi1.factors)
+    scale = principal_pow(complex(phi1.scale), float(p)) if phi1.scale != 1.0 else 1.0 + 0j
     if phi2 is not None and q != 0.0:
-        if _kind_of(phi2) != kind:
+        if phi2.eigenvalue_kind != kind:
             raise ConfigurationError(
                 "cannot mix fitted (multiplier) and analytic (generator) factors"
             )
-        factors += tuple((base, m * q) for base, m in _as_factors(phi2))
-        scale2 = getattr(phi2, "scale", 1.0 + 0j)
-        if scale2 != 1.0:
-            scale *= principal_pow(complex(scale2), float(q))
+        factors += tuple((base, m * q) for base, m in phi2.factors)
+        if phi2.scale != 1.0:
+            scale *= principal_pow(complex(phi2.scale), float(q))
     factors = tuple((b, m) for b, m in factors if m != 0.0)
     return EigenfunctionExpr(
         factors=factors,
@@ -266,11 +255,11 @@ class PowerErrors:
     same numbers trajectory_error_detailed gives for that monomial.
     """
 
-    def __init__(self, phi, flowed: FlowedGrid):
+    def __init__(self, phi: EigenfunctionExpr, flowed: FlowedGrid):
         self.phi = phi
         self.flowed = flowed
         # monomial drops zero exponents, so only the others line up with its factors
-        bases = [base for base, m in _as_factors(phi) if m != 0.0]
+        bases = [base for base, m in phi.factors if m != 0.0]
         self._vx = [_eval_base(base, flowed.points) for base in bases]
         self._vy = [_eval_base(base, flowed.image) for base in bases]
 
@@ -519,6 +508,44 @@ def iterative_koopman_eigensolver(
     return out
 
 
+def certify_on_grid(
+    model: KoopmanModel,
+    system: BenchmarkSystem,
+    grid: EvalGrid,
+    n: int,
+    epsilon: float,
+    p_max: int,
+    seed: int,
+    max_iter: int = 50000,
+) -> tuple[list[PairExtension], float, float, float]:
+    """Certified powers of the n dominant eigenpairs of a model of `system`
+    on `grid`: (pairs, eps_G, L, M).
+
+    The grid is flowed over the model's dt by rk45 at rel_tol 1e-11 and
+    abs_tol 1e-13; eps_G is that flow's worst gap from the closed-form flow,
+    L and M the dictionary constants on the grid, and
+    iterative_koopman_eigensolver runs on the rk45-flowed grid. A system
+    without a closed-form flow has no eps_G to certify with and is refused.
+    """
+    if system.field.exact_flow is None:
+        raise ConfigurationError(
+            f"{system.id} has no closed-form flow to measure the integration error "
+            "eps_G against, so no bound can be certified for it"
+        )
+    rk = FlowedGrid.of(
+        FlowMap(system.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13), grid
+    )
+    exact = FlowedGrid.of(FlowMap(system.field, model.dt, method="exact"), grid)
+    eps_G = integration_error_sup(rk, exact)
+    L = spectral_norm_bound_L(model.dict, grid)
+    M = feature_sup_M(model.dict, grid)
+    pairs = iterative_koopman_eigensolver(
+        model, rk, n=n, epsilon=epsilon, eps_G=eps_G, L=L, M=M,
+        p_max=p_max, seed=seed, max_iter=max_iter,
+    )
+    return pairs, eps_G, L, M
+
+
 # ---------------------------------------------------------------------------
 # Principal-direction filter on log-magnitude fields.
 
@@ -575,5 +602,4 @@ def write_extension_report(path, pairs: list[PairExtension]) -> None:
                 ],
             }
         )
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(path, payload, sort_keys=False)

@@ -246,6 +246,16 @@ def transform_Ti_inv(v, mu: float, alpha: float, C: float):
     return complex(out) if out.ndim == 0 else out
 
 
+def _push_outside(s, ang, mu: float, alpha: float, C: float):
+    """(r, theta) outside the cycle for the interior isostable level s and the
+    eigenfunction argument ang: s goes through the monotone bijection
+    s -> C s/(1 + s) onto the exterior isostable range (0, C), the exterior
+    radius is recovered from it, and theta keeps the argument ang."""
+    s_out = C * s / (1.0 + s)
+    r_out = np.sqrt(mu / (1.0 - s_out / C))
+    return r_out, np.mod(ang + _polar_twist(r_out, r_out, mu, alpha), 2.0 * math.pi)
+
+
 def transform_To(r, theta, mu: float, alpha: float, C: float):
     """Carry interior points across the cycle while preserving the isochron.
 
@@ -260,10 +270,7 @@ def transform_To(r, theta, mu: float, alpha: float, C: float):
     if np.any((r <= 0) | (r >= smu)):
         raise DomainError("transform_To needs 0 < r < sqrt(mu)")
     s = C * (mu / r**2 - 1.0)
-    ang = theta - _polar_twist(r, r, mu, alpha)
-    s_out = C * s / (1.0 + s)
-    r_out = np.sqrt(mu / (1.0 - s_out / C))
-    theta_out = np.mod(ang + _polar_twist(r_out, r_out, mu, alpha), 2.0 * math.pi)
+    r_out, theta_out = _push_outside(s, theta - _polar_twist(r, r, mu, alpha), mu, alpha, C)
     if r_out.ndim == 0:
         return float(r_out), float(theta_out)
     return r_out, theta_out
@@ -286,13 +293,9 @@ def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C:
         _, phi_ss = polar_eigenfunctions(mu, omega, alpha, C)
         z2 = phi_ss(r[ok], theta[ok])
         v = transform_Ti_inv(z2, mu, alpha, C)
-        s = np.abs(v)
-        ang = np.asarray(principal_arg(v))
-        s_out = C * s / (1.0 + s)
-        r_out = np.sqrt(mu / (1.0 - s_out / C))
-        th_out = np.mod(ang + _polar_twist(r_out, r_out, mu, alpha), 2.0 * math.pi)
-        out[ok, 0] = r_out
-        out[ok, 1] = th_out
+        out[ok, 0], out[ok, 1] = _push_outside(
+            np.abs(v), np.asarray(principal_arg(v)), mu, alpha, C
+        )
     return out
 
 

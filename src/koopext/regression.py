@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, IllConditionedError, _write_csv
+from .core import ConfigurationError, IllConditionedError, _write_csv, _write_json
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
 
@@ -69,7 +69,7 @@ def fit_edmd(data: SnapshotSet, dic: Dictionary, ridge: float = 0.0) -> KoopmanM
     K = np.ascontiguousarray((inv @ A).T)
     resid = float(np.sqrt(np.mean(np.sum((PY - PX @ K.T) ** 2, axis=1))))
     # linear decoder back to states, exact for the identity dictionary
-    if dic.kind == "identity":
+    if dic.spec["kind"] == "identity":
         decoder = np.eye(D)
     else:
         decoder, *_ = np.linalg.lstsq(PX, data.x, rcond=None)
@@ -102,8 +102,7 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
         "fit_residual": model.fit_residual,
         "dictionary": model.dict.spec,
     }
-    with open(f"{path_stem}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    _write_json(f"{path_stem}.json", sidecar, sort_keys=True)
     _write_csv(f"{path_stem}_K.csv", [], model.K)
     if model.decoder is not None:
         _write_csv(f"{path_stem}_decoder.csv", [], model.decoder)

@@ -4,22 +4,28 @@ A plain script, not a test module. Each config is run through
 `koopext.experiments.run` in a temporary directory, and one line per file
 is printed as `<experiment>@<seed><params> <file> <sha256>`, sorted by file
 name. `config.json` is left out, since it records the output directory.
-Two trees that print the same lines wrote the same bytes.
+Two trees that print the same lines wrote the same bytes. The README's
+tool-surface commands (simulate, fit, eig, extend, phase) run in order
+through `koopext.cli.main` under the label `readme_tool_chain`, their files
+named by path below the run directory.
 
     PYTHONPATH=src python tests/artifact_digests.py              # every config
     PYTHONPATH=src python tests/artifact_digests.py vdp_phase    # one experiment
+    PYTHONPATH=src python tests/artifact_digests.py readme_tool_chain
     PYTHONPATH=src python tests/artifact_digests.py --golden     # rewrite the manifest
 
 `--golden` rewrites `golden_sha256.json` beside this file: the digests of the
-GOLDEN_CONFIGS runs, which tier-1 makes and checks against it, and the
-environment that wrote them. A change that alters artifact bytes on purpose
-regenerates it this way and lists each changed file.
+GOLDEN_CONFIGS runs and of the README tool chain, which tier-1 makes and
+checks against it, and the environment that wrote them. A change that alters
+artifact bytes on purpose regenerates it this way and lists each changed file.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
 import json
 import os
 import platform
@@ -29,7 +35,9 @@ import tempfile
 import numpy
 import scipy
 
+from koopext.cli import main as cli_main
 from koopext.experiments import ExperimentConfig, run
+from test_readme import tool_surface_commands
 
 # The eight experiments at their README seeds and defaults, then the inputs
 # the benchmark's edmd_eig, phase_laplace, mixed_small and dmd_bounds
@@ -62,6 +70,8 @@ GOLDEN_CONFIGS = (
     ("linear2d_dmd", 42, {"grid_h": 0.02}),
     ("linear2d_dmd", 7, {"grid_h": 0.02}),
 )
+
+TOOL_CHAIN_LABEL = "readme_tool_chain"
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
 
@@ -104,14 +114,18 @@ def environment() -> dict:
 
 
 def file_digests(out) -> list[tuple[str, str]]:
-    """(name, sha256) of every file in `out` but config.json, sorted by name."""
+    """(path below `out`, sha256) of every file under `out` but config.json,
+    sorted by path."""
     rows = []
-    for name in sorted(os.listdir(out)):
-        if name == "config.json":
-            continue
-        with open(os.path.join(out, name), "rb") as fh:
-            rows.append((name, hashlib.sha256(fh.read()).hexdigest()))
-    return rows
+    for root, _, names in os.walk(out):
+        for name in names:
+            if name == "config.json":
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                rows.append((os.path.relpath(path, out).replace(os.sep, "/"),
+                             hashlib.sha256(fh.read()).hexdigest()))
+    return sorted(rows)
 
 
 def digests(experiment: str, seed: int, params: dict) -> list[tuple[str, str]]:
@@ -120,8 +134,25 @@ def digests(experiment: str, seed: int, params: dict) -> list[tuple[str, str]]:
         return file_digests(out)
 
 
+def tool_chain_digests() -> list[tuple[str, str]]:
+    """file_digests of a temporary directory in which the README's
+    tool-surface commands ran in order, their output relative to it."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out:
+        os.chdir(out)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for command in tool_surface_commands():
+                    if cli_main(command[1:]) != 0:
+                        raise RuntimeError(f"{' '.join(command)} failed")
+        finally:
+            os.chdir(cwd)
+        return file_digests(out)
+
+
 def write_golden() -> None:
     runs = {label(*cfg): dict(digests(*cfg)) for cfg in GOLDEN_CONFIGS}
+    runs[TOOL_CHAIN_LABEL] = dict(tool_chain_digests())
     with open(GOLDEN_PATH, "w") as fh:
         json.dump({"environment": environment(), "runs": runs}, fh, indent=2)
         fh.write("\n")
@@ -133,6 +164,9 @@ def main(names: list[str]) -> None:
             continue
         for name, digest in digests(experiment, seed, params):
             print(f"{label(experiment, seed, params)} {name} {digest}", flush=True)
+    if TOOL_CHAIN_LABEL in names:
+        for name, digest in tool_chain_digests():
+            print(f"{TOOL_CHAIN_LABEL} {name} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,12 @@ from koopext.eigensolve import (
 )
 from koopext.extend import (
     bound_constant_CFG,
+    certify_on_grid,
     continuous_bound,
     discrete_bound,
     expr_from_analytic,
     expr_from_weights,
     extend_continuous,
-    iterative_koopman_eigensolver,
     monomial,
     normalize_to_grid,
     principal_filter,
@@ -158,17 +158,7 @@ def test_criterion_4_softplus_reproduction():
     dic = rbf_dictionary(snaps, 40, bandwidth=0.7, seed=5)
     model = fit_edmd(snaps, dic, ridge=1e-10)
     grid = EvalGrid((1.0, 1.0), (2.0, 2.0), 0.01)
-    rk = FlowedGrid.of(
-        FlowMap(soft.field, 0.02, method="rk45", rel_tol=1e-11, abs_tol=1e-13), grid
-    )
-    exact = FlowedGrid.of(FlowMap(soft.field, 0.02, method="exact"), grid)
-    eps_G = integration_error_sup(rk, exact)
-    L = spectral_norm_bound_L(dic, grid)
-    M = feature_sup_M(dic, grid)
-    results = iterative_koopman_eigensolver(
-        model, rk, n=9, epsilon=0.01, eps_G=eps_G, L=L, M=M,
-        p_max=3, seed=0,
-    )
+    results, _, _, _ = certify_on_grid(model, soft, grid, 9, 0.01, p_max=3, seed=0)
     norm_K = np.linalg.norm(model.K)
     worst_res = max(pe.residual for pe in results) / norm_K
     worst_bound = max(e.bound for pe in results for e in pe.result.extensions)

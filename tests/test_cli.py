@@ -14,10 +14,12 @@ from koopext.experiments import EXPERIMENTS, ExperimentConfig, default_params, r
 from artifact_digests import (
     GOLDEN_CONFIGS,
     GOLDEN_PATH,
+    TOOL_CHAIN_LABEL,
     digests,
     environment,
     file_digests,
     label,
+    tool_chain_digests,
 )
 
 
@@ -38,6 +40,22 @@ def rerun_digests():
 
 def run_cli(args):
     return main(list(args))
+
+
+def assert_matches_golden(run_label: str, got: dict) -> None:
+    """Fail naming every file whose digest differs from the manifest's entry
+    for `run_label`, and every environment difference that could explain it."""
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    want = golden["runs"][run_label]
+    if got != want:
+        env = environment()
+        differs = {key: {"manifest": golden["environment"].get(key), "here": env[key]}
+                   for key in env if golden["environment"].get(key) != env[key]}
+        changed = sorted(name for name in set(got) | set(want)
+                         if got.get(name) != want.get(name))
+        pytest.fail(f"{changed} differ from {os.path.basename(GOLDEN_PATH)}; "
+                    f"environment differences: {differs or 'none'}")
 
 
 def run_cli_process(*args):
@@ -300,18 +318,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("experiment, seed, params", GOLDEN_CONFIGS)
     def test_artifacts_match_the_golden_manifest(self, rerun_digests, experiment, seed,
                                                  params):
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-        want = golden["runs"][label(experiment, seed, params)]
-        got = dict(rerun_digests(experiment, seed, params))
-        if got != want:
-            env = environment()
-            differs = {key: {"manifest": golden["environment"].get(key), "here": env[key]}
-                       for key in env if golden["environment"].get(key) != env[key]}
-            changed = sorted(name for name in set(got) | set(want)
-                             if got.get(name) != want.get(name))
-            pytest.fail(f"{changed} differ from {os.path.basename(GOLDEN_PATH)}; "
-                        f"environment differences: {differs or 'none'}")
+        assert_matches_golden(label(experiment, seed, params),
+                              dict(rerun_digests(experiment, seed, params)))
+
+    def test_readme_tool_chain_matches_the_golden_manifest(self):
+        # simulate -> fit -> eig -> extend -> phase as the README runs them
+        assert_matches_golden(TOOL_CHAIN_LABEL, dict(tool_chain_digests()))
 
 
 class TestConfig:
@@ -335,6 +347,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"\['colour', 'threads'\]"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("version", [7, "x", True])
+    def test_other_schema_version_is_a_usage_error_that_names_it(self, tmp_path, capsys,
+                                                                 version):
+        # the version was a settable field that nothing read; a file of any
+        # version ran and summary.json repeated it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "lin5d_check", "out_dir": str(tmp_path / "o"),
+                                    "schema_version": version}))
+        assert run_cli(["run", "--config", str(path)]) == 2
+        assert f"schema_version {json.dumps(version)} is not" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_without_an_experiment_raises_a_configuration_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 1}))
@@ -351,6 +375,17 @@ class TestConfig:
         assert cfg["params"]["n_pairs"] == 200
         # no `threads` or `format`: nothing read them
         assert sorted(cfg) == ["experiment", "out_dir", "params", "schema_version", "seed"]
+
+    def test_api_and_cli_runs_write_the_same_merged_config(self, tmp_path):
+        # the API path used to record only the overrides, the CLI every parameter
+        api, cli = tmp_path / "api", tmp_path / "cli"
+        run(ExperimentConfig("lin5d_check", seed=1, out_dir=str(api), params={"grid_n": 11}))
+        assert run_cli(["lin5d_check", "--out", str(cli), "--seed", "1",
+                        "--param", "grid_n=11"]) == 0
+        text = (api / "config.json").read_text()
+        assert text.replace(str(api), "OUT") == (cli / "config.json").read_text().replace(
+            str(cli), "OUT")
+        assert json.loads(text)["params"] == {**default_params("lin5d_check"), "grid_n": 11}
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_default_parameter_is_read_by_its_runner(self, name):
@@ -439,6 +474,19 @@ class TestExtendTool:
                         "--p-max", "0", "--out", out]) == 2
         assert "error: p_max must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "extension_report.json").exists()
+
+    def test_extend_writes_the_softplus_edmd_report(self, tmp_path):
+        # the tool and the runner certify through one function: given the
+        # runner's model at the benchmark's edmd_eig inputs, the tool writes
+        # the runner's extension report
+        ran = tmp_path / "run"
+        run(ExperimentConfig("softplus_edmd", seed=5, out_dir=str(ran),
+                             params={"n_eig": 3, "grid_h": 0.05}))
+        assert run_cli(["extend", "--model", str(ran / "model"), "--system", "softplus2d",
+                        "--grid", "1", "2", "0.05", "--n", "3", "--epsilon", "0.01",
+                        "--p-max", "3", "--seed", "5", "--out", str(tmp_path / "tool")]) == 0
+        assert ((tmp_path / "tool" / "extension_report.json").read_bytes()
+                == (ran / "extension_report.json").read_bytes())
 
     def test_system_without_a_closed_form_flow_is_refused(self, tmp_path, capsys):
         # without an exact flow there is no measured eps_G to certify a bound with

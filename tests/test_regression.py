@@ -161,6 +161,6 @@ class TestSerialization:
         back = load_model(stem)
         assert np.array_equal(back.K, linear2d_model.K)
         assert back.dt == linear2d_model.dt
-        assert back.dict.kind == "identity"
+        assert back.dict.spec["kind"] == "identity"
         x0 = np.array([0.2, 0.9])
         assert np.array_equal(predict(back, x0, 5), predict(linear2d_model, x0, 5))
