@@ -18,8 +18,7 @@ from .core import (ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, 
                    singular_mask)
 from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
-from .extend import (EigenfunctionExpr, expr_from_weights, normalize_to_grid,
-                     trajectory_error_detailed)
+from .extend import EigenfunctionExpr, PowerErrors, expr_from_weights, normalize_to_grid
 from .regression import fit_edmd
 
 __all__ = [
@@ -114,7 +113,7 @@ def fit_local_family(
             expr = normalize_to_grid(expr, grid)
         except EmptySupportError:
             continue
-        if trajectory_error_detailed(expr, flowed, p=1)[0] <= spurious_threshold:
+        if PowerErrors(expr, flowed)(1)[1] <= spurious_threshold:
             members.append(expr)
     members.sort(key=lambda m: -abs(m.eigenvalue))
     return tuple(members)

@@ -87,6 +87,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: unknown config keys {unknown}")
         if "experiment" not in raw:
             raise ConfigurationError(f"{path}: the config names no experiment")
+        for key, want in (("experiment", "string"), ("seed", "integer"), ("out_dir", "string")):
+            if key in raw and _json_type(raw[key]) != want:
+                raise ConfigurationError(
+                    f"{path}: {key} takes a JSON {want}, got {json.dumps(raw[key])} "
+                    f"({_json_type(raw[key])})"
+                )
         version = raw.pop("schema_version", SCHEMA_VERSION)
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigurationError(
@@ -123,6 +129,11 @@ def _linear2d_defaults():
 
 
 def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
+    if not p["grid_lo"] < p["grid_hi"]:
+        raise ConfigurationError(
+            f"grid_hi must exceed grid_lo, got grid_lo = {p['grid_lo']}, "
+            f"grid_hi = {p['grid_hi']}"
+        )
     if not p["p_max_curve"] >= 1:
         raise ConfigurationError(f"p_max_curve must be >= 1, got {p['p_max_curve']}")
     if not p["epsilons"]:
@@ -303,6 +314,9 @@ def _bridge_defaults():
 
 
 def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
+    window = p["window"]
+    if len(window) != 2 or any(_json_type(v) not in ("integer", "number") for v in window):
+        raise ConfigurationError(f"window must be two numbers [lo, hi], got {json.dumps(window)}")
     sys_ = make_system("quad1d")
     cubic = make_system("cubic1d")
 
@@ -619,6 +633,8 @@ def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
         raise ConfigurationError(
             f"no snapshot pairs to fit: n_pairs must be >= 1, got {p['n_pairs']}"
         )
+    if not p["box"] > 0:
+        raise ConfigurationError(f"box must be positive, got {p['box']}")
     a, b = p["a"], p["b"]
     rng = np.random.Generator(np.random.Philox(seed))
     bx = p["box"]

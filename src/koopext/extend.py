@@ -1,12 +1,12 @@
 """Monomial eigenfunction construction with certified error control.
 
 Given eigenpairs of a fitted Koopman matrix (or analytic oracles), this module
-builds product/power eigenfunction expressions, measures their trajectory
-error on a grid, evaluates the two closed-form error bounds (one against
-eigenvector error, one against integration error), and runs the certified
-extension loop that emits powers until its budget is exhausted. A log-space
-PCA filter identifies how many independent directions a family of
-eigenfunctions really spans.
+builds product/power eigenfunction expressions, measures the trajectory
+error of their powers on a grid (PowerErrors), evaluates the two closed-form
+error bounds (one against eigenvector error, one against integration error),
+and runs the certified extension loop that emits phi^p while the bound it
+reports for phi^p stays <= epsilon. A log-space PCA filter identifies how
+many independent directions a family of eigenfunctions really spans.
 
 Bound conventions: extend_continuous uses eigenvector weights at unit 2-norm,
 the normalization its bound assumes; extend_discrete uses them as given, the
@@ -45,9 +45,7 @@ __all__ = [
     "expr_from_analytic",
     "monomial",
     "PowerErrors",
-    "trajectory_error_detailed",
     "normalize_to_grid",
-    "bound_constant_CFG",
     "discrete_bound",
     "continuous_bound",
     "extend_discrete",
@@ -228,31 +226,17 @@ def monomial(
 # Error metrics.
 
 
-def _residual_error(vx: np.ndarray, vy: np.ndarray, lam_step: complex, p: float):
-    norm, excluded = masked_grid_norm(vy - lam_step * vx)
-    return float(norm ** (1.0 / p)), excluded
-
-
-def trajectory_error_detailed(expr: EigenfunctionExpr, flowed: FlowedGrid, p: float):
-    """Eigen-relation residual |phi(F x) - lambda_step phi(x)| in the grid
-    norm, raised to 1/p. Returns (value, number of singular points excluded).
-
-    For fitted expressions lambda_step is the expression's eigenvalue; for
-    analytic (generator) ones it is exp(lambda dt) with the flowed grid's dt.
-    """
-    vx = expr.eval(flowed.points)
-    vy = expr.eval(flowed.image)
-    return _residual_error(vx, vy, expr.step_multiplier(flowed.dt), p)
-
-
 class PowerErrors:
-    """Trajectory errors of the powers phi^p on one flowed grid.
+    """Trajectory errors of the powers phi^p on one flowed grid: the
+    eigen-relation residual |phi^p(F x) - lambda_step phi^p(x)| in the grid
+    norm, singular points excluded, raised to 1/p.
 
+    lambda_step is the eigenvalue of phi^p for fitted expressions, and
+    exp(lambda dt) with the flowed grid's dt for analytic (generator) ones.
     The base factors of phi are evaluated once on the grid points and once on
     their images, and so are their singular and zero masks; each power then
     costs only vals**m, the singular tag, the product and the residual norm.
-    Called with p, it returns (monomial(phi, p), error, excluded points), the
-    same numbers trajectory_error_detailed gives for that monomial.
+    Called with p, it returns (monomial(phi, p), error, excluded points).
     """
 
     def __init__(self, phi: EigenfunctionExpr, flowed: FlowedGrid):
@@ -266,11 +250,9 @@ class PowerErrors:
     def __call__(self, p: float) -> tuple[EigenfunctionExpr, float, int]:
         expr = monomial(self.phi, p)
         n = len(self.flowed)
-        err, excluded = _residual_error(
-            expr.combine(self._vx, n), expr.combine(self._vy, n),
-            expr.step_multiplier(self.flowed.dt), p,
-        )
-        return expr, err, excluded
+        vx, vy = expr.combine(self._vx, n), expr.combine(self._vy, n)
+        norm, excluded = masked_grid_norm(vy - expr.step_multiplier(self.flowed.dt) * vx)
+        return expr, float(norm ** (1.0 / p)), excluded
 
 
 def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionExpr:
@@ -286,7 +268,8 @@ def normalize_to_grid(expr: EigenfunctionExpr, grid: EvalGrid) -> EigenfunctionE
 
 
 class _BoundConstants:
-    """C_FG(p) = bound_constant_CFG(dic, flowed, lam, p) for every p >= 1.
+    """C_FG(p) for every p >= 1: the grid norm of |Psi(F x) - lam Psi(x)|
+    times the degree-(p-1) geometric sum in |Psi(F x)|, |Psi(x)| and |lam|.
 
     The features on the grid points and on their images, the residual norms
     |Psi(F x) - lam Psi(x)| and the feature norms |Psi(x)|, |Psi(F x)| are
@@ -313,17 +296,6 @@ class _BoundConstants:
         return float(np.sqrt(np.mean((self._resid * geom) ** 2)))
 
 
-def bound_constant_CFG(dic: Dictionary, flowed: FlowedGrid, lam: complex, p: int) -> float:
-    """Grid norm of |Psi(F x) - lam Psi(x)| times the degree-(p-1) geometric
-    sum in |Psi(F x)|, |Psi(x)| and |lam|.
-
-    Each call evaluates the features afresh. extend_discrete runs the same
-    code once per call and reuses the features, the norms and their array
-    powers across p.
-    """
-    return _BoundConstants(dic, flowed, lam)(p)
-
-
 def discrete_bound(delta_w_norm: float, C_FG: float, p: int) -> float:
     """Trajectory-error bound from eigenvector error: (C_FG * |dw|)^(1/p)."""
     if delta_w_norm < 0 or C_FG < 0:
@@ -340,25 +312,18 @@ def continuous_bound(lam_abs: float, M: float, L: float, eps_G: float, p: int) -
     return float(((lm + L * eps_G) ** p - lm**p) ** (1.0 / p))
 
 
-def _continuous_budget(lam_abs: float, M: float, L: float, eps: float, p: int) -> float:
-    """Largest integration error still certifying trajectory error <= eps at power p."""
-    lm = lam_abs * M
-    return ((eps**p + lm**p) ** (1.0 / p) - lm) / L
-
-
 # ---------------------------------------------------------------------------
 # The certified extension loop.
 
 
 @dataclass(frozen=True, eq=False)
 class Extension:
-    """One emitted power phi^p: its expression and eigenvalue, the measured
-    trajectory error (nan when not measured), the certified bound, and the
-    number of singular grid points the error excluded."""
+    """One emitted power phi^p: its expression (which carries the eigenvalue),
+    the measured trajectory error (nan when not measured), the certified
+    bound, and the number of singular grid points the error excluded."""
 
     power: int
     expr: EigenfunctionExpr
-    eigenvalue: complex
     trajectory_error: float
     bound: float
     excluded_points: int
@@ -377,18 +342,19 @@ class ExtensionResult:
         return max((e.power for e in self.extensions), default=0)
 
 
-def _extension_loop(phi1, flowed, budget, budget_name, p_max, measure_errors):
-    """Emit phi1^p for p = 1, ..., p_max until budget(p) -> (exceeded, bound)
-    reports the certified budget exceeded; each emitted power carries its
-    bound and, when measured, its trajectory error on the flowed grid."""
+def _extension_loop(phi1, flowed, bound_of, epsilon, budget_name, p_max, measure_errors):
+    """Emit phi1^p for p = 1, ..., p_max while its certified bound
+    bound_of(p) is <= epsilon; each emitted power carries that bound and, when
+    measured, its trajectory error on the flowed grid."""
+    if epsilon <= 0:
+        raise ConfigurationError("epsilon must be positive")
     if p_max < 1:
         raise ConfigurationError(f"p_max must be >= 1, got {p_max}")
     errors = PowerErrors(phi1, flowed) if measure_errors else None
     out = []
-    p = 1
-    while p <= p_max:
-        exceeded, bound = budget(p)
-        if exceeded:
+    for p in range(1, p_max + 1):
+        bound = bound_of(p)
+        if not bound <= epsilon:
             status = f"budget exceeded at p={p}"
             if p == 1:
                 status = f"empty: p=1 already violates the {budget_name} budget"
@@ -397,8 +363,7 @@ def _extension_loop(phi1, flowed, budget, budget_name, p_max, measure_errors):
             expr, err, excl = errors(p)
         else:
             expr, err, excl = monomial(phi1, p), np.nan, 0
-        out.append(Extension(p, expr, expr.eigenvalue, err, bound, excl))
-        p += 1
+        out.append(Extension(p, expr, err, bound, excl))
     return ExtensionResult(tuple(out), f"budget never exceeded (capped at p_max={p_max})")
 
 
@@ -413,21 +378,15 @@ def extend_discrete(
     """Emit powers p = 1, 2, ... of the eigenfunction of eigenpair =
     (weights, lambda), the weights taken as given (not rescaled) at distance
     delta_w_norm from a left eigenvector of K, while the eigenvector-error
-    budget holds: |dw| <= eps^p / C_FG(p, lambda). Each emitted power carries
-    its certified bound and the measured trajectory error.
+    bound discrete_bound(delta_w_norm, C_FG(p), p) is <= epsilon. Each
+    emitted power carries that bound and the measured trajectory error.
     """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
     phi1 = expr_from_weights(model, *eigenpair, unit_norm=False)
     cfg_of = _BoundConstants(model.dict, flowed, phi1.eigenvalue)
-
-    def budget(p):
-        cfg = cfg_of(p)
-        if cfg > 0 and delta_w_norm > epsilon**p / cfg:
-            return True, None
-        return False, discrete_bound(delta_w_norm, cfg, p)
-
-    return _extension_loop(phi1, flowed, budget, "eigenvector", p_max, True)
+    return _extension_loop(
+        phi1, flowed, lambda p: discrete_bound(delta_w_norm, cfg_of(p), p), epsilon,
+        "eigenvector", p_max, True,
+    )
 
 
 def extend_continuous(
@@ -442,20 +401,15 @@ def extend_continuous(
     measure_errors: bool = True,
 ) -> ExtensionResult:
     """Emit powers p = 1, 2, ... of the eigenfunction of eigenpair =
-    (weights, lambda) while the integration-error budget holds:
-    eps_G <= (1/L)((eps^p + (|lambda| M)^p)^(1/p) - |lambda| M).
+    (weights, lambda) while the integration-error bound
+    continuous_bound(|lambda|, M, L, eps_G, p) is <= epsilon.
     """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
     phi1 = expr_from_weights(model, *eigenpair)
     lam_abs = abs(phi1.eigenvalue)
-
-    def budget(p):
-        if eps_G > _continuous_budget(lam_abs, M, L, epsilon, p):
-            return True, None
-        return False, continuous_bound(lam_abs, M, L, eps_G, p)
-
-    return _extension_loop(phi1, flowed, budget, "integration", p_max, measure_errors)
+    return _extension_loop(
+        phi1, flowed, lambda p: continuous_bound(lam_abs, M, L, eps_G, p), epsilon,
+        "integration", p_max, measure_errors,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,10 +453,7 @@ def iterative_koopman_eigensolver(
         if conjugate:
             lam2 = np.conj(lam)
             phi2 = expr_from_weights(model, np.conj(w_unit), lam2)
-            conj_exts = tuple(
-                replace(e, expr=monomial(phi2, e.power), eigenvalue=np.conj(e.eigenvalue))
-                for e in result.extensions
-            )
+            conj_exts = tuple(replace(e, expr=monomial(phi2, e.power)) for e in result.extensions)
             out.append(PairExtension(lam2, ExtensionResult(conj_exts, result.status),
                                      residual, conjugate_of=len(out) - 1))
     return out
@@ -590,8 +541,8 @@ def write_extension_report(path, pairs: list[PairExtension]) -> None:
                 "extensions": [
                     {
                         "p": e.power,
-                        "re_lambda_p": e.eigenvalue.real,
-                        "im_lambda_p": e.eigenvalue.imag,
+                        "re_lambda_p": e.expr.eigenvalue.real,
+                        "im_lambda_p": e.expr.eigenvalue.imag,
                         "trajectory_error": None
                         if np.isnan(e.trajectory_error)
                         else e.trajectory_error,

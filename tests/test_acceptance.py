@@ -26,17 +26,15 @@ from koopext.eigensolve import (
     quasi_triangular_eigenvalues,
 )
 from koopext.extend import (
-    bound_constant_CFG,
+    PowerErrors,
     certify_on_grid,
-    continuous_bound,
-    discrete_bound,
     expr_from_analytic,
     expr_from_weights,
     extend_continuous,
+    extend_discrete,
     monomial,
     normalize_to_grid,
     principal_filter,
-    trajectory_error_detailed,
 )
 from koopext.bridge import continue_across, fit_bridge
 from koopext.experiments import ExperimentConfig, run
@@ -89,7 +87,8 @@ def test_criterion_1_spectrum_recovery(linear2d_setup, linear2d_run):
 
 def test_criterion_2_bound_validity(linear2d_setup, linear2d_run):
     # the runner's error curves come from the two extension loops; the library
-    # case recomputes them by hand with dw drawn from seed 2
+    # case runs the same loops with dw drawn from seed 2 and reads their
+    # measured errors and certified bounds
     run_worst = linear2d_run["bound_violation_relative"]
     sys_, model, grid, exact, euler, eps_G = linear2d_setup
     L = spectral_norm_bound_L(model.dict, grid)
@@ -101,18 +100,13 @@ def test_criterion_2_bound_validity(linear2d_setup, linear2d_run):
     rng = np.random.default_rng(2)
     worst = -np.inf
     for lam, w in exact_pairs:
-        phi_cont = expr_from_weights(model, w, lam)
         dw = rng.standard_normal(2)
         dw *= 1e-6 / np.linalg.norm(dw)
-        phi_disc = expr_from_weights(model, w + dw, lam, unit_norm=False)
-        for p in range(1, 11):
-            e_c = trajectory_error_detailed(monomial(phi_cont, p), euler, p)[0]
-            b_c = continuous_bound(lam, M, L, eps_G, p)
-            worst = max(worst, e_c / b_c - 1.0)
-            e_d = trajectory_error_detailed(monomial(phi_disc, p), exact, p)[0]
-            cfg = bound_constant_CFG(model.dict, exact, lam, p)
-            b_d = discrete_bound(1e-6, cfg, p)
-            worst = max(worst, e_d / b_d - 1.0)
+        cont = extend_continuous((w, lam), model, euler, math.inf, eps_G, L, M, p_max=10)
+        disc = extend_discrete((w + dw, lam), model, exact, math.inf, 1e-6, p_max=10)
+        assert len(cont) == len(disc) == 10
+        for e in cont.extensions + disc.extensions:
+            worst = max(worst, e.trajectory_error / e.bound - 1.0)
     report(
         2, "bound validity p=1..10", run_worst <= 1e-9 and worst <= 1e-9,
         f"worst relative excess over bounds = {run_worst:.3e} (runner), "
@@ -135,10 +129,10 @@ def test_criterion_3_algorithm_crossing(linear2d_setup, linear2d_run):
                 p_max=40, measure_errors=False,
             )
             budget_crossing = res.max_power + 1
-            phi = normalize_to_grid(expr_from_weights(model, w, lam), grid)
+            errors = PowerErrors(normalize_to_grid(expr_from_weights(model, w, lam), grid), euler)
             empirical_crossing = None
             for p in range(1, 41):
-                if trajectory_error_detailed(monomial(phi, p), euler, p)[0] > eps:
+                if errors(p)[1] > eps:
                     empirical_crossing = p
                     break
             gaps.append(abs(budget_crossing - empirical_crossing))

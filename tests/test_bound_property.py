@@ -1,13 +1,16 @@
-"""Property test of the certified bounds beyond the linear2d benchmark.
+"""Property tests of the certified bounds beyond the linear2d benchmark.
 
 Random stable linear systems x' = A x in two and three dimensions, with real
 or complex spectra, under the identity dictionary: the exact flow is
 expm(A dt), the numerical one forward Euler with a step that divides dt. For
-every power p <= 10 the measured trajectory error must stay under the
-closed-form bound, the continuous one for the exact eigenvector under the
-Euler flow and the discrete one for a perturbed eigenvector under the exact
-flow.
+every power p <= 10 the trajectory error the extension loops measure must
+stay under the bound they certify, the continuous one for the exact
+eigenvector under the Euler flow and the discrete one for a perturbed
+eigenvector under the exact flow. At a finite epsilon, each loop must emit
+exactly the powers whose certified bound is <= epsilon.
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +20,13 @@ from koopext.core import EvalGrid, FlowedGrid
 from koopext.dictionary import feature_sup_M, identity_dictionary, spectral_norm_bound_L
 from koopext.dynamics import FlowMap, VectorField, integration_error_sup
 from koopext.extend import (
-    PowerErrors,
-    bound_constant_CFG,
+    _BoundConstants,
     continuous_bound,
     discrete_bound,
-    expr_from_weights,
-    monomial,
-    trajectory_error_detailed,
+    extend_continuous,
+    extend_discrete,
 )
+from koopext.regression import KoopmanModel
 
 P_MAX = 10
 RATE = st.floats(-1.5, -0.1)
@@ -67,9 +69,8 @@ def left_pairs(A, dt):
             for j, mu in enumerate(mus)]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(system=stable_systems(), dw_log10=st.floats(-8.0, -2.0), dw_seed=st.integers(0, 2**16))
-def test_certified_bounds_hold_on_random_stable_linear_systems(system, dw_log10, dw_seed):
+def linear_case(system, dw_log10, dw_seed):
+    """The flowed grids, bound constants and perturbation of one drawn system."""
     A, dt, substeps = system
     d = A.shape[0]
     grid = EvalGrid((-1.0,) * d, (1.0,) * d, 0.1 if d == 2 else 0.25)
@@ -77,28 +78,61 @@ def test_certified_bounds_hold_on_random_stable_linear_systems(system, dw_log10,
     exact = FlowedGrid.of(FlowMap(field, dt, method="exact"), grid)
     euler = FlowedGrid.of(FlowMap(field, dt, method="euler", step=dt / substeps), grid)
     dic = identity_dictionary(d)
+    model = KoopmanModel(dict=dic, K=expm(A * dt), dt=dt, fit_residual=0.0)
     eps_G = integration_error_sup(euler, exact)
     L = spectral_norm_bound_L(dic, grid)
     M = feature_sup_M(dic, grid)
     dw = np.random.default_rng(dw_seed).standard_normal(d)
     dw_norm = 10.0**dw_log10
     dw *= dw_norm / np.linalg.norm(dw)
-    for lam, w in left_pairs(A, dt):
-        phi_cont = expr_from_weights(dic, w, lam)
-        phi_disc = expr_from_weights(dic, w + dw, lam, unit_norm=False)
-        cached = PowerErrors(phi_cont, euler)
-        for p in range(1, P_MAX + 1):
+    return model, exact, euler, eps_G, L, M, dw, dw_norm
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(system=stable_systems(), dw_log10=st.floats(-8.0, -2.0), dw_seed=st.integers(0, 2**16))
+def test_certified_bounds_hold_on_random_stable_linear_systems(system, dw_log10, dw_seed):
+    model, exact, euler, eps_G, L, M, dw, dw_norm = linear_case(system, dw_log10, dw_seed)
+    for lam, w in left_pairs(*system[:2]):
+        cont = extend_continuous((w, lam), model, euler, math.inf, eps_G, L, M, p_max=P_MAX)
+        disc = extend_discrete((w + dw, lam), model, exact, math.inf, dw_norm, p_max=P_MAX)
+        assert len(cont) == len(disc) == P_MAX
+        for c, d in zip(cont.extensions, disc.extensions, strict=True):
+            p = c.power
             # The bounds hold in exact arithmetic. The measured residual also
             # carries rounding error of the size of the values it subtracts,
             # so the test compares p-th powers (the residual norms) with that
             # allowance; after the 1/p root it would read as a visible error
             # wherever a bound is 0 (A = -I makes every vector an eigenvector).
             roundoff = 64 * np.finfo(float).eps * p * max(1.0, abs(lam) * M) ** p
-            e_c = trajectory_error_detailed(monomial(phi_cont, p), euler, p)[0]
-            b_c = continuous_bound(abs(lam), M, L, eps_G, p)
-            assert e_c**p <= b_c**p * (1 + 1e-9) + roundoff, (p, lam, e_c, b_c)
-            e_d = trajectory_error_detailed(monomial(phi_disc, p), exact, p)[0]
-            b_d = discrete_bound(dw_norm, bound_constant_CFG(dic, exact, lam, p), p)
-            assert e_d**p <= b_d**p * (1 + 1e-9) + roundoff, (p, lam, e_d, b_d)
-            # the cached power loop gives the very same number
-            assert cached(p)[1] == e_c
+            for e in (c, d):
+                assert e.trajectory_error**p <= e.bound**p * (1 + 1e-9) + roundoff, (
+                    p, lam, e.trajectory_error, e.bound)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(system=stable_systems(), dw_log10=st.floats(-8.0, -2.0), dw_seed=st.integers(0, 2**16),
+       eps_log10=st.floats(-5.0, 0.0))
+def test_loops_emit_exactly_the_powers_whose_bound_is_within_epsilon(
+    system, dw_log10, dw_seed, eps_log10
+):
+    model, exact, euler, eps_G, L, M, dw, dw_norm = linear_case(system, dw_log10, dw_seed)
+    eps = 10.0**eps_log10
+    for lam, w in left_pairs(*system[:2]):
+        cfg_of = _BoundConstants(model.dict, exact, lam)
+        cont = extend_continuous((w, lam), model, euler, eps, eps_G, L, M, p_max=P_MAX,
+                                 measure_errors=False)
+        disc = extend_discrete((w + dw, lam), model, exact, eps, dw_norm, p_max=P_MAX)
+        for res, bound_of in (
+            (cont, lambda p: continuous_bound(abs(lam), M, L, eps_G, p)),
+            (disc, lambda p: discrete_bound(dw_norm, cfg_of(p), p)),
+        ):
+            assert [e.power for e in res.extensions] == list(range(1, len(res) + 1))
+            # no slack: every emitted bound is within epsilon as it is
+            assert all(e.bound == bound_of(e.power) <= eps for e in res.extensions)
+            if len(res) < P_MAX:
+                refused = len(res) + 1
+                assert bound_of(refused) > eps
+                assert res.status.startswith("empty: p=1 already violates" if refused == 1
+                                             else f"budget exceeded at p={refused}")
+            else:
+                assert "never exceeded" in res.status

@@ -11,7 +11,7 @@ from koopext.bridge import (
     leading_member,
 )
 from koopext.core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid
-from koopext.extend import expr_from_analytic, trajectory_error_detailed
+from koopext.extend import PowerErrors, expr_from_analytic
 from koopext.dynamics import FlowMap, make_system
 
 A_CONFIG = {"n_centers": 100, "bandwidth": 0.05}
@@ -48,7 +48,7 @@ class TestLocalFamilies:
             grid = EvalGrid((lo,), (hi,), (hi - lo) / 256)
             flowed = FlowedGrid.of(FlowMap(quad1d.field, 0.1, method="exact"), grid)
             for m in fam:
-                assert trajectory_error_detailed(m, flowed, p=1)[0] <= 1e-2
+                assert PowerErrors(m, flowed)(1)[1] <= 1e-2
                 assert m.eigenvalue.imag == 0
 
     def test_anchor2_leading_member_tracks_analytic(self, quad1d, family_a):

@@ -173,6 +173,28 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("experiment, param, named", [
+        ("bridge1d", "window=[]", "window must be two numbers [lo, hi], got []"),
+        ("bridge1d", "window=[2.5]", "window must be two numbers [lo, hi], got [2.5]"),
+        ("bridge1d", "window=[2,2.5,3]", "window must be two numbers [lo, hi], got [2, 2.5, 3]"),
+        ("bridge1d", 'window=["2","3"]', 'window must be two numbers [lo, hi], got ["2", "3"]'),
+        ("bridge1d", "window=[true,3]", "window must be two numbers [lo, hi], got [true, 3]"),
+        ("lin5d_check", "box=-1", "box must be positive, got -1"),
+        ("lin5d_check", "box=0", "box must be positive, got 0"),
+        ("linear2d_dmd", "grid_hi=-1", "grid_hi must exceed grid_lo, got grid_lo = -1.0, "
+                                       "grid_hi = -1"),
+        ("linear2d_dmd", "grid_lo=2", "grid_hi must exceed grid_lo, got grid_lo = 2, "
+                                      "grid_hi = 1.0"),
+    ])
+    def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
+                                                                  experiment, param, named):
+        # refused before any work: otherwise they fail deep in the run (an
+        # IndexError in fit_bridge, numpy's "high - low < 0") or score every
+        # criterion on a one-point grid
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("experiment, param, named", [
         ("linear2d_dmd", 'n_pairs="400"', "'n_pairs' takes a JSON integer like its default "
                                           '400, got "400" (string)'),
         ("lin5d_check", "n_pairs=2.5", "'n_pairs' takes a JSON integer like its default "
@@ -358,6 +380,22 @@ class TestConfig:
         assert run_cli(["run", "--config", str(path)]) == 2
         assert f"schema_version {json.dumps(version)} is not" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("seed", "x", "integer"), ("seed", True, "integer"), ("seed", 1.5, "integer"),
+        ("out_dir", 5, "string"), ("out_dir", None, "string"), ("experiment", ["x"], "string"),
+    ])
+    def test_config_value_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
+                                                                key, value, want):
+        # refused before anything is written: a string seed or a numeric
+        # out_dir would fail on a TypeError inside the run, and a boolean seed
+        # would run as 0 or 1
+        config = {"experiment": "lin5d_check", "out_dir": str(tmp_path / "o"), key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["run", "--config", str(path)]) == 2
+        assert f"{key} takes a JSON {want}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_config_without_an_experiment_raises_a_configuration_error(self, tmp_path):
         path = tmp_path / "cfg.json"

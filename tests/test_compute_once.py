@@ -33,7 +33,6 @@ from koopext.extend import (
     _BoundConstants,
     _eval_base,
     _pow_values,
-    bound_constant_CFG,
 )
 from koopext.regression import fit_edmd
 
@@ -147,8 +146,8 @@ def test_linear2d_dmd_evaluates_the_features_at_most_21_times(tmp_path, monkeypa
     assert len(powers) == 50
 
 
-def _old_bound_constant_CFG(dic, flowed, lam, p):
-    # bound_constant_CFG as it was: the features evaluated afresh for every p
+def _old_cfg_per_power(dic, flowed, lam, p):
+    # C_FG as the per-power code computed it: the features evaluated afresh for every p
     PX = dic.eval(flowed.points)
     PF = dic.eval(flowed.image)
     lam_abs = abs(lam)
@@ -182,9 +181,10 @@ def rbf_case():
 @pytest.mark.parametrize("case", ["linear2d_case", "rbf_case"])
 def test_bound_constants_match_the_per_power_code_bit_for_bit(request, case):
     dic, flowed, lam = request.getfixturevalue(case)
-    old = [_old_bound_constant_CFG(dic, flowed, lam, p) for p in range(1, 11)]
-    assert [bound_constant_CFG(dic, flowed, lam, p) for p in range(1, 11)] == old
-    # one instance across p, as extend_discrete uses it, in and out of order
+    old = [_old_cfg_per_power(dic, flowed, lam, p) for p in range(1, 11)]
+    # a fresh instance per p, and one instance across p as extend_discrete uses
+    # it, in and out of order
+    assert [_BoundConstants(dic, flowed, lam)(p) for p in range(1, 11)] == old
     shared = _BoundConstants(dic, flowed, lam)
     assert [shared(p) for p in range(1, 11)] == old
     shared = _BoundConstants(dic, flowed, lam)

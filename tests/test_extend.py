@@ -9,6 +9,7 @@ from koopext.core import (
     EvalGrid,
     FlowedGrid,
     SINGULAR,
+    masked_grid_norm,
     principal_pow,
     singular_mask,
 )
@@ -18,9 +19,8 @@ from koopext.extend import (
     EigenfunctionExpr,
     PowerErrors,
     _base_values,
-    _continuous_budget,
+    _BoundConstants,
     _pow_values,
-    bound_constant_CFG,
     continuous_bound,
     discrete_bound,
     expr_from_analytic,
@@ -31,7 +31,6 @@ from koopext.extend import (
     monomial,
     normalize_to_grid,
     principal_filter,
-    trajectory_error_detailed,
 )
 from koopext.regression import KoopmanModel, fit_edmd
 
@@ -150,21 +149,29 @@ class TestMonomial:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def fresh_error(expr: EigenfunctionExpr, flowed: FlowedGrid, p: float):
+    """The trajectory error of expr with every factor evaluated afresh on the
+    grid points and their images: (error, singular points excluded)."""
+    vx, vy = expr.eval(flowed.points), expr.eval(flowed.image)
+    norm, excluded = masked_grid_norm(vy - expr.step_multiplier(flowed.dt) * vx)
+    return float(norm ** (1.0 / p)), excluded
+
+
 class TestTrajectoryError:
     def test_exact_eigenpair_zero(self, quad1d):
         grid = EvalGrid((1.05,), (1.9,), 0.01)
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
-        assert trajectory_error_detailed(phi, FlowedGrid.of(fmap, grid), p=1)[0] < 1e-10
+        assert PowerErrors(phi, FlowedGrid.of(fmap, grid))(1)[1] < 1e-10
 
     def test_power_of_exact_eigenpair_stays_zero(self, quad1d):
         # the residual itself is machine zero; the 1/p root maps tolerance too
         grid = EvalGrid((1.05,), (1.9,), 0.01)
         fmap = FlowMap(quad1d.field, 0.1, method="exact")
         phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
-        flowed = FlowedGrid.of(fmap, grid)
+        errors = PowerErrors(phi, FlowedGrid.of(fmap, grid))
         for p in (2, 4):
-            err = trajectory_error_detailed(monomial(phi, p), flowed, p=p)[0]
+            err = errors(p)[1]
             assert err**p < 1e-12
 
     def test_positive_below_bound_for_euler_flow(self, linear2d_model):
@@ -174,14 +181,14 @@ class TestTrajectoryError:
         lams, W = np.linalg.eig(model.K.T)
         j = int(np.argmax(lams.real))
         expr = expr_from_weights(model, W[:, j].real, lams[j].real)
-        err = trajectory_error_detailed(expr, FlowedGrid.of(euler, grid), p=1)[0]
+        err = PowerErrors(expr, FlowedGrid.of(euler, grid))(1)[1]
         assert err > 0
 
     def test_singular_points_excluded_and_counted(self, quad1d):
         grid = EvalGrid((1.5,), (2.5,), 0.25)  # hits x = 2.0 exactly
         fmap = FlowMap(quad1d.field, 0.05, method="exact")
         inv = monomial(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), -1)
-        err, excluded = trajectory_error_detailed(inv, FlowedGrid.of(fmap, grid), p=1)
+        _, err, excluded = PowerErrors(inv, FlowedGrid.of(fmap, grid))(1)
         assert excluded >= 1
         assert math.isfinite(err)
 
@@ -194,7 +201,7 @@ class TestTrajectoryError:
         for p in (-1, 1, 2, 3):
             expr, err, excluded = errors(p)
             assert expr.factors == monomial(phi, p).factors
-            assert (err, excluded) == trajectory_error_detailed(monomial(phi, p), flowed, p)
+            assert (err, excluded) == fresh_error(monomial(phi, p), flowed, p)
             if p < 0:
                 assert excluded >= 1
 
@@ -204,7 +211,7 @@ class TestTrajectoryError:
         inv = monomial(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), -1)
         bad_grid = EvalGrid((2.0,), (2.0,), 0.5)
         with pytest.raises(EmptySupportError):
-            trajectory_error_detailed(inv, FlowedGrid.of(fmap, bad_grid), p=1)[0]
+            PowerErrors(inv, FlowedGrid.of(fmap, bad_grid))(1)
 
 
 def mode_of(ratio: np.ndarray) -> float:
@@ -276,7 +283,7 @@ class TestBounds:
         grid = EvalGrid((-1, -1), (1, 1), 0.1)
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lam = float(np.max(np.linalg.eigvals(model.K).real))
-        cfg = bound_constant_CFG(model.dict, FlowedGrid.of(fmap, grid), lam, 1)
+        cfg = _BoundConstants(model.dict, FlowedGrid.of(fmap, grid), lam)(1)
         PX = grid.points
         PF = fmap(grid.points)
         oracle = np.sqrt(np.mean(np.linalg.norm(PF - lam * PX, axis=1) ** 2))
@@ -285,7 +292,7 @@ class TestBounds:
     def test_identity_map_unit_eigenvalue_zero(self):
         dic = identity_dictionary(2)
         grid = EvalGrid((-1, -1), (1, 1), 0.2)
-        cfg = bound_constant_CFG(dic, FlowedGrid(grid.points, grid.points, 0.0), 1.0, 3)
+        cfg = _BoundConstants(dic, FlowedGrid(grid.points, grid.points, 0.0), 1.0)(3)
         assert cfg == 0.0
 
     def test_cfg_against_straight_loop(self, linear2d_model):
@@ -294,7 +301,7 @@ class TestBounds:
         fmap = FlowMap(sys_.field, 0.2, method="exact")
         lam = math.exp(-0.18)
         p = 3
-        cfg = bound_constant_CFG(model.dict, FlowedGrid.of(fmap, grid), lam, p)
+        cfg = _BoundConstants(model.dict, FlowedGrid.of(fmap, grid), lam)(p)
         # independent straight-loop implementation
         total = 0.0
         for x in grid.points:
@@ -377,6 +384,25 @@ class TestExtensionLoops:
             else:
                 iterative_koopman_eigensolver(model, flowed, n=1, **kw)
 
+    @pytest.mark.parametrize("entry", ["extend_discrete", "extend_continuous"])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_nonpositive_epsilon_is_refused(self, linear2d_model, entry, epsilon):
+        sys_, model = linear2d_model
+        flowed = self.make_flow(sys_, EvalGrid((-1, -1), (1, 1), 0.5))
+        with pytest.raises(ConfigurationError, match="epsilon must be positive"):
+            if entry == "extend_discrete":
+                extend_discrete(self.eigpair(model), model, flowed, epsilon, 1e-6)
+            else:
+                extend_continuous(self.eigpair(model), model, flowed, epsilon, 1e-4, 1.0, 1.0)
+
+    def test_negative_constant_is_refused_at_p1(self, linear2d_model):
+        # the stopping rule reads continuous_bound itself, so a negative
+        # constant is refused rather than read as a bound above epsilon
+        sys_, model = linear2d_model
+        flowed = self.make_flow(sys_, EvalGrid((-1, -1), (1, 1), 0.5))
+        with pytest.raises(ConfigurationError, match="bound inputs must be nonnegative"):
+            extend_continuous(self.eigpair(model), model, flowed, 0.1, 1e-4, -1.0, 1.0)
+
     def test_zero_integration_error_caps(self, linear2d_model):
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
@@ -440,6 +466,25 @@ class TestExtensionLoops:
             for a, b in zip(solo.extensions, got.result.extensions):
                 assert a.bound == pytest.approx(b.bound, rel=1e-12)
 
+    def test_conjugate_partner_carries_the_conjugate_powers(self):
+        r, th = 0.9, 0.3
+        K = r * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        model = KoopmanModel(
+            dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0, decoder=np.eye(2),
+        )
+        grid = EvalGrid((-1, -1), (1, 1), 0.25)
+        flowed = FlowedGrid(grid.points, grid.points @ K.T, 0.1)
+        first, partner = iterative_koopman_eigensolver(
+            model, flowed, n=2, epsilon=0.5, eps_G=1e-4, L=1.0, M=math.sqrt(2), p_max=4,
+        )
+        assert partner.conjugate_of == 0
+        assert partner.eigenvalue == np.conj(first.eigenvalue)
+        assert len(partner.result) == len(first.result) >= 1
+        for a, b in zip(first.result.extensions, partner.result.extensions, strict=True):
+            assert (b.power, b.bound) == (a.power, a.bound)
+            assert b.expr.eigenvalue == pytest.approx(np.conj(a.expr.eigenvalue), rel=1e-14)
+            assert b.expr.eigenvalue == pytest.approx(partner.eigenvalue**b.power, rel=1e-12)
+
     def test_iterative_n_zero_empty(self, linear2d_model):
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.5)
@@ -458,8 +503,8 @@ class TestExtensionLoops:
             eigenvalue_kind=phi.eigenvalue_kind, scale=7.5 + 0j,
         )
         flowed = FlowedGrid.of(fmap, grid)
-        e1 = trajectory_error_detailed(normalize_to_grid(phi, grid), flowed, 1)[0]
-        e2 = trajectory_error_detailed(normalize_to_grid(scaled, grid), flowed, 1)[0]
+        e1 = PowerErrors(normalize_to_grid(phi, grid), flowed)(1)[1]
+        e2 = PowerErrors(normalize_to_grid(scaled, grid), flowed)(1)[1]
         assert e1 == pytest.approx(e2, abs=1e-14)
 
 
@@ -502,8 +547,8 @@ class TestPrincipalFilter:
 class TestLoopConsistency:
     @pytest.mark.parametrize("loop", ["extend_discrete", "extend_continuous"])
     def test_emitted_range_matches_manual_budget(self, linear2d_model, loop):
-        # each loop must emit exactly the powers whose budget holds, p by p,
-        # each with the closed-form bound of that power
+        # each loop must emit exactly the powers whose closed-form bound is
+        # within epsilon, p by p, each with that bound
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.1)
         fmap = FlowMap(sys_.field, 0.2, method="exact")
@@ -519,14 +564,12 @@ class TestLoopConsistency:
         expected = []
         for p in range(1, 31):
             if loop == "extend_discrete":
-                cfg = bound_constant_CFG(model.dict, flowed, lam, p)
-                if dw > eps**p / cfg:
-                    break
-                expected.append((p, discrete_bound(dw, cfg, p)))
+                bound = discrete_bound(dw, _BoundConstants(model.dict, flowed, lam)(p), p)
             else:
-                if eps_G > _continuous_budget(abs(lam), M, L, eps, p):
-                    break
-                expected.append((p, continuous_bound(abs(lam), M, L, eps_G, p)))
+                bound = continuous_bound(abs(lam), M, L, eps_G, p)
+            if bound > eps:
+                break
+            expected.append((p, bound))
         assert [(e.power, e.bound) for e in res.extensions] == expected
         assert 1 <= len(expected) < 30
 

@@ -64,3 +64,40 @@ def test_every_dataclass_field_and_property_is_read_in_src():
     declared, read = _declared_and_read()
     assert declared
     assert [name for name in declared if name.rsplit(".", 1)[1] not in read] == []
+
+
+# public names that only the tests read, each kept as an oracle the tests
+# check the library against
+TEST_ORACLES = {
+    "qr_iteration": "the QR oracle criterion 11 checks the deflation path against",
+    "quasi_triangular_eigenvalues": "reads the eigenvalues off qr_iteration's Schur form",
+    "principal_filter": "the paper's log-PCA filter that criterion 6 checks",
+    "predict": "multi-step model prediction that the regression tests check",
+}
+
+
+def _referenced_in_src():
+    """Every name src/ loads as a bare name or reads as an attribute, outside
+    the `__all__` lists and the import statements."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("name", koopext.__all__)
+def test_every_public_name_is_used_in_src_or_is_a_listed_oracle(name):
+    mod = importlib.import_module(f"koopext.{name}")
+    unused = sorted(set(mod.__all__) - _referenced_in_src() - set(TEST_ORACLES))
+    assert unused == []
+
+
+def test_every_listed_oracle_is_public_and_unused_in_src():
+    public = {attr for name in koopext.__all__
+              for attr in importlib.import_module(f"koopext.{name}").__all__}
+    assert sorted(set(TEST_ORACLES) - public) == []
+    assert sorted(set(TEST_ORACLES) & _referenced_in_src()) == []
