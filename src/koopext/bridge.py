@@ -50,14 +50,14 @@ class BridgeMap:
 
 
 IMAG_TOL = 1e-8
-_DICT_KEYS = ("n_centers", "bandwidth")  # of fit_local_family's dict_config
 
 
 def fit_local_family(
     system: BenchmarkSystem,
     anchor,
     radius: float,
-    dict_config: dict,
+    n_centers: int,
+    bandwidth: float,
     spurious_threshold: float = 1e-2,
     n_pairs: int = 2000,
     dt: float = 0.05,
@@ -68,9 +68,8 @@ def fit_local_family(
     window, largest |eigenvalue| first.
 
     Snapshots are sampled uniformly in [anchor - radius, anchor + radius].
-    The dictionary is `dict_config["n_centers"]` (default 60) Gaussians of
-    sigma `dict_config["bandwidth"]` with centers evenly tiled over the
-    window, fit with ridge 1e-10; any other key is a ConfigurationError.
+    The dictionary is `n_centers` Gaussians of sigma `bandwidth` with centers
+    evenly tiled over the window, fit with ridge 1e-10.
     A member survives when its eigenvalue is real (|Im| <= 1e-8) and its
     power-1 trajectory error on a 257-point grid over the window, after
     normalization to unit grid norm there, stays below `spurious_threshold`.
@@ -78,20 +77,14 @@ def fit_local_family(
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     if system.dim != 1:
         raise ConfigurationError("local families are built for 1D systems")
-    unknown = sorted(set(dict_config) - set(_DICT_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown local dictionary keys {unknown}; expected {list(_DICT_KEYS)}"
-        )
-    if "bandwidth" not in dict_config:
-        raise ConfigurationError("the local dictionary needs a 'bandwidth'")
+    if not n_centers >= 1:
+        raise ConfigurationError(f"n_centers must be >= 1, got {n_centers}")
     lo, hi = anchor - radius, anchor + radius
     snaps = sample_snapshots(system, n_pairs, dt, (lo, hi), seed)
     # tight 1D kernels need evenly tiled centers over the fit window
     reach = max(radius, float(np.max(np.abs(snaps.y - anchor))))
-    n_centers = dict_config.get("n_centers", 60)
     centers = np.linspace(anchor[0] - reach, anchor[0] + reach, n_centers)
-    dic = _dictionary_from_centers(centers.reshape(-1, 1), dict_config["bandwidth"])
+    dic = _dictionary_from_centers(centers.reshape(-1, 1), bandwidth)
     model = fit_edmd(snaps, dic, ridge=1e-10)
     h = (hi[0] - lo[0]) / 256
     grid = EvalGrid((lo[0],), (hi[0],), min(h, 0.999))

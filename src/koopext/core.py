@@ -133,10 +133,11 @@ class EvalGrid:
             raise ConfigurationError(f"grid spacing must lie in (0, 1), got {h}")
         if len(lo) != len(hi):
             raise ConfigurationError("lo and hi must have the same dimension")
-        if any(b < a for a, b in zip(lo, hi)):
-            raise ConfigurationError("grid box has hi < lo")
         if not all(map(math.isfinite, lo + hi)):
             raise ConfigurationError("grid corners must be finite")
+        if not all(a < b for a, b in zip(lo, hi)):
+            raise ConfigurationError(f"grid box needs hi > lo on every axis, got lo = {lo}, "
+                                     f"hi = {hi}")
         # 1e-9 absorbs representation error in (hi-lo)/h before flooring
         counts = tuple(int(math.floor((b - a) / h + 1e-9)) + 1 for a, b in zip(lo, hi))
         axes = [a + h * np.arange(n) for a, n in zip(lo, counts)]

@@ -1,13 +1,13 @@
 """Observable dictionaries mapping states to feature vectors, with Jacobians.
 
-Three kinds: the identity map (plain DMD), Gaussian radial basis functions
-with k-means centers, and monomials up to a total degree. The Jacobian of
+Two kinds: the identity map (plain DMD) and Gaussian radial basis functions,
+whose one builder takes the centers (k-means centers of the snapshots in
+rbf_dictionary, evenly tiled ones in the bridge families). The Jacobian of
 each dictionary backs the spectral-norm constant L and the feature-sup
 constant M used by the extension error bounds.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,7 +18,6 @@ from .core import ConfigurationError, ContractViolationError, EvalGrid
 __all__ = [
     "Dictionary",
     "identity_dictionary",
-    "monomial_dictionary",
     "rbf_dictionary",
     "kmeans_centers",
     "spectral_norm_bound_L",
@@ -64,44 +63,6 @@ def identity_dictionary(d: int) -> Dictionary:
     )
 
 
-def monomial_dictionary(d: int, max_degree: int) -> Dictionary:
-    """All monomials of total degree <= max_degree, graded-lexicographic order."""
-    if max_degree < 0:
-        raise ConfigurationError("max_degree must be >= 0")
-    exponents = [
-        alpha
-        for deg in range(max_degree + 1)
-        for alpha in sorted(
-            (a for a in itertools.product(range(deg + 1), repeat=d) if sum(a) == deg),
-            reverse=True,
-        )
-    ]
-    E = np.asarray(exponents)  # (D, d)
-
-    def eval_fn(pts):
-        # prod_j x_j^{E_kj} for each feature k
-        return np.prod(pts[:, None, :] ** E[None, :, :], axis=2)
-
-    def jac_fn(pts):
-        n, D = pts.shape[0], E.shape[0]
-        J = np.zeros((n, D, d))
-        for j in range(d):
-            Ej = E.copy()
-            mask = Ej[:, j] > 0
-            Ej[mask, j] -= 1
-            with np.errstate(invalid="ignore"):
-                part = np.prod(pts[:, None, :] ** Ej[None, :, :], axis=2)
-            J[:, :, j] = np.where(mask[None, :], E[None, :, j] * part, 0.0)
-        return J
-
-    return Dictionary(
-        dim_in=d,
-        eval_fn=eval_fn,
-        jac_fn=jac_fn,
-        spec={"kind": "monomial", "dim": d, "max_degree": max_degree},
-    )
-
-
 def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with k-means++ initialization, at most 100 sweeps,
     stopping once no center moves by 1e-8 or more.
@@ -110,8 +71,9 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     farthest from every current center.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if k > pts.shape[0]:
-        raise ConfigurationError(f"asked for {k} centers from {pts.shape[0]} points")
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ConfigurationError(f"asked for {k} centers from {n} points; k must lie in [1, {n}]")
     rng = np.random.Generator(np.random.Philox(seed))
 
     def sq_dists(centers):
@@ -147,24 +109,24 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def rbf_dictionary(data, n_centers: int, bandwidth: float, seed: int) -> Dictionary:
-    """Gaussian features psi_j(x) = exp(-|x - c_j|^2 / (2 sigma^2)).
+    """Gaussian features psi_j(x) = exp(-|x - c_j|^2 / (2 sigma^2)) whose
+    centers are the k-means centers of the SnapshotSet's stacked states.
 
-    `data` is a SnapshotSet or an (n, d) array; centers come from k-means over
-    the stacked snapshot states. The bandwidth parameter is the Gaussian sigma.
+    The bandwidth is the Gaussian sigma; the spec also records the k-means seed.
     """
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be positive")
-    if hasattr(data, "x") and hasattr(data, "y"):
-        pts = np.vstack([data.x, data.y])
-    else:
-        pts = np.atleast_2d(np.asarray(data, dtype=float))
-    dic = _dictionary_from_centers(kmeans_centers(pts, n_centers, seed), bandwidth)
-    dic.spec["seed"] = int(seed)
-    return dic
+    centers = kmeans_centers(np.vstack([data.x, data.y]), n_centers, seed)
+    return _dictionary_from_centers(centers, bandwidth, seed=int(seed))
 
 
-def _dictionary_from_centers(centers: np.ndarray, bandwidth: float) -> Dictionary:
+def _dictionary_from_centers(centers, bandwidth: float, seed: int | None = None) -> Dictionary:
+    """The one Gaussian builder: a feature of sigma `bandwidth` per row of
+    `centers`. A given seed (of the k-means that chose the centers) is kept
+    in the spec."""
+    if not bandwidth > 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.size == 0:
+        raise ConfigurationError("a Gaussian dictionary needs at least one center, got none")
     sigma2 = float(bandwidth) ** 2
     d = centers.shape[1]
 
@@ -177,17 +139,11 @@ def _dictionary_from_centers(centers: np.ndarray, bandwidth: float) -> Dictionar
         feats = np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
         return feats[:, :, None] * (-diff / sigma2)
 
-    return Dictionary(
-        dim_in=d,
-        eval_fn=eval_fn,
-        jac_fn=jac_fn,
-        spec={
-            "kind": "rbf_gaussian",
-            "dim": d,
-            "bandwidth": float(bandwidth),
-            "centers": centers.tolist(),
-        },
-    )
+    spec = {"kind": "rbf_gaussian", "dim": d, "bandwidth": float(bandwidth),
+            "centers": centers.tolist()}
+    if seed is not None:
+        spec["seed"] = seed
+    return Dictionary(dim_in=d, eval_fn=eval_fn, jac_fn=jac_fn, spec=spec)
 
 
 def spectral_norm_bound_L(dic: Dictionary, grid: EvalGrid) -> float:
@@ -207,8 +163,6 @@ def dictionary_from_spec(spec: dict) -> Dictionary:
     kind = spec["kind"]
     if kind == "identity":
         return identity_dictionary(spec["dim"])
-    if kind == "monomial":
-        return monomial_dictionary(spec["dim"], spec["max_degree"])
     if kind == "rbf_gaussian":
-        return _dictionary_from_centers(np.asarray(spec["centers"]), spec["bandwidth"])
+        return _dictionary_from_centers(spec["centers"], spec["bandwidth"], spec.get("seed"))
     raise ConfigurationError(f"unknown dictionary kind {kind!r}")

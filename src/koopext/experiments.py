@@ -129,11 +129,7 @@ def _linear2d_defaults():
 
 
 def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
-    if not p["grid_lo"] < p["grid_hi"]:
-        raise ConfigurationError(
-            f"grid_hi must exceed grid_lo, got grid_lo = {p['grid_lo']}, "
-            f"grid_hi = {p['grid_hi']}"
-        )
+    grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     if not p["p_max_curve"] >= 1:
         raise ConfigurationError(f"p_max_curve must be >= 1, got {p['p_max_curve']}")
     if not p["epsilons"]:
@@ -143,7 +139,6 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed)
     model = fit_edmd(snaps, identity_dictionary(2))
     save_model(os.path.join(out, "model"), model)
-    grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     exact = FlowedGrid.of(FlowMap(sys_.field, p["dt"], method="exact"), grid)
     euler = FlowedGrid.of(
         FlowMap(sys_.field, p["dt"], method="euler", step=p["euler_step"]), grid
@@ -260,6 +255,7 @@ def _softplus_defaults():
 def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     if not p["p_cap"] >= 1:
         raise ConfigurationError(f"p_cap must be >= 1, got {p['p_cap']}")
+    grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     lin = make_system("linear2d")
     soft = make_system("softplus2d")
     b = p["box"]
@@ -270,7 +266,6 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=seed)
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
-    grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     results, eps_G, L, M = certify_on_grid(
         model, soft, grid, p["n_eig"], p["epsilon"], p["p_cap"], seed, max_iter=p["max_iter"]
     )
@@ -302,8 +297,10 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
 def _bridge_defaults():
     return {
         "radius": 0.85,
-        "left_dict": {"n_centers": 100, "bandwidth": 0.05},
-        "right_dict": {"n_centers": 80, "bandwidth": 0.15},
+        "left_n_centers": 100,
+        "left_bandwidth": 0.05,
+        "right_n_centers": 80,
+        "right_bandwidth": 0.15,
         "left_n_pairs": 4000,
         "right_n_pairs": 8000,
         "dt": 0.1,
@@ -315,7 +312,7 @@ def _bridge_defaults():
 
 def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
     window = p["window"]
-    if len(window) != 2 or any(_json_type(v) not in ("integer", "number") for v in window):
+    if not _numbers(window, 2):
         raise ConfigurationError(f"window must be two numbers [lo, hi], got {json.dumps(window)}")
     sys_ = make_system("quad1d")
     cubic = make_system("cubic1d")
@@ -331,12 +328,12 @@ def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
 
     anchor_left, anchor_right = sys_.steady_states
     fam_l = bridge_mod.fit_local_family(
-        sys_, anchor_left, p["radius"], p["left_dict"],
+        sys_, anchor_left, p["radius"], p["left_n_centers"], p["left_bandwidth"],
         spurious_threshold=p["spurious_threshold"], seed=seed + 1,
         dt=p["dt"], n_pairs=p["left_n_pairs"],
     )
     fam_r = bridge_mod.fit_local_family(
-        sys_, anchor_right, p["radius"], p["right_dict"],
+        sys_, anchor_right, p["radius"], p["right_n_centers"], p["right_bandwidth"],
         spurious_threshold=p["spurious_threshold"], seed=seed + 2,
         dt=p["dt"], n_pairs=p["right_n_pairs"],
     )
@@ -573,6 +570,15 @@ def _duffing_defaults():
 
 
 def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
+    if not p["box"] > 0:
+        raise ConfigurationError(f"box must be positive, got {p['box']}")
+    window = p["window"]
+    if not (len(window) == 2 and all(_numbers(c, 2) for c in window)
+            and all(a < b for a, b in zip(*window))):
+        raise ConfigurationError(
+            "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi, "
+            f"got {json.dumps(window)}"
+        )
     sys_ = make_system("duffing")
     b = p["box"]
     snaps = sample_snapshots(
@@ -582,7 +588,7 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=seed)
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
-    S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, p["window"])))
+    S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, window)))
     _write_csv(os.path.join(out, "manifold_samples.csv"), ["x1", "x2"], S)
     saddle_idx = int(np.argmin(np.linalg.norm(S, axis=1)))
     lams, W = np.linalg.eig(model.K.T)
@@ -692,6 +698,12 @@ _JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "st
 def _json_type(value) -> str:
     return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
                 type(value).__name__)
+
+
+def _numbers(value, n: int) -> bool:
+    """Whether a parameter value is an array of n numbers."""
+    return (_json_type(value) == "array" and len(value) == n
+            and all(_json_type(v) in ("integer", "number") for v in value))
 
 
 def _check_param_types(experiment: str, defaults: dict, overrides: dict) -> None:

@@ -476,8 +476,14 @@ def certify_on_grid(
     abs_tol 1e-13; eps_G is that flow's worst gap from the closed-form flow,
     L and M the dictionary constants on the grid, and
     iterative_koopman_eigensolver runs on the rk45-flowed grid. A system
-    without a closed-form flow has no eps_G to certify with and is refused.
+    without a closed-form flow has no eps_G to certify with and is refused,
+    as is a system of another dimension than the model's states.
     """
+    if model.dict.dim_in != system.dim:
+        raise ConfigurationError(
+            f"the model's dictionary takes {model.dict.dim_in}-dim states, but {system.id} "
+            f"is {system.dim}-dim"
+        )
     if system.field.exact_flow is None:
         raise ConfigurationError(
             f"{system.id} has no closed-form flow to measure the integration error "

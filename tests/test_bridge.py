@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +13,6 @@ from koopext.core import ConfigurationError, EmptySupportError, EvalGrid, Flowed
 from koopext.extend import PowerErrors, expr_from_analytic
 from koopext.dynamics import FlowMap, make_system
 
-A_CONFIG = {"n_centers": 100, "bandwidth": 0.05}
-B_CONFIG = {"n_centers": 80, "bandwidth": 0.15}
-
-
 @pytest.fixture(scope="module")
 def quad1d():
     return make_system("quad1d")
@@ -25,12 +20,12 @@ def quad1d():
 
 @pytest.fixture(scope="module")
 def family_a(quad1d):
-    return fit_local_family(quad1d, 2.0, 0.85, A_CONFIG, seed=1, dt=0.1, n_pairs=4000)
+    return fit_local_family(quad1d, 2.0, 0.85, 100, 0.05, seed=1, dt=0.1, n_pairs=4000)
 
 
 @pytest.fixture(scope="module")
 def family_b(quad1d):
-    return fit_local_family(quad1d, 3.0, 0.85, B_CONFIG, seed=2, dt=0.1, n_pairs=8000)
+    return fit_local_family(quad1d, 3.0, 0.85, 80, 0.15, seed=2, dt=0.1, n_pairs=8000)
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +69,15 @@ class TestLocalFamilies:
             got = np.abs(lead.eval(grid.points))
             assert abs(np.corrcoef(truth, got)[0, 1]) >= 0.99
 
-    @pytest.mark.parametrize("config, named", [
-        # the placement is fixed to evenly tiled centers; the key is refused, not ignored
-        ({"n_centers": 8, "bandwidth": 0.1, "placement": "kmeans"}, "['placement']"),
-        ({"n_centers": 8}, "needs a 'bandwidth'"),
-    ])
-    def test_bad_dictionary_keys_are_named(self, quad1d, config, named):
-        with pytest.raises(ConfigurationError, match=re.escape(named)):
-            fit_local_family(quad1d, 2.0, 0.85, config)
+    @pytest.mark.parametrize("n_centers", [0, -1])
+    def test_fewer_than_one_center_is_refused(self, quad1d, n_centers):
+        # refused before sampling; -1 would otherwise reach np.linspace's ValueError
+        with pytest.raises(ConfigurationError, match=f"n_centers must be >= 1, got {n_centers}"):
+            fit_local_family(quad1d, 2.0, 0.85, n_centers, 0.05)
 
     def test_zero_threshold_empties_family(self, quad1d):
         fam = fit_local_family(
-            quad1d, 2.0, 0.85, A_CONFIG, spurious_threshold=0.0, seed=1,
+            quad1d, 2.0, 0.85, 100, 0.05, spurious_threshold=0.0, seed=1,
             dt=0.1, n_pairs=400,
         )
         assert len(fam) == 0

@@ -9,7 +9,7 @@ import pytest
 import koopext
 from koopext.cli import main
 from koopext.core import ConfigurationError
-from koopext.experiments import EXPERIMENTS, ExperimentConfig, default_params, run
+from koopext.experiments import EXPERIMENTS, ExperimentConfig, _json_type, default_params, run
 
 from artifact_digests import (
     GOLDEN_CONFIGS,
@@ -180,15 +180,31 @@ class TestExitCodes:
         ("bridge1d", "window=[true,3]", "window must be two numbers [lo, hi], got [true, 3]"),
         ("lin5d_check", "box=-1", "box must be positive, got -1"),
         ("lin5d_check", "box=0", "box must be positive, got 0"),
-        ("linear2d_dmd", "grid_hi=-1", "grid_hi must exceed grid_lo, got grid_lo = -1.0, "
-                                       "grid_hi = -1"),
-        ("linear2d_dmd", "grid_lo=2", "grid_hi must exceed grid_lo, got grid_lo = 2, "
-                                      "grid_hi = 1.0"),
+        ("linear2d_dmd", "grid_hi=-1", "grid box needs hi > lo on every axis, "
+                                       "got lo = (-1.0, -1.0), hi = (-1.0, -1.0)"),
+        ("linear2d_dmd", "grid_lo=2", "grid box needs hi > lo on every axis, "
+                                      "got lo = (2.0, 2.0), hi = (1.0, 1.0)"),
+        ("softplus_edmd", "grid_hi=1.0", "grid box needs hi > lo on every axis, "
+                                         "got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
+        ("saddle_fields", "grid_hi=-0.7", "grid box needs hi > lo on every axis, "
+                                          "got lo = (-0.7, -0.7), hi = (-0.7, -0.7)"),
+        ("bridge1d", "left_n_centers=0", "n_centers must be >= 1, got 0"),
+        ("bridge1d", "left_bandwidth=-1", "bandwidth must be positive, got -1"),
+        ("bridge1d", "right_bandwidth=0", "bandwidth must be positive, got 0"),
+        ("duffing_edmd", "window=[]", "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] "
+                                      "with lo < hi, got []"),
+        ("duffing_edmd", "window=[[2,-1.33],[-2,1.3]]", "window must be two corners "
+                                                        "[[x_lo, y_lo], [x_hi, y_hi]] with "
+                                                        "lo < hi, got [[2, -1.33], [-2, 1.3]]"),
+        ("duffing_edmd", "box=-1", "box must be positive, got -1"),
+        ("duffing_edmd", "box=0", "box must be positive, got 0"),
     ])
     def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
                                                                   experiment, param, named):
         # refused before any work: otherwise they fail deep in the run (an
-        # IndexError in fit_bridge, numpy's "high - low < 0") or score every
+        # IndexError in fit_bridge, an unpacking ValueError in
+        # unstable_manifold_sample, numpy's "high - low < 0"), fail a
+        # criterion on an empty family or a degenerate sample, or score every
         # criterion on a one-point grid
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
@@ -207,6 +223,12 @@ class TestExitCodes:
                                     "got null (null)"),
         ("bridge1d", "window=2.5", "'window' takes a JSON array like its default "
                                    "[2.25, 2.75], got 2.5 (number)"),
+        ("bridge1d", 'left_n_centers="x"', "'left_n_centers' takes a JSON integer like its "
+                                           'default 100, got "x" (string)'),
+        ("bridge1d", "right_n_centers=2.5", "'right_n_centers' takes a JSON integer like its "
+                                            "default 80, got 2.5 (number)"),
+        ("bridge1d", "left_bandwidth=wide", "'left_bandwidth' takes a JSON number like its "
+                                            'default 0.05, got "wide" (string)'),
     ])
     def test_override_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
                                                             experiment, param, named):
@@ -426,6 +448,14 @@ class TestConfig:
         assert json.loads(text)["params"] == {**default_params("lin5d_check"), "grid_n": 11}
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_no_default_parameter_is_a_json_object(self, name):
+        # the generic type check sees only the top level of a parameter, so
+        # a nested config would let its values reach the runner unchecked
+        objects = [key for key, value in default_params(name).items()
+                   if _json_type(value) == "object"]
+        assert objects == []
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_default_parameter_is_read_by_its_runner(self, name):
         runner, defaults = EXPERIMENTS[name]
         source = inspect.getsource(runner)
@@ -438,7 +468,38 @@ class TestConfig:
         assert "0.7" in proc.stdout
 
 
+@pytest.fixture(scope="module")
+def linear2d_model_stem(tmp_path_factory):
+    """The stem of an identity (DMD) model of linear2d, written by simulate and fit."""
+    out = str(tmp_path_factory.mktemp("linear2d_model"))
+    assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",
+                    "--out", out, "--seed", "4"]) == 0
+    assert run_cli(["fit", "--snapshots", os.path.join(out, "snapshots"), "--out", out]) == 0
+    return os.path.join(out, "model")
+
+
 class TestToolSubcommands:
+    @pytest.mark.parametrize("args, named", [
+        (["eig", "--n", "-1"], "asked for -1 eigenpairs of a 2x2 matrix"),
+        (["extend", "--system", "quad1d"], "the model's dictionary takes 2-dim states, but "
+                                           "quad1d is 1-dim"),
+        (["extend", "--system", "cubic1d"], "the model's dictionary takes 2-dim states, but "
+                                            "cubic1d is 1-dim"),
+        (["extend", "--system", "linear2d", "--grid", "1", "1", "0.1"],
+         "grid box needs hi > lo on every axis, got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
+        (["phase", "--grid", "1", "1", "0.1"],
+         "grid box needs hi > lo on every axis, got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
+    ])
+    def test_edge_tool_input_is_a_usage_error_that_names_it(self, tmp_path, capsys,
+                                                            linear2d_model_stem, args, named):
+        # refused before any file is written: otherwise `eig --n -1` writes an
+        # empty spectrum, a model of another dimension fails on a
+        # ContractViolationError, and a one-point grid passes
+        model = [] if args[0] == "phase" else ["--model", linear2d_model_stem]
+        assert run_cli([*args, *model, "--out", str(tmp_path)]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_simulate_fit_eig_pipeline(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",

@@ -5,11 +5,11 @@ import pytest
 
 from koopext.core import ConfigurationError, EvalGrid
 from koopext.dictionary import (
+    _dictionary_from_centers,
     dictionary_from_spec,
     feature_sup_M,
     identity_dictionary,
     kmeans_centers,
-    monomial_dictionary,
     rbf_dictionary,
     spectral_norm_bound_L,
 )
@@ -55,24 +55,6 @@ class TestIdentity:
         assert feature_sup_M(dic, grid) == pytest.approx(np.sqrt(2.0))
 
 
-class TestMonomial:
-    def test_degree_one_1d(self):
-        dic = monomial_dictionary(1, 1)  # {1, x}
-        grid = EvalGrid((-1.0,), (1.0,), 0.05)
-        assert dic.eval(grid.points).shape == (len(grid), 2)
-        assert spectral_norm_bound_L(dic, grid) == pytest.approx(1.0)
-
-    def test_feature_sup_degree_two(self):
-        dic = monomial_dictionary(1, 2)  # {1, x, x^2}
-        grid = EvalGrid((-2.0,), (2.0,), 0.01)
-        assert feature_sup_M(dic, grid) == pytest.approx(np.sqrt(21.0), rel=1e-12)
-
-    def test_jacobian_matches_finite_differences(self):
-        dic = monomial_dictionary(2, 3)
-        rng = np.random.default_rng(0)
-        assert_jacobian_consistent(dic, rng.uniform(-1.5, 1.5, size=(200, 2)))
-
-
 class TestKMeans:
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(4)
@@ -95,6 +77,11 @@ class TestKMeans:
     def test_too_many_centers_rejected(self):
         with pytest.raises(ConfigurationError):
             kmeans_centers(np.zeros((3, 1)), 5, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fewer_than_one_center_rejected(self, k):
+        with pytest.raises(ConfigurationError, match=f"asked for {k} centers"):
+            kmeans_centers(np.zeros((3, 1)), k, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +131,25 @@ class TestRBF:
         assert spectral_norm_bound_L(dic, grid) == pytest.approx(scan, abs=1e-6)
 
 
+class TestGaussianBuilderRefusals:
+    # the builder behind rbf_dictionary, dictionary_from_spec and the bridge families
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan")])
+    def test_nonpositive_bandwidth(self, snaps, bandwidth):
+        named = f"bandwidth must be positive, got {bandwidth}"
+        with pytest.raises(ConfigurationError, match=named):
+            _dictionary_from_centers([[0.0]], bandwidth)
+        with pytest.raises(ConfigurationError, match=named):
+            rbf_dictionary(snaps, 4, bandwidth=bandwidth, seed=0)
+
+    @pytest.mark.parametrize("centers", [[], np.empty((0, 1))])
+    def test_no_centers(self, centers):
+        with pytest.raises(ConfigurationError, match="needs at least one center"):
+            _dictionary_from_centers(centers, 0.5)
+        with pytest.raises(ConfigurationError, match="needs at least one center"):
+            dictionary_from_spec({"kind": "rbf_gaussian", "dim": 1, "bandwidth": 0.5,
+                                  "centers": np.asarray(centers).tolist()})
+
+
 class TestConstantsUnderRefinement:
     def test_L_and_M_monotone_under_refinement(self):
         dic = dictionary_from_spec(
@@ -166,3 +172,12 @@ class TestSerialization:
         back = dictionary_from_spec(json.loads(json.dumps(dic.spec)))
         pts = snaps.x[:20]
         assert np.array_equal(back.eval(pts), dic.eval(pts))
+        assert back.spec == dic.spec
+
+    def test_every_built_spec_reloads_to_itself(self):
+        # identity, and Gaussians with k-means centers (the spec keeps the
+        # seed) or with given centers, as the bridge families tile them
+        snaps = sample_snapshots(make_system("quad1d"), 50, 0.05, ((1.0,), (4.0,)), seed=3)
+        for dic in (identity_dictionary(3), rbf_dictionary(snaps, 5, bandwidth=0.2, seed=7),
+                    _dictionary_from_centers(np.linspace(1.5, 2.5, 3).reshape(-1, 1), 0.05)):
+            assert dictionary_from_spec(json.loads(json.dumps(dic.spec))).spec == dic.spec

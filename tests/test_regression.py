@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from koopext.core import IllConditionedError
-from koopext.dictionary import identity_dictionary, monomial_dictionary, rbf_dictionary
+from koopext.dictionary import Dictionary, identity_dictionary, rbf_dictionary
 from koopext.dynamics import (
     FlowMap,
     SnapshotSet,
@@ -15,6 +15,24 @@ from koopext.dynamics import (
 from koopext.regression import fit_edmd, load_model, predict, save_model
 
 A_DEFAULT = np.array([[-0.9, 0.1], [0.0, -0.8]])
+
+
+def quadratic_dictionary() -> Dictionary:
+    """Features (x1, x2, x1^2, x1 x2, x2^2): a span every linear flow maps
+    into itself, so EDMD over it is exact on linear data, and a kind other
+    than the identity, so the decoder is fitted."""
+
+    def eval_fn(p):
+        x1, x2 = p[:, 0], p[:, 1]
+        return np.column_stack([x1, x2, x1 * x1, x1 * x2, x2 * x2])
+
+    def jac_fn(p):
+        x1, x2 = p[:, 0], p[:, 1]
+        one, zero = np.ones_like(x1), np.zeros_like(x1)
+        rows = [(one, zero), (zero, one), (2 * x1, zero), (x2, x1), (zero, 2 * x2)]
+        return np.stack([np.column_stack(r) for r in rows], axis=1)
+
+    return Dictionary(dim_in=2, eval_fn=eval_fn, jac_fn=jac_fn, spec={"kind": "quadratic"})
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +126,7 @@ class TestFitEDMD:
     def test_normal_equation_optimality(self):
         sys_ = make_system("softplus2d")
         snaps = sample_snapshots(sys_, 150, 0.05, ((0.2, 0.2), (2.0, 2.0)), seed=6)
-        dic = monomial_dictionary(2, 2)
+        dic = rbf_dictionary(snaps, 10, bandwidth=0.3, seed=0)
         model = fit_edmd(snaps, dic)
         PX, PY = dic.eval(snaps.x), dic.eval(snaps.y)
 
@@ -147,7 +165,7 @@ class TestPredict:
     def test_nonidentity_dictionary_decodes(self):
         sys_ = make_system("linear2d")
         snaps = sample_snapshots(sys_, 300, 0.2, ((-2, -2), (2, 2)), seed=13)
-        dic = monomial_dictionary(2, 2)
+        dic = quadratic_dictionary()
         model = fit_edmd(snaps, dic)
         traj = predict(model, np.array([0.5, -0.5]), 10)
         exact = expm(A_DEFAULT * 2.0) @ np.array([0.5, -0.5])
