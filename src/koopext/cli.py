@@ -2,7 +2,8 @@
 
 One experiment per invocation: a subcommand per benchmark study, `run --config`
 for the experiment a config file names, and generic tool subcommands
-(simulate, fit, eig, extend, phase). Every default is listed
+(simulate, fit, eig, extend, phase). Experiments and tools run with one BLAS
+thread and give the caller's thread count back. Every default is listed
 by --help. Exit codes: 0 success, 1 numeric failure (acceptance thresholds
 unmet, or a typed numeric error such as IllConditionedError), 2 usage error,
 3 internal error.
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .core import ConfigurationError, NumericError
+from .core import ConfigurationError, NumericError, one_blas_thread
 from .experiments import EXPERIMENTS, ExperimentConfig, default_params, run
 
 EXIT_OK = 0
@@ -210,6 +211,15 @@ def _tool_phase(args) -> int:
     return EXIT_OK
 
 
+_TOOLS = {
+    "simulate": _tool_simulate,
+    "fit": _tool_fit,
+    "eig": _tool_eig,
+    "extend": _tool_extend,
+    "phase": _tool_phase,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -222,18 +232,10 @@ def main(argv=None) -> int:
             summary = run(ExperimentConfig.from_json(args.config))
         elif args.command in EXPERIMENTS:
             summary = run(_config_from_args(args, args.command))
-        elif args.command == "simulate":
-            return _tool_simulate(args)
-        elif args.command == "fit":
-            return _tool_fit(args)
-        elif args.command == "eig":
-            return _tool_eig(args)
-        elif args.command == "extend":
-            return _tool_extend(args)
-        elif args.command == "phase":
-            return _tool_phase(args)
-        else:  # pragma: no cover
-            return EXIT_USAGE
+        else:
+            # one BLAS thread, as `run` gives the experiments
+            with one_blas_thread():
+                return _TOOLS[args.command](args)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

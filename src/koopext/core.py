@@ -1,5 +1,6 @@
 """Shared domain types: evaluation grids, the grid norm, principal-branch
-complex powers, singular-value tagging, and the CSV and JSON artifact writers.
+complex powers, singular-value tagging, the CSV and JSON artifact writers, and
+the one-BLAS-thread scope every run and tool executes in.
 
 Everything here is immutable after construction and safe to share. Grid
 reductions go through numpy's pairwise summation, so results do not depend
@@ -7,8 +8,14 @@ on how a caller might partition the work.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import importlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +41,9 @@ __all__ = [
     "principal_arg",
     "principal_pow",
     "write_grid_field",
+    "OpenBLAS",
+    "openblas_libraries",
+    "one_blas_thread",
 ]
 
 
@@ -265,3 +275,69 @@ def write_grid_field(path, grid: EvalGrid, values) -> None:
         raise ContractViolationError("field length does not match grid")
     header = [f"x{k + 1}" for k in range(grid.dim)] + ["re", "im"]
     _write_csv(path, header, np.column_stack([grid.points, v.real, v.imag]), newline="\r\n")
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads. The pipeline is a chain of small products on grids of about
+# 10^4 points: waking an OpenBLAS worker for each costs more than the product,
+# and a threaded product sums in another order, so with one thread per core
+# the artifact bytes would depend on the machine's core count.
+
+
+@dataclass(frozen=True)
+class OpenBLAS:
+    """An OpenBLAS that numpy or scipy bundles, reached through the
+    `scipy_openblas_*` functions it exports; numpy's 64-bit-integer build
+    suffixes their names with `64_`."""
+
+    lib: ctypes.CDLL
+    suffix: str
+
+    def function(self, name: str, restype, *argtypes):
+        """The exported `scipy_openblas_<name>`, typed to return `restype`."""
+        fn = getattr(self.lib, f"scipy_openblas_{name}{self.suffix}")
+        fn.restype, fn.argtypes = restype, argtypes
+        return fn
+
+    def threads(self) -> int:
+        return self.function("get_num_threads", ctypes.c_int)()
+
+    def set_threads(self, n: int) -> None:
+        self.function("set_num_threads", None, ctypes.c_int)(n)
+
+
+@functools.cache
+def openblas_libraries() -> dict[str, OpenBLAS]:
+    """The OpenBLAS that numpy and scipy each bundle, by package name. A
+    package built on another BLAS, which exports no such thread getter and
+    setter, is left out. Looked up on the first call, never at import."""
+    found = {}
+    for package in ("numpy", "scipy"):
+        root = os.path.dirname(importlib.import_module(package).__file__)
+        for path in sorted(glob.glob(root + ".libs/*openblas*")):
+            lib = ctypes.CDLL(path)
+            suffix = next((s for s in ("64_", "") if all(
+                hasattr(lib, f"scipy_openblas_{fn}_num_threads{s}") for fn in ("get", "set")
+            )), None)
+            if suffix is not None:
+                found[package] = OpenBLAS(lib, suffix)
+                break
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with one thread in every bundled OpenBLAS, then give each
+    library back the thread count it had, also when the body raises. The
+    count is process-wide, so a thread that runs BLAS beside the body runs on
+    one thread too. With no OpenBLAS found the body runs at the caller's
+    thread count."""
+    libs = list(openblas_libraries().values())
+    before = [lib.threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(1)
+    try:
+        yield
+    finally:
+        for lib, n in zip(libs, before):
+            lib.set_threads(n)

@@ -1015,8 +1015,11 @@ def _trace_branch(system: BenchmarkSystem, seed_pt: np.ndarray, window_lo, windo
     """Polyline along one unstable-manifold branch, cropped at first window exit."""
     from scipy.integrate import solve_ivp
 
+    lo, hi = window_lo.tolist(), window_hi.tolist()
+
     def inside(p):
-        return bool(np.all(p >= window_lo) and np.all(p <= window_hi))
+        # on Python floats: two numpy reductions per point cost more than the test
+        return all(a <= v <= b for a, v, b in zip(lo, p.tolist(), hi))
 
     rhs1 = system.field.ode_rhs
     pts = [seed_pt.copy()]

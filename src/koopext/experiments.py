@@ -22,6 +22,7 @@ from .core import (
     FlowedGrid,
     _write_csv,
     _write_json,
+    one_blas_thread,
     principal_arg,
     write_grid_field,
 )
@@ -572,6 +573,15 @@ def _duffing_defaults():
 def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     if not p["box"] > 0:
         raise ConfigurationError(f"box must be positive, got {p['box']}")
+    if not p["top_k"] >= 1:
+        raise ConfigurationError(f"no mode to score: top_k must be >= 1, got {p['top_k']}")
+    # fewer than 3 samples hold no step away from the saddle on either side:
+    # 1 is the saddle's seed point alone, 2 the two branch ends, whose one step
+    # crosses the saddle
+    if not p["n_manifold"] >= 3:
+        raise ConfigurationError(
+            f"no growth step to score: n_manifold must be >= 3, got {p['n_manifold']}"
+        )
     window = p["window"]
     if not (len(window) == 2 and all(_numbers(c, 2) for c in window)
             and all(a < b for a, b in zip(*window))):
@@ -724,7 +734,9 @@ def run(config: ExperimentConfig) -> dict:
     """Run one experiment; writes artifacts + summary.json under out_dir.
 
     The returned summary carries {name, value, threshold, pass} per criterion;
-    every output regenerates identically from the same config and seed.
+    every output regenerates identically from the same config and seed. The
+    runner executes with one BLAS thread (`core.one_blas_thread`), so the
+    bytes do not depend on the core count.
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {config.experiment!r}")
@@ -738,7 +750,8 @@ def run(config: ExperimentConfig) -> dict:
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     replace(config, params=params).to_json(os.path.join(out, "config.json"))
-    result = runner(params, config.seed, out)
+    with one_blas_thread():
+        result = runner(params, config.seed, out)
     summary = {
         "experiment": config.experiment,
         "seed": config.seed,

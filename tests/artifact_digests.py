@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import hashlib
 import io
 import json
@@ -36,6 +35,7 @@ import numpy
 import scipy
 
 from koopext.cli import main as cli_main
+from koopext.core import one_blas_thread, openblas_libraries
 from koopext.experiments import ExperimentConfig, run
 from test_readme import tool_surface_commands
 
@@ -82,24 +82,23 @@ def label(experiment: str, seed: int, params: dict) -> str:
     )
 
 
-def _openblas(package) -> dict | None:
-    """Runtime configuration (kernel core included) and thread count of the
-    OpenBLAS a package bundles, or None when it bundles none."""
-    for path in sorted(glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*")):
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            config = getattr(lib, f"scipy_openblas_get_config{suffix}", None)
-            threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if config is not None and threads is not None:
-                config.restype = ctypes.c_char_p
-                return {"config": config().decode().strip(), "threads": int(threads())}
-    return None
+def _openblas(package: str) -> dict | None:
+    """Runtime configuration (kernel core included) of the OpenBLAS a package
+    bundles and the thread count runs use, read inside `one_blas_thread`; None
+    when the package bundles none and runs go unpinned."""
+    lib = openblas_libraries().get(package)
+    if lib is None:
+        return None
+    with one_blas_thread():
+        threads = lib.threads()
+    return {"config": lib.function("get_config", ctypes.c_char_p)().decode().strip(),
+            "threads": threads}
 
 
 def environment() -> dict:
     """What artifact bytes depend on besides the source: library versions, the
-    OpenBLAS that numpy and scipy each run (kernel core and thread count) and
-    the CPU features numpy dispatches on."""
+    OpenBLAS that numpy and scipy each run (kernel core and the thread count
+    of the runs) and the CPU features numpy dispatches on."""
     from numpy._core._multiarray_umath import __cpu_features__
 
     return {
@@ -107,8 +106,8 @@ def environment() -> dict:
         "machine": platform.machine(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numpy_openblas": _openblas(numpy),
-        "scipy_openblas": _openblas(scipy),
+        "numpy_openblas": _openblas("numpy"),
+        "scipy_openblas": _openblas("scipy"),
         "numpy_cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
     }
 

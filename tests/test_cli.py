@@ -8,7 +8,8 @@ import pytest
 
 import koopext
 from koopext.cli import main
-from koopext.core import ConfigurationError
+from koopext import core
+from koopext.core import ConfigurationError, openblas_libraries
 from koopext.experiments import EXPERIMENTS, ExperimentConfig, _json_type, default_params, run
 
 from artifact_digests import (
@@ -198,14 +199,22 @@ class TestExitCodes:
                                                         "lo < hi, got [[2, -1.33], [-2, 1.3]]"),
         ("duffing_edmd", "box=-1", "box must be positive, got -1"),
         ("duffing_edmd", "box=0", "box must be positive, got 0"),
+        ("duffing_edmd", "top_k=-1", "no mode to score: top_k must be >= 1, got -1"),
+        ("duffing_edmd", "top_k=0", "no mode to score: top_k must be >= 1, got 0"),
+        ("duffing_edmd", "n_manifold=0", "no growth step to score: n_manifold must be >= 3, "
+                                         "got 0"),
+        ("duffing_edmd", "n_manifold=1", "no growth step to score: n_manifold must be >= 3, "
+                                         "got 1"),
+        ("duffing_edmd", "n_manifold=2", "no growth step to score: n_manifold must be >= 3, "
+                                         "got 2"),
     ])
     def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
                                                                   experiment, param, named):
         # refused before any work: otherwise they fail deep in the run (an
         # IndexError in fit_bridge, an unpacking ValueError in
         # unstable_manifold_sample, numpy's "high - low < 0"), fail a
-        # criterion on an empty family or a degenerate sample, or score every
-        # criterion on a one-point grid
+        # criterion on an empty family or a degenerate sample, score every
+        # criterion on a one-point grid, or slice 99 of 100 modes (top_k=-1)
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
@@ -368,6 +377,74 @@ class TestDeterminism:
     def test_readme_tool_chain_matches_the_golden_manifest(self):
         # simulate -> fit -> eig -> extend -> phase as the README runs them
         assert_matches_golden(TOOL_CHAIN_LABEL, dict(tool_chain_digests()))
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every bundled OpenBLAS at 2 threads, so that a pin to one shows, and
+    the caller's counts given back afterwards."""
+    libs = openblas_libraries()
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = {name: lib.threads() for name, lib in libs.items()}
+    for lib in libs.values():
+        lib.set_threads(2)
+    yield
+    for name, n in before.items():
+        libs[name].set_threads(n)
+
+
+def blas_threads() -> dict:
+    return {name: lib.threads() for name, lib in openblas_libraries().items()}
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_match_the_manifest_at_any_thread_count(self, threads):
+        # bridge1d@0 wrote other bytes at 1 and at 2 threads before runs were
+        # pinned to one
+        src = os.path.dirname(os.path.dirname(koopext.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = os.path.join(os.path.dirname(GOLDEN_PATH), "artifact_digests.py")
+        out = subprocess.run([sys.executable, script, "bridge1d"], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        rows = [line.split() for line in out.splitlines()]
+        assert {r[0] for r in rows} == {"bridge1d@0"}
+        assert_matches_golden("bridge1d@0", {name: digest for _, name, digest in rows})
+
+    def test_run_pins_one_thread_and_gives_the_count_back(self, tmp_path, monkeypatch,
+                                                          two_blas_threads):
+        seen = []
+
+        def runner(p, seed, out):
+            seen.append(blas_threads())
+            if p["fail"]:
+                raise ConfigurationError("refused inside the runner")
+            return {"criteria": []}
+
+        monkeypatch.setitem(EXPERIMENTS, "probe", (runner, lambda: {"fail": False}))
+        run(ExperimentConfig("probe", out_dir=str(tmp_path)))
+        with pytest.raises(ConfigurationError, match="refused inside the runner"):
+            run(ExperimentConfig("probe", out_dir=str(tmp_path), params={"fail": True}))
+        assert seen == [dict.fromkeys(openblas_libraries(), 1)] * 2
+        assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
+
+    @pytest.mark.parametrize("args", [
+        ["duffing_edmd", "--param", "top_k=0"],
+        ["phase", "--method", "analytic", "--grid", "-1", "1", "0.5"],
+        ["phase", "--grid", "1", "1", "0.1"],
+    ])
+    def test_cli_gives_each_library_its_count_back(self, tmp_path, two_blas_threads, args):
+        # a refused run, a tool that succeeds and a tool that refuses its input
+        run_cli([*args, "--out", str(tmp_path)])
+        assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
+
+    def test_run_completes_when_no_blas_can_be_pinned(self, tmp_path, monkeypatch):
+        # another BLAS exports no thread setter: the run goes on unpinned
+        monkeypatch.setattr(core, "openblas_libraries", lambda: {})
+        summary = run(ExperimentConfig("bridge1d", out_dir=str(tmp_path)))
+        assert summary["all_pass"] is True
 
 
 class TestConfig:
