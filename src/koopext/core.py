@@ -77,11 +77,7 @@ class DivergenceError(NumericError, RuntimeError):
 
 
 class ConvergenceError(NumericError, RuntimeError):
-    """Iteration did not converge; carries the last iterate when available."""
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Iteration did not converge."""
 
 
 class IllConditionedError(NumericError, RuntimeError):

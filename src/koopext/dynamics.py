@@ -439,8 +439,13 @@ def _expm_propagator(A: np.ndarray) -> Callable[[float], np.ndarray]:
     return functools.cache(lambda t: expm(A * t))
 
 
+# linear2d's matrix; softplus2d is linear2d seen through softplus, and
+# softplus_edmd samples linear2d to fit it, so the two share this default
+_LINEAR2D_A = ((-0.9, 0.1), (0.0, -0.8))
+
+
 def _linear2d(A=None) -> BenchmarkSystem:
-    A = np.array([[-0.9, 0.1], [0.0, -0.8]] if A is None else A, dtype=float)
+    A = np.array(_LINEAR2D_A if A is None else A, dtype=float)
     if A.shape != (2, 2):
         raise ConfigurationError("linear2d needs a 2x2 matrix")
     propagator = _expm_propagator(A)
@@ -484,7 +489,7 @@ def softplus_inv(y):
 
 
 def _softplus2d(A=None) -> BenchmarkSystem:
-    A = np.array([[-0.9, 0.1], [0.0, -0.8]] if A is None else A, dtype=float)
+    A = np.array(_LINEAR2D_A if A is None else A, dtype=float)
     propagator = _expm_propagator(A)
 
     def rhs(y):
@@ -656,6 +661,9 @@ def _polar_lc(mu=1.0, omega=1.0, alpha=1.0, C=1.0) -> BenchmarkSystem:
 
 def _vanderpol(mu=0.3) -> BenchmarkSystem:
     mu = float(mu)
+    # for mu < 0 the limit cycle repels; mu = 0 is the harmonic center
+    if not mu >= 0:
+        raise ConfigurationError(f"vanderpol needs mu >= 0, got {mu}")
 
     def rhs(p):
         x, y = p[..., 0], p[..., 1]
@@ -893,7 +901,8 @@ def sample_snapshots(
     samples_per_traj: int = 2,
 ) -> SnapshotSet:
     """Deterministically sample snapshot pairs with initial conditions uniform
-    on `box`, flowed exactly where the system has a closed-form flow and by
+    on `box` = (lo, hi), which needs hi > lo on every axis, flowed for a time
+    dt > 0 exactly where the system has a closed-form flow and by
     rk45 otherwise (the method is recorded in metadata['method']).
 
     With samples_per_traj = s, each trajectory contributes s - 1 consecutive
@@ -911,7 +920,12 @@ def sample_snapshots(
             f"samples_per_traj - 1 = {per_traj} must divide n_pairs = {n_pairs}"
         )
     n_traj = n_pairs // per_traj
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     lo, hi = (np.asarray(v, dtype=float) for v in box)
+    if not np.all(lo < hi):
+        raise ConfigurationError(f"sampling box needs hi > lo on every axis, got lo = "
+                                 f"{tuple(lo.tolist())}, hi = {tuple(hi.tolist())}")
     method = "exact" if system.field.exact_flow is not None else "rk45"
     fmap = FlowMap(system.field, dt, method=method)
     # counter-based generator: sampling order is reproducible however batched

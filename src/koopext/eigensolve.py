@@ -1,8 +1,8 @@
-"""Dense eigensolvers built around the power method: plain power iteration,
-an Arnoldi-accelerated variant that resolves complex-conjugate dominant pairs
-through a two-column Krylov basis, biorthogonal deflation for real
-non-Hermitian matrices, 2x2 closed-form helpers, and a reference QR iteration
-used for cross-validation.
+"""Dense eigensolvers built around the power method: an Arnoldi-accelerated
+power iteration, warm-started by plain power steps, that resolves
+complex-conjugate dominant pairs through a two-column Krylov basis,
+biorthogonal deflation for real non-Hermitian matrices, 2x2 closed-form
+helpers, and a reference QR iteration used for cross-validation.
 
 Determinism rules: seeded start vectors, eigenvalues ordered by descending
 modulus (ties: descending real part, then positive imaginary part first),
@@ -19,7 +19,6 @@ from .core import (ConfigurationError, ConvergenceError, NearDefectiveError, _wr
 
 __all__ = [
     "Eigenpair",
-    "power_iteration",
     "eigen2d",
     "eigvector2d",
     "power_iteration_complex",
@@ -67,63 +66,31 @@ def _eig_sort_key(lam: complex):
     return (-abs(lam), -lam.real, -lam.imag)
 
 
-# stopping rules of power_iteration and power_iteration_complex (see their docstrings)
+# stopping rules of _warm_start and power_iteration_complex (see their docstrings)
 _POWER_TOL = 1e-12
 _ARNOLDI_TOL = 1e-13
 _WARM_START_ITERS = 500
 _RESIDUAL_TOL = 1e-10
 
 
-def power_iteration(
-    A: np.ndarray,
-    max_iter: int = 20000,
-    seed: int = 0,
-    require_convergence: bool = True,
-):
-    """Classic power iteration for a dominant real simple eigenvalue.
-
-    Returns (lambda, v) with |A v - lambda v| <= 1e-12 * |A|. An alternating
-    Rayleigh quotient is reported as a ConvergenceError suggesting a complex
-    dominant pair; the caller should switch to power_iteration_complex.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ConfigurationError("power_iteration needs a square matrix")
+def _warm_start(A: np.ndarray, seed: int) -> np.ndarray:
+    """Up to _WARM_START_ITERS plain power steps from a seeded Philox normal
+    vector; returns the last unit iterate, or earlier the first one whose
+    residual |A v - (v^T A v) v| is at most _POWER_TOL * |A|."""
     rng = np.random.Generator(np.random.Philox(seed))
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
-    norm_A = np.linalg.norm(A)
-    lam_hist = []
-    for _ in range(max_iter):
-        w = A @ v
+    tol = _POWER_TOL * max(np.linalg.norm(A), 1e-300)
+    w = A @ v
+    for _ in range(_WARM_START_ITERS):
         nw = np.linalg.norm(w)
         if nw == 0:
-            return 0.0, _fix_phase(v).real
-        v_new = w / nw
-        lam = float(v_new @ (A @ v_new))
-        lam_hist.append(lam)
-        if np.linalg.norm(A @ v_new - lam * v_new) <= _POWER_TOL * max(norm_A, 1e-300):
-            return lam, _fix_phase(v_new.astype(complex)).real
-        if len(lam_hist) >= 6:
-            a, b, c, d = lam_hist[-4:]
-            alternating = abs(a - c) < 1e-8 * (abs(a) + 1) and abs(b - d) < 1e-8 * (
-                abs(b) + 1
-            ) and abs(a - b) > 1e-4 * (abs(a) + 1)
-            if alternating and require_convergence:
-                raise ConvergenceError(
-                    "Rayleigh quotient alternates; dominant eigenvalue is likely a "
-                    "complex pair, use power_iteration_complex",
-                    last_iterate=v_new,
-                )
-        v = v_new
-    if require_convergence:
-        raise ConvergenceError(
-            f"power iteration did not reach tol={_POWER_TOL} in {max_iter} iterations",
-            last_iterate=v,
-        )
-    lam = float(v @ (A @ v))
-    return lam, _fix_phase(v.astype(complex)).real
+            return _fix_phase(v).real
+        v = w / nw
+        w = A @ v
+        if np.linalg.norm(w - float(v @ w) * v) <= tol:
+            break
+    return _fix_phase(v.astype(complex)).real
 
 
 def eigen2d(h: np.ndarray) -> tuple[complex, complex]:
@@ -149,11 +116,10 @@ def eigen2d(h: np.ndarray) -> tuple[complex, complex]:
     return tuple(sorted(lams, key=_eig_sort_key))
 
 
-def eigvector2d(h: np.ndarray, lam: complex) -> tuple[np.ndarray, bool]:
+def eigvector2d(h: np.ndarray, lam: complex) -> np.ndarray:
     """Unit eigenvector of a 2x2 matrix from the null space of h - lam I,
-    using the larger-pivot row. Returns (vector, defective_flag); the flag is
-    set when the eigenvalue is (numerically) a double root with a rank-1
-    eigenspace, in which case the single eigenvector is returned.
+    using the larger-pivot row. At a double root with a rank-1 eigenspace
+    this is the single eigenvector.
     """
     h = np.asarray(h, dtype=float)
     M = h.astype(complex) - lam * np.eye(2)
@@ -161,13 +127,10 @@ def eigvector2d(h: np.ndarray, lam: complex) -> tuple[np.ndarray, bool]:
     r0, r1 = np.linalg.norm(M[0]), np.linalg.norm(M[1])
     if max(r0, r1) <= 1e-14 * scale:
         # full eigenspace; any direction works
-        return np.array([1.0 + 0j, 0.0 + 0j]), False
+        return np.array([1.0 + 0j, 0.0 + 0j])
     row = M[0] if r0 >= r1 else M[1]
     v = np.array([-row[1], row[0]])
-    v = _fix_phase(v / np.linalg.norm(v))
-    lams = eigen2d(h)
-    defective = abs(lams[0] - lams[1]) <= 1e-12 * scale
-    return v, defective
+    return _fix_phase(v / np.linalg.norm(v))
 
 
 def _arnoldi_2col(A: np.ndarray, x: np.ndarray):
@@ -205,10 +168,12 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
+    if A.shape != (n, n):
+        raise ConfigurationError("power_iteration_complex needs a square matrix")
     if n == 1:
         return Eigenpair(lam=complex(A[0, 0]), right=np.array([1.0 + 0j]), residual=0.0)
     norm_A = max(np.linalg.norm(A), 1e-300)
-    _, x = power_iteration(A, max_iter=_WARM_START_ITERS, seed=seed, require_convergence=False)
+    x = _warm_start(A, seed)
     lam_old = complex(np.inf)
     best: Eigenpair | None = None
     Ac = A.astype(complex)
@@ -221,9 +186,8 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
             v = _fix_phase((x / np.linalg.norm(x)).astype(complex))
             res = float(np.linalg.norm(A @ v - lam * v))
             return Eigenpair(lam=complex(lam), right=v, residual=res)
-        lams = eigen2d(h)
-        lam_c = lams[0]
-        w2, _ = eigvector2d(h, lam_c)
+        lam_c = eigen2d(h)[0]
+        w2 = eigvector2d(h, lam_c)
         v_c = V.astype(complex) @ w2
         v_c = _fix_phase(v_c / np.linalg.norm(v_c))
         res_c = float(np.linalg.norm(Ac @ v_c - lam_c * v_c))
@@ -256,8 +220,7 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
         return best
     raise ConvergenceError(
         f"complex power iteration stagnated after {max_iter} iterations "
-        f"(best residual {0.0 if best is None else best.residual:.3e})",
-        last_iterate=None if best is None else best.right,
+        f"(best residual {0.0 if best is None else best.residual:.3e})"
     )
 
 
@@ -283,6 +246,8 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
     deflated too and counts as the next pair, even past n_pairs, so complex
     eigenvalues of a real matrix come in pairs and the matrix stays real.
     """
+    if not max_iter >= 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     work = np.asarray(A, dtype=float).copy()
     i = 0
     while i < n_pairs:

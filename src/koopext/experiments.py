@@ -254,8 +254,10 @@ def _softplus_defaults():
 
 
 def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
-    if not p["p_cap"] >= 1:
-        raise ConfigurationError(f"p_cap must be >= 1, got {p['p_cap']}")
+    # refused before sampling, so nothing but config.json is written
+    for key in ("p_cap", "n_eig", "max_iter"):
+        if not p[key] >= 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {p[key]}")
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     lin = make_system("linear2d")
     soft = make_system("softplus2d")
@@ -408,6 +410,10 @@ def _distance_to_samples(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
 def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
     if not p["dt_check"] > 0:
         raise ConfigurationError(f"dt_check must be positive, got {p['dt_check']}")
+    if not _numbers(p["x0_cycle"], 2):
+        raise ConfigurationError(
+            f"x0_cycle must be two numbers [x, y], got {json.dumps(p['x0_cycle'])}"
+        )
     sys_ = make_system("vanderpol", mu=p["mu"])
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
@@ -571,8 +577,6 @@ def _duffing_defaults():
 
 
 def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
-    if not p["box"] > 0:
-        raise ConfigurationError(f"box must be positive, got {p['box']}")
     if not p["top_k"] >= 1:
         raise ConfigurationError(f"no mode to score: top_k must be >= 1, got {p['top_k']}")
     # fewer than 3 samples hold no step away from the saddle on either side:

@@ -121,17 +121,20 @@ def laplace_average_batch(
     return acc / T
 
 
-def limit_cycle_period(
-    fld: VectorField, x0, horizon: float = 100.0
-) -> tuple[float, float, Callable]:
+# the latest first return limit_cycle_period searches for
+_PERIOD_HORIZON = 100.0
+
+
+def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, Callable]:
     """(omega, period, orbit) of the attracting limit cycle reachable from x0.
 
     The state is first relaxed onto the cycle for 60 time units, then a
     Poincare section is placed through the relaxed point with the flow
     direction as its normal, and the flow is integrated until its first
     return to the section; the return time is refined with Newton steps on
-    the section-crossing condition down to 1e-10. `horizon` caps the search
-    for that return: without one before t = horizon, DivergenceError.
+    the section-crossing condition down to 1e-10. _PERIOD_HORIZON caps the
+    search for that return: without one before t = _PERIOD_HORIZON,
+    DivergenceError.
 
     `orbit` is the dense output of that one-period integration (rtol = atol
     = 1e-12): orbit(t) is the state at time t after the relaxed point, for
@@ -159,7 +162,7 @@ def limit_cycle_period(
     section.terminal = 2
 
     sol = solve_ivp(
-        rhs1, (0.0, horizon), p0, rtol=1e-12, atol=1e-12,
+        rhs1, (0.0, _PERIOD_HORIZON), p0, rtol=1e-12, atol=1e-12,
         events=section, dense_output=True,
     )
     crossings = sol.t_events[0]

@@ -197,8 +197,10 @@ class TestExitCodes:
         ("duffing_edmd", "window=[[2,-1.33],[-2,1.3]]", "window must be two corners "
                                                         "[[x_lo, y_lo], [x_hi, y_hi]] with "
                                                         "lo < hi, got [[2, -1.33], [-2, 1.3]]"),
-        ("duffing_edmd", "box=-1", "box must be positive, got -1"),
-        ("duffing_edmd", "box=0", "box must be positive, got 0"),
+        ("duffing_edmd", "box=-1", "sampling box needs hi > lo on every axis, "
+                                   "got lo = (1.0, 1.0), hi = (-1.0, -1.0)"),
+        ("duffing_edmd", "box=0", "sampling box needs hi > lo on every axis, "
+                                  "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
         ("duffing_edmd", "top_k=-1", "no mode to score: top_k must be >= 1, got -1"),
         ("duffing_edmd", "top_k=0", "no mode to score: top_k must be >= 1, got 0"),
         ("duffing_edmd", "n_manifold=0", "no growth step to score: n_manifold must be >= 3, "
@@ -207,14 +209,32 @@ class TestExitCodes:
                                          "got 1"),
         ("duffing_edmd", "n_manifold=2", "no growth step to score: n_manifold must be >= 3, "
                                          "got 2"),
+        ("softplus_edmd", "n_eig=0", "n_eig must be >= 1, got 0"),
+        ("softplus_edmd", "max_iter=0", "max_iter must be >= 1, got 0"),
+        ("softplus_edmd", "max_iter=-1", "max_iter must be >= 1, got -1"),
+        ("softplus_edmd", "box=0", "sampling box needs hi > lo on every axis, "
+                                   "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
+        ("softplus_edmd", "box=-1", "sampling box needs hi > lo on every axis, "
+                                    "got lo = (1.0, 1.0), hi = (-1.0, -1.0)"),
+        ("linear2d_dmd", "box=0", "sampling box needs hi > lo on every axis, "
+                                  "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
+        ("softplus_edmd", "dt=0", "dt must be positive, got 0"),
+        ("linear2d_dmd", "dt=0", "dt must be positive, got 0"),
+        ("vdp_phase", "x0_cycle=[]", "x0_cycle must be two numbers [x, y], got []"),
+        ("vdp_phase", "x0_cycle=[1.0]", "x0_cycle must be two numbers [x, y], got [1.0]"),
+        ("vdp_phase", "mu=-1", "vanderpol needs mu >= 0, got -1.0"),
+        ("vdp_phase", "mu=-0.3", "vanderpol needs mu >= 0, got -0.3"),
     ])
     def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
                                                                   experiment, param, named):
         # refused before any work: otherwise they fail deep in the run (an
-        # IndexError in fit_bridge, an unpacking ValueError in
-        # unstable_manifold_sample, numpy's "high - low < 0"), fail a
-        # criterion on an empty family or a degenerate sample, score every
-        # criterion on a one-point grid, or slice 99 of 100 modes (top_k=-1)
+        # IndexError in fit_bridge or limit_cycle_period, an unpacking
+        # ValueError in unstable_manifold_sample, numpy's "high - low < 0", an
+        # empty max() over no eigenpair, an eigensolve of 0 iterations or one
+        # that spins to max_iter at dt = 0), fail a criterion on an empty
+        # family, a degenerate sample or a repelling cycle (mu < 0), score
+        # every criterion on a one-point grid or on 400 copies of one sampled
+        # point, or slice 99 of 100 modes (top_k=-1)
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
@@ -282,8 +302,10 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
-        # a box of zero width gives a rank-deficient Gram matrix
-        assert run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", "box=0"]) == 1
+        # one snapshot pair gives a rank-deficient Gram matrix
+        with pytest.warns(UserWarning, match="underdetermined"):
+            code = run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", "n_pairs=1"])
+        assert code == 1
         assert "numeric failure: IllConditionedError: " in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
@@ -566,13 +588,17 @@ class TestToolSubcommands:
          "grid box needs hi > lo on every axis, got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
         (["phase", "--grid", "1", "1", "0.1"],
          "grid box needs hi > lo on every axis, got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
+        (["simulate", "--system", "linear2d", "--box", "0"],
+         "sampling box needs hi > lo on every axis, got lo = (-0.0, -0.0), hi = (0.0, 0.0)"),
+        (["simulate", "--system", "linear2d", "--dt", "0"], "dt must be positive, got 0.0"),
     ])
     def test_edge_tool_input_is_a_usage_error_that_names_it(self, tmp_path, capsys,
                                                             linear2d_model_stem, args, named):
         # refused before any file is written: otherwise `eig --n -1` writes an
         # empty spectrum, a model of another dimension fails on a
-        # ContractViolationError, and a one-point grid passes
-        model = [] if args[0] == "phase" else ["--model", linear2d_model_stem]
+        # ContractViolationError, a one-point grid passes, and `simulate`
+        # writes copies of one point or pairs flowed for no time
+        model = [] if args[0] in ("phase", "simulate") else ["--model", linear2d_model_stem]
         assert run_cli([*args, *model, "--out", str(tmp_path)]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []

@@ -1,9 +1,10 @@
 """Regression tests that pin the compute-once data flow of the experiments:
 each evaluation grid is flowed once per flow map, the limit-cycle period and
-orbit are solved once per phase run and Laplace-averaged in one batch, and
-the certified extension loop computes what does not depend on the power p
-once. The work moved out of the per-power path is pinned bit for bit against
-copies of the code that recomputed it for every p."""
+orbit are solved once per phase run and Laplace-averaged in one batch, the
+Arnoldi eigensolver makes one 2x2 eigenvalue solve per step and its warm
+start one product per power step, and the certified extension loop computes
+what does not depend on the power p once. The work moved out of a loop is
+pinned bit for bit against copies of the code that recomputed it."""
 import inspect
 import tracemalloc
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from koopext import phase
+from koopext import eigensolve, phase
 from koopext.core import (
     DIVERGENCE_LIMIT,
     SINGULAR,
@@ -115,6 +116,58 @@ def test_vdp_phase_averages_the_grid_and_its_image_in_one_batch(tmp_path, monkey
     assert kept > 0
     # the kept grid points stacked on their time-dt images, then the 1-row trivial check
     assert rows == [2 * kept, 1]
+
+
+def test_arnoldi_makes_one_2x2_eigenvalue_solve_per_step(monkeypatch):
+    # a dominant complex pair, so no step ends in a Krylov breakdown
+    A = np.array([[0.5, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.3]])
+    steps, solves = [], []
+    original_step, original_solve = eigensolve._arnoldi_2col, eigensolve.eigen2d
+
+    def counting_step(A, x):
+        steps.append(1)
+        return original_step(A, x)
+
+    def counting_solve(h):
+        solves.append(1)
+        return original_solve(h)
+
+    monkeypatch.setattr(eigensolve, "_arnoldi_2col", counting_step)
+    monkeypatch.setattr(eigensolve, "eigen2d", counting_solve)
+    pair = eigensolve.power_iteration_complex(A, seed=0)
+    assert pair.lam == pytest.approx(complex(0.5, 1.0), abs=1e-10)
+    assert len(steps) >= 1
+    assert len(solves) == len(steps)
+
+
+def _old_warm_start(A, seed):
+    # the warm start as power_iteration(A, 500, seed, require_convergence=False)
+    # ran it: A @ v_new formed twice per step, and once more by the next step
+    v = np.random.Generator(np.random.Philox(seed)).standard_normal(A.shape[0])
+    v /= np.linalg.norm(v)
+    norm_A = np.linalg.norm(A)
+    for _ in range(500):
+        w = A @ v
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return eigensolve._fix_phase(v).real
+        v_new = w / nw
+        lam = float(v_new @ (A @ v_new))
+        if np.linalg.norm(A @ v_new - lam * v_new) <= 1e-12 * max(norm_A, 1e-300):
+            return eigensolve._fix_phase(v_new.astype(complex)).real
+        v = v_new
+    return eigensolve._fix_phase(v.astype(complex)).real
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([3.0, 1.0, 0.5, 0.2, 0.1]) + 0.2 * np.random.default_rng(4).random((5, 5)),
+    np.array([[0.5, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.3]]),  # all 500 steps
+    np.array([[0.0, 1.0], [0.0, 0.0]]),  # A @ v vanishes on the second step
+    np.zeros((3, 3)),
+], ids=["converges", "complex_pair", "nilpotent", "zero"])
+def test_warm_start_matches_the_two_product_power_steps_bit_for_bit(A):
+    for seed in (0, 7):
+        assert np.array_equal(eigensolve._warm_start(A, seed), _old_warm_start(A, seed))
 
 
 # ---------------------------------------------------------------------------

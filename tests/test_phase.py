@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from koopext import phase
 from koopext.core import (
     ConfigurationError,
     DivergenceError,
@@ -225,10 +226,11 @@ class TestLimitCyclePeriod:
         assert len(calls) == 26_618
         assert set(calls) == {(2,)}
 
-    def test_no_return_within_the_horizon(self):
+    def test_no_return_within_the_horizon(self, monkeypatch):
+        monkeypatch.setattr(phase, "_PERIOD_HORIZON", 1.0)
         sys_ = make_system("vanderpol", mu=0.3)
         with pytest.raises(DivergenceError, match="no return"):
-            limit_cycle_period(sys_.field, np.array([2.0, 0.0]), horizon=1.0)
+            limit_cycle_period(sys_.field, np.array([2.0, 0.0]))
 
 
 class TestCycleBand:
