@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .core import (
     DIVERGENCE_LIMIT,
@@ -314,6 +312,8 @@ def _cubic1d(a=-1.0, b=0.0, c=3.0) -> BenchmarkSystem:
         return None
 
     def exact_flow(pts, t):
+        from scipy.optimize import brentq
+
         out = np.empty_like(pts)
         for i, x0 in enumerate(pts[:, 0]):
             if np.any(x0 == roots):
@@ -436,6 +436,8 @@ def _left_eigenvectors_2x2(A: np.ndarray):
 
 def _expm_propagator(A: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> expm(A t), computed once per t."""
+    from scipy.linalg import expm
+
     return functools.cache(lambda t: expm(A * t))
 
 

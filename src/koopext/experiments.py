@@ -255,9 +255,14 @@ def _softplus_defaults():
 
 def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     # refused before sampling, so nothing but config.json is written
-    for key in ("p_cap", "n_eig", "max_iter"):
+    for key in ("p_cap", "n_eig", "max_iter", "n_rbf"):
         if not p[key] >= 1:
             raise ConfigurationError(f"{key} must be >= 1, got {p[key]}")
+    for key in ("epsilon", "bandwidth"):
+        if not p[key] > 0:
+            raise ConfigurationError(f"{key} must be positive, got {p[key]}")
+    if not p["ridge"] >= 0:
+        raise ConfigurationError(f"ridge must be nonnegative, got {p['ridge']}")
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     lin = make_system("linear2d")
     soft = make_system("softplus2d")

@@ -59,15 +59,27 @@ def assert_matches_golden(run_label: str, got: dict) -> None:
                     f"environment differences: {differs or 'none'}")
 
 
-def run_cli_process(*args):
+def child_env() -> dict:
     # the child imports the koopext these tests import, whether or not
     # PYTHONPATH names it
     src = os.path.dirname(os.path.dirname(koopext.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli_process(*args):
     return subprocess.run(
         [sys.executable, "-m", "koopext.cli", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
+
+
+def run_python(code: str):
+    """The JSON that `code` prints when run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestExitCodes:
@@ -212,6 +224,11 @@ class TestExitCodes:
         ("softplus_edmd", "n_eig=0", "n_eig must be >= 1, got 0"),
         ("softplus_edmd", "max_iter=0", "max_iter must be >= 1, got 0"),
         ("softplus_edmd", "max_iter=-1", "max_iter must be >= 1, got -1"),
+        ("softplus_edmd", "epsilon=0", "epsilon must be positive, got 0"),
+        ("softplus_edmd", "epsilon=-1", "epsilon must be positive, got -1"),
+        ("softplus_edmd", "ridge=-1", "ridge must be nonnegative, got -1"),
+        ("softplus_edmd", "bandwidth=0", "bandwidth must be positive, got 0"),
+        ("softplus_edmd", "n_rbf=0", "n_rbf must be >= 1, got 0"),
         ("softplus_edmd", "box=0", "sampling box needs hi > lo on every axis, "
                                    "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
         ("softplus_edmd", "box=-1", "sampling box needs hi > lo on every axis, "
@@ -234,7 +251,8 @@ class TestExitCodes:
         # that spins to max_iter at dt = 0), fail a criterion on an empty
         # family, a degenerate sample or a repelling cycle (mu < 0), score
         # every criterion on a one-point grid or on 400 copies of one sampled
-        # point, or slice 99 of 100 modes (top_k=-1)
+        # point, slice 99 of 100 modes (top_k=-1), or are refused only after
+        # snapshots.* (and, for epsilon, model*) were written
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
@@ -462,11 +480,67 @@ class TestOneBlasThread:
         run_cli([*args, "--out", str(tmp_path)])
         assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
 
+    def test_pin_reaches_the_blas_of_scipy_linalg_imported_inside_it(self):
+        # runs first import scipy.linalg inside the pin: its BLAS must be the
+        # one library the pin set, not a second copy at the caller's count
+        got = run_python("""
+import json, os, sys
+import scipy
+from koopext.core import one_blas_thread, openblas_libraries
+libs = openblas_libraries()
+if "scipy" not in libs:
+    print("null")
+    sys.exit()
+for lib in libs.values():
+    lib.set_threads(2)
+linalg_before = "scipy.linalg" in sys.modules
+with one_blas_thread():
+    import scipy.linalg
+    scipy.linalg.expm([[0.0, 1.0], [-1.0, 0.0]])
+    inside = {name: lib.threads() for name, lib in libs.items()}
+after = {name: lib.threads() for name, lib in libs.items()}
+mapped = None
+if sys.platform.startswith("linux"):
+    libdir = os.path.realpath(os.path.dirname(scipy.__file__) + ".libs")
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    mapped = sorted(p for p in paths
+                    if os.path.dirname(p) == libdir and "openblas" in os.path.basename(p))
+print(json.dumps({"linalg_before": linalg_before, "inside": inside, "after": after,
+                  "mapped": mapped, "pinned": os.path.realpath(libs["scipy"].lib._name)}))
+""")
+        if got is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        assert got["linalg_before"] is False
+        assert got["inside"] == dict.fromkeys(got["inside"], 1)
+        assert got["after"] == dict.fromkeys(got["after"], 2)
+        if got["mapped"] is not None:
+            assert got["mapped"] == [got["pinned"]]
+
     def test_run_completes_when_no_blas_can_be_pinned(self, tmp_path, monkeypatch):
         # another BLAS exports no thread setter: the run goes on unpinned
         monkeypatch.setattr(core, "openblas_libraries", lambda: {})
         summary = run(ExperimentConfig("bridge1d", out_dir=str(tmp_path)))
         assert summary["all_pass"] is True
+
+
+class TestColdStart:
+    def test_scipy_is_imported_where_it_is_used(self, tmp_path):
+        # scipy.linalg and scipy.optimize take 0.43 s of a CLI start, and
+        # most calls use neither; a linear run needs only expm
+        at_import, after_run = run_python(f"""
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import koopext, koopext.cli
+at_import = scipy_modules()
+from koopext.experiments import ExperimentConfig, run
+run(ExperimentConfig("linear2d_dmd", out_dir={str(tmp_path)!r}, params={{"grid_h": 0.02}}))
+print(json.dumps([at_import, scipy_modules()]))
+""")
+        assert at_import == []
+        assert "scipy.linalg" in after_run
+        assert not {"scipy.optimize", "scipy.integrate"} & set(after_run)
 
 
 class TestConfig:
