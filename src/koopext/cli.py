@@ -3,10 +3,10 @@
 One experiment per invocation: a subcommand per benchmark study, `run --config`
 for the experiment a config file names, and generic tool subcommands
 (simulate, fit, eig, extend, phase). Experiments and tools run with one BLAS
-thread and give the caller's thread count back. Every default is listed
-by --help. Exit codes: 0 success, 1 numeric failure (acceptance thresholds
-unmet, or a typed numeric error such as IllConditionedError), 2 usage error,
-3 internal error.
+thread and give the caller's thread count back. Every default is listed by
+--help beside its domain. Exit codes: 0 success, 1 numeric failure
+(acceptance thresholds unmet, or a typed numeric error such as
+IllConditionedError), 2 usage error, 3 internal error.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import os
 import sys
 
 from .core import ConfigurationError, NumericError, one_blas_thread
-from .experiments import EXPERIMENTS, ExperimentConfig, default_params, run
+from .experiments import EXPERIMENTS, ExperimentConfig, run
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -30,13 +30,11 @@ def _add_out_seed(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_param_overrides(parser: argparse.ArgumentParser, experiment: str) -> None:
-    parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help=f"override a default parameter (defaults: {json.dumps(default_params(experiment))})",
-    )
+    table = EXPERIMENTS[experiment][1]()
+    rows = ", ".join(f"{key}={json.dumps(default)} ({domain.says})"
+                     for key, (default, domain) in table.items())
+    parser.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                        help=f"override a default parameter (defaults and domains: {rows})")
 
 
 _N_HELP = "eigenpairs to compute (default: min(5, model dimension))"

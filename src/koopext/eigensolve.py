@@ -276,7 +276,7 @@ def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpa
     (see _deflation_rounds); each carries its biorthogonal left vector and
     the residual of its right pair."""
     n = np.shape(A)[0]
-    if not 0 <= n_pairs <= n:
+    if not 1 <= n_pairs <= n:
         raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
     out: list[Eigenpair] = []
     for right, _, w, conjugate in _deflation_rounds(A, n_pairs, seed, max_iter=50000):

@@ -112,29 +112,59 @@ def _leq(name, value, threshold):
 
 
 # ---------------------------------------------------------------------------
+# Each runner's `_*_table()` maps every parameter to its (default, domain).
 
 
-def _linear2d_defaults():
+@dataclass(frozen=True)
+class _Domain:
+    """One kind of parameter domain: what a value must be, as --help and a
+    refusal say it, and `holds(value) -> bool`, the predicate it must meet."""
+
+    says: str
+    holds: object
+
+
+def _is_number(value) -> bool:
+    return _json_type(value) in ("integer", "number")
+
+
+def _is_point(value) -> bool:
+    return _json_type(value) == "array" and len(value) == 2 and all(map(_is_number, value))
+
+
+# the type check has made a number parameter a number; a null default takes any value
+_ANY = _Domain("any value", lambda v: True)
+_AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (
+    _Domain(f">= {n}", lambda v, n=n: v >= n) for n in (1, 2, 3))
+_POSITIVE = _Domain("positive", lambda v: v > 0)
+_NONNEGATIVE = _Domain("nonnegative", lambda v: v >= 0)
+_NULL_OR_POSITIVE = _Domain("null or positive", lambda v: v is None or (_is_number(v) and v > 0))
+_POSITIVE_NUMBERS = _Domain("a non-empty array of positive numbers",
+                            lambda v: len(v) >= 1 and all(_is_number(x) and x > 0 for x in v))
+_POINT = _Domain("two numbers [x, y]", _is_point)
+_INTERVAL = _Domain("two numbers [lo, hi] with lo < hi", lambda v: _is_point(v) and v[0] < v[1])
+_CORNERS = _Domain("two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
+                   lambda v: len(v) == 2 and all(map(_is_point, v))
+                   and all(a < b for a, b in zip(*v)))
+
+
+def _linear2d_table():
     return {
-        "n_pairs": 400,
-        "dt": 0.2,
-        "box": 2.0,
-        "grid_lo": -1.0,
-        "grid_hi": 1.0,
-        "grid_h": 0.01,
-        "euler_step": 0.001,
-        "epsilons": [0.1, 0.2],
-        "p_max_curve": 10,
-        "delta_w_norm": 1e-6,
+        "n_pairs": (400, _AT_LEAST_1),
+        "dt": (0.2, _POSITIVE),
+        "box": (2.0, _POSITIVE),
+        "grid_lo": (-1.0, _ANY),
+        "grid_hi": (1.0, _ANY),
+        "grid_h": (0.01, _POSITIVE),
+        "euler_step": (0.001, _POSITIVE),
+        "epsilons": ([0.1, 0.2], _POSITIVE_NUMBERS),
+        "p_max_curve": (10, _AT_LEAST_1),
+        "delta_w_norm": (1e-6, _NONNEGATIVE),
     }
 
 
 def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
-    if not p["p_max_curve"] >= 1:
-        raise ConfigurationError(f"p_max_curve must be >= 1, got {p['p_max_curve']}")
-    if not p["epsilons"]:
-        raise ConfigurationError(f"epsilons must hold at least one value, got {p['epsilons']}")
     sys_ = make_system("linear2d")
     b = p["box"]
     snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed)
@@ -235,34 +265,27 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _softplus_defaults():
+def _softplus_table():
     return {
-        "n_pairs": 400,
-        "dt": 0.02,
-        "box": 2.0,
-        "n_rbf": 40,
-        "bandwidth": 0.7,
-        "ridge": 1e-10,
-        "grid_lo": 1.0,
-        "grid_hi": 2.0,
-        "grid_h": 0.01,
-        "n_eig": 9,
-        "epsilon": 0.01,
-        "p_cap": 3,
-        "max_iter": 300000,
+        "n_pairs": (400, _AT_LEAST_1),
+        "dt": (0.02, _POSITIVE),
+        "box": (2.0, _POSITIVE),
+        "n_rbf": (40, _AT_LEAST_1),
+        "bandwidth": (0.7, _POSITIVE),
+        "ridge": (1e-10, _NONNEGATIVE),
+        # softplus2d lives on y > 0
+        "grid_lo": (1.0, _POSITIVE),
+        "grid_hi": (2.0, _ANY),
+        "grid_h": (0.01, _POSITIVE),
+        "n_eig": (9, _AT_LEAST_1),
+        "epsilon": (0.01, _POSITIVE),
+        # extension_reaches_p3 would pass at 0 == 0 with no power extended
+        "p_cap": (3, _AT_LEAST_1),
+        "max_iter": (300000, _AT_LEAST_1),
     }
 
 
 def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
-    # refused before sampling, so nothing but config.json is written
-    for key in ("p_cap", "n_eig", "max_iter", "n_rbf"):
-        if not p[key] >= 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {p[key]}")
-    for key in ("epsilon", "bandwidth"):
-        if not p[key] > 0:
-            raise ConfigurationError(f"{key} must be positive, got {p[key]}")
-    if not p["ridge"] >= 0:
-        raise ConfigurationError(f"ridge must be nonnegative, got {p['ridge']}")
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     lin = make_system("linear2d")
     soft = make_system("softplus2d")
@@ -302,26 +325,23 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _bridge_defaults():
+def _bridge_table():
     return {
-        "radius": 0.85,
-        "left_n_centers": 100,
-        "left_bandwidth": 0.05,
-        "right_n_centers": 80,
-        "right_bandwidth": 0.15,
-        "left_n_pairs": 4000,
-        "right_n_pairs": 8000,
-        "dt": 0.1,
-        "window": [2.25, 2.75],
-        "tikhonov": 1e-8,
-        "spurious_threshold": 1e-2,
+        "radius": (0.85, _POSITIVE),
+        "left_n_centers": (100, _AT_LEAST_1),
+        "left_bandwidth": (0.05, _POSITIVE),
+        "right_n_centers": (80, _AT_LEAST_1),
+        "right_bandwidth": (0.15, _POSITIVE),
+        "left_n_pairs": (4000, _AT_LEAST_1),
+        "right_n_pairs": (8000, _AT_LEAST_1),
+        "dt": (0.1, _POSITIVE),
+        "window": ([2.25, 2.75], _INTERVAL),
+        "tikhonov": (1e-8, _NONNEGATIVE),
+        "spurious_threshold": (1e-2, _POSITIVE),
     }
 
 
 def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
-    window = p["window"]
-    if not _numbers(window, 2):
-        raise ConfigurationError(f"window must be two numbers [lo, hi], got {json.dumps(window)}")
     sys_ = make_system("quad1d")
     cubic = make_system("cubic1d")
 
@@ -381,17 +401,18 @@ def _run_bridge1d(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _vdp_defaults():
+def _vdp_table():
     return {
-        "mu": 0.3,
-        "grid_half": 2.8,
-        "grid_h": 0.1,
-        "band": 0.55,
-        "dt_check": 0.7,
-        "x0_cycle": [2.0, 0.0],
-        "trivial_lambda": -0.7,
-        "T": None,
-        "step": None,
+        "mu": (0.3, _NONNEGATIVE),
+        "grid_half": (2.8, _POSITIVE),
+        "grid_h": (0.1, _POSITIVE),
+        # refused at run time when it keeps no grid point near the cycle
+        "band": (0.55, _ANY),
+        "dt_check": (0.7, _POSITIVE),
+        "x0_cycle": ([2.0, 0.0], _POINT),
+        "trivial_lambda": (-0.7, _ANY),
+        "T": (None, _NULL_OR_POSITIVE),
+        "step": (None, _NULL_OR_POSITIVE),
     }
 
 
@@ -413,12 +434,6 @@ def _distance_to_samples(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 
 def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
-    if not p["dt_check"] > 0:
-        raise ConfigurationError(f"dt_check must be positive, got {p['dt_check']}")
-    if not _numbers(p["x0_cycle"], 2):
-        raise ConfigurationError(
-            f"x0_cycle must be two numbers [x, y], got {json.dumps(p['x0_cycle'])}"
-        )
     sys_ = make_system("vanderpol", mu=p["mu"])
     h = p["grid_half"]
     grid = EvalGrid((-h, -h), (h, h), p["grid_h"])
@@ -468,15 +483,14 @@ def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _polar_defaults():
-    return {"mu": 1.0, "omega": 1.0, "alpha": 1.0, "C": 1.0, "n_random": 1000}
+def _polar_table():
+    return {"mu": (1.0, _POSITIVE), "omega": (1.0, _POSITIVE), "alpha": (1.0, _ANY),
+            "C": (1.0, _POSITIVE), "n_random": (1000, _AT_LEAST_1)}
 
 
 def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
-    if not p["n_random"] >= 1:
-        raise ConfigurationError(f"n_random must be >= 1, got {p['n_random']}")
     mu, om, al, C = p["mu"], p["omega"], p["alpha"], p["C"]
-    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)  # refuses mu, omega, C <= 0
+    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.05, 3.0, p["n_random"]) * np.exp(
         1j * rng.uniform(-math.pi, math.pi, p["n_random"])
@@ -516,8 +530,8 @@ def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _saddle_defaults():
-    return {"grid_lo": -0.7, "grid_hi": 1.6, "grid_h": 0.05}
+def _saddle_table():
+    return {"grid_lo": (-0.7, _ANY), "grid_hi": (1.6, _ANY), "grid_h": (0.05, _POSITIVE)}
 
 
 def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
@@ -565,39 +579,26 @@ def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _duffing_defaults():
+def _duffing_table():
     return {
-        "n_pairs": 3000,
-        "samples_per_traj": 11,
-        "dt": 0.25,
-        "box": 6.0,
-        "n_rbf": 100,
-        "bandwidth": 2.2,
-        "ridge": 1e-6,
-        "n_manifold": 100,
-        "window": [[-2.0, -1.33], [2.0, 1.3]],
-        "top_k": 20,
-        "unit_collar": 1e-3,
+        "n_pairs": (3000, _AT_LEAST_1),
+        "samples_per_traj": (11, _AT_LEAST_2),
+        "dt": (0.25, _POSITIVE),
+        "box": (6.0, _POSITIVE),
+        "n_rbf": (100, _AT_LEAST_1),
+        "bandwidth": (2.2, _POSITIVE),
+        "ridge": (1e-6, _NONNEGATIVE),
+        # fewer than 3 samples hold no step away from the saddle on either
+        # side: 1 is the saddle's seed point alone, 2 the two branch ends,
+        # whose one step crosses the saddle
+        "n_manifold": (100, _AT_LEAST_3),
+        "window": ([[-2.0, -1.33], [2.0, 1.3]], _CORNERS),
+        "top_k": (20, _AT_LEAST_1),
+        "unit_collar": (1e-3, _NONNEGATIVE),
     }
 
 
 def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
-    if not p["top_k"] >= 1:
-        raise ConfigurationError(f"no mode to score: top_k must be >= 1, got {p['top_k']}")
-    # fewer than 3 samples hold no step away from the saddle on either side:
-    # 1 is the saddle's seed point alone, 2 the two branch ends, whose one step
-    # crosses the saddle
-    if not p["n_manifold"] >= 3:
-        raise ConfigurationError(
-            f"no growth step to score: n_manifold must be >= 3, got {p['n_manifold']}"
-        )
-    window = p["window"]
-    if not (len(window) == 2 and all(_numbers(c, 2) for c in window)
-            and all(a < b for a, b in zip(*window))):
-        raise ConfigurationError(
-            "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi, "
-            f"got {json.dumps(window)}"
-        )
     sys_ = make_system("duffing")
     b = p["box"]
     snaps = sample_snapshots(
@@ -607,7 +608,7 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     dic = rbf_dictionary(snaps, p["n_rbf"], bandwidth=p["bandwidth"], seed=seed)
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
-    S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, window)))
+    S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, p["window"])))
     _write_csv(os.path.join(out, "manifold_samples.csv"), ["x1", "x2"], S)
     saddle_idx = int(np.argmin(np.linalg.norm(S, axis=1)))
     lams, W = np.linalg.eig(model.K.T)
@@ -647,19 +648,13 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     }
 
 
-def _lin5d_defaults():
-    return {"a": -0.4, "b": -1.0, "n_pairs": 400, "dt": 0.2, "box": 1.0, "grid_n": 21}
+def _lin5d_table():
+    # a and b take any value: spectra the check cannot separate fail it (exit 1)
+    return {"a": (-0.4, _ANY), "b": (-1.0, _ANY), "n_pairs": (400, _AT_LEAST_1),
+            "dt": (0.2, _POSITIVE), "box": (1.0, _POSITIVE), "grid_n": (21, _AT_LEAST_1)}
 
 
 def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
-    if not p["grid_n"] >= 1:
-        raise ConfigurationError(f"grid_n must be >= 1, got {p['grid_n']}")
-    if not p["n_pairs"] >= 1:
-        raise ConfigurationError(
-            f"no snapshot pairs to fit: n_pairs must be >= 1, got {p['n_pairs']}"
-        )
-    if not p["box"] > 0:
-        raise ConfigurationError(f"box must be positive, got {p['box']}")
     a, b = p["a"], p["b"]
     rng = np.random.Generator(np.random.Philox(seed))
     bx = p["box"]
@@ -692,21 +687,21 @@ def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
     }
 
 
-# name -> (runner(params, seed, out) -> result, defaults() -> params)
+# name -> (runner(params, seed, out) -> result, table() -> {key: (default, domain)})
 EXPERIMENTS = {
-    "linear2d_dmd": (_run_linear2d_dmd, _linear2d_defaults),
-    "softplus_edmd": (_run_softplus_edmd, _softplus_defaults),
-    "bridge1d": (_run_bridge1d, _bridge_defaults),
-    "vdp_phase": (_run_vdp_phase, _vdp_defaults),
-    "polar_transforms": (_run_polar_transforms, _polar_defaults),
-    "saddle_fields": (_run_saddle_fields, _saddle_defaults),
-    "duffing_edmd": (_run_duffing_edmd, _duffing_defaults),
-    "lin5d_check": (_run_lin5d_check, _lin5d_defaults),
+    "linear2d_dmd": (_run_linear2d_dmd, _linear2d_table),
+    "softplus_edmd": (_run_softplus_edmd, _softplus_table),
+    "bridge1d": (_run_bridge1d, _bridge_table),
+    "vdp_phase": (_run_vdp_phase, _vdp_table),
+    "polar_transforms": (_run_polar_transforms, _polar_table),
+    "saddle_fields": (_run_saddle_fields, _saddle_table),
+    "duffing_edmd": (_run_duffing_edmd, _duffing_table),
+    "lin5d_check": (_run_lin5d_check, _lin5d_table),
 }
 
 
 def default_params(experiment: str) -> dict:
-    return EXPERIMENTS[experiment][1]()
+    return {key: default for key, (default, _) in EXPERIMENTS[experiment][1]().items()}
 
 
 # JSON type names of parameter values, bool before int since bool subclasses it
@@ -719,24 +714,28 @@ def _json_type(value) -> str:
                 type(value).__name__)
 
 
-def _numbers(value, n: int) -> bool:
-    """Whether a parameter value is an array of n numbers."""
-    return (_json_type(value) == "array" and len(value) == n
-            and all(_json_type(v) in ("integer", "number") for v in value))
-
-
-def _check_param_types(experiment: str, defaults: dict, overrides: dict) -> None:
-    """Refuse an override whose JSON type differs from its default's. A null
-    default takes any value, a number default also takes an integer, and a
-    boolean is never a number."""
+def _merged_params(experiment: str, overrides: dict) -> dict:
+    """The defaults with the overrides applied. Refuse an unknown key, an
+    override whose JSON type differs from its default's (a null default takes
+    any value, a number default also takes an integer, and a boolean is never
+    a number), and then any value outside its domain."""
+    table = EXPERIMENTS[experiment][1]()
+    params = {key: default for key, (default, _) in table.items()}
+    unknown = sorted(set(overrides) - set(params))
+    if unknown:
+        raise ConfigurationError(f"unknown {experiment} parameters {unknown}")
     for key, value in overrides.items():
-        want, got = _json_type(defaults[key]), _json_type(value)
-        if defaults[key] is None or got == want or (want, got) == ("number", "integer"):
-            continue
-        raise ConfigurationError(
-            f"{experiment} parameter {key!r} takes a JSON {want} like its default "
-            f"{json.dumps(defaults[key])}, got {json.dumps(value)} ({got})"
-        )
+        want, got = _json_type(params[key]), _json_type(value)
+        if not (params[key] is None or got == want or (want, got) == ("number", "integer")):
+            raise ConfigurationError(
+                f"{experiment} parameter {key!r} takes a JSON {want} like its default "
+                f"{json.dumps(params[key])}, got {json.dumps(value)} ({got})"
+            )
+    params.update(overrides)
+    for key, (_, domain) in table.items():
+        if not domain.holds(params[key]):
+            raise ConfigurationError(f"{key} must be {domain.says}, got {json.dumps(params[key])}")
+    return params
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -749,18 +748,12 @@ def run(config: ExperimentConfig) -> dict:
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {config.experiment!r}")
-    runner, defaults = EXPERIMENTS[config.experiment]
-    params = defaults()
-    unknown = sorted(set(config.params) - set(params))
-    if unknown:
-        raise ConfigurationError(f"unknown {config.experiment} parameters {unknown}")
-    _check_param_types(config.experiment, params, config.params)
-    params.update(config.params)
+    params = _merged_params(config.experiment, config.params)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     replace(config, params=params).to_json(os.path.join(out, "config.json"))
     with one_blas_thread():
-        result = runner(params, config.seed, out)
+        result = EXPERIMENTS[config.experiment][0](params, config.seed, out)
     summary = {
         "experiment": config.experiment,
         "seed": config.seed,

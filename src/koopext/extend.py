@@ -440,9 +440,7 @@ def iterative_koopman_eigensolver(
     larger of the right and left ones. A conjugate partner (Im > 1e-6)
     inherits the conjugated extension list.
     """
-    if n < 0:
-        raise ConfigurationError("n must be >= 0")
-    if n > model.dim:
+    if not 1 <= n <= model.dim:
         raise ConfigurationError(f"asked for {n} eigenpairs of a {model.dim}-dim model")
     out: list[PairExtension] = []
     for right, left, _, conjugate in _deflation_rounds(model.K, n, seed, max_iter):

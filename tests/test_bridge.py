@@ -124,6 +124,17 @@ class TestFitBridge:
         assert rel <= 0.05
         assert rel <= 2.0 * max(edmd_bridge.residuals)
 
+    @pytest.mark.parametrize("window", [(3.0, 2.0), (2.5, 2.5)])
+    def test_window_without_lo_below_hi_is_refused(self, quad1d, window):
+        phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
+        with pytest.raises(ConfigurationError, match=r"window must have lo < hi, got \["):
+            fit_bridge(phi, phi, window, tikhonov=0.0)
+
+    def test_negative_tikhonov_is_refused(self, quad1d):
+        phi = expr_from_analytic(quad1d.analytic_eigenfunctions[0])
+        with pytest.raises(ConfigurationError, match="tikhonov must be nonnegative"):
+            fit_bridge(phi, phi, (2.25, 2.75), tikhonov=-1.0)
+
     def test_masked_out_window_raises(self, quad1d):
         # the zero function has no finite log-magnitude anywhere on the window
         zero = replace(expr_from_analytic(quad1d.analytic_eigenfunctions[0]), scale=0.0)

@@ -10,7 +10,8 @@ import koopext
 from koopext.cli import main
 from koopext import core
 from koopext.core import ConfigurationError, openblas_libraries
-from koopext.experiments import EXPERIMENTS, ExperimentConfig, _json_type, default_params, run
+from koopext.experiments import (EXPERIMENTS, ExperimentConfig, _ANY, _json_type,
+                                 default_params, run)
 
 from artifact_digests import (
     GOLDEN_CONFIGS,
@@ -41,6 +42,26 @@ def rerun_digests():
 
 def run_cli(args):
     return main(list(args))
+
+
+# values just outside each one-sided number domain, by what its refusal says:
+# the edge itself and a negative value
+OUTSIDE = {
+    ">= 1": (0, -1),
+    ">= 2": (1, 0, -1),
+    ">= 3": (2, 1, 0, -1),
+    "positive": (0, -1),
+    "nonnegative": (-1e-9, -1),
+    "null or positive": (0, -1),
+}
+# the array-valued domains and "any value", which the hand-kept rows cover
+ARRAY_KINDS = {
+    "any value",
+    "two numbers [x, y]",
+    "two numbers [lo, hi] with lo < hi",
+    "two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
+    "a non-empty array of positive numbers",
+}
 
 
 def assert_matches_golden(run_label: str, got: dict) -> None:
@@ -144,55 +165,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("param, named", [
         ("band=0", "band = 0 keeps no grid point"),
         ("band=-1", "band = -1 keeps no grid point"),
-        ("dt_check=0", "dt_check must be positive, got 0"),
-        ("T=-5", "T must be positive, got -5"),
-        ("step=0", "step must be positive, got 0"),
     ])
     def test_vdp_phase_refuses_a_criterion_over_nothing(self, tmp_path, capsys, param, named):
-        # each used to exit 3 on a zero-size reduction, pass vacuously or
-        # average over a horizon the user did not give
+        # each used to exit 3 on a zero-size reduction; whether a band keeps a
+        # point depends on the cycle, so it is refused at run time
         assert run_cli(["vdp_phase", "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {named}" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
-
-    @pytest.mark.parametrize("param, named", [
-        ("p_max_curve=0", "p_max_curve must be >= 1, got 0"),
-        ("epsilons=[]", "epsilons must hold at least one value, got []"),
-    ])
-    def test_linear2d_dmd_refuses_a_criterion_over_nothing(self, tmp_path, capsys, param,
-                                                           named):
-        # either leaves a criterion computed over nothing: no error curve or
-        # no crossing
-        assert run_cli(["linear2d_dmd", "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {named}" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
-
-    @pytest.mark.parametrize("experiment, param, named", [
-        ("lin5d_check", "grid_n=0", "grid_n must be >= 1, got 0"),
-        ("lin5d_check", "n_pairs=0", "no snapshot pairs to fit"),
-        ("polar_transforms", "mu=0", "need mu > 0, omega > 0, C > 0, got mu = 0,"),
-        ("bridge1d", "window=[3,2]", "window must have lo < hi, got [3, 2]"),
-        ("bridge1d", "window=[2.5,2.5]", "window must have lo < hi, got [2.5, 2.5]"),
-        ("polar_transforms", "n_random=0", "n_random must be >= 1, got 0"),
-        ("lin5d_check", "n_pairs=-1", "no snapshot pairs to fit: n_pairs must be >= 1, got -1"),
-    ])
-    def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
-                                                     param, named):
-        # these exited 3 on a zero-size reduction, a singular Gram matrix or a
-        # division by zero, or 1 on a fit over a reversed window; a window of
-        # no width passed its overlap criterion on 256 copies of one point
-        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("experiment, param, named", [
-        ("bridge1d", "window=[]", "window must be two numbers [lo, hi], got []"),
-        ("bridge1d", "window=[2.5]", "window must be two numbers [lo, hi], got [2.5]"),
-        ("bridge1d", "window=[2,2.5,3]", "window must be two numbers [lo, hi], got [2, 2.5, 3]"),
-        ("bridge1d", 'window=["2","3"]', 'window must be two numbers [lo, hi], got ["2", "3"]'),
-        ("bridge1d", "window=[true,3]", "window must be two numbers [lo, hi], got [true, 3]"),
-        ("lin5d_check", "box=-1", "box must be positive, got -1"),
-        ("lin5d_check", "box=0", "box must be positive, got 0"),
         ("linear2d_dmd", "grid_hi=-1", "grid box needs hi > lo on every axis, "
                                        "got lo = (-1.0, -1.0), hi = (-1.0, -1.0)"),
         ("linear2d_dmd", "grid_lo=2", "grid box needs hi > lo on every axis, "
@@ -201,61 +182,86 @@ class TestExitCodes:
                                          "got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
         ("saddle_fields", "grid_hi=-0.7", "grid box needs hi > lo on every axis, "
                                           "got lo = (-0.7, -0.7), hi = (-0.7, -0.7)"),
-        ("bridge1d", "left_n_centers=0", "n_centers must be >= 1, got 0"),
-        ("bridge1d", "left_bandwidth=-1", "bandwidth must be positive, got -1"),
-        ("bridge1d", "right_bandwidth=0", "bandwidth must be positive, got 0"),
+    ])
+    def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
+                                                     param, named):
+        # a relation between two parameters is the contract of the library
+        # call that takes both (here EvalGrid), so config.json is written first;
+        # a grid of no width scored every criterion on one point
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("experiment, param, named", [
+        ("bridge1d", "window=[]", "window must be two numbers [lo, hi] with lo < hi, got []"),
+        ("bridge1d", "window=[2.5]", "window must be two numbers [lo, hi] with lo < hi, "
+                                     "got [2.5]"),
+        ("bridge1d", "window=[2,2.5,3]", "window must be two numbers [lo, hi] with lo < hi, "
+                                         "got [2, 2.5, 3]"),
+        ("bridge1d", 'window=["2","3"]', "window must be two numbers [lo, hi] with lo < hi, "
+                                         'got ["2", "3"]'),
+        ("bridge1d", "window=[true,3]", "window must be two numbers [lo, hi] with lo < hi, "
+                                        "got [true, 3]"),
+        ("bridge1d", "window=[3,2]", "window must be two numbers [lo, hi] with lo < hi, "
+                                     "got [3, 2]"),
+        ("bridge1d", "window=[2.5,2.5]", "window must be two numbers [lo, hi] with lo < hi, "
+                                         "got [2.5, 2.5]"),
         ("duffing_edmd", "window=[]", "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] "
                                       "with lo < hi, got []"),
         ("duffing_edmd", "window=[[2,-1.33],[-2,1.3]]", "window must be two corners "
                                                         "[[x_lo, y_lo], [x_hi, y_hi]] with "
                                                         "lo < hi, got [[2, -1.33], [-2, 1.3]]"),
-        ("duffing_edmd", "box=-1", "sampling box needs hi > lo on every axis, "
-                                   "got lo = (1.0, 1.0), hi = (-1.0, -1.0)"),
-        ("duffing_edmd", "box=0", "sampling box needs hi > lo on every axis, "
-                                  "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
-        ("duffing_edmd", "top_k=-1", "no mode to score: top_k must be >= 1, got -1"),
-        ("duffing_edmd", "top_k=0", "no mode to score: top_k must be >= 1, got 0"),
-        ("duffing_edmd", "n_manifold=0", "no growth step to score: n_manifold must be >= 3, "
-                                         "got 0"),
-        ("duffing_edmd", "n_manifold=1", "no growth step to score: n_manifold must be >= 3, "
-                                         "got 1"),
-        ("duffing_edmd", "n_manifold=2", "no growth step to score: n_manifold must be >= 3, "
-                                         "got 2"),
-        ("softplus_edmd", "n_eig=0", "n_eig must be >= 1, got 0"),
-        ("softplus_edmd", "max_iter=0", "max_iter must be >= 1, got 0"),
-        ("softplus_edmd", "max_iter=-1", "max_iter must be >= 1, got -1"),
-        ("softplus_edmd", "epsilon=0", "epsilon must be positive, got 0"),
-        ("softplus_edmd", "epsilon=-1", "epsilon must be positive, got -1"),
-        ("softplus_edmd", "ridge=-1", "ridge must be nonnegative, got -1"),
-        ("softplus_edmd", "bandwidth=0", "bandwidth must be positive, got 0"),
-        ("softplus_edmd", "n_rbf=0", "n_rbf must be >= 1, got 0"),
-        ("softplus_edmd", "box=0", "sampling box needs hi > lo on every axis, "
-                                   "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
-        ("softplus_edmd", "box=-1", "sampling box needs hi > lo on every axis, "
-                                    "got lo = (1.0, 1.0), hi = (-1.0, -1.0)"),
-        ("linear2d_dmd", "box=0", "sampling box needs hi > lo on every axis, "
-                                  "got lo = (0.0, 0.0), hi = (0.0, 0.0)"),
-        ("softplus_edmd", "dt=0", "dt must be positive, got 0"),
-        ("linear2d_dmd", "dt=0", "dt must be positive, got 0"),
+        ("duffing_edmd", "window=[1,2]", "window must be two corners [[x_lo, y_lo], "
+                                         "[x_hi, y_hi]] with lo < hi, got [1, 2]"),
         ("vdp_phase", "x0_cycle=[]", "x0_cycle must be two numbers [x, y], got []"),
         ("vdp_phase", "x0_cycle=[1.0]", "x0_cycle must be two numbers [x, y], got [1.0]"),
-        ("vdp_phase", "mu=-1", "vanderpol needs mu >= 0, got -1.0"),
-        ("vdp_phase", "mu=-0.3", "vanderpol needs mu >= 0, got -0.3"),
+        ("vdp_phase", 'x0_cycle=[1,"0"]', 'x0_cycle must be two numbers [x, y], got [1, "0"]'),
+        ("linear2d_dmd", "epsilons=[]", "epsilons must be a non-empty array of positive "
+                                        "numbers, got []"),
+        ("linear2d_dmd", "epsilons=[-0.1]", "epsilons must be a non-empty array of positive "
+                                            "numbers, got [-0.1]"),
+        ("linear2d_dmd", "epsilons=[0.1,0]", "epsilons must be a non-empty array of positive "
+                                             "numbers, got [0.1, 0]"),
+        ("vdp_phase", 'T="long"', 'T must be null or positive, got "long"'),
     ])
     def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
                                                                   experiment, param, named):
-        # refused before any work: otherwise they fail deep in the run (an
-        # IndexError in fit_bridge or limit_cycle_period, an unpacking
-        # ValueError in unstable_manifold_sample, numpy's "high - low < 0", an
-        # empty max() over no eigenpair, an eigensolve of 0 iterations or one
-        # that spins to max_iter at dt = 0), fail a criterion on an empty
-        # family, a degenerate sample or a repelling cycle (mu < 0), score
-        # every criterion on a one-point grid or on 400 copies of one sampled
-        # point, slice 99 of 100 modes (top_k=-1), or are refused only after
-        # snapshots.* (and, for epsilon, model*) were written
+        # the array-valued domains, which the generated number edges below do
+        # not reach: refused with the types, before anything is written;
+        # otherwise they failed deep in the run (an IndexError in fit_bridge
+        # or limit_cycle_period, an unpacking ValueError in
+        # unstable_manifold_sample), fit over a reversed window, passed the
+        # overlap criterion on 256 copies of one point, or left no crossing
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["config.json"]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("experiment, key, says, value", [
+        (experiment, key, domain.says, value)
+        for experiment, (_, table) in sorted(EXPERIMENTS.items())
+        for key, (_, domain) in table().items()
+        for value in OUTSIDE.get(domain.says, ())
+    ])
+    def test_number_just_outside_its_domain_is_refused_before_anything_is_written(
+            self, tmp_path, capsys, experiment, key, says, value):
+        # every one-sided number domain of every table; before the tables
+        # these exited 3 on a zero-size reduction or a division by zero, 1 on
+        # a DivergenceError (softplus_edmd grid_lo <= 0) or an empty family
+        # (bridge1d spurious_threshold <= 0), passed vacuously (p_cap = 0) or
+        # on a backward flow (lin5d_check dt < 0), or were refused only after
+        # snapshot and model files were written
+        param = f"{key}={json.dumps(value)}"
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {key} must be {says}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_default_lies_inside_its_domain(self, name):
+        table = EXPERIMENTS[name][1]()
+        assert [key for key, (default, domain) in table.items()
+                if not domain.holds(default)] == []
+        # a kind without generated edges is one the array rows above cover
+        assert {domain.says for _, domain in table.values()} <= set(OUTSIDE) | ARRAY_KINDS
 
     @pytest.mark.parametrize("experiment, param, named", [
         ("linear2d_dmd", 'n_pairs="400"', "'n_pairs' takes a JSON integer like its default "
@@ -294,10 +300,11 @@ class TestExitCodes:
             seen.append(p)
             return {"criteria": []}
 
-        def defaults():
-            return {"free": None, "rate": 0.5, "count": 3, "flag": False, "pair": [1, 2]}
+        def table():
+            defaults = {"free": None, "rate": 0.5, "count": 3, "flag": False, "pair": [1, 2]}
+            return {key: (value, experiments._ANY) for key, value in defaults.items()}
 
-        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (recording_runner, defaults))
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (recording_runner, table))
         # a null default takes any value, a number default an integer
         given = {"free": "text", "rate": 2, "count": 4, "flag": True, "pair": [3]}
         run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=given))
@@ -308,16 +315,6 @@ class TestExitCodes:
             with pytest.raises(ConfigurationError, match=repr(next(iter(params)))):
                 run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=params))
         assert len(seen) == 1
-
-    def test_softplus_edmd_refuses_a_zero_power_cap(self, tmp_path, capsys):
-        # extension_reaches_p3 would pass at 0 == 0 with no power extended
-        code = run_cli(["softplus_edmd", "--out", str(tmp_path), "--param", "p_cap=0",
-                        "--param", "n_rbf=8", "--param", "n_eig=1",
-                        "--param", "grid_h=0.25"])
-        assert code == 2
-        assert "error: p_cap must be >= 1, got 0" in capsys.readouterr().err
-        # refused before sampling: no snapshot or model file is written
-        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
         # one snapshot pair gives a rank-deficient Gram matrix
@@ -337,8 +334,8 @@ class TestExitCodes:
         def raising_runner(p, seed, out):
             raise getattr(core, error)("raised by the runner")
 
-        defaults = experiments.EXPERIMENTS["lin5d_check"][1]
-        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, defaults))
+        table = experiments.EXPERIMENTS["lin5d_check"][1]
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, table))
         assert run_cli(["lin5d_check", "--out", str(tmp_path)]) == 1
         assert f"numeric failure: {error}: raised by the runner" in capsys.readouterr().err
 
@@ -348,8 +345,8 @@ class TestExitCodes:
         def raising_runner(p, seed, out):
             raise RuntimeError("a bug")
 
-        defaults = experiments.EXPERIMENTS["lin5d_check"][1]
-        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, defaults))
+        table = experiments.EXPERIMENTS["lin5d_check"][1]
+        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (raising_runner, table))
         assert run_cli(["lin5d_check", "--out", str(tmp_path)]) == 3
         assert "internal error: RuntimeError: a bug" in capsys.readouterr().err
 
@@ -463,7 +460,7 @@ class TestOneBlasThread:
                 raise ConfigurationError("refused inside the runner")
             return {"criteria": []}
 
-        monkeypatch.setitem(EXPERIMENTS, "probe", (runner, lambda: {"fail": False}))
+        monkeypatch.setitem(EXPERIMENTS, "probe", (runner, lambda: {"fail": (False, _ANY)}))
         run(ExperimentConfig("probe", out_dir=str(tmp_path)))
         with pytest.raises(ConfigurationError, match="refused inside the runner"):
             run(ExperimentConfig("probe", out_dir=str(tmp_path), params={"fail": True}))
@@ -471,12 +468,13 @@ class TestOneBlasThread:
         assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
 
     @pytest.mark.parametrize("args", [
-        ["duffing_edmd", "--param", "top_k=0"],
+        ["linear2d_dmd", "--param", "grid_hi=-1"],
         ["phase", "--method", "analytic", "--grid", "-1", "1", "0.5"],
         ["phase", "--grid", "1", "1", "0.1"],
     ])
     def test_cli_gives_each_library_its_count_back(self, tmp_path, two_blas_threads, args):
-        # a refused run, a tool that succeeds and a tool that refuses its input
+        # a run its runner refuses, a tool that succeeds and a tool that
+        # refuses its input
         run_cli([*args, "--out", str(tmp_path)])
         assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
 
@@ -630,15 +628,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_default_parameter_is_read_by_its_runner(self, name):
-        runner, defaults = EXPERIMENTS[name]
+        runner, table = EXPERIMENTS[name]
         source = inspect.getsource(runner)
-        assert [key for key in defaults() if f'p["{key}"]' not in source] == []
+        assert [key for key in table() if f'p["{key}"]' not in source] == []
 
     def test_help_lists_defaults(self):
         proc = run_cli_process("softplus_edmd", "--help")
         assert proc.returncode == 0
         assert "bandwidth" in proc.stdout
         assert "0.7" in proc.stdout
+        # each default beside its domain, however argparse wraps the lines
+        assert "n_rbf=40 (>= 1)" in " ".join(proc.stdout.split())
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +654,9 @@ def linear2d_model_stem(tmp_path_factory):
 class TestToolSubcommands:
     @pytest.mark.parametrize("args, named", [
         (["eig", "--n", "-1"], "asked for -1 eigenpairs of a 2x2 matrix"),
+        (["eig", "--n", "0"], "asked for 0 eigenpairs of a 2x2 matrix"),
+        (["extend", "--system", "linear2d", "--n", "0"],
+         "asked for 0 eigenpairs of a 2-dim model"),
         (["extend", "--system", "quad1d"], "the model's dictionary takes 2-dim states, but "
                                            "quad1d is 1-dim"),
         (["extend", "--system", "cubic1d"], "the model's dictionary takes 2-dim states, but "
@@ -668,10 +671,11 @@ class TestToolSubcommands:
     ])
     def test_edge_tool_input_is_a_usage_error_that_names_it(self, tmp_path, capsys,
                                                             linear2d_model_stem, args, named):
-        # refused before any file is written: otherwise `eig --n -1` writes an
-        # empty spectrum, a model of another dimension fails on a
-        # ContractViolationError, a one-point grid passes, and `simulate`
-        # writes copies of one point or pairs flowed for no time
+        # refused before any file is written: otherwise `eig --n -1` or `--n 0`
+        # writes an empty spectrum and `extend --n 0` an empty report, a model
+        # of another dimension fails on a ContractViolationError, a one-point
+        # grid passes, and `simulate` writes copies of one point or pairs
+        # flowed for no time
         model = [] if args[0] in ("phase", "simulate") else ["--model", linear2d_model_stem]
         assert run_cli([*args, *model, "--out", str(tmp_path)]) == 2
         assert f"error: {named}" in capsys.readouterr().err

@@ -232,6 +232,9 @@ class TestMakeSystem:
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
             make_system("polarLC", mu=-1.0)
+        for mu in (-1.0, -0.3):
+            with pytest.raises(ConfigurationError, match=f"vanderpol needs mu >= 0, got {mu}"):
+                make_system("vanderpol", mu=mu)
         with pytest.raises(ConfigurationError):
             make_system("lin5d", a=-0.5, b=-1.0)  # b = 2a is degenerate
         with pytest.raises(ConfigurationError):

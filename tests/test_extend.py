@@ -486,13 +486,14 @@ class TestExtensionLoops:
             assert b.expr.eigenvalue == pytest.approx(np.conj(a.expr.eigenvalue), rel=1e-14)
             assert b.expr.eigenvalue == pytest.approx(partner.eigenvalue**b.power, rel=1e-12)
 
-    def test_iterative_n_zero_empty(self, linear2d_model):
+    def test_iterative_n_zero_is_refused(self, linear2d_model):
+        # it returned no pair, and `extend --n 0` wrote an empty report
         sys_, model = linear2d_model
         grid = EvalGrid((-1, -1), (1, 1), 0.5)
-        out = iterative_koopman_eigensolver(
-            model, self.make_flow(sys_, grid), n=0, epsilon=0.1, eps_G=1e-5, L=1.0, M=1.0,
-        )
-        assert out == []
+        with pytest.raises(ConfigurationError, match="asked for 0 eigenpairs of a 2-dim model"):
+            iterative_koopman_eigensolver(
+                model, self.make_flow(sys_, grid), n=0, epsilon=0.1, eps_G=1e-5, L=1.0, M=1.0,
+            )
 
     def test_scaled_eigenfunction_residual_scales(self, quad1d):
         # after unit-grid-norm normalization, the p=1 residual is scale free

@@ -298,6 +298,12 @@ class TestPolarEigenfunctions:
         # C r / sqrt(mu - r^2) at r = 0.6 is 0.75
         assert abs(phi_ss(np.array([0.6]), np.array([0.0]))[0]) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("mu, omega, C", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                                              (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+    def test_non_positive_mu_omega_or_C_is_refused(self, mu, omega, C):
+        with pytest.raises(ConfigurationError, match="need mu > 0, omega > 0, C > 0"):
+            polar_eigenfunctions(mu, omega, 0.5, C)
+
     def test_branch_domains_enforced(self):
         phi_lc, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.5, 1.0)
         with pytest.raises(DomainError):
