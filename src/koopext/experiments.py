@@ -498,7 +498,7 @@ def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
     round_trip = float(np.max(np.abs(
         phase_mod.transform_Ti(phase_mod.transform_Ti_inv(z, mu, al, C), mu, al, C) - z
     )))
-    r = rng.uniform(0.05, 0.95 * math.sqrt(mu), p["n_random"])
+    r = rng.uniform(0.05 * math.sqrt(mu), 0.95 * math.sqrt(mu), p["n_random"])
     th = rng.uniform(0, 2 * math.pi, p["n_random"])
     r2, th2 = phase_mod.transform_To(r, th, mu, al, C)
     a_in = np.asarray(principal_arg(phi_lc.interior(r, th)))
@@ -649,7 +649,8 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
 
 
 def _lin5d_table():
-    # a and b take any value: spectra the check cannot separate fail it (exit 1)
+    # a and b take any value; lin5d_base_flow refuses b = 2a (exit 2), and other
+    # spectra the check cannot separate fail it (exit 1)
     return {"a": (-0.4, _ANY), "b": (-1.0, _ANY), "n_pairs": (400, _AT_LEAST_1),
             "dt": (0.2, _POSITIVE), "box": (1.0, _POSITIVE), "grid_n": (21, _AT_LEAST_1)}
 

@@ -182,12 +182,15 @@ class TestExitCodes:
                                          "got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
         ("saddle_fields", "grid_hi=-0.7", "grid box needs hi > lo on every axis, "
                                           "got lo = (-0.7, -0.7), hi = (-0.7, -0.7)"),
+        ("lin5d_check", "b=-0.8", "lin5d base flow needs b != 2a, got a = -0.4, b = -0.8"),
     ])
     def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
                                                      param, named):
         # a relation between two parameters is the contract of the library
-        # call that takes both (here EvalGrid), so config.json is written first;
-        # a grid of no width scored every criterion on one point
+        # call that takes both (EvalGrid, lin5d_base_flow), so config.json is
+        # written first; a grid of no width scored every criterion on one
+        # point, and b = 2a fitted EDMD on NaN snapshots, spun the eigensolver
+        # to its cap and exited 1
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
@@ -366,6 +369,13 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_pass"] is True
         assert all({"name", "value", "threshold", "pass"} <= set(c) for c in summary["criteria"])
+
+    @pytest.mark.parametrize("mu", [0.002])
+    def test_polar_transforms_passes_inside_a_small_cycle(self, tmp_path, mu):
+        # r was drawn from [0.05, 0.95 sqrt(mu)), empty below mu = 0.0028,
+        # and numpy's ValueError exited 3
+        assert run_cli(["polar_transforms", "--out", str(tmp_path),
+                        "--param", f"mu={mu}"]) == 0
 
     def test_numeric_failure_exit_one(self, tmp_path):
         # an unconverged averaging horizon leaves the eigen-relation residual

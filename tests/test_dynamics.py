@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from koopext.dynamics import (
     bistable_transform,
     bistable_transform_inv,
     integration_error_sup,
+    lin5d_base_flow,
     make_system,
     read_snapshots,
     sample_snapshots,
@@ -35,6 +37,21 @@ SAMPLE_BOXES = {
     "bistable2d": ((-1.0, -1.0), (1.0, 1.0)),
 }
 ALL_ANALYTIC_IDS = list(SAMPLE_BOXES)
+
+# the finite points where an eigenfunction is singular, by system and name
+SINGULAR_POINTS = {
+    ("cubic1d", "phi1"): [[0.0]],
+    ("cubic1d", "phi2"): [[-1.0], [3.0]],
+    ("cubic1d", "phi3"): [[0.0]],
+    ("quad1d", "phi_a^1"): [[3.0]],
+    ("quad1d", "phi_b^1"): [[2.0]],
+    ("polarLC", "phi_lc"): [[0.0, 0.0]],
+    ("polarLC", "phi_ss"): [[1.0, 0.0], [0.0, -1.5]],  # on and beyond the cycle
+    ("saddle2d", "phi1"): [[-1.0, 0.0]],
+    ("saddle2d", "phi2"): [[0.0, -1.0]],
+    ("bistable2d", "phi1_unstable"): [[0.5078125, 0.125], [-0.4921875, 0.125]],
+    ("bistable2d", "phi1_node"): [[0.0, 0.0]],
+}
 
 
 def koopman_pde_residual(system, eigenfunction, points):
@@ -217,7 +234,7 @@ class TestMakeSystem:
         assert bistable_transform_inv(bistable_transform(y)) == pytest.approx(y, abs=1e-12)
 
     def test_quad1d_eigenfunction_zero_and_singularity(self):
-        sys_ = make_system("quad1d", a=2, b=3)
+        sys_ = make_system("quad1d")
         phi = sys_.analytic_eigenfunctions[0]
         vals = phi.eval(np.array([[2.0], [3.0]]))
         assert vals[0] == 0
@@ -236,9 +253,14 @@ class TestMakeSystem:
             with pytest.raises(ConfigurationError, match=f"vanderpol needs mu >= 0, got {mu}"):
                 make_system("vanderpol", mu=mu)
         with pytest.raises(ConfigurationError):
-            make_system("lin5d", a=-0.5, b=-1.0)  # b = 2a is degenerate
-        with pytest.raises(ConfigurationError):
             make_system("nosuch")
+
+    def test_lin5d_base_flow_refuses_b_equal_to_2a(self):
+        # the flow divides by b - 2a: it returned NaN states
+        x0 = np.array([[0.7, 0.3]])
+        with pytest.raises(ConfigurationError, match="needs b != 2a, got a = -0.5, b = -1.0"):
+            lin5d_base_flow(x0, 0.2, -0.5, -1.0)
+        assert np.all(np.isfinite(lin5d_base_flow(x0, 0.2, -0.5, -1.0 + 1e-9)))
 
     @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
     def test_koopman_pde_residual(self, sid):
@@ -269,6 +291,27 @@ class TestMakeSystem:
         v1 = np.abs(phi1.eval(x))
         v2 = np.abs(phi2.eval(x))
         assert v1 == pytest.approx(v2 ** (lam1 / lam2), rel=1e-10)
+
+    @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
+    def test_every_singular_evaluation_is_tagged(self, sid):
+        # linear2d and lin5d returned inf+0j for an infinite coordinate
+        sys_ = make_system(sid)
+        center = np.mean(SAMPLE_BOXES[sid], axis=0)
+        rows = []
+        for j in range(sys_.dim):
+            for bad in (np.inf, -np.inf, np.nan):
+                row = center.copy()
+                row[j] = bad
+                rows.append(row)
+        names = [eig.name for eig in sys_.analytic_eigenfunctions]
+        assert {name for s, name in SINGULAR_POINTS if s == sid} <= set(names)
+        for eig in sys_.analytic_eigenfunctions:
+            pts = np.vstack([rows, *SINGULAR_POINTS.get((sid, eig.name), [])])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = eig.eval(pts)
+            assert vals.dtype == complex
+            assert np.all(np.isnan(vals.real) & np.isnan(vals.imag)), f"{sid}/{eig.name}"
 
 
 class TestSampling:
