@@ -99,6 +99,9 @@ SINGULAR = complex(np.nan, np.nan)
 #: Guard used by integrators and averaging loops.
 DIVERGENCE_LIMIT = 1e8
 
+#: Most points an EvalGrid may hold; the largest grid a run builds has 40,401.
+MAX_GRID_POINTS = 10**7
+
 
 def singular_mask(values) -> np.ndarray:
     """Boolean mask of singular-tagged entries."""
@@ -144,8 +147,15 @@ class EvalGrid:
         if not all(a < b for a, b in zip(lo, hi)):
             raise ConfigurationError(f"grid box needs hi > lo on every axis, got lo = {lo}, "
                                      f"hi = {hi}")
-        # 1e-9 absorbs representation error in (hi-lo)/h before flooring
-        counts = tuple(int(math.floor((b - a) / h + 1e-9)) + 1 for a, b in zip(lo, hi))
+        # 1e-9 absorbs representation error in (hi-lo)/h before flooring; the
+        # counts are exact ints, or inf where (hi-lo)/h overflows
+        steps = ((b - a) / h + 1e-9 for a, b in zip(lo, hi))
+        counts = [math.floor(s) + 1 if math.isfinite(s) else math.inf for s in steps]
+        n_points = math.prod(counts)
+        if n_points > MAX_GRID_POINTS:
+            raise ConfigurationError(f"grid of {n_points} points is over the "
+                                     f"{MAX_GRID_POINTS}-point cap: lo = {lo}, hi = {hi}, "
+                                     f"spacing = {h}")
         axes = [a + h * np.arange(n) for a, n in zip(lo, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack(mesh, axis=-1).reshape(-1, len(lo))

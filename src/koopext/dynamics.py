@@ -221,6 +221,8 @@ class FlowMap:
         return out[0] if single else out
 
     def _flow_batch(self, pts: np.ndarray) -> np.ndarray:
+        # a non-finite or too-large input has already diverged, whatever the method
+        _check_divergence(pts, f"{self.method} flow")
         if self.dt == 0.0:
             return pts.copy()
         if self.method == "exact":
@@ -388,26 +390,26 @@ def _quad1d() -> BenchmarkSystem:
         return out.reshape(-1, 1)
 
     # eigenvalue signs fixed by direct substitution into grad(phi) . F = lambda phi:
-    # ((x-a)/(x-b))^k carries k (a-b); the reciprocal family carries k (b-a).
-    def ratio_eig(k: int, anchored_at_a: bool) -> AnalyticEigenfunction:
+    # (x-a)/(x-b) carries a-b and its reciprocal b-a (the names keep the power 1)
+    def ratio_eig(anchored_at_a: bool) -> AnalyticEigenfunction:
         num, den = (a, b) if anchored_at_a else (b, a)
-        lam = k * ((a - b) if anchored_at_a else (b - a))
+        lam = (a - b) if anchored_at_a else (b - a)
 
         def evaluator(pts):
             x = pts[:, 0]
-            return ((x - num) / (x - den)) ** k
+            return (x - num) / (x - den)
 
         return AnalyticEigenfunction(
             eigenvalue=complex(lam),
             evaluator=evaluator,
-            name=f"phi_{'a' if anchored_at_a else 'b'}^{k}",
+            name=f"phi_{'a' if anchored_at_a else 'b'}^1",
         )
 
     return BenchmarkSystem(
         id="quad1d",
         field=VectorField(1, rhs, exact_flow),
         steady_states=(np.array([a]), np.array([b])),
-        analytic_eigenfunctions=(ratio_eig(1, True), ratio_eig(1, False)),
+        analytic_eigenfunctions=(ratio_eig(True), ratio_eig(False)),
     )
 
 
@@ -435,6 +437,10 @@ def _expm_propagator(A: np.ndarray) -> Callable[[float], np.ndarray]:
 # linear2d's matrix; softplus2d is linear2d seen through softplus, and
 # softplus_edmd samples linear2d to fit it, so the two share this default
 _LINEAR2D_A = ((-0.9, 0.1), (0.0, -0.8))
+
+# lin5d's rates (a, b) in x1' = a x1, x2' = b (x2 - x1^2), b != 2a; read by
+# _lin5d, lin5d_base_flow and the lin5d_check runner
+_LIN5D_RATES = (-0.4, -1.0)
 
 
 def _linear2d() -> BenchmarkSystem:
@@ -505,7 +511,7 @@ def _softplus2d() -> BenchmarkSystem:
 
 
 def _lin5d() -> BenchmarkSystem:
-    a, b = -0.4, -1.0
+    a, b = _LIN5D_RATES
     A = np.array(
         [
             [a, 0, 0, 0, 0],
@@ -550,10 +556,10 @@ def lin5d_lift(x2d: np.ndarray) -> np.ndarray:
     return np.column_stack([x1, x2, x1**2, x1 * x2, x1**3])
 
 
-def lin5d_base_flow(x2d: np.ndarray, t: float, a: float = -0.4, b: float = -1.0) -> np.ndarray:
-    """Closed-form flow of x1' = a x1, x2' = b (x2 - x1^2); refuses b = 2a."""
-    if abs(2 * a - b) < 1e-12:
-        raise ConfigurationError(f"lin5d base flow needs b != 2a, got a = {a}, b = {b}")
+def lin5d_base_flow(x2d: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form flow of x1' = a x1, x2' = b (x2 - x1^2) at lin5d's rates,
+    the planar system that `lin5d_lift` turns into lin5d."""
+    a, b = _LIN5D_RATES
     p = _as_points(x2d)
     x1, x2 = p[:, 0], p[:, 1]
     c = b * x1**2 / (b - 2 * a)

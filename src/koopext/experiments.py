@@ -35,6 +35,7 @@ from .dictionary import (
 from .dynamics import (
     FlowMap,
     VectorField,
+    _LIN5D_RATES,
     _saddle_embed,
     integration_error_sup,
     lin5d_base_flow,
@@ -138,6 +139,7 @@ _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (
     _Domain(f">= {n}", lambda v, n=n: v >= n) for n in (1, 2, 3))
 _POSITIVE = _Domain("positive", lambda v: v > 0)
 _NONNEGATIVE = _Domain("nonnegative", lambda v: v >= 0)
+_UNIT_OPEN = _Domain("in (0, 1)", lambda v: 0 < v < 1)  # an EvalGrid spacing
 _NULL_OR_POSITIVE = _Domain("null or positive", lambda v: v is None or (_is_number(v) and v > 0))
 _POSITIVE_NUMBERS = _Domain("a non-empty array of positive numbers",
                             lambda v: len(v) >= 1 and all(_is_number(x) and x > 0 for x in v))
@@ -155,7 +157,7 @@ def _linear2d_table():
         "box": (2.0, _POSITIVE),
         "grid_lo": (-1.0, _ANY),
         "grid_hi": (1.0, _ANY),
-        "grid_h": (0.01, _POSITIVE),
+        "grid_h": (0.01, _UNIT_OPEN),
         "euler_step": (0.001, _POSITIVE),
         "epsilons": ([0.1, 0.2], _POSITIVE_NUMBERS),
         "p_max_curve": (10, _AT_LEAST_1),
@@ -276,7 +278,7 @@ def _softplus_table():
         # softplus2d lives on y > 0
         "grid_lo": (1.0, _POSITIVE),
         "grid_hi": (2.0, _ANY),
-        "grid_h": (0.01, _POSITIVE),
+        "grid_h": (0.01, _UNIT_OPEN),
         "n_eig": (9, _AT_LEAST_1),
         "epsilon": (0.01, _POSITIVE),
         # extension_reaches_p3 would pass at 0 == 0 with no power extended
@@ -405,7 +407,7 @@ def _vdp_table():
     return {
         "mu": (0.3, _NONNEGATIVE),
         "grid_half": (2.8, _POSITIVE),
-        "grid_h": (0.1, _POSITIVE),
+        "grid_h": (0.1, _UNIT_OPEN),
         # refused at run time when it keeps no grid point near the cycle
         "band": (0.55, _ANY),
         "dt_check": (0.7, _POSITIVE),
@@ -490,7 +492,7 @@ def _polar_table():
 
 def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
     mu, om, al, C = p["mu"], p["omega"], p["alpha"], p["C"]
-    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, om, al, C)
+    phi_lc, _ = phase_mod.polar_eigenfunctions(mu, al, C)
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.05, 3.0, p["n_random"]) * np.exp(
         1j * rng.uniform(-math.pi, math.pi, p["n_random"])
@@ -517,7 +519,7 @@ def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
         rows.append((rr, tt))
         pt = fmap(pt)
     traj = np.asarray(rows)
-    mapped = phase_mod.map_trajectory_outside(traj, mu, om, al, C)
+    mapped = phase_mod.map_trajectory_outside(traj, mu, al, C)
     _write_csv(os.path.join(out, "mapped_trajectory.csv"),
                ["r_in", "theta_in", "r_out", "theta_out"], np.hstack([traj, mapped]))
     return {
@@ -531,7 +533,7 @@ def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
 
 
 def _saddle_table():
-    return {"grid_lo": (-0.7, _ANY), "grid_hi": (1.6, _ANY), "grid_h": (0.05, _POSITIVE)}
+    return {"grid_lo": (-0.7, _ANY), "grid_hi": (1.6, _ANY), "grid_h": (0.05, _UNIT_OPEN)}
 
 
 def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
@@ -649,18 +651,16 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
 
 
 def _lin5d_table():
-    # a and b take any value; lin5d_base_flow refuses b = 2a (exit 2), and other
-    # spectra the check cannot separate fail it (exit 1)
-    return {"a": (-0.4, _ANY), "b": (-1.0, _ANY), "n_pairs": (400, _AT_LEAST_1),
+    return {"n_pairs": (400, _AT_LEAST_1),
             "dt": (0.2, _POSITIVE), "box": (1.0, _POSITIVE), "grid_n": (21, _AT_LEAST_1)}
 
 
 def _run_lin5d_check(p: dict, seed: int, out: str) -> dict:
-    a, b = p["a"], p["b"]
+    a = _LIN5D_RATES[0]
     rng = np.random.Generator(np.random.Philox(seed))
     bx = p["box"]
     x0 = rng.uniform(-bx, bx, size=(p["n_pairs"], 2))
-    x1 = lin5d_base_flow(x0, p["dt"], a, b)
+    x1 = lin5d_base_flow(x0, p["dt"])
     snaps = SnapshotSet(x=lin5d_lift(x0), y=lin5d_lift(x1), dt=p["dt"])
     model = fit_edmd(snaps, identity_dictionary(5))
     pairs = deflate_spectrum(model.K, 5, seed=seed)

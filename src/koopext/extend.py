@@ -143,14 +143,10 @@ class EigenfunctionExpr:
             out = out * _pow_values(vals, m)
         return tag_nonfinite(out)
 
-    def step_multiplier(self, dt: float | None) -> complex:
+    def step_multiplier(self, dt: float) -> complex:
         """The factor phi picks up over one step of the given length."""
         if self.eigenvalue_kind == "multiplier":
             return self.eigenvalue
-        if dt is None:
-            raise ConfigurationError(
-                "a generator eigenvalue needs the step length; pass a FlowMap"
-            )
         return complex(np.exp(self.eigenvalue * dt))
 
 

@@ -185,17 +185,17 @@ def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, Callable]:
 # Polar benchmark: closed-form eigenfunctions and the transformations.
 
 
-def polar_eigenfunctions(mu: float, omega: float, alpha: float, C: float):
+def polar_eigenfunctions(mu: float, alpha: float, C: float):
     """(phi_lc, phi_ss): the branched limit-cycle eigenfunction and the
     steady-state eigenfunction of the polar benchmark, as (r, theta) evaluators.
 
     phi_lc carries eigenvalue -2 mu + i omega and is singular at r = 0;
     phi_ss carries mu + i (omega - alpha sqrt(mu)), lives on 0 <= r < sqrt(mu),
-    and is singular at the cycle.
+    and is singular at the cycle. The rotation rate omega enters only the
+    eigenvalues, not the values.
     """
-    if mu <= 0 or omega <= 0 or C <= 0:
-        raise ConfigurationError(f"need mu > 0, omega > 0, C > 0, got mu = {mu}, "
-                                 f"omega = {omega}, C = {C}")
+    if mu <= 0 or C <= 0:
+        raise ConfigurationError(f"need mu > 0, C > 0, got mu = {mu}, C = {C}")
     smu = math.sqrt(mu)
 
     def phi_lc_branch(inside: bool):
@@ -279,7 +279,7 @@ def transform_To(r, theta, mu: float, alpha: float, C: float):
     return r_out, theta_out
 
 
-def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C: float):
+def map_trajectory_outside(trajectory, mu: float, alpha: float, C: float):
     """Map an interior trajectory, given as (r, theta) rows with
     0 < r < sqrt(mu), to its exterior image:
     read off the steady-state eigenfunction, change representation with
@@ -293,7 +293,7 @@ def map_trajectory_outside(trajectory, mu: float, omega: float, alpha: float, C:
     ok = (r > 0) & (r < smu)
     out = np.full_like(traj, np.nan)
     if np.any(ok):
-        _, phi_ss = polar_eigenfunctions(mu, omega, alpha, C)
+        _, phi_ss = polar_eigenfunctions(mu, alpha, C)
         z2 = phi_ss(r[ok], theta[ok])
         v = transform_Ti_inv(z2, mu, alpha, C)
         out[ok, 0], out[ok, 1] = _push_outside(

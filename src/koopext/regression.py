@@ -1,5 +1,5 @@
 """Least-squares fitting of the Koopman matrix from snapshot pairs (DMD/EDMD),
-plus trajectory prediction and model serialization.
+and model serialization.
 
 Convention fixed across the package: the fitted K advances feature vectors,
 Psi(y) ~= K Psi(x), and eigenfunction weights are LEFT eigenvectors,
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .core import ConfigurationError, IllConditionedError, _write_csv, _write_js
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
 
-__all__ = ["KoopmanModel", "fit_edmd", "predict", "save_model", "load_model"]
+__all__ = ["KoopmanModel", "fit_edmd", "save_model", "load_model"]
 
 _SVD_CUTOFF = 1e-12
 
@@ -28,7 +28,6 @@ class KoopmanModel:
     K: np.ndarray
     dt: float
     fit_residual: float
-    decoder: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -68,31 +67,7 @@ def fit_edmd(data: SnapshotSet, dic: Dictionary, ridge: float = 0.0) -> KoopmanM
     # C-contiguous so matmul reduction order matches a reloaded model bitwise
     K = np.ascontiguousarray((inv @ A).T)
     resid = float(np.sqrt(np.mean(np.sum((PY - PX @ K.T) ** 2, axis=1))))
-    # linear decoder back to states, exact for the identity dictionary
-    if dic.spec["kind"] == "identity":
-        decoder = np.eye(D)
-    else:
-        decoder, *_ = np.linalg.lstsq(PX, data.x, rcond=None)
-        decoder = decoder.T
-    return KoopmanModel(dict=dic, K=K, dt=float(data.dt), fit_residual=resid, decoder=decoder)
-
-
-def predict(model: KoopmanModel, x0, n_steps: int) -> np.ndarray:
-    """Iterate the feature vector under K and decode states.
-
-    Returns an (n_steps + 1, d) array starting at x0.
-    """
-    if model.decoder is None:
-        raise ConfigurationError("model has no decoder; cannot map features to states")
-    if n_steps < 0:
-        raise ConfigurationError("n_steps must be >= 0")
-    x0 = np.asarray(x0, dtype=float)
-    out = [x0]
-    z = model.dict.eval(x0[None, :])[0]
-    for _ in range(n_steps):
-        z = model.K @ z
-        out.append(model.decoder @ z)
-    return np.asarray(out)
+    return KoopmanModel(dict=dic, K=K, dt=float(data.dt), fit_residual=resid)
 
 
 def save_model(path_stem: str, model: KoopmanModel) -> None:
@@ -104,23 +79,17 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
     }
     _write_json(f"{path_stem}.json", sidecar, sort_keys=True)
     _write_csv(f"{path_stem}_K.csv", [], model.K)
-    if model.decoder is not None:
-        _write_csv(f"{path_stem}_decoder.csv", [], model.decoder)
 
 
 def load_model(path_stem: str) -> KoopmanModel:
-    import os
-
+    """Read what `save_model` wrote: <stem>.json and <stem>_K.csv."""
     with open(f"{path_stem}.json") as fh:
         sidecar = json.load(fh)
     dic = dictionary_from_spec(sidecar["dictionary"])
     K = np.loadtxt(f"{path_stem}_K.csv", delimiter=",", ndmin=2)
-    dec_path = f"{path_stem}_decoder.csv"
-    decoder = np.loadtxt(dec_path, delimiter=",", ndmin=2) if os.path.exists(dec_path) else None
     return KoopmanModel(
         dict=dic,
         K=K,
         dt=float(sidecar["dt"]),
         fit_residual=float(sidecar["fit_residual"]),
-        decoder=decoder,
     )

@@ -272,7 +272,7 @@ def test_criterion_8_polar_transforms():
     rt = float(np.max(np.abs(
         transform_Ti(transform_Ti_inv(z, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0) - z
     )))
-    phi_lc, _ = polar_eigenfunctions(1.0, 1.0, 1.0, 1.0)
+    phi_lc, _ = polar_eigenfunctions(1.0, 1.0, 1.0)
     r = rng.uniform(0.05, 0.95, 1000)
     th = rng.uniform(0, 2 * math.pi, 1000)
     r2, th2 = transform_To(r, th, 1.0, 1.0, 1.0)

@@ -44,8 +44,8 @@ def run_cli(args):
     return main(list(args))
 
 
-# values just outside each one-sided number domain, by what its refusal says:
-# the edge itself and a negative value
+# values just outside each number domain, by what its refusal says: each edge
+# itself and a value past it
 OUTSIDE = {
     ">= 1": (0, -1),
     ">= 2": (1, 0, -1),
@@ -53,6 +53,7 @@ OUTSIDE = {
     "positive": (0, -1),
     "nonnegative": (-1e-9, -1),
     "null or positive": (0, -1),
+    "in (0, 1)": (0, 1, 1.5, -1),
 }
 # the array-valued domains and "any value", which the hand-kept rows cover
 ARRAY_KINDS = {
@@ -182,17 +183,23 @@ class TestExitCodes:
                                          "got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
         ("saddle_fields", "grid_hi=-0.7", "grid box needs hi > lo on every axis, "
                                           "got lo = (-0.7, -0.7), hi = (-0.7, -0.7)"),
-        ("lin5d_check", "b=-0.8", "lin5d base flow needs b != 2a, got a = -0.4, b = -0.8"),
     ])
     def test_runner_refuses_an_input_it_cannot_score(self, tmp_path, capsys, experiment,
                                                      param, named):
         # a relation between two parameters is the contract of the library
-        # call that takes both (EvalGrid, lin5d_base_flow), so config.json is
-        # written first; a grid of no width scored every criterion on one
-        # point, and b = 2a fitted EDMD on NaN snapshots, spun the eigensolver
-        # to its cap and exited 1
+        # call that takes both, here EvalGrid, so config.json is written
+        # first; a grid of no width scored every criterion on one point
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_grid_over_the_point_cap_is_a_usage_error(self, tmp_path, capsys):
+        # a box this wide asked EvalGrid for 4e20 points and exited 3 on a
+        # MemoryError; the count is refused before any array is made
+        assert run_cli(["saddle_fields", "--out", str(tmp_path),
+                        "--param", "grid_lo=-1e9"]) == 2
+        assert ("error: grid of 400000001320000001089 points is over the 10000000-point cap"
+                in capsys.readouterr().err)
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("experiment, param, named", [
@@ -247,12 +254,13 @@ class TestExitCodes:
     ])
     def test_number_just_outside_its_domain_is_refused_before_anything_is_written(
             self, tmp_path, capsys, experiment, key, says, value):
-        # every one-sided number domain of every table; before the tables
+        # every number domain of every table; before the tables
         # these exited 3 on a zero-size reduction or a division by zero, 1 on
         # a DivergenceError (softplus_edmd grid_lo <= 0) or an empty family
         # (bridge1d spurious_threshold <= 0), passed vacuously (p_cap = 0) or
         # on a backward flow (lin5d_check dt < 0), or were refused only after
-        # snapshot and model files were written
+        # snapshot and model files were written (or, for a grid_h of 1 or
+        # more, after config.json)
         param = f"{key}={json.dumps(value)}"
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert f"error: {key} must be {says}, got {json.dumps(value)}" in capsys.readouterr().err
@@ -273,8 +281,8 @@ class TestExitCodes:
                                        "400, got 2.5 (number)"),
         ("lin5d_check", "grid_n=true", "'grid_n' takes a JSON integer like its default "
                                        "21, got true (boolean)"),
-        ("lin5d_check", "a=false", "'a' takes a JSON number like its default -0.4, "
-                                   "got false (boolean)"),
+        ("lin5d_check", "dt=false", "'dt' takes a JSON number like its default 0.2, "
+                                    "got false (boolean)"),
         ("lin5d_check", "box=null", "'box' takes a JSON number like its default 1.0, "
                                     "got null (null)"),
         ("bridge1d", "window=2.5", "'window' takes a JSON array like its default "
@@ -690,6 +698,14 @@ class TestToolSubcommands:
         assert run_cli([*args, *model, "--out", str(tmp_path)]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_simulate_from_an_overflowing_box_is_a_numeric_failure(self, tmp_path, capsys):
+        # cubic1d's closed-form flow exited 3 on a TypeError for the infinite
+        # states; as for linear2d, the flow refuses them as diverged
+        assert run_cli(["simulate", "--system", "cubic1d", "--box", "1e308",
+                        "--out", str(tmp_path)]) == 1
+        assert "numeric failure: DivergenceError" in capsys.readouterr().err
 
     def test_simulate_fit_eig_pipeline(self, tmp_path):
         out = str(tmp_path)

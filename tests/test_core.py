@@ -57,6 +57,16 @@ class TestEvalGrid:
         with pytest.raises(ConfigurationError):
             EvalGrid((0.0,), (1.0,), h)
 
+    @pytest.mark.parametrize("lo, hi, h, count", [
+        ((0.0, 0.0), (1.0, 1.0), 1 / 3162, "10004569"),
+        ((-1e308,) * 2, (1e308,) * 2, 0.5, "inf"),  # (hi - lo) / h overflows
+    ], ids=["3163x3163", "overflowing-span"])
+    def test_grid_over_the_point_cap_is_refused_with_its_count(self, lo, hi, h, count):
+        # the count comes from the per-axis counts, before any array is made
+        with pytest.raises(ConfigurationError,
+                           match=rf"grid of {count} points is over the 10000000-point cap"):
+            EvalGrid(lo, hi, h)
+
     def test_count_robust_to_representation_error(self):
         # (1 - (-1)) / 0.01 lands just below 200 in floating point
         g = EvalGrid((-1.0,), (1.0,), 0.01)

@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from koopext.dynamics import (
     bistable_transform,
     bistable_transform_inv,
     integration_error_sup,
-    lin5d_base_flow,
     make_system,
     read_snapshots,
     sample_snapshots,
@@ -158,6 +158,21 @@ class TestFlow:
         assert fmap(x0) == pytest.approx(ref, rel=1e-8, abs=1e-9)
 
     @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
+    def test_non_finite_state_is_refused_before_the_exact_flow_runs(self, sid):
+        # cubic1d's closed form ended in a TypeError on an infinite or NaN state
+        fld = make_system(sid).field
+        calls = []
+        spy = replace(fld, exact_flow=lambda pts, t: calls.append(pts) or fld.exact_flow(pts, t))
+        center = np.mean(SAMPLE_BOXES[sid], axis=0)
+        for bad in (np.inf, -np.inf, np.nan):
+            state = center.copy()
+            state[0] = bad
+            for field in (fld, spy):
+                with pytest.raises(DivergenceError, match="during exact flow"):
+                    FlowMap(field, 0.1, method="exact")(state)
+        assert calls == []
+
+    @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
     def test_semigroup_property_of_exact_flows(self, sid):
         sys_ = make_system(sid)
         rng = np.random.default_rng(1)
@@ -254,13 +269,6 @@ class TestMakeSystem:
                 make_system("vanderpol", mu=mu)
         with pytest.raises(ConfigurationError):
             make_system("nosuch")
-
-    def test_lin5d_base_flow_refuses_b_equal_to_2a(self):
-        # the flow divides by b - 2a: it returned NaN states
-        x0 = np.array([[0.7, 0.3]])
-        with pytest.raises(ConfigurationError, match="needs b != 2a, got a = -0.5, b = -1.0"):
-            lin5d_base_flow(x0, 0.2, -0.5, -1.0)
-        assert np.all(np.isfinite(lin5d_base_flow(x0, 0.2, -0.5, -1.0 + 1e-9)))
 
     @pytest.mark.parametrize("sid", ALL_ANALYTIC_IDS)
     def test_koopman_pde_residual(self, sid):

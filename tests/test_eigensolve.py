@@ -209,8 +209,7 @@ class TestDeflation:
         K = np.array([[1.0, 1e13], [0.0, 0.5]])
         with pytest.raises(NearDefectiveError, match=r"eigenpair 0: \|w\^T v\|"):
             deflate_spectrum(K, 2)
-        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0,
-                             decoder=np.eye(2))
+        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0)
         pts = np.array([[0.5, -0.5]])
         with pytest.raises(NearDefectiveError, match=r"eigenpair 0: \|w\^T v\|"):
             iterative_koopman_eigensolver(

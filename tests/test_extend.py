@@ -428,9 +428,7 @@ class TestExtensionLoops:
 
     def test_weights_are_the_left_eigenvector(self):
         K = np.array([[0.9, 0.3], [0.0, 0.5]])
-        model = KoopmanModel(
-            dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0, decoder=np.eye(2),
-        )
+        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0)
         grid = EvalGrid((-1, -1), (1, 1), 0.5)
         flowed = FlowedGrid(grid.points, grid.points @ K, 0.1)
         kw = dict(epsilon=0.5, eps_G=0.0, L=1.0, M=math.sqrt(2), p_max=1)
@@ -440,10 +438,7 @@ class TestExtensionLoops:
 
     def test_iterative_matches_per_pair_runs(self):
         K = np.diag([0.9, 0.5])
-        model = KoopmanModel(
-            dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0,
-            decoder=np.eye(2),
-        )
+        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0)
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         A = np.diag(np.log(np.diag(K)) / 0.1)
 
@@ -470,9 +465,7 @@ class TestExtensionLoops:
     def test_conjugate_partner_carries_the_conjugate_powers(self):
         r, th = 0.9, 0.3
         K = r * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        model = KoopmanModel(
-            dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0, decoder=np.eye(2),
-        )
+        model = KoopmanModel(dict=identity_dictionary(2), K=K, dt=0.1, fit_residual=0.0)
         grid = EvalGrid((-1, -1), (1, 1), 0.25)
         flowed = FlowedGrid(grid.points, grid.points @ K.T, 0.1)
         first, partner = iterative_koopman_eigensolver(

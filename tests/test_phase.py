@@ -289,7 +289,7 @@ class TestCycleBand:
 
 class TestPolarEigenfunctions:
     def test_isostable_values(self):
-        phi_lc, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.0, 1.0)
+        phi_lc, phi_ss = polar_eigenfunctions(1.0, 0.0, 1.0)
         planar_lc = make_system("polarLC", alpha=0.0).analytic_eigenfunctions[0]
         on_cycle = [[math.cos(0.3), math.sin(0.3)]]
         assert abs(planar_lc.eval(on_cycle)[0]) == pytest.approx(0.0)
@@ -298,14 +298,13 @@ class TestPolarEigenfunctions:
         # C r / sqrt(mu - r^2) at r = 0.6 is 0.75
         assert abs(phi_ss(np.array([0.6]), np.array([0.0]))[0]) == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("mu, omega, C", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
-                                              (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
-    def test_non_positive_mu_omega_or_C_is_refused(self, mu, omega, C):
-        with pytest.raises(ConfigurationError, match="need mu > 0, omega > 0, C > 0"):
-            polar_eigenfunctions(mu, omega, 0.5, C)
+    @pytest.mark.parametrize("mu, C", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    def test_non_positive_mu_or_C_is_refused(self, mu, C):
+        with pytest.raises(ConfigurationError, match="need mu > 0, C > 0"):
+            polar_eigenfunctions(mu, 0.5, C)
 
     def test_branch_domains_enforced(self):
-        phi_lc, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.5, 1.0)
+        phi_lc, phi_ss = polar_eigenfunctions(1.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             phi_lc.interior(np.array([1.2]), np.array([0.0]))
         with pytest.raises(DomainError):
@@ -314,13 +313,13 @@ class TestPolarEigenfunctions:
             phi_ss(np.array([1.2]), np.array([0.0]))
 
     def test_singular_tags(self):
-        _, phi_ss = polar_eigenfunctions(1.0, 1.0, 0.5, 1.0)
+        _, phi_ss = polar_eigenfunctions(1.0, 0.5, 1.0)
         planar_lc = make_system("polarLC", alpha=0.5).analytic_eigenfunctions[0]
         assert singular_mask(planar_lc.eval([[0.0, 0.0]]))[0]
         assert singular_mask(phi_ss(np.array([1.0]), np.array([0.0])))[0]
 
     def test_branch_monotonicity_alpha_zero(self):
-        phi_lc, _ = polar_eigenfunctions(1.0, 1.0, 0.0, 1.0)
+        phi_lc, _ = polar_eigenfunctions(1.0, 0.0, 1.0)
         r_in = np.linspace(0.05, 0.95, 50)
         vals_in = np.abs(phi_lc.interior(r_in, np.zeros_like(r_in)))
         assert np.all(np.diff(vals_in) < 0)  # strictly decreasing inside
@@ -351,7 +350,7 @@ class TestPolarClosedFormsAgree:
         r, th = np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])
         inside, outside = (r > 0) & (r < math.sqrt(mu)), r > math.sqrt(mu)
         sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=alpha, C=C)
-        phi_lc, _ = polar_eigenfunctions(mu, omega, alpha, C)
+        phi_lc, _ = polar_eigenfunctions(mu, alpha, C)
         planar = sys_.analytic_eigenfunctions[0].eval(xy)
         assert planar[inside].tobytes() == phi_lc.interior(r[inside], th[inside]).tobytes()
         assert planar[outside].tobytes() == phi_lc.exterior(r[outside], th[outside]).tobytes()
@@ -366,7 +365,7 @@ class TestPolarClosedFormsAgree:
         r, th = np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])
         inside = r < math.sqrt(mu)
         sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=alpha, C=C)
-        _, phi_ss = polar_eigenfunctions(mu, omega, alpha, C)
+        _, phi_ss = polar_eigenfunctions(mu, alpha, C)
         planar = sys_.analytic_eigenfunctions[1].eval(xy[inside])
         assert planar.tobytes() == phi_ss(r[inside], th[inside]).tobytes()
         assert planar[0] == 0 and inside.sum() > 1000
@@ -414,7 +413,7 @@ class TestTransformTo:
             assert r_out - 1.0 < 10 * eps
 
     def test_isochron_preserved_with_twist(self):
-        phi_lc, _ = polar_eigenfunctions(1.0, 1.0, 1.0, 1.0)
+        phi_lc, _ = polar_eigenfunctions(1.0, 1.0, 1.0)
         rng = np.random.default_rng(7)
         r = rng.uniform(0.05, 0.95, 50)
         th = rng.uniform(0.0, 2 * math.pi, 50)
@@ -446,7 +445,7 @@ class TestTrajectoryMapping:
 
     def test_interior_trajectory_maps_to_continuous_exterior_curve(self):
         traj = self.trajectory()
-        out = map_trajectory_outside(traj, 1.0, 1.0, 1.0, 1.0)
+        out = map_trajectory_outside(traj, 1.0, 1.0, 1.0)
         assert not np.any(np.isnan(out))
         xy = np.column_stack([out[:, 0] * np.cos(out[:, 1]), out[:, 0] * np.sin(out[:, 1])])
         steps = np.linalg.norm(np.diff(xy, axis=0), axis=1)
@@ -455,14 +454,14 @@ class TestTrajectoryMapping:
 
     def test_composition_equals_transform_To(self):
         traj = self.trajectory()
-        out = map_trajectory_outside(traj, 1.0, 1.0, 1.0, 1.0)
+        out = map_trajectory_outside(traj, 1.0, 1.0, 1.0)
         r2, th2 = transform_To(traj[:, 0], traj[:, 1], 1.0, 1.0, 1.0)
         assert out[:, 0] == pytest.approx(r2, abs=1e-10)
         diff = np.angle(np.exp(1j * (out[:, 1] - th2)))
         assert np.max(np.abs(diff)) < 1e-10
 
     def test_steady_state_rejected(self):
-        out = map_trajectory_outside(np.array([[0.0, 0.3]]), 1.0, 1.0, 1.0, 1.0)
+        out = map_trajectory_outside(np.array([[0.0, 0.3]]), 1.0, 1.0, 1.0)
         assert np.all(np.isnan(out))
 
 

@@ -72,7 +72,6 @@ TEST_ORACLES = {
     "qr_iteration": "the QR oracle criterion 11 checks the deflation path against",
     "quasi_triangular_eigenvalues": "reads the eigenvalues off qr_iteration's Schur form",
     "principal_filter": "the paper's log-PCA filter that criterion 6 checks",
-    "predict": "multi-step model prediction that the regression tests check",
 }
 
 
