@@ -67,7 +67,9 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with k-means++ initialization, at most 100 sweeps,
     stopping once no center moves by 1e-8 or more.
 
-    Deterministic given the seed. An empty cluster is re-seeded at the point
+    Deterministic given the seed. Seeding keeps each point's squared distance
+    to its nearest chosen center as a running minimum, so each draw adds one
+    distance column (k - 1 in all). An empty cluster is re-seeded at the point
     farthest from every current center.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -80,8 +82,11 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         return np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
     centers = pts[rng.integers(pts.shape[0])][None, :]
+    d2 = np.full(n, np.inf)
     while centers.shape[0] < k:
-        d2 = np.min(sq_dists(centers), axis=1)
+        # min is exact, so folding in the newest center's column gives the
+        # same d2 as the minimum over every chosen center
+        d2 = np.minimum(d2, sq_dists(centers[-1:])[:, 0])
         total = d2.sum()
         if total == 0:
             idx = rng.integers(pts.shape[0])

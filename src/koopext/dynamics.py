@@ -863,9 +863,9 @@ def sample_snapshots(
     samples_per_traj: int = 2,
 ) -> SnapshotSet:
     """Deterministically sample snapshot pairs with initial conditions uniform
-    on `box` = (lo, hi), which needs hi > lo on every axis, flowed for a time
-    dt > 0 exactly where the system has a closed-form flow and by
-    rk45 otherwise (the method is recorded in metadata['method']).
+    on `box` = (lo, hi), which needs hi > lo and a finite hi - lo on every
+    axis, flowed for a time dt > 0 exactly where the system has a closed-form
+    flow and by rk45 otherwise (the method is recorded in metadata['method']).
 
     With samples_per_traj = s, each trajectory contributes s - 1 consecutive
     pairs, so (s - 1) must divide n_pairs. Divergent trajectories are dropped
@@ -885,9 +885,14 @@ def sample_snapshots(
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     lo, hi = (np.asarray(v, dtype=float) for v in box)
+    named = f"lo = {tuple(lo.tolist())}, hi = {tuple(hi.tolist())}"
     if not np.all(lo < hi):
-        raise ConfigurationError(f"sampling box needs hi > lo on every axis, got lo = "
-                                 f"{tuple(lo.tolist())}, hi = {tuple(hi.tolist())}")
+        raise ConfigurationError(f"sampling box needs hi > lo on every axis, got {named}")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.all(np.isfinite(width)):
+        # an infinite width would draw infinite initial states
+        raise ConfigurationError(f"sampling box needs a finite width on every axis, got {named}")
     method = "exact" if system.field.exact_flow is not None else "rk45"
     fmap = FlowMap(system.field, dt, method=method)
     # counter-based generator: sampling order is reproducible however batched
@@ -910,7 +915,7 @@ def sample_snapshots(
     while collected < n_traj and budget > 0:
         batch_n = n_traj - collected
         budget -= batch_n
-        ics = lo + (hi - lo) * rng.random((batch_n, lo.shape[0]))
+        ics = lo + width * rng.random((batch_n, lo.shape[0]))
         try:
             bx, by = integrate_block(ics)
             xs.append(bx)
@@ -1067,10 +1072,16 @@ def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
 
 
 def read_snapshots(path_stem: str) -> SnapshotSet:
+    """The SnapshotSet that write_snapshots wrote to `path_stem`.csv/.json;
+    a non-finite value in the CSV is refused, naming its row."""
     import json
 
     with open(f"{path_stem}.json") as fh:
         meta = json.load(fh)
     data = np.loadtxt(f"{path_stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        raise ConfigurationError(f"{path_stem}.csv: snapshot row {int(bad[0]) + 1} (after the "
+                                 f"header) holds a non-finite value; snapshots must be finite")
     d = data.shape[1] // 2
     return SnapshotSet(x=data[:, :d], y=data[:, d:], dt=float(meta.pop("dt")), metadata=meta)

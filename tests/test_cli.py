@@ -699,13 +699,34 @@ class TestToolSubcommands:
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
-    def test_simulate_from_an_overflowing_box_is_a_numeric_failure(self, tmp_path, capsys):
-        # cubic1d's closed-form flow exited 3 on a TypeError for the infinite
-        # states; as for linear2d, the flow refuses them as diverged
-        assert run_cli(["simulate", "--system", "cubic1d", "--box", "1e308",
-                        "--out", str(tmp_path)]) == 1
-        assert "numeric failure: DivergenceError" in capsys.readouterr().err
+    @pytest.mark.parametrize("system, d", [("linear2d", 2), ("cubic1d", 1)])
+    def test_simulate_from_an_overflowing_box_is_a_usage_error(self, tmp_path, capsys,
+                                                               system, d):
+        # a width of 2e308 overflows to inf, which drew infinite initial states
+        # that every flow dropped as divergent (exit 1)
+        assert run_cli(["simulate", "--system", system, "--box", "1e308",
+                        "--out", str(tmp_path)]) == 2
+        assert ("error: sampling box needs a finite width on every axis, got "
+                f"lo = {(-1e308,) * d}, hi = {(1e308,) * d}") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("dict_kind", ["identity", "rbf"])
+    def test_fit_refuses_a_non_finite_snapshot(self, tmp_path, capsys, dict_kind):
+        # a nan field made the rbf fit exit 3 on LinAlgError and the identity
+        # fit write a model whose fit_residual is nan
+        src, out = tmp_path / "src", tmp_path / "out"
+        assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "20",
+                        "--out", str(src), "--seed", "4"]) == 0
+        csv_path = src / "snapshots.csv"
+        lines = csv_path.read_bytes().split(b"\r\n")
+        lines[4] = b"nan," + lines[4].split(b",", 1)[1]
+        csv_path.write_bytes(b"\r\n".join(lines))
+        stem = str(src / "snapshots")
+        assert run_cli(["fit", "--snapshots", stem, "--dict", dict_kind,
+                        "--n-centers", "5", "--out", str(out)]) == 2
+        assert (f"error: {stem}.csv: snapshot row 4 (after the header) holds a non-finite "
+                "value; snapshots must be finite") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_fit_eig_pipeline(self, tmp_path):
         out = str(tmp_path)

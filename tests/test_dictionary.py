@@ -84,6 +84,87 @@ class TestKMeans:
             kmeans_centers(np.zeros((3, 1)), k, seed=0)
 
 
+def frozen_kmeans_centers(points, k, seed, events):
+    """kmeans_centers as it was before its seeding kept a running minimum:
+    each draw recomputes every point's distance to all chosen centers. Kept
+    as the oracle the new routine must match byte for byte. `events` counts
+    the zero-total draws and the empty-cluster re-seeds it passes through."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def sq_dists(centers):
+        return np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+
+    centers = pts[rng.integers(pts.shape[0])][None, :]
+    while centers.shape[0] < k:
+        d2 = np.min(sq_dists(centers), axis=1)
+        total = d2.sum()
+        if total == 0:
+            events["zero_total"] += 1
+            idx = rng.integers(pts.shape[0])
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
+            idx = min(idx, pts.shape[0] - 1)
+        centers = np.vstack([centers, pts[idx]])
+
+    for _ in range(100):
+        d2 = sq_dists(centers)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = pts[labels == j]
+            if members.shape[0] == 0:
+                events["reseed"] += 1
+                far = int(np.argmax(np.min(d2, axis=1)))
+                new_centers[j] = pts[far]
+            else:
+                new_centers[j] = members.mean(axis=0)
+        motion = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if motion < 1e-8:
+            break
+    return centers
+
+
+def assert_matches_frozen(pts, k, seed):
+    events = {"zero_total": 0, "reseed": 0}
+    want = frozen_kmeans_centers(pts, k, seed, events)
+    got = kmeans_centers(pts, k, seed)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return events
+
+
+class TestKMeansBitIdentity:
+    # every dimension a run uses (d <= 5), against the routine before the
+    # running minimum; the full-size duffing_edmd input is pinned by the
+    # golden manifest's model.json, which holds its centers
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_scattered_points(self, d):
+        rng = np.random.default_rng(10 + d)
+        pts = rng.standard_normal((40, d)) * rng.uniform(0.1, 10.0, size=d)
+        for k in (1, 2, 17, 40):
+            assert_matches_frozen(pts, k, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_repeated_points(self, d):
+        # duplicate points give ties; at k = n the last draws have a zero
+        # total and pick duplicate centers, whose empty clusters Lloyd re-seeds
+        rng = np.random.default_rng(20 + d)
+        pts = rng.integers(-1, 2, size=(30, d)).astype(float) * 0.5
+        pts = np.vstack([pts, pts[:6]])
+        events = {"zero_total": 0, "reseed": 0}
+        for k in (1, 2, 17, pts.shape[0]):
+            for key, count in assert_matches_frozen(pts, k, seed=3 * d).items():
+                events[key] += count
+        assert events["zero_total"] > 0 and events["reseed"] > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_identical_points(self, d):
+        pts = np.full((12, d), 0.7)
+        events = assert_matches_frozen(pts, 5, seed=d)
+        assert events["zero_total"] == 4
+
+
 @pytest.fixture(scope="module")
 def snaps():
     sys_ = make_system("linear2d")
