@@ -1,6 +1,7 @@
 """Shared domain types: evaluation grids, the grid norm, principal-branch
-complex powers, singular-value tagging, the CSV and JSON artifact writers, and
-the one-BLAS-thread scope every run and tool executes in.
+complex powers, singular-value tagging, the CSV and JSON artifact writers and
+their checked readers, and the one-BLAS-thread scope every run and tool
+executes in.
 
 Everything here is immutable after construction and safe to share. Grid
 reductions go through numpy's pairwise summation, so results do not depend
@@ -273,6 +274,34 @@ def _write_json(path, payload, sort_keys: bool) -> None:
     `sort_keys`."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+
+
+def _read_csv(path, skiprows: int = 0) -> np.ndarray:
+    """The 2-D table of numbers at `path` below its `skiprows` header lines; a
+    file that is not one (a ragged row, a word among the numbers) is refused,
+    naming it."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not a table of numbers: {exc}") from None
+
+
+def _read_sidecar(path, keys) -> dict:
+    """The JSON object at `path`, refused, naming the file, unless it holds
+    each of `keys` and a finite positive time step dt."""
+    try:
+        with open(path) as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    missing = sorted(set(keys) - set(sidecar if isinstance(sidecar, dict) else ()))
+    if missing:
+        raise ConfigurationError(f"{path} holds no {missing}")
+    dt = sidecar["dt"]
+    if type(dt) not in (int, float) or not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"{path}: dt must be a finite positive number, "
+                                 f"got {json.dumps(dt)}")
+    return sidecar
 
 
 def write_grid_field(path, grid: EvalGrid, values) -> None:

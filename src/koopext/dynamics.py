@@ -2,17 +2,21 @@
 
 Each benchmark ships with closed-form eigenfunctions of its Koopman operator
 where they exist, so downstream computations can be checked against exact
-oracles. A vector field's rhs maps states of shape (..., d), one state (d,)
-or a batch (n, d), to derivatives of the same shape; eigenfunction
-evaluators map a batch (n, d) to (n,). AnalyticEigenfunction.eval tags every
-singular evaluation (complex NaN), never returning Inf.
+oracles. The linear systems come from one builder (`_linear`). A conjugated
+system, a simpler system seen through a change of coordinates, is derived
+from that system by another (`_seen_through`): its field, flow, steady states,
+and each eigenfunction composed with the inverse change. A vector field's rhs
+maps states of shape (..., d), one state (d,) or a batch (n, d), to
+derivatives of the same shape; eigenfunction evaluators map a batch (n, d) to
+(n,). AnalyticEigenfunction.eval tags every singular evaluation (complex NaN),
+never returning Inf.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +27,8 @@ from .core import (
     DivergenceError,
     FlowedGrid,
     UnsupportedSystemError,
+    _read_csv,
+    _read_sidecar,
     _write_csv,
     _write_json,
     tag_nonfinite,
@@ -427,13 +433,6 @@ def _left_eigenvectors_2x2(A: np.ndarray):
     return vecs
 
 
-def _expm_propagator(A: np.ndarray) -> Callable[[float], np.ndarray]:
-    """t -> expm(A t), computed once per t."""
-    from scipy.linalg import expm
-
-    return functools.cache(lambda t: expm(A * t))
-
-
 # linear2d's matrix; softplus2d is linear2d seen through softplus, and
 # softplus_edmd samples linear2d to fit it, so the two share this default
 _LINEAR2D_A = ((-0.9, 0.1), (0.0, -0.8))
@@ -443,30 +442,56 @@ _LINEAR2D_A = ((-0.9, 0.1), (0.0, -0.8))
 _LIN5D_RATES = (-0.4, -1.0)
 
 
+def _linear(system_id: str, A: np.ndarray, lefts) -> BenchmarkSystem:
+    """x' = A x, with the flow x expm(A t)^T (expm computed once per t) and one
+    eigenfunction phi_i = <w, x> per left eigenpair (lambda, w) in `lefts`."""
+
+    @functools.cache
+    def propagator(t):
+        # imported here, so a system that is never flowed does not load scipy.linalg
+        from scipy.linalg import expm
+
+        return expm(A * t)
+
+    return BenchmarkSystem(
+        id=system_id,
+        field=VectorField(len(A), lambda x: x @ A.T, lambda pts, t: pts @ propagator(t).T),
+        steady_states=(np.zeros(len(A)),),
+        analytic_eigenfunctions=tuple(
+            AnalyticEigenfunction(complex(lam), lambda pts, w=w: pts @ w, f"phi{i + 1}")
+            for i, (lam, w) in enumerate(lefts)
+        ),
+    )
+
+
+def _seen_through(base: BenchmarkSystem, system_id: str, to_base, from_base, push):
+    """`base` in the coordinates z = from_base(x), where x = to_base(z); both
+    maps act on (n, d) batches. The field is push(z, x, F(x)), the derivative
+    of from_base at x applied to the base field F(x). The flow, the steady
+    states and the eigenfunctions (phi o to_base, with phi's eigenvalue and
+    name) follow by conjugation."""
+    d = base.dim
+
+    def rhs(z):
+        # a single state goes through the batch path, so it has the batch's bits
+        batch = np.reshape(z, (-1, d))
+        x = to_base(batch)
+        return push(batch, x, base.field.rhs(x)).reshape(np.shape(z))
+
+    return BenchmarkSystem(
+        id=system_id,
+        field=VectorField(d, rhs, lambda z, t: from_base(base.field.exact_flow(to_base(z), t))),
+        steady_states=tuple(from_base(np.reshape(s, (1, d)))[0] for s in base.steady_states),
+        analytic_eigenfunctions=tuple(
+            replace(eig, evaluator=lambda z, phi=eig.evaluator: phi(to_base(z)))
+            for eig in base.analytic_eigenfunctions
+        ),
+    )
+
+
 def _linear2d() -> BenchmarkSystem:
     A = np.array(_LINEAR2D_A)
-    propagator = _expm_propagator(A)
-
-    def rhs(x):
-        return x @ A.T
-
-    def exact_flow(pts, t):
-        return pts @ propagator(t).T
-
-    funcs = tuple(
-        AnalyticEigenfunction(
-            eigenvalue=complex(lam),
-            evaluator=lambda pts, w=w: pts @ w,
-            name=f"<w,{lam:g}>",
-        )
-        for lam, w in _left_eigenvectors_2x2(A)
-    )
-    return BenchmarkSystem(
-        id="linear2d",
-        field=VectorField(2, rhs, exact_flow),
-        steady_states=(np.zeros(2),),
-        analytic_eigenfunctions=funcs,
-    )
+    return _linear("linear2d", A, _left_eigenvectors_2x2(A))
 
 
 def softplus(x):
@@ -483,31 +508,9 @@ def softplus_inv(y):
 
 
 def _softplus2d() -> BenchmarkSystem:
-    A = np.array(_LINEAR2D_A)
-    propagator = _expm_propagator(A)
-
-    def rhs(y):
-        x = softplus_inv(y)
-        return (1.0 - np.exp(-y)) * (x @ A.T)
-
-    def exact_flow(pts, t):
-        x = softplus_inv(pts)
-        return softplus(x @ propagator(t).T)
-
-    funcs = tuple(
-        AnalyticEigenfunction(
-            eigenvalue=complex(lam),
-            evaluator=lambda pts, w=w: softplus_inv(pts) @ w,
-            name=f"<w,{lam:g}> o softplus_inv",
-        )
-        for lam, w in _left_eigenvectors_2x2(A)
-    )
-    return BenchmarkSystem(
-        id="softplus2d",
-        field=VectorField(2, rhs, exact_flow),
-        steady_states=(softplus(np.zeros(2)),),
-        analytic_eigenfunctions=funcs,
-    )
+    # d softplus(x) / dx = 1 - e^-z at z = softplus(x)
+    return _seen_through(_linear2d(), "softplus2d", softplus_inv, softplus,
+                         lambda z, x, v: (1.0 - np.exp(-z)) * v)
 
 
 def _lin5d() -> BenchmarkSystem:
@@ -522,8 +525,6 @@ def _lin5d() -> BenchmarkSystem:
         ],
         dtype=float,
     )
-    propagator = _expm_propagator(A)
-
     r = (2 * a - b) / b
     lefts = [
         (a, np.array([1.0, 0, 0, 0, 0])),
@@ -532,21 +533,7 @@ def _lin5d() -> BenchmarkSystem:
         (b, np.array([0.0, r, 1, 0, 0])),
         (a + b, np.array([0.0, 0, 0, r, 1])),
     ]
-
-    funcs = tuple(
-        AnalyticEigenfunction(
-            eigenvalue=complex(lam),
-            evaluator=lambda pts, w=w: pts @ w,
-            name=f"phi{i + 1}",
-        )
-        for i, (lam, w) in enumerate(lefts)
-    )
-    return BenchmarkSystem(
-        id="lin5d",
-        field=VectorField(5, lambda y: y @ A.T, lambda pts, t: pts @ propagator(t).T),
-        steady_states=(np.zeros(5),),
-        analytic_eigenfunctions=funcs,
-    )
+    return _linear("lin5d", A, lefts)
 
 
 def lin5d_lift(x2d: np.ndarray) -> np.ndarray:
@@ -675,35 +662,19 @@ def _saddle_embed(x):
     return np.expm1((x @ _SADDLE_R.T) / math.pi)
 
 
+def _saddle_coords(z):
+    """The linear coordinates x = pi log1p(z) R of saddle2d states z, the
+    inverse of _saddle_embed; infinite or NaN where a coordinate of z is <= -1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.pi * (np.log1p(z) @ _SADDLE_R)
+
+
 def _saddle2d() -> BenchmarkSystem:
-    R = _SADDLE_R
-    lam1, lam2 = -1.0, 1.5
-    M = R @ np.diag([lam1, lam2]) @ R.T
-
-    def rhs(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.log1p(z)
-        return (z + 1.0) * (L @ M.T)
-
-    def exact_flow(z, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x0 = math.pi * (np.log1p(z) @ R)
-        return _saddle_embed(x0 * np.array([math.exp(lam1 * t), math.exp(lam2 * t)]))
-
-    funcs = tuple(
-        AnalyticEigenfunction(
-            eigenvalue=complex(lam),
-            evaluator=lambda z, idx=idx: math.pi * (np.log1p(z) @ R)[:, idx],
-            name=f"phi{idx + 1}",
-        )
-        for idx, lam in enumerate((lam1, lam2))
-    )
-    return BenchmarkSystem(
-        id="saddle2d",
-        field=VectorField(2, rhs, exact_flow),
-        steady_states=(np.zeros(2),),
-        analytic_eigenfunctions=funcs,
-    )
+    lams = (-1.0, 1.5)
+    base = _linear("saddle2d_x", np.diag(lams), list(zip(lams, np.eye(2))))
+    # z' = (z + 1) (x' R^T / pi) for z = expm1(x R^T / pi)
+    return _seen_through(base, "saddle2d", _saddle_coords, _saddle_embed,
+                         lambda z, x, v: (z + 1.0) * ((v @ _SADDLE_R.T) / math.pi))
 
 
 def bistable_transform(y: np.ndarray) -> np.ndarray:
@@ -724,11 +695,19 @@ def bistable_transform_inv(x: np.ndarray) -> np.ndarray:
 
 
 def _bistable2d() -> BenchmarkSystem:
-    lam_u, lam_s2, lam_s1 = 1.0 / 16.0, -1.0, -1.0 / 8.0
-
+    # the y-system y1' = -(y1 - 1/4)(y1 + 1/4) y1, y2' = -y2, seen through
+    # x = bistable_transform(y)
     def rhs_y(y):
+        y1, y2 = y[..., 0], y[..., 1]
+        return np.stack([-(y1 - 0.25) * (y1 + 0.25) * y1, -y2], axis=-1)
+
+    def flow_y(y, t):
         y1, y2 = y[:, 0], y[:, 1]
-        return np.column_stack([-(y1 - 0.25) * (y1 + 0.25) * y1, -y2])
+        K, r = 1.0 / 16.0, 1.0 / 8.0
+        u = y1**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ut = np.where(u > 0, K / (1.0 + (K / u - 1.0) * math.exp(-r * t)), 0.0)
+        return np.column_stack([np.sign(y1) * np.sqrt(ut), y2 * math.exp(-t)])
 
     def jac_h(y):
         y1, y2 = y[:, 0], y[:, 1]
@@ -739,49 +718,26 @@ def _bistable2d() -> BenchmarkSystem:
         J[:, 1, 1] = 2.0
         return J
 
-    def rhs(x):
-        y = bistable_transform_inv(np.reshape(x, (-1, 2)))
-        return np.einsum("nij,nj->ni", jac_h(y), rhs_y(y)).reshape(np.shape(x))
-
-    def flow_y(y, t):
-        y1, y2 = y[:, 0], y[:, 1]
-        K, r = 1.0 / 16.0, 1.0 / 8.0
-        u = y1**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ut = np.where(u > 0, K / (1.0 + (K / u - 1.0) * math.exp(-r * t)), 0.0)
-        return np.column_stack([np.sign(y1) * np.sqrt(ut), y2 * math.exp(-t)])
-
-    def exact_flow(x, t):
-        return bistable_transform(flow_y(bistable_transform_inv(x), t))
-
     def power_eig(exponent: float, lam: float, name: str) -> AnalyticEigenfunction:
-        def evaluator(x):
-            y1 = bistable_transform_inv(x)[:, 0]
+        def evaluator(y):
+            y1 = y[:, 0]
             # (y1 - 1/4)(y1 + 1/4) / y1^2, the log-derivative eigenquantity
             return np.abs((y1**2 - 1.0 / 16.0) / y1**2) ** exponent
 
-        return AnalyticEigenfunction(
-            eigenvalue=complex(lam),
-            evaluator=evaluator,
-            name=name,
-        )
+        return AnalyticEigenfunction(complex(lam), evaluator, name)
 
-    nodes_y = (np.array([0.0, 0.0]), np.array([0.25, 0.0]), np.array([-0.25, 0.0]))
-    steady = tuple(bistable_transform(n)[0] for n in nodes_y)
-    return BenchmarkSystem(
-        id="bistable2d",
-        field=VectorField(2, rhs, exact_flow),
-        steady_states=steady,
+    base = BenchmarkSystem(
+        id="bistable2d_y",
+        field=VectorField(2, rhs_y, flow_y),
+        steady_states=(np.array([0.0, 0.0]), np.array([0.25, 0.0]), np.array([-0.25, 0.0])),
         analytic_eigenfunctions=(
-            power_eig(-0.5, lam_u, "phi1_unstable"),
-            power_eig(1.0, lam_s1, "phi1_node"),
-            AnalyticEigenfunction(
-                eigenvalue=complex(lam_s2),
-                evaluator=lambda x: np.abs(bistable_transform_inv(x)[:, 1]),
-                name="phi2",
-            ),
+            power_eig(-0.5, 1.0 / 16.0, "phi1_unstable"),
+            power_eig(1.0, -1.0 / 8.0, "phi1_node"),
+            AnalyticEigenfunction(complex(-1.0), lambda y: np.abs(y[:, 1]), "phi2"),
         ),
     )
+    return _seen_through(base, "bistable2d", bistable_transform_inv, bistable_transform,
+                         lambda x, y, v: np.einsum("nij,nj->ni", jac_h(y), v))
 
 
 def _duffing() -> BenchmarkSystem:
@@ -1073,12 +1029,10 @@ def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
 
 def read_snapshots(path_stem: str) -> SnapshotSet:
     """The SnapshotSet that write_snapshots wrote to `path_stem`.csv/.json;
-    a non-finite value in the CSV is refused, naming its row."""
-    import json
-
-    with open(f"{path_stem}.json") as fh:
-        meta = json.load(fh)
-    data = np.loadtxt(f"{path_stem}.csv", delimiter=",", skiprows=1, ndmin=2)
+    a sidecar without a finite positive dt, a CSV that is not a table of
+    numbers, and a non-finite value in it are refused, naming the file."""
+    meta = _read_sidecar(f"{path_stem}.json", ["dt"])
+    data = _read_csv(f"{path_stem}.csv", skiprows=1)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ConfigurationError(f"{path_stem}.csv: snapshot row {int(bad[0]) + 1} (after the "

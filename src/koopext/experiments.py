@@ -63,7 +63,7 @@ from .extend import (
 )
 from .regression import fit_edmd, save_model
 
-__all__ = ["ExperimentConfig", "EXPERIMENTS", "default_params", "run"]
+__all__ = ["ExperimentConfig", "EXPERIMENTS", "run"]
 
 # The config file format; config.json and summary.json record it.
 SCHEMA_VERSION = 1
@@ -89,7 +89,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: unknown config keys {unknown}")
         if "experiment" not in raw:
             raise ConfigurationError(f"{path}: the config names no experiment")
-        for key, want in (("experiment", "string"), ("seed", "integer"), ("out_dir", "string")):
+        for key, want in (("experiment", "string"), ("seed", "integer"), ("out_dir", "string"),
+                          ("params", "object")):
             if key in raw and _json_type(raw[key]) != want:
                 raise ConfigurationError(
                     f"{path}: {key} takes a JSON {want}, got {json.dumps(raw[key])} "
@@ -699,10 +700,6 @@ EXPERIMENTS = {
     "duffing_edmd": (_run_duffing_edmd, _duffing_table),
     "lin5d_check": (_run_lin5d_check, _lin5d_table),
 }
-
-
-def default_params(experiment: str) -> dict:
-    return {key: default for key, (default, _) in EXPERIMENTS[experiment][1]().items()}
 
 
 # JSON type names of parameter values, bool before int since bool subclasses it

@@ -7,13 +7,13 @@ w^T K = lambda w^T, so that phi(x) = w^T Psi(x) satisfies phi(F x) ~= lambda phi
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, IllConditionedError, _write_csv, _write_json
+from .core import (ConfigurationError, IllConditionedError, _read_csv, _read_sidecar,
+                   _write_csv, _write_json)
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
 
@@ -82,11 +82,18 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
 
 
 def load_model(path_stem: str) -> KoopmanModel:
-    """Read what `save_model` wrote: <stem>.json and <stem>_K.csv."""
-    with open(f"{path_stem}.json") as fh:
-        sidecar = json.load(fh)
+    """Read what `save_model` wrote: <stem>.json and <stem>_K.csv. A sidecar
+    without its keys or a finite positive dt, and a K that is not finite or
+    not square in the dictionary's feature count, are refused, naming the file."""
+    sidecar = _read_sidecar(f"{path_stem}.json", ["dictionary", "dt", "fit_residual"])
     dic = dictionary_from_spec(sidecar["dictionary"])
-    K = np.loadtxt(f"{path_stem}_K.csv", delimiter=",", ndmin=2)
+    K = _read_csv(f"{path_stem}_K.csv")
+    n = dic.eval(np.zeros(dic.dim_in)).shape[1]
+    if K.shape != (n, n):
+        raise ConfigurationError(f"{path_stem}_K.csv: K is {K.shape[0]}x{K.shape[1]}, but the "
+                                 f"model's dictionary has {n} features")
+    if not np.all(np.isfinite(K)):
+        raise ConfigurationError(f"{path_stem}_K.csv: K holds a non-finite value")
     return KoopmanModel(
         dict=dic,
         K=K,

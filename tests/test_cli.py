@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,8 +12,7 @@ import koopext
 from koopext.cli import main
 from koopext import core
 from koopext.core import ConfigurationError, openblas_libraries
-from koopext.experiments import (EXPERIMENTS, ExperimentConfig, _ANY, _json_type,
-                                 default_params, run)
+from koopext.experiments import EXPERIMENTS, ExperimentConfig, _ANY, _json_type, run
 
 from artifact_digests import (
     GOLDEN_CONFIGS,
@@ -42,6 +43,22 @@ def rerun_digests():
 
 def run_cli(args):
     return main(list(args))
+
+
+def edit_sidecar(path, entries: dict) -> None:
+    """Set each of `entries` in the JSON object at `path`; a None deletes the key."""
+    meta = json.loads(path.read_text())
+    for key, value in entries.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    path.write_text(json.dumps(meta))
+
+
+def defaults(experiment: str) -> dict:
+    """Each parameter's default, read off the runner's table."""
+    return {key: default for key, (default, _) in EXPERIMENTS[experiment][1]().items()}
 
 
 # values just outside each number domain, by what its refusal says: each edge
@@ -392,7 +409,7 @@ class TestExitCodes:
             experiment="vdp_phase",
             seed=1,
             out_dir=str(tmp_path),
-            params={**default_params("vdp_phase"), "T": 2.0, "grid_h": 0.4, "band": 0.4},
+            params={**defaults("vdp_phase"), "T": 2.0, "grid_h": 0.4, "band": 0.4},
         )
         path = tmp_path / "cfg.json"
         cfg.to_json(path)
@@ -595,12 +612,13 @@ class TestConfig:
     @pytest.mark.parametrize("key, value, want", [
         ("seed", "x", "integer"), ("seed", True, "integer"), ("seed", 1.5, "integer"),
         ("out_dir", 5, "string"), ("out_dir", None, "string"), ("experiment", ["x"], "string"),
+        ("params", 5, "object"), ("params", None, "object"), ("params", ["dt"], "object"),
     ])
     def test_config_value_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
                                                                 key, value, want):
-        # refused before anything is written: a string seed or a numeric
-        # out_dir would fail on a TypeError inside the run, and a boolean seed
-        # would run as 0 or 1
+        # refused before anything is written: a string seed, a numeric out_dir
+        # or params that are not an object would fail on a TypeError or an
+        # AttributeError inside the run, and a boolean seed would run as 0 or 1
         config = {"experiment": "lin5d_check", "out_dir": str(tmp_path / "o"), key: value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -634,13 +652,13 @@ class TestConfig:
         text = (api / "config.json").read_text()
         assert text.replace(str(api), "OUT") == (cli / "config.json").read_text().replace(
             str(cli), "OUT")
-        assert json.loads(text)["params"] == {**default_params("lin5d_check"), "grid_n": 11}
+        assert json.loads(text)["params"] == {**defaults("lin5d_check"), "grid_n": 11}
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_no_default_parameter_is_a_json_object(self, name):
         # the generic type check sees only the top level of a parameter, so
         # a nested config would let its values reach the runner unchecked
-        objects = [key for key, value in default_params(name).items()
+        objects = [key for key, value in defaults(name).items()
                    if _json_type(value) == "object"]
         assert objects == []
 
@@ -728,6 +746,62 @@ class TestToolSubcommands:
                 "value; snapshots must be finite") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sidecar, row, named", [
+        ({"dt": None}, None, ".json holds no ['dt']"),
+        ({"dt": -1}, None, ".json: dt must be a finite positive number, got -1"),
+        ({"dt": 0}, None, ".json: dt must be a finite positive number, got 0"),
+        ({"dt": math.nan}, None, ".json: dt must be a finite positive number, got NaN"),
+        ({"dt": "0.1"}, None, '.json: dt must be a finite positive number, got "0.1"'),
+        ({}, b"0.5,0.5,0.5", ".csv is not a table of numbers: the number of columns changed"),
+        ({}, b"0.5,0.5,0.5,x", ".csv is not a table of numbers"),
+    ])
+    def test_fit_refuses_a_malformed_snapshot_file(self, tmp_path, capsys, sidecar, row, named):
+        # a missing dt or a ragged row exited 3 on a KeyError or numpy's
+        # ValueError, and dt = -1 or 0 exited 0 with that dt in model.json
+        src, out = tmp_path / "src", tmp_path / "out"
+        assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "20",
+                        "--out", str(src), "--seed", "4"]) == 0
+        edit_sidecar(src / "snapshots.json", sidecar)
+        if row is not None:
+            lines = (src / "snapshots.csv").read_bytes().split(b"\r\n")
+            lines[3] = row
+            (src / "snapshots.csv").write_bytes(b"\r\n".join(lines))
+        stem = str(src / "snapshots")
+        capsys.readouterr()
+        assert run_cli(["fit", "--snapshots", stem, "--out", str(out)]) == 2
+        assert f"error: {stem}{named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tool, sidecar, k_csv, named", [
+        ("eig", {"dt": None}, None, ".json holds no ['dt']"),
+        ("eig", {"dictionary": None, "fit_residual": None}, None,
+         ".json holds no ['dictionary', 'fit_residual']"),
+        ("extend", {"dt": 0}, None, ".json: dt must be a finite positive number, got 0"),
+        ("extend", {"dt": math.inf}, None,
+         ".json: dt must be a finite positive number, got Infinity"),
+        ("eig", {}, "0.8,nan\n0,0.9\n", "_K.csv: K holds a non-finite value"),
+        ("eig", {}, "0.8,0\n", "_K.csv: K is 1x2, but the model's dictionary has 2 features"),
+        ("extend", {}, "1,0,0\n0,1,0\n0,0,1\n",
+         "_K.csv: K is 3x3, but the model's dictionary has 2 features"),
+        ("eig", {}, "0.8,0\n0\n", "_K.csv is not a table of numbers"),
+    ])
+    def test_eig_and_extend_refuse_a_malformed_model(self, tmp_path, capsys, linear2d_model_stem,
+                                                     tool, sidecar, k_csv, named):
+        # a missing key exited 3 on a KeyError, a one-row K on an error that
+        # named neither file nor cause, a nan in K ran every power step before
+        # it exited 1, and dt = 0 certified every power with a bound of 0
+        stem = tmp_path / "model"
+        shutil.copy(f"{linear2d_model_stem}.json", tmp_path / "model.json")
+        shutil.copy(f"{linear2d_model_stem}_K.csv", tmp_path / "model_K.csv")
+        edit_sidecar(tmp_path / "model.json", sidecar)
+        if k_csv is not None:
+            (tmp_path / "model_K.csv").write_text(k_csv)
+        out = tmp_path / "out"
+        extra = ["--system", "linear2d", "--grid", "-1", "1", "0.25"] if tool == "extend" else []
+        assert run_cli([tool, "--model", str(stem), *extra, "--out", str(out)]) == 2
+        assert f"error: {stem}{named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_fit_eig_pipeline(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["simulate", "--system", "linear2d", "--n-pairs", "100",
@@ -738,8 +812,6 @@ class TestToolSubcommands:
                         "--n", "2", "--out", out]) == 0
         spectrum = json.loads((tmp_path / "spectrum.json").read_text())
         lams = sorted(row["re"] for row in spectrum)
-        import math
-
         assert abs(lams[0] - math.exp(-0.18)) < 1e-6
         assert abs(lams[1] - math.exp(-0.16)) < 1e-6
 
