@@ -24,9 +24,16 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as the Philox generator takes."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return int(text)
+
+
 def _add_out_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=seed, default=0, help="random seed (nonnegative)")
 
 
 def _add_param_overrides(parser: argparse.ArgumentParser, experiment: str) -> None:

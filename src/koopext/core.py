@@ -17,6 +17,7 @@ import importlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,30 +279,110 @@ def _write_json(path, payload, sort_keys: bool) -> None:
 
 def _read_csv(path, skiprows: int = 0) -> np.ndarray:
     """The 2-D table of numbers at `path` below its `skiprows` header lines; a
-    file that is not one (a ragged row, a word among the numbers) is refused,
-    naming it."""
+    file that cannot be read or is not one (a ragged row, a word among the
+    numbers, no row at all) is refused, naming it."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "loadtxt: input contained no data")
+            return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigurationError(f"{path} is not a table of numbers: {exc}") from None
 
 
-def _read_sidecar(path, keys) -> dict:
-    """The JSON object at `path`, refused, naming the file, unless it holds
-    each of `keys` and a finite positive time step dt."""
+# ---------------------------------------------------------------------------
+# Records read from outside: runner parameters, config.json, the snapshot and
+# model sidecars and dictionary specs. Each has one table {key: (default,
+# domain)}, which `_check_record` holds it to; a _REQUIRED key has no default.
+
+_REQUIRED = object()
+
+# JSON type names of values, bool before int since bool subclasses it
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+               ((list, tuple), "array"), (dict, "object"), (type(None), "null"))
+
+
+def _json_type(value) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
+                type(value).__name__)
+
+
+def _is_number(value) -> bool:
+    return _json_type(value) in ("integer", "number")
+
+
+def _is_point(value) -> bool:
+    return _json_type(value) == "array" and len(value) == 2 and all(map(_is_number, value))
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """One kind of domain: what a value must be, as --help and a refusal say
+    it, and `holds(value) -> bool`, the predicate it must meet."""
+
+    says: str
+    holds: object
+
+
+# the type check has made a number parameter a number; a null default takes any value
+_ANY = _Domain("any value", lambda v: True)
+_AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (
+    _Domain(f">= {n}", lambda v, n=n: v >= n) for n in (1, 2, 3))
+_POSITIVE = _Domain("positive", lambda v: v > 0)
+_NONNEGATIVE = _Domain("nonnegative", lambda v: v >= 0)
+_UNIT_OPEN = _Domain("in (0, 1)", lambda v: 0 < v < 1)  # an EvalGrid spacing
+_NULL_OR_POSITIVE = _Domain("null or positive", lambda v: v is None or (_is_number(v) and v > 0))
+_POSITIVE_NUMBERS = _Domain("a non-empty array of positive numbers",
+                            lambda v: len(v) >= 1 and all(_is_number(x) and x > 0 for x in v))
+_POINT = _Domain("two numbers [x, y]", _is_point)
+_INTERVAL = _Domain("two numbers [lo, hi] with lo < hi", lambda v: _is_point(v) and v[0] < v[1])
+_CORNERS = _Domain("two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
+                   lambda v: len(v) == 2 and all(map(_is_point, v))
+                   and all(a < b for a, b in zip(*v)))
+# domains of required keys, which check the type themselves
+_FINITE_POSITIVE = _Domain("a finite positive number", lambda v: _is_number(v) and 0 < v < math.inf)
+_FINITE_NONNEGATIVE = _Domain("a finite nonnegative number",
+                              lambda v: _is_number(v) and 0 <= v < math.inf)
+_COUNT = _Domain("an integer >= 1", lambda v: _json_type(v) == "integer" and v >= 1)
+_OBJECT = _Domain("a JSON object", lambda v: _json_type(v) == "object")
+
+
+def _check_record(name: str, record, table: dict, closed: bool = True) -> dict:
+    """`record` with the defaults of the keys it lacks, refused, naming `name`
+    and the key, unless it is an object with every _REQUIRED key, no key
+    outside `table` if `closed`, and each value of its default's JSON type (a
+    number default takes an integer, a null default anything, and a _REQUIRED
+    key's domain checks the type) and inside its domain."""
+    if _json_type(record) != "object":
+        raise ConfigurationError(f"{name} takes a JSON object, got {json.dumps(record)} "
+                                 f"({_json_type(record)})")
+    if closed and set(record) - set(table):
+        raise ConfigurationError(f"{name}: unknown keys {sorted(set(record) - set(table))}")
+    merged = {key: default for key, (default, _) in table.items() if default is not _REQUIRED}
+    merged.update(record)
+    missing = [key for key in table if key not in merged]
+    if missing:
+        raise ConfigurationError(f"{name} holds no {missing}")
+    for key, (default, domain) in table.items():
+        value, want, got = merged[key], _json_type(default), _json_type(merged[key])
+        if not (default is None or default is _REQUIRED or got == want
+                or (want, got) == ("number", "integer")):
+            raise ConfigurationError(f"{name}: {key} takes a JSON {want} like its default "
+                                     f"{json.dumps(default)}, got {json.dumps(value)} ({got})")
+        if not domain.holds(value):
+            raise ConfigurationError(f"{name}: {key} must be {domain.says}, got "
+                                     f"{json.dumps(value)}")
+    return merged
+
+
+def _read_record(path, table: dict, closed: bool = True) -> dict:
+    """The JSON object at `path`, checked against `table` by `_check_record`; a
+    file that cannot be opened or decoded as JSON is refused, naming it."""
     try:
         with open(path) as fh:
-            sidecar = json.load(fh)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path} is not JSON: {exc}") from None
-    missing = sorted(set(keys) - set(sidecar if isinstance(sidecar, dict) else ()))
-    if missing:
-        raise ConfigurationError(f"{path} holds no {missing}")
-    dt = sidecar["dt"]
-    if type(dt) not in (int, float) or not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"{path}: dt must be a finite positive number, "
-                                 f"got {json.dumps(dt)}")
-    return sidecar
+            record = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path} as JSON: {exc}") from None
+    return _check_record(str(path), record, table, closed)
 
 
 def write_grid_field(path, grid: EvalGrid, values) -> None:

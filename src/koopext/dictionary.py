@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, ContractViolationError, EvalGrid
+from .core import (_COUNT, _FINITE_POSITIVE, _REQUIRED, ConfigurationError, ContractViolationError,
+                   EvalGrid, _check_record, _Domain, _is_number, _json_type)
 
 __all__ = [
     "Dictionary",
@@ -164,10 +165,28 @@ def feature_sup_M(dic: Dictionary, grid: EvalGrid) -> float:
     return float(np.max(np.linalg.norm(feats, axis=1)))
 
 
-def dictionary_from_spec(spec: dict) -> Dictionary:
-    kind = spec["kind"]
-    if kind == "identity":
-        return identity_dictionary(spec["dim"])
-    if kind == "rbf_gaussian":
-        return _dictionary_from_centers(spec["centers"], spec["bandwidth"], spec.get("seed"))
-    raise ConfigurationError(f"unknown dictionary kind {kind!r}")
+_KINDS = ("identity", "rbf_gaussian")
+_SPEC_HEAD = {"kind": (_REQUIRED, _Domain(" or ".join(_KINDS), lambda v: v in _KINDS)),
+              "dim": (_REQUIRED, _COUNT)}
+_NULL_OR_SEED = _Domain("null or an integer >= 0",
+                        lambda v: v is None or (_json_type(v) == "integer" and v >= 0))
+
+
+def _spec_tables(dim: int) -> dict:
+    """Each dictionary kind's spec table, for a spec whose `dim` is `dim`."""
+    rows = _Domain(f"an array of rows of {dim} finite numbers", lambda v: _json_type(v) == "array"
+                   and all(_json_type(r) == "array" and len(r) == dim and all(map(_is_number, r))
+                           and np.all(np.isfinite(r)) for r in v))
+    return {"identity": _SPEC_HEAD,
+            "rbf_gaussian": {**_SPEC_HEAD, "bandwidth": (_REQUIRED, _FINITE_POSITIVE),
+                             "centers": (_REQUIRED, rows), "seed": (None, _NULL_OR_SEED)}}
+
+
+def dictionary_from_spec(spec, name: str = "dictionary spec") -> Dictionary:
+    """The dictionary that `spec` describes; a spec outside its kind's table is
+    refused, naming `name` and the key."""
+    head = _check_record(name, spec, _SPEC_HEAD, closed=False)
+    s = _check_record(name, spec, _spec_tables(head["dim"])[head["kind"]])
+    if s["kind"] == "identity":
+        return identity_dictionary(s["dim"])
+    return _dictionary_from_centers(s["centers"], s["bandwidth"], s["seed"])

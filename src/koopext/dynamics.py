@@ -23,12 +23,14 @@ import numpy as np
 
 from .core import (
     DIVERGENCE_LIMIT,
+    _FINITE_POSITIVE,
+    _REQUIRED,
     ConfigurationError,
     DivergenceError,
     FlowedGrid,
     UnsupportedSystemError,
     _read_csv,
-    _read_sidecar,
+    _read_record,
     _write_csv,
     _write_json,
     tag_nonfinite,
@@ -1027,15 +1029,21 @@ def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
     _write_json(f"{path_stem}.json", {"dt": snaps.dt, **snaps.metadata}, sort_keys=True)
 
 
+_SNAPSHOTS_TABLE = {"dt": (_REQUIRED, _FINITE_POSITIVE)}
+
+
 def read_snapshots(path_stem: str) -> SnapshotSet:
-    """The SnapshotSet that write_snapshots wrote to `path_stem`.csv/.json;
-    a sidecar without a finite positive dt, a CSV that is not a table of
-    numbers, and a non-finite value in it are refused, naming the file."""
-    meta = _read_sidecar(f"{path_stem}.json", ["dt"])
+    """The SnapshotSet that write_snapshots wrote to `path_stem`.csv/.json; a
+    sidecar outside `_SNAPSHOTS_TABLE`, a CSV that is not a table of numbers
+    of even width, and a non-finite value in it are refused, naming the file."""
+    meta = _read_record(f"{path_stem}.json", _SNAPSHOTS_TABLE, closed=False)
     data = _read_csv(f"{path_stem}.csv", skiprows=1)
+    if data.shape[1] % 2:
+        raise ConfigurationError(f"{path_stem}.csv holds {data.shape[1]} columns, but a snapshot "
+                                 f"row holds x and then y, an even count")
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ConfigurationError(f"{path_stem}.csv: snapshot row {int(bad[0]) + 1} (after the "
                                  f"header) holds a non-finite value; snapshots must be finite")
     d = data.shape[1] // 2
-    return SnapshotSet(x=data[:, :d], y=data[:, d:], dt=float(meta.pop("dt")), metadata=meta)
+    return SnapshotSet(x=data[:, :d], y=data[:, d:], dt=meta.pop("dt"), metadata=meta)

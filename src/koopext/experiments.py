@@ -6,25 +6,19 @@ All artifacts regenerate byte-identically from the same config and seed.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import bridge as bridge_mod
 from . import phase as phase_mod
 from .core import (
-    SINGULAR,
-    ConfigurationError,
-    EvalGrid,
-    FlowedGrid,
-    _write_csv,
-    _write_json,
-    one_blas_thread,
-    principal_arg,
-    write_grid_field,
+    SINGULAR, _ANY, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _CORNERS, _INTERVAL, _NONNEGATIVE,
+    _NULL_OR_POSITIVE, _POINT, _POSITIVE, _POSITIVE_NUMBERS, _REQUIRED, _UNIT_OPEN,
+    ConfigurationError, EvalGrid, FlowedGrid, _check_record, _Domain, _read_record, _write_csv,
+    _write_json, one_blas_thread, principal_arg, write_grid_field,
 )
 from .dictionary import (
     identity_dictionary,
@@ -71,38 +65,37 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run; a config outside `_config_table()` is refused on construction."""
+
     experiment: str
     seed: int = 0
     out_dir: str = "."
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_record("config", {**asdict(self), "schema_version": SCHEMA_VERSION},
+                      _config_table())
 
     def to_json(self, path) -> None:
         _write_json(path, {**asdict(self), "schema_version": SCHEMA_VERSION}, sort_keys=True)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)}
-                         - {"schema_version"})
-        if unknown:
-            raise ConfigurationError(f"{path}: unknown config keys {unknown}")
-        if "experiment" not in raw:
-            raise ConfigurationError(f"{path}: the config names no experiment")
-        for key, want in (("experiment", "string"), ("seed", "integer"), ("out_dir", "string"),
-                          ("params", "object")):
-            if key in raw and _json_type(raw[key]) != want:
-                raise ConfigurationError(
-                    f"{path}: {key} takes a JSON {want}, got {json.dumps(raw[key])} "
-                    f"({_json_type(raw[key])})"
-                )
-        version = raw.pop("schema_version", SCHEMA_VERSION)
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"{path}: schema_version {json.dumps(version)} is not the supported "
-                f"{SCHEMA_VERSION}"
-            )
+        raw = _read_record(path, _config_table())
+        del raw["schema_version"]
         return ExperimentConfig(**raw)
+
+
+def _config_table():
+    return {
+        "experiment": (_REQUIRED, _Domain("the name of an experiment: " + ", ".join(EXPERIMENTS),
+                                          lambda v: isinstance(v, str) and v in EXPERIMENTS)),
+        "seed": (0, _NONNEGATIVE),  # Philox takes no negative seed
+        "out_dir": (".", _ANY),
+        "params": ({}, _ANY),
+        "schema_version": (SCHEMA_VERSION, _Domain(str(SCHEMA_VERSION),
+                                                   lambda v: v == SCHEMA_VERSION)),
+    }
 
 
 def _criterion(name, value, threshold, ok):
@@ -115,40 +108,6 @@ def _leq(name, value, threshold):
 
 # ---------------------------------------------------------------------------
 # Each runner's `_*_table()` maps every parameter to its (default, domain).
-
-
-@dataclass(frozen=True)
-class _Domain:
-    """One kind of parameter domain: what a value must be, as --help and a
-    refusal say it, and `holds(value) -> bool`, the predicate it must meet."""
-
-    says: str
-    holds: object
-
-
-def _is_number(value) -> bool:
-    return _json_type(value) in ("integer", "number")
-
-
-def _is_point(value) -> bool:
-    return _json_type(value) == "array" and len(value) == 2 and all(map(_is_number, value))
-
-
-# the type check has made a number parameter a number; a null default takes any value
-_ANY = _Domain("any value", lambda v: True)
-_AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (
-    _Domain(f">= {n}", lambda v, n=n: v >= n) for n in (1, 2, 3))
-_POSITIVE = _Domain("positive", lambda v: v > 0)
-_NONNEGATIVE = _Domain("nonnegative", lambda v: v >= 0)
-_UNIT_OPEN = _Domain("in (0, 1)", lambda v: 0 < v < 1)  # an EvalGrid spacing
-_NULL_OR_POSITIVE = _Domain("null or positive", lambda v: v is None or (_is_number(v) and v > 0))
-_POSITIVE_NUMBERS = _Domain("a non-empty array of positive numbers",
-                            lambda v: len(v) >= 1 and all(_is_number(x) and x > 0 for x in v))
-_POINT = _Domain("two numbers [x, y]", _is_point)
-_INTERVAL = _Domain("two numbers [lo, hi] with lo < hi", lambda v: _is_point(v) and v[0] < v[1])
-_CORNERS = _Domain("two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
-                   lambda v: len(v) == 2 and all(map(_is_point, v))
-                   and all(a < b for a, b in zip(*v)))
 
 
 def _linear2d_table():
@@ -702,40 +661,6 @@ EXPERIMENTS = {
 }
 
 
-# JSON type names of parameter values, bool before int since bool subclasses it
-_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
-               ((list, tuple), "array"), (dict, "object"), (type(None), "null"))
-
-
-def _json_type(value) -> str:
-    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
-                type(value).__name__)
-
-
-def _merged_params(experiment: str, overrides: dict) -> dict:
-    """The defaults with the overrides applied. Refuse an unknown key, an
-    override whose JSON type differs from its default's (a null default takes
-    any value, a number default also takes an integer, and a boolean is never
-    a number), and then any value outside its domain."""
-    table = EXPERIMENTS[experiment][1]()
-    params = {key: default for key, (default, _) in table.items()}
-    unknown = sorted(set(overrides) - set(params))
-    if unknown:
-        raise ConfigurationError(f"unknown {experiment} parameters {unknown}")
-    for key, value in overrides.items():
-        want, got = _json_type(params[key]), _json_type(value)
-        if not (params[key] is None or got == want or (want, got) == ("number", "integer")):
-            raise ConfigurationError(
-                f"{experiment} parameter {key!r} takes a JSON {want} like its default "
-                f"{json.dumps(params[key])}, got {json.dumps(value)} ({got})"
-            )
-    params.update(overrides)
-    for key, (_, domain) in table.items():
-        if not domain.holds(params[key]):
-            raise ConfigurationError(f"{key} must be {domain.says}, got {json.dumps(params[key])}")
-    return params
-
-
 def run(config: ExperimentConfig) -> dict:
     """Run one experiment; writes artifacts + summary.json under out_dir.
 
@@ -744,9 +669,7 @@ def run(config: ExperimentConfig) -> dict:
     runner executes with one BLAS thread (`core.one_blas_thread`), so the
     bytes do not depend on the core count.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigurationError(f"unknown experiment {config.experiment!r}")
-    params = _merged_params(config.experiment, config.params)
+    params = _check_record(config.experiment, config.params, EXPERIMENTS[config.experiment][1]())
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     replace(config, params=params).to_json(os.path.join(out, "config.json"))

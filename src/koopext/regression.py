@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigurationError, IllConditionedError, _read_csv, _read_sidecar,
-                   _write_csv, _write_json)
+from .core import (_FINITE_NONNEGATIVE, _FINITE_POSITIVE, _OBJECT, _REQUIRED, ConfigurationError,
+                   IllConditionedError, _read_csv, _read_record, _write_csv, _write_json)
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
 
@@ -81,12 +81,19 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
     _write_csv(f"{path_stem}_K.csv", [], model.K)
 
 
+_MODEL_TABLE = {
+    "dictionary": (_REQUIRED, _OBJECT),
+    "dt": (_REQUIRED, _FINITE_POSITIVE),
+    "fit_residual": (_REQUIRED, _FINITE_NONNEGATIVE),
+}
+
+
 def load_model(path_stem: str) -> KoopmanModel:
     """Read what `save_model` wrote: <stem>.json and <stem>_K.csv. A sidecar
-    without its keys or a finite positive dt, and a K that is not finite or
-    not square in the dictionary's feature count, are refused, naming the file."""
-    sidecar = _read_sidecar(f"{path_stem}.json", ["dictionary", "dt", "fit_residual"])
-    dic = dictionary_from_spec(sidecar["dictionary"])
+    or dictionary spec outside its table, and a K that is not finite or not
+    square in the dictionary's feature count, are refused, naming the file."""
+    sidecar = _read_record(f"{path_stem}.json", _MODEL_TABLE)
+    dic = dictionary_from_spec(sidecar["dictionary"], f"{path_stem}.json: dictionary")
     K = _read_csv(f"{path_stem}_K.csv")
     n = dic.eval(np.zeros(dic.dim_in)).shape[1]
     if K.shape != (n, n):
@@ -94,9 +101,4 @@ def load_model(path_stem: str) -> KoopmanModel:
                                  f"model's dictionary has {n} features")
     if not np.all(np.isfinite(K)):
         raise ConfigurationError(f"{path_stem}_K.csv: K holds a non-finite value")
-    return KoopmanModel(
-        dict=dic,
-        K=K,
-        dt=float(sidecar["dt"]),
-        fit_residual=float(sidecar["fit_residual"]),
-    )
+    return KoopmanModel(dict=dic, K=K, dt=sidecar["dt"], fit_residual=sidecar["fit_residual"])

@@ -11,8 +11,8 @@ import pytest
 import koopext
 from koopext.cli import main
 from koopext import core
-from koopext.core import ConfigurationError, openblas_libraries
-from koopext.experiments import EXPERIMENTS, ExperimentConfig, _ANY, _json_type, run
+from koopext.core import _ANY, ConfigurationError, _json_type, openblas_libraries
+from koopext.experiments import EXPERIMENTS, ExperimentConfig, run
 
 from artifact_digests import (
     GOLDEN_CONFIGS,
@@ -260,7 +260,7 @@ class TestExitCodes:
         # unstable_manifold_sample), fit over a reversed window, passed the
         # overlap criterion on 256 copies of one point, or left no crossing
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {named}" in capsys.readouterr().err
+        assert f"error: {experiment}: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("experiment, key, says, value", [
@@ -280,7 +280,8 @@ class TestExitCodes:
         # more, after config.json)
         param = f"{key}={json.dumps(value)}"
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {key} must be {says}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert (f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
+                in capsys.readouterr().err)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -292,23 +293,23 @@ class TestExitCodes:
         assert {domain.says for _, domain in table.values()} <= set(OUTSIDE) | ARRAY_KINDS
 
     @pytest.mark.parametrize("experiment, param, named", [
-        ("linear2d_dmd", 'n_pairs="400"', "'n_pairs' takes a JSON integer like its default "
+        ("linear2d_dmd", 'n_pairs="400"', "n_pairs takes a JSON integer like its default "
                                           '400, got "400" (string)'),
-        ("lin5d_check", "n_pairs=2.5", "'n_pairs' takes a JSON integer like its default "
+        ("lin5d_check", "n_pairs=2.5", "n_pairs takes a JSON integer like its default "
                                        "400, got 2.5 (number)"),
-        ("lin5d_check", "grid_n=true", "'grid_n' takes a JSON integer like its default "
+        ("lin5d_check", "grid_n=true", "grid_n takes a JSON integer like its default "
                                        "21, got true (boolean)"),
-        ("lin5d_check", "dt=false", "'dt' takes a JSON number like its default 0.2, "
+        ("lin5d_check", "dt=false", "dt takes a JSON number like its default 0.2, "
                                     "got false (boolean)"),
-        ("lin5d_check", "box=null", "'box' takes a JSON number like its default 1.0, "
+        ("lin5d_check", "box=null", "box takes a JSON number like its default 1.0, "
                                     "got null (null)"),
-        ("bridge1d", "window=2.5", "'window' takes a JSON array like its default "
+        ("bridge1d", "window=2.5", "window takes a JSON array like its default "
                                    "[2.25, 2.75], got 2.5 (number)"),
-        ("bridge1d", 'left_n_centers="x"', "'left_n_centers' takes a JSON integer like its "
+        ("bridge1d", 'left_n_centers="x"', "left_n_centers takes a JSON integer like its "
                                            'default 100, got "x" (string)'),
-        ("bridge1d", "right_n_centers=2.5", "'right_n_centers' takes a JSON integer like its "
+        ("bridge1d", "right_n_centers=2.5", "right_n_centers takes a JSON integer like its "
                                             "default 80, got 2.5 (number)"),
-        ("bridge1d", "left_bandwidth=wide", "'left_bandwidth' takes a JSON number like its "
+        ("bridge1d", "left_bandwidth=wide", "left_bandwidth takes a JSON number like its "
                                             'default 0.05, got "wide" (string)'),
     ])
     def test_override_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
@@ -316,7 +317,7 @@ class TestExitCodes:
         # a string count exited 3 on a TypeError comparing str and int, a
         # fractional one on numpy's TypeError
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {experiment} parameter {named}" in capsys.readouterr().err
+        assert f"error: {experiment}: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_override_types_follow_the_defaults(self, tmp_path, monkeypatch):
@@ -340,7 +341,7 @@ class TestExitCodes:
         # a boolean is never a number, and a float is no integer
         for params in ({"rate": True}, {"count": False}, {"count": 4.0}, {"flag": 1},
                        {"pair": "1,2"}):
-            with pytest.raises(ConfigurationError, match=repr(next(iter(params)))):
+            with pytest.raises(ConfigurationError, match=f"{next(iter(params))} takes"):
                 run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=params))
         assert len(seen) == 1
 
@@ -387,6 +388,36 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path)]) == 2
         assert "['format', 'threads']" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        *([name] for name in sorted(EXPERIMENTS)),
+        ["run"],
+        ["simulate", "--system", "linear2d"],
+        ["fit", "--snapshots", "snapshots", "--dict", "rbf"],
+        ["eig", "--model", "model"],
+        ["extend", "--model", "model", "--system", "linear2d"],
+    ])
+    def test_negative_seed_is_refused_before_anything_is_written(self, tmp_path, capsys, args):
+        # Philox takes no negative seed: each seeded run and tool exited 3 on
+        # its ValueError (bridge1d from -3 on, since it also draws with seed + 1
+        # and seed + 2), `run --config` after writing config.json, and
+        # saddle_fields and vdp_phase, which read no seed, ran
+        out = tmp_path / "out"
+        if args == ["run"]:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"experiment": "bridge1d", "seed": -1,
+                                        "out_dir": str(out)}))
+            args = ["run", "--config", str(path)]
+        else:
+            args = [*args, "--seed", "-1", "--out", str(out)]
+        assert run_cli(args) == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_config_holds_a_negative_seed(self):
+        # so neither `koopext.experiments.run` nor a subcommand gets one
+        with pytest.raises(ConfigurationError, match="config: seed must be nonnegative, got -1"):
+            ExperimentConfig("lin5d_check", seed=-1)
 
     def test_success_exit_zero(self, tmp_path):
         code = run_cli(["lin5d_check", "--out", str(tmp_path), "--seed", "1"])
@@ -597,25 +628,35 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"\['colour', 'threads'\]"):
             ExperimentConfig.from_json(path)
 
-    @pytest.mark.parametrize("version", [7, "x", True])
+    @pytest.mark.parametrize("version, named", [
+        (7, "schema_version must be 1, got 7"),
+        ("x", 'schema_version takes a JSON integer like its default 1, got "x"'),
+        (True, "schema_version takes a JSON integer like its default 1, got true"),
+    ])
     def test_other_schema_version_is_a_usage_error_that_names_it(self, tmp_path, capsys,
-                                                                 version):
+                                                                 version, named):
         # the version was a settable field that nothing read; a file of any
         # version ran and summary.json repeated it
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "lin5d_check", "out_dir": str(tmp_path / "o"),
                                     "schema_version": version}))
         assert run_cli(["run", "--config", str(path)]) == 2
-        assert f"schema_version {json.dumps(version)} is not" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value, want", [
-        ("seed", "x", "integer"), ("seed", True, "integer"), ("seed", 1.5, "integer"),
-        ("out_dir", 5, "string"), ("out_dir", None, "string"), ("experiment", ["x"], "string"),
-        ("params", 5, "object"), ("params", None, "object"), ("params", ["dt"], "object"),
+    @pytest.mark.parametrize("key, value, named", [
+        ("seed", "x", 'seed takes a JSON integer like its default 0, got "x"'),
+        ("seed", True, "seed takes a JSON integer like its default 0, got true"),
+        ("seed", 1.5, "seed takes a JSON integer like its default 0, got 1.5"),
+        ("out_dir", 5, 'out_dir takes a JSON string like its default ".", got 5'),
+        ("out_dir", None, 'out_dir takes a JSON string like its default ".", got null'),
+        ("experiment", ["x"], 'experiment must be the name of an experiment: linear2d_dmd, '),
+        ("params", 5, "params takes a JSON object like its default {}, got 5"),
+        ("params", None, "params takes a JSON object like its default {}, got null"),
+        ("params", ["dt"], 'params takes a JSON object like its default {}, got ["dt"]'),
     ])
     def test_config_value_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
-                                                                key, value, want):
+                                                                key, value, named):
         # refused before anything is written: a string seed, a numeric out_dir
         # or params that are not an object would fail on a TypeError or an
         # AttributeError inside the run, and a boolean seed would run as 0 or 1
@@ -623,13 +664,13 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert run_cli(["run", "--config", str(path)]) == 2
-        assert f"{key} takes a JSON {want}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert f"{path}: {named}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_config_without_an_experiment_raises_a_configuration_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 1}))
-        with pytest.raises(ConfigurationError, match="no experiment"):
+        with pytest.raises(ConfigurationError, match=r"holds no \['experiment'\]"):
             ExperimentConfig.from_json(path)
 
     def test_param_override(self, tmp_path):
