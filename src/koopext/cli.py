@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .core import ConfigurationError, NumericError, one_blas_thread
+from .core import (_AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _NONNEGATIVE, _NUMBER, _POSITIVE,
+                   ConfigurationError, NumericError, one_blas_thread)
 from .experiments import EXPERIMENTS, ExperimentConfig, run
 
 EXIT_OK = 0
@@ -24,16 +25,20 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def seed(text: str) -> int:
-    """A --seed value: an integer >= 0, as the Philox generator takes."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
-    return int(text)
+def _flag(kind, parse):
+    """The argparse `type=` of a numeric flag: its text, read by `parse` (int
+    or float), must lie in the domain `kind`, as a table's value must."""
+    def read(text: str):
+        if not kind.holds(value := parse(text)):
+            raise argparse.ArgumentTypeError(f"must be {kind.says}, got {text}")
+        return value
+    read.__name__ = parse.__name__  # text that is no number: "invalid int value"
+    return read
 
 
 def _add_out_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=seed, default=0, help="random seed (nonnegative)")
+    parser.add_argument("--seed", type=_flag(_AT_LEAST_0, int), default=0, help="random seed >= 0")
 
 
 def _add_param_overrides(parser: argparse.ArgumentParser, experiment: str) -> None:
@@ -77,39 +82,40 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample snapshot pairs from a benchmark system")
     _add_out_seed(sim)
     sim.add_argument("--system", required=True)
-    sim.add_argument("--n-pairs", type=int, default=400)
-    sim.add_argument("--dt", type=float, default=0.2)
-    sim.add_argument("--box", type=float, default=2.0, help="half-width of the sampling box")
-    sim.add_argument("--samples-per-traj", type=int, default=2)
+    sim.add_argument("--n-pairs", type=_flag(_AT_LEAST_1, int), default=400)
+    sim.add_argument("--dt", type=_flag(_POSITIVE, float), default=0.2)
+    sim.add_argument("--box", type=_flag(_POSITIVE, float), default=2.0,
+                     help="half-width of the sampling box")
+    sim.add_argument("--samples-per-traj", type=_flag(_AT_LEAST_2, int), default=2)
 
     fit = sub.add_parser("fit", help="fit a Koopman matrix from stored snapshots")
     _add_out_seed(fit)
     fit.add_argument("--snapshots", required=True, help="snapshot file stem")
     fit.add_argument("--dict", dest="dict_kind", choices=("identity", "rbf"), default="identity")
-    fit.add_argument("--n-centers", type=int, default=40)
-    fit.add_argument("--bandwidth", type=float, default=0.3)
-    fit.add_argument("--ridge", type=float, default=0.0)
+    fit.add_argument("--n-centers", type=_flag(_AT_LEAST_1, int), default=40)
+    fit.add_argument("--bandwidth", type=_flag(_POSITIVE, float), default=0.3)
+    fit.add_argument("--ridge", type=_flag(_NONNEGATIVE, float), default=0.0)
 
     eig = sub.add_parser("eig", help="dominant eigenpairs of a stored model by deflation")
     _add_out_seed(eig)
     eig.add_argument("--model", required=True, help="model file stem")
-    eig.add_argument("--n", type=int, help=_N_HELP)
+    eig.add_argument("--n", type=_flag(_AT_LEAST_1, int), help=_N_HELP)
 
     ext = sub.add_parser("extend", help="certified eigenfunction powers for a stored model")
     _add_out_seed(ext)
     ext.add_argument("--model", required=True)
     ext.add_argument("--system", required=True)
-    ext.add_argument("--n", type=int, help=_N_HELP)
-    ext.add_argument("--epsilon", type=float, default=0.01)
-    ext.add_argument("--grid", type=float, nargs=3, default=(-1.0, 1.0, 0.01),
+    ext.add_argument("--n", type=_flag(_AT_LEAST_1, int), help=_N_HELP)
+    ext.add_argument("--epsilon", type=_flag(_POSITIVE, float), default=0.01)
+    ext.add_argument("--grid", type=_flag(_NUMBER, float), nargs=3, default=(-1.0, 1.0, 0.01),
                      metavar=("LO", "HI", "H"))
-    ext.add_argument("--p-max", type=int, default=64)
+    ext.add_argument("--p-max", type=_flag(_AT_LEAST_1, int), default=64)
 
     ph = sub.add_parser("phase", help="isochron/isostable field for a benchmark system")
     ph.add_argument("--out", default=".", help="output directory")
     ph.add_argument("--system", choices=("polarLC", "vanderpol"), default="polarLC")
     ph.add_argument("--method", choices=("analytic", "laplace_average"), default="analytic")
-    ph.add_argument("--grid", type=float, nargs=3, default=(-1.8, 1.8, 0.1),
+    ph.add_argument("--grid", type=_flag(_NUMBER, float), nargs=3, default=(-1.8, 1.8, 0.1),
                     metavar=("LO", "HI", "H"))
     return parser
 

@@ -17,6 +17,7 @@ import importlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -307,7 +308,8 @@ def _json_type(value) -> str:
 
 
 def _is_number(value) -> bool:
-    return _json_type(value) in ("integer", "number")
+    """A finite JSON number a float holds: no boolean, Infinity, NaN or huge integer."""
+    return _json_type(value) in ("integer", "number") and abs(value) <= sys.float_info.max
 
 
 def _is_point(value) -> bool:
@@ -317,44 +319,40 @@ def _is_point(value) -> bool:
 @dataclass(frozen=True)
 class _Domain:
     """One kind of domain: what a value must be, as --help and a refusal say
-    it, and `holds(value) -> bool`, the predicate it must meet."""
+    it, and `holds(value) -> bool`, the predicate it must meet, JSON type and all."""
 
     says: str
     holds: object
 
 
-# the type check has made a number parameter a number; a null default takes any value
-_ANY = _Domain("any value", lambda v: True)
-_AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (
-    _Domain(f">= {n}", lambda v, n=n: v >= n) for n in (1, 2, 3))
-_POSITIVE = _Domain("positive", lambda v: v > 0)
-_NONNEGATIVE = _Domain("nonnegative", lambda v: v >= 0)
-_UNIT_OPEN = _Domain("in (0, 1)", lambda v: 0 < v < 1)  # an EvalGrid spacing
-_NULL_OR_POSITIVE = _Domain("null or positive", lambda v: v is None or (_is_number(v) and v > 0))
-_POSITIVE_NUMBERS = _Domain("a non-empty array of positive numbers",
-                            lambda v: len(v) >= 1 and all(_is_number(x) and x > 0 for x in v))
-_POINT = _Domain("two numbers [x, y]", _is_point)
-_INTERVAL = _Domain("two numbers [lo, hi] with lo < hi", lambda v: _is_point(v) and v[0] < v[1])
-_CORNERS = _Domain("two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
-                   lambda v: len(v) == 2 and all(map(_is_point, v))
+_NUMBER = _Domain("a finite number", _is_number)
+_AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (_Domain(
+    f"an integer >= {n}", lambda v, n=n: _is_number(v) and _json_type(v) == "integer" and v >= n)
+    for n in range(4))
+_POSITIVE = _Domain("a finite positive number", lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = _Domain("a finite nonnegative number", lambda v: _is_number(v) and v >= 0)
+_UNIT_OPEN = _Domain("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)  # EvalGrid's h
+_NULL_OR_POSITIVE = _Domain("null or a finite positive number",
+                            lambda v: v is None or _POSITIVE.holds(v))
+_POSITIVE_NUMBERS = _Domain("a non-empty array of finite positive numbers",
+                            lambda v: _json_type(v) == "array" and len(v) >= 1
+                            and all(map(_POSITIVE.holds, v)))
+_POINT = _Domain("two finite numbers [x, y]", _is_point)
+_INTERVAL = _Domain("two finite numbers [lo, hi] with lo < hi",
+                    lambda v: _is_point(v) and v[0] < v[1])
+_CORNERS = _Domain("two corners [[x_lo, y_lo], [x_hi, y_hi]] of finite numbers with lo < hi",
+                   lambda v: _json_type(v) == "array" and len(v) == 2 and all(map(_is_point, v))
                    and all(a < b for a, b in zip(*v)))
-# domains of required keys, which check the type themselves
-_FINITE_POSITIVE = _Domain("a finite positive number", lambda v: _is_number(v) and 0 < v < math.inf)
-_FINITE_NONNEGATIVE = _Domain("a finite nonnegative number",
-                              lambda v: _is_number(v) and 0 <= v < math.inf)
-_COUNT = _Domain("an integer >= 1", lambda v: _json_type(v) == "integer" and v >= 1)
+_STRING = _Domain("a JSON string", lambda v: _json_type(v) == "string")
 _OBJECT = _Domain("a JSON object", lambda v: _json_type(v) == "object")
 
 
 def _check_record(name: str, record, table: dict, closed: bool = True) -> dict:
     """`record` with the defaults of the keys it lacks, refused, naming `name`
     and the key, unless it is an object with every _REQUIRED key, no key
-    outside `table` if `closed`, and each value of its default's JSON type (a
-    number default takes an integer, a null default anything, and a _REQUIRED
-    key's domain checks the type) and inside its domain."""
-    if _json_type(record) != "object":
-        raise ConfigurationError(f"{name} takes a JSON object, got {json.dumps(record)} "
-                                 f"({_json_type(record)})")
+    outside `table` if `closed`, and each value inside its domain (type and all)."""
+    if not _OBJECT.holds(record):
+        raise ConfigurationError(f"{name} must be {_OBJECT.says}, got {json.dumps(record)}")
     if closed and set(record) - set(table):
         raise ConfigurationError(f"{name}: unknown keys {sorted(set(record) - set(table))}")
     merged = {key: default for key, (default, _) in table.items() if default is not _REQUIRED}
@@ -362,15 +360,10 @@ def _check_record(name: str, record, table: dict, closed: bool = True) -> dict:
     missing = [key for key in table if key not in merged]
     if missing:
         raise ConfigurationError(f"{name} holds no {missing}")
-    for key, (default, domain) in table.items():
-        value, want, got = merged[key], _json_type(default), _json_type(merged[key])
-        if not (default is None or default is _REQUIRED or got == want
-                or (want, got) == ("number", "integer")):
-            raise ConfigurationError(f"{name}: {key} takes a JSON {want} like its default "
-                                     f"{json.dumps(default)}, got {json.dumps(value)} ({got})")
-        if not domain.holds(value):
+    for key, (_, domain) in table.items():
+        if not domain.holds(merged[key]):
             raise ConfigurationError(f"{name}: {key} must be {domain.says}, got "
-                                     f"{json.dumps(value)}")
+                                     f"{json.dumps(merged[key])}")
     return merged
 
 

@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_COUNT, _FINITE_POSITIVE, _REQUIRED, ConfigurationError, ContractViolationError,
-                   EvalGrid, _check_record, _Domain, _is_number, _json_type)
+from .core import (_AT_LEAST_0, _AT_LEAST_1, _POSITIVE, _REQUIRED, ConfigurationError,
+                   ContractViolationError, EvalGrid, _check_record, _Domain, _is_number, _json_type)
 
 __all__ = [
     "Dictionary",
@@ -128,8 +128,8 @@ def _dictionary_from_centers(centers, bandwidth: float, seed: int | None = None)
     """The one Gaussian builder: a feature of sigma `bandwidth` per row of
     `centers`. A given seed (of the k-means that chose the centers) is kept
     in the spec."""
-    if not bandwidth > 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0 < bandwidth < np.inf:
+        raise ConfigurationError(f"bandwidth must be a finite positive number, got {bandwidth}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.size == 0:
         raise ConfigurationError("a Gaussian dictionary needs at least one center, got none")
@@ -166,19 +166,18 @@ def feature_sup_M(dic: Dictionary, grid: EvalGrid) -> float:
 
 
 _KINDS = ("identity", "rbf_gaussian")
-_SPEC_HEAD = {"kind": (_REQUIRED, _Domain(" or ".join(_KINDS), lambda v: v in _KINDS)),
-              "dim": (_REQUIRED, _COUNT)}
-_NULL_OR_SEED = _Domain("null or an integer >= 0",
-                        lambda v: v is None or (_json_type(v) == "integer" and v >= 0))
+_KIND = _Domain(" or ".join(_KINDS), lambda v: isinstance(v, str) and v in _KINDS)
+_SPEC_HEAD = {"kind": (_REQUIRED, _KIND), "dim": (_REQUIRED, _AT_LEAST_1)}
+_NULL_OR_SEED = _Domain("null or an integer >= 0", lambda v: v is None or _AT_LEAST_0.holds(v))
 
 
 def _spec_tables(dim: int) -> dict:
     """Each dictionary kind's spec table, for a spec whose `dim` is `dim`."""
     rows = _Domain(f"an array of rows of {dim} finite numbers", lambda v: _json_type(v) == "array"
                    and all(_json_type(r) == "array" and len(r) == dim and all(map(_is_number, r))
-                           and np.all(np.isfinite(r)) for r in v))
+                           for r in v))
     return {"identity": _SPEC_HEAD,
-            "rbf_gaussian": {**_SPEC_HEAD, "bandwidth": (_REQUIRED, _FINITE_POSITIVE),
+            "rbf_gaussian": {**_SPEC_HEAD, "bandwidth": (_REQUIRED, _POSITIVE),
                              "centers": (_REQUIRED, rows), "seed": (None, _NULL_OR_SEED)}}
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (
     DIVERGENCE_LIMIT,
-    _FINITE_POSITIVE,
+    _POSITIVE,
     _REQUIRED,
     ConfigurationError,
     DivergenceError,
@@ -138,6 +138,8 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
     did not move. So every step attempt makes 6 new rhs calls, plus one at
     the start.
     """
+    if not math.isfinite(t):  # h would stay inf and the loop never end
+        raise ConfigurationError(f"t must be finite, got {t}")
     if t == 0.0:
         return y0.copy()
     y = np.array(y0, dtype=float)
@@ -205,15 +207,15 @@ class FlowMap:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ConfigurationError("dt must be nonnegative")
+        if not 0 <= self.dt < math.inf:
+            raise ConfigurationError(f"dt must be a finite nonnegative number, got {self.dt}")
         if self.method not in ("exact", "euler", "rk45"):
             raise ConfigurationError(f"unknown flow method {self.method!r}")
         if self.method == "exact" and self.field.exact_flow is None:
             raise ConfigurationError("this field has no closed-form flow")
         if self.method == "euler":
-            if self.step is None or self.step <= 0:
-                raise ConfigurationError("euler flow needs a positive step")
+            if self.step is None or not 0 < self.step < math.inf:
+                raise ConfigurationError(f"euler step must be finite and positive, got {self.step}")
             if self.dt > 0:
                 ratio = self.dt / self.step
                 if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -1029,7 +1031,7 @@ def write_snapshots(path_stem: str, snaps: SnapshotSet) -> None:
     _write_json(f"{path_stem}.json", {"dt": snaps.dt, **snaps.metadata}, sort_keys=True)
 
 
-_SNAPSHOTS_TABLE = {"dt": (_REQUIRED, _FINITE_POSITIVE)}
+_SNAPSHOTS_TABLE = {"dt": (_REQUIRED, _POSITIVE)}
 
 
 def read_snapshots(path_stem: str) -> SnapshotSet:

@@ -15,10 +15,11 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import phase as phase_mod
 from .core import (
-    SINGULAR, _ANY, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _CORNERS, _INTERVAL, _NONNEGATIVE,
-    _NULL_OR_POSITIVE, _POINT, _POSITIVE, _POSITIVE_NUMBERS, _REQUIRED, _UNIT_OPEN,
-    ConfigurationError, EvalGrid, FlowedGrid, _check_record, _Domain, _read_record, _write_csv,
-    _write_json, one_blas_thread, principal_arg, write_grid_field,
+    SINGULAR, _AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _CORNERS, _INTERVAL,
+    _NONNEGATIVE, _NULL_OR_POSITIVE, _NUMBER, _OBJECT, _POINT, _POSITIVE, _POSITIVE_NUMBERS,
+    _REQUIRED, _STRING, _UNIT_OPEN, ConfigurationError, EvalGrid, FlowedGrid, _check_record,
+    _Domain, _read_record, _write_csv, _write_json, one_blas_thread, principal_arg,
+    write_grid_field,
 )
 from .dictionary import (
     identity_dictionary,
@@ -90,11 +91,12 @@ def _config_table():
     return {
         "experiment": (_REQUIRED, _Domain("the name of an experiment: " + ", ".join(EXPERIMENTS),
                                           lambda v: isinstance(v, str) and v in EXPERIMENTS)),
-        "seed": (0, _NONNEGATIVE),  # Philox takes no negative seed
-        "out_dir": (".", _ANY),
-        "params": ({}, _ANY),
-        "schema_version": (SCHEMA_VERSION, _Domain(str(SCHEMA_VERSION),
-                                                   lambda v: v == SCHEMA_VERSION)),
+        "seed": (0, _AT_LEAST_0),  # Philox takes no negative seed
+        "out_dir": (".", _STRING),
+        "params": ({}, _OBJECT),
+        # an integer kind, since true == 1.0 == 1 in Python
+        "schema_version": (SCHEMA_VERSION, _Domain(str(SCHEMA_VERSION), lambda v: (
+            _AT_LEAST_1.holds(v) and v == SCHEMA_VERSION))),
     }
 
 
@@ -115,8 +117,8 @@ def _linear2d_table():
         "n_pairs": (400, _AT_LEAST_1),
         "dt": (0.2, _POSITIVE),
         "box": (2.0, _POSITIVE),
-        "grid_lo": (-1.0, _ANY),
-        "grid_hi": (1.0, _ANY),
+        "grid_lo": (-1.0, _NUMBER),
+        "grid_hi": (1.0, _NUMBER),
         "grid_h": (0.01, _UNIT_OPEN),
         "euler_step": (0.001, _POSITIVE),
         "epsilons": ([0.1, 0.2], _POSITIVE_NUMBERS),
@@ -237,7 +239,7 @@ def _softplus_table():
         "ridge": (1e-10, _NONNEGATIVE),
         # softplus2d lives on y > 0
         "grid_lo": (1.0, _POSITIVE),
-        "grid_hi": (2.0, _ANY),
+        "grid_hi": (2.0, _NUMBER),
         "grid_h": (0.01, _UNIT_OPEN),
         "n_eig": (9, _AT_LEAST_1),
         "epsilon": (0.01, _POSITIVE),
@@ -369,10 +371,10 @@ def _vdp_table():
         "grid_half": (2.8, _POSITIVE),
         "grid_h": (0.1, _UNIT_OPEN),
         # refused at run time when it keeps no grid point near the cycle
-        "band": (0.55, _ANY),
+        "band": (0.55, _NUMBER),
         "dt_check": (0.7, _POSITIVE),
         "x0_cycle": ([2.0, 0.0], _POINT),
-        "trivial_lambda": (-0.7, _ANY),
+        "trivial_lambda": (-0.7, _NUMBER),
         "T": (None, _NULL_OR_POSITIVE),
         "step": (None, _NULL_OR_POSITIVE),
     }
@@ -446,7 +448,7 @@ def _run_vdp_phase(p: dict, seed: int, out: str) -> dict:
 
 
 def _polar_table():
-    return {"mu": (1.0, _POSITIVE), "omega": (1.0, _POSITIVE), "alpha": (1.0, _ANY),
+    return {"mu": (1.0, _POSITIVE), "omega": (1.0, _POSITIVE), "alpha": (1.0, _NUMBER),
             "C": (1.0, _POSITIVE), "n_random": (1000, _AT_LEAST_1)}
 
 
@@ -493,7 +495,7 @@ def _run_polar_transforms(p: dict, seed: int, out: str) -> dict:
 
 
 def _saddle_table():
-    return {"grid_lo": (-0.7, _ANY), "grid_hi": (1.6, _ANY), "grid_h": (0.05, _UNIT_OPEN)}
+    return {"grid_lo": (-0.7, _NUMBER), "grid_hi": (1.6, _NUMBER), "grid_h": (0.05, _UNIT_OPEN)}
 
 
 def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:

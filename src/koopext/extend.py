@@ -342,8 +342,8 @@ def _extension_loop(phi1, flowed, bound_of, epsilon, budget_name, p_max, measure
     """Emit phi1^p for p = 1, ..., p_max while its certified bound
     bound_of(p) is <= epsilon; each emitted power carries that bound and, when
     measured, its trajectory error on the flowed grid."""
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
+    if not epsilon > 0:  # NaN too; the curve loops pass math.inf
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if p_max < 1:
         raise ConfigurationError(f"p_max must be >= 1, got {p_max}")
     errors = PowerErrors(phi1, flowed) if measure_errors else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_FINITE_NONNEGATIVE, _FINITE_POSITIVE, _OBJECT, _REQUIRED, ConfigurationError,
+from .core import (_NONNEGATIVE, _OBJECT, _POSITIVE, _REQUIRED, ConfigurationError,
                    IllConditionedError, _read_csv, _read_record, _write_csv, _write_json)
 from .dictionary import Dictionary, dictionary_from_spec
 from .dynamics import SnapshotSet
@@ -42,8 +42,8 @@ def fit_edmd(data: SnapshotSet, dic: Dictionary, ridge: float = 0.0) -> KoopmanM
     SVD of G. With ridge = 0 a rank-deficient G is refused rather than
     silently projected.
     """
-    if ridge < 0:
-        raise ConfigurationError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ConfigurationError(f"ridge must be a finite nonnegative number, got {ridge}")
     if len(data.x) == 0:
         raise ConfigurationError("no snapshot pairs to fit")
     PX = dic.eval(data.x)
@@ -83,8 +83,8 @@ def save_model(path_stem: str, model: KoopmanModel) -> None:
 
 _MODEL_TABLE = {
     "dictionary": (_REQUIRED, _OBJECT),
-    "dt": (_REQUIRED, _FINITE_POSITIVE),
-    "fit_residual": (_REQUIRED, _FINITE_NONNEGATIVE),
+    "dt": (_REQUIRED, _POSITIVE),
+    "fit_residual": (_REQUIRED, _NONNEGATIVE),
 }
 
 

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import koopext
-from koopext.cli import main
+from koopext.cli import build_parser, main
 from koopext import core
-from koopext.core import _ANY, ConfigurationError, _json_type, openblas_libraries
+from koopext.core import ConfigurationError, _Domain, _json_type, openblas_libraries
 from koopext.experiments import EXPERIMENTS, ExperimentConfig, run
 
 from artifact_digests import (
@@ -61,25 +61,36 @@ def defaults(experiment: str) -> dict:
     return {key: default for key, (default, _) in EXPERIMENTS[experiment][1]().items()}
 
 
+# no number kind takes a number that is not finite, nor an integer beyond
+# float range
+NOT_FINITE = (math.inf, -math.inf, math.nan, 10**400)
 # values just outside each number domain, by what its refusal says: each edge
 # itself and a value past it
 OUTSIDE = {
-    ">= 1": (0, -1),
-    ">= 2": (1, 0, -1),
-    ">= 3": (2, 1, 0, -1),
-    "positive": (0, -1),
-    "nonnegative": (-1e-9, -1),
-    "null or positive": (0, -1),
-    "in (0, 1)": (0, 1, 1.5, -1),
+    "an integer >= 1": (0, -1, *NOT_FINITE),
+    "an integer >= 2": (1, 0, -1, *NOT_FINITE),
+    "an integer >= 3": (2, 1, 0, -1, *NOT_FINITE),
+    "a finite number": NOT_FINITE,
+    "a finite positive number": (0, -1, *NOT_FINITE),
+    "a finite nonnegative number": (-1e-9, -1, *NOT_FINITE),
+    "null or a finite positive number": (0, -1, *NOT_FINITE),
+    "a number in (0, 1)": (0, 1, 1.5, -1, *NOT_FINITE),
 }
-# the array-valued domains and "any value", which the hand-kept rows cover
+# the array-valued domains, which the hand-kept rows cover
 ARRAY_KINDS = {
-    "any value",
-    "two numbers [x, y]",
-    "two numbers [lo, hi] with lo < hi",
-    "two corners [[x_lo, y_lo], [x_hi, y_hi]] with lo < hi",
-    "a non-empty array of positive numbers",
+    "two finite numbers [x, y]",
+    "two finite numbers [lo, hi] with lo < hi",
+    "two corners [[x_lo, y_lo], [x_hi, y_hi]] of finite numbers with lo < hi",
+    "a non-empty array of finite positive numbers",
 }
+# a value of each JSON type
+SAMPLES = {"boolean": True, "integer": 2, "number": 0.5, "string": "x", "array": [],
+           "object": {}, "null": None}
+
+
+def shown(value):
+    """A test id for `value`, short for the 400-digit integer."""
+    return "10**400" if value == 10**400 else None
 
 
 def assert_matches_golden(run_label: str, got: dict) -> None:
@@ -220,36 +231,49 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("experiment, param, named", [
-        ("bridge1d", "window=[]", "window must be two numbers [lo, hi] with lo < hi, got []"),
-        ("bridge1d", "window=[2.5]", "window must be two numbers [lo, hi] with lo < hi, "
+        ("bridge1d", "window=[]", "window must be two finite numbers [lo, hi] with lo < hi, "
+                                  "got []"),
+        ("bridge1d", "window=[2.5]", "window must be two finite numbers [lo, hi] with lo < hi, "
                                      "got [2.5]"),
-        ("bridge1d", "window=[2,2.5,3]", "window must be two numbers [lo, hi] with lo < hi, "
-                                         "got [2, 2.5, 3]"),
-        ("bridge1d", 'window=["2","3"]', "window must be two numbers [lo, hi] with lo < hi, "
-                                         'got ["2", "3"]'),
-        ("bridge1d", "window=[true,3]", "window must be two numbers [lo, hi] with lo < hi, "
-                                        "got [true, 3]"),
-        ("bridge1d", "window=[3,2]", "window must be two numbers [lo, hi] with lo < hi, "
+        ("bridge1d", "window=[2,2.5,3]", "window must be two finite numbers [lo, hi] with "
+                                         "lo < hi, got [2, 2.5, 3]"),
+        ("bridge1d", 'window=["2","3"]', "window must be two finite numbers [lo, hi] with "
+                                         'lo < hi, got ["2", "3"]'),
+        ("bridge1d", "window=[true,3]", "window must be two finite numbers [lo, hi] with "
+                                        "lo < hi, got [true, 3]"),
+        ("bridge1d", "window=[3,2]", "window must be two finite numbers [lo, hi] with lo < hi, "
                                      "got [3, 2]"),
-        ("bridge1d", "window=[2.5,2.5]", "window must be two numbers [lo, hi] with lo < hi, "
-                                         "got [2.5, 2.5]"),
+        ("bridge1d", "window=[2.5,2.5]", "window must be two finite numbers [lo, hi] with "
+                                         "lo < hi, got [2.5, 2.5]"),
+        ("bridge1d", "window=[2.25,Infinity]", "window must be two finite numbers [lo, hi] with "
+                                               "lo < hi, got [2.25, Infinity]"),
         ("duffing_edmd", "window=[]", "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] "
-                                      "with lo < hi, got []"),
+                                      "of finite numbers with lo < hi, got []"),
         ("duffing_edmd", "window=[[2,-1.33],[-2,1.3]]", "window must be two corners "
-                                                        "[[x_lo, y_lo], [x_hi, y_hi]] with "
-                                                        "lo < hi, got [[2, -1.33], [-2, 1.3]]"),
+                                                        "[[x_lo, y_lo], [x_hi, y_hi]] of finite "
+                                                        "numbers with lo < hi, got "
+                                                        "[[2, -1.33], [-2, 1.3]]"),
         ("duffing_edmd", "window=[1,2]", "window must be two corners [[x_lo, y_lo], "
-                                         "[x_hi, y_hi]] with lo < hi, got [1, 2]"),
-        ("vdp_phase", "x0_cycle=[]", "x0_cycle must be two numbers [x, y], got []"),
-        ("vdp_phase", "x0_cycle=[1.0]", "x0_cycle must be two numbers [x, y], got [1.0]"),
-        ("vdp_phase", 'x0_cycle=[1,"0"]', 'x0_cycle must be two numbers [x, y], got [1, "0"]'),
-        ("linear2d_dmd", "epsilons=[]", "epsilons must be a non-empty array of positive "
+                                         "[x_hi, y_hi]] of finite numbers with lo < hi, "
+                                         "got [1, 2]"),
+        ("duffing_edmd", "window=[[-2,-1.33],[Infinity,1.3]]",
+         "window must be two corners [[x_lo, y_lo], [x_hi, y_hi]] of finite numbers with "
+         "lo < hi, got [[-2, -1.33], [Infinity, 1.3]]"),
+        ("vdp_phase", "x0_cycle=[]", "x0_cycle must be two finite numbers [x, y], got []"),
+        ("vdp_phase", "x0_cycle=[1.0]", "x0_cycle must be two finite numbers [x, y], got [1.0]"),
+        ("vdp_phase", 'x0_cycle=[1,"0"]', "x0_cycle must be two finite numbers [x, y], "
+                                          'got [1, "0"]'),
+        ("vdp_phase", "x0_cycle=[NaN,0]", "x0_cycle must be two finite numbers [x, y], "
+                                          "got [NaN, 0]"),
+        ("linear2d_dmd", "epsilons=[]", "epsilons must be a non-empty array of finite positive "
                                         "numbers, got []"),
-        ("linear2d_dmd", "epsilons=[-0.1]", "epsilons must be a non-empty array of positive "
-                                            "numbers, got [-0.1]"),
-        ("linear2d_dmd", "epsilons=[0.1,0]", "epsilons must be a non-empty array of positive "
-                                             "numbers, got [0.1, 0]"),
-        ("vdp_phase", 'T="long"', 'T must be null or positive, got "long"'),
+        ("linear2d_dmd", "epsilons=[-0.1]", "epsilons must be a non-empty array of finite "
+                                            "positive numbers, got [-0.1]"),
+        ("linear2d_dmd", "epsilons=[0.1,0]", "epsilons must be a non-empty array of finite "
+                                             "positive numbers, got [0.1, 0]"),
+        ("linear2d_dmd", "epsilons=[Infinity]", "epsilons must be a non-empty array of finite "
+                                                "positive numbers, got [Infinity]"),
+        ("vdp_phase", 'T="long"', 'T must be null or a finite positive number, got "long"'),
     ])
     def test_edge_input_is_a_usage_error_that_names_the_parameter(self, tmp_path, capsys,
                                                                   experiment, param, named):
@@ -268,7 +292,7 @@ class TestExitCodes:
         for experiment, (_, table) in sorted(EXPERIMENTS.items())
         for key, (_, domain) in table().items()
         for value in OUTSIDE.get(domain.says, ())
-    ])
+    ], ids=shown)
     def test_number_just_outside_its_domain_is_refused_before_anything_is_written(
             self, tmp_path, capsys, experiment, key, says, value):
         # every number domain of every table; before the tables
@@ -277,7 +301,9 @@ class TestExitCodes:
         # (bridge1d spurious_threshold <= 0), passed vacuously (p_cap = 0) or
         # on a backward flow (lin5d_check dt < 0), or were refused only after
         # snapshot and model files were written (or, for a grid_h of 1 or
-        # more, after config.json)
+        # more, after config.json); and an Infinity or NaN ran forever
+        # (vdp_phase dt_check), exited 3 or 1, or ran and passed (linear2d_dmd
+        # euler_step = Infinity flowed nothing)
         param = f"{key}={json.dumps(value)}"
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
         assert (f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
@@ -292,58 +318,41 @@ class TestExitCodes:
         # a kind without generated edges is one the array rows above cover
         assert {domain.says for _, domain in table.values()} <= set(OUTSIDE) | ARRAY_KINDS
 
-    @pytest.mark.parametrize("experiment, param, named", [
-        ("linear2d_dmd", 'n_pairs="400"', "n_pairs takes a JSON integer like its default "
-                                          '400, got "400" (string)'),
-        ("lin5d_check", "n_pairs=2.5", "n_pairs takes a JSON integer like its default "
-                                       "400, got 2.5 (number)"),
-        ("lin5d_check", "grid_n=true", "grid_n takes a JSON integer like its default "
-                                       "21, got true (boolean)"),
-        ("lin5d_check", "dt=false", "dt takes a JSON number like its default 0.2, "
-                                    "got false (boolean)"),
-        ("lin5d_check", "box=null", "box takes a JSON number like its default 1.0, "
-                                    "got null (null)"),
-        ("bridge1d", "window=2.5", "window takes a JSON array like its default "
-                                   "[2.25, 2.75], got 2.5 (number)"),
-        ("bridge1d", 'left_n_centers="x"', "left_n_centers takes a JSON integer like its "
-                                           'default 100, got "x" (string)'),
-        ("bridge1d", "right_n_centers=2.5", "right_n_centers takes a JSON integer like its "
-                                            "default 80, got 2.5 (number)"),
-        ("bridge1d", "left_bandwidth=wide", "left_bandwidth takes a JSON number like its "
-                                            'default 0.05, got "wide" (string)'),
-    ])
+    @pytest.mark.parametrize("experiment, key, value", [
+        (experiment, key, value)
+        for experiment, (_, table) in sorted(EXPERIMENTS.items())
+        for key, (default, _) in table().items()
+        for name, value in SAMPLES.items()
+        if name != _json_type(default) and default is not None
+        and (_json_type(default), name) != ("number", "integer")
+    ], ids=shown)
     def test_override_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
-                                                            experiment, param, named):
-        # a string count exited 3 on a TypeError comparing str and int, a
+                                                            experiment, key, value):
+        # each row refuses the JSON types its default refused before every
+        # kind checked its own type (a number default took an integer too, and
+        # a null default, vdp_phase T and step, whatever its kind takes): a
+        # string count exited 3 on a TypeError comparing str and int, a
         # fractional one on numpy's TypeError
-        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
-        assert f"error: {experiment}: {named}" in capsys.readouterr().err
+        says = EXPERIMENTS[experiment][1]()[key][1].says
+        assert run_cli([experiment, "--out", str(tmp_path), "--param",
+                        f"{key}={json.dumps(value)}"]) == 2
+        assert (f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
+                in capsys.readouterr().err)
         assert os.listdir(tmp_path) == []
 
-    def test_override_types_follow_the_defaults(self, tmp_path, monkeypatch):
-        from koopext import experiments
-
-        seen = []
-
-        def recording_runner(p, seed, out):
-            seen.append(p)
-            return {"criteria": []}
-
-        def table():
-            defaults = {"free": None, "rate": 0.5, "count": 3, "flag": False, "pair": [1, 2]}
-            return {key: (value, experiments._ANY) for key, value in defaults.items()}
-
-        monkeypatch.setitem(experiments.EXPERIMENTS, "lin5d_check", (recording_runner, table))
-        # a null default takes any value, a number default an integer
-        given = {"free": "text", "rate": 2, "count": 4, "flag": True, "pair": [3]}
-        run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=given))
-        assert seen == [given]
-        # a boolean is never a number, and a float is no integer
-        for params in ({"rate": True}, {"count": False}, {"count": 4.0}, {"flag": 1},
-                       {"pair": "1,2"}):
-            with pytest.raises(ConfigurationError, match=f"{next(iter(params))} takes"):
-                run(ExperimentConfig("lin5d_check", out_dir=str(tmp_path), params=params))
-        assert len(seen) == 1
+    @pytest.mark.parametrize("kind, inside", [
+        (core._NUMBER, -1), (core._POSITIVE, 1), (core._NONNEGATIVE, 0),
+        (core._NULL_OR_POSITIVE, 1), (core._UNIT_OPEN, 0.5), (core._AT_LEAST_0, 0),
+        (core._AT_LEAST_1, 1), (core._AT_LEAST_2, 2), (core._AT_LEAST_3, 3),
+    ], ids=lambda v: v.says if isinstance(v, _Domain) else str(v))
+    def test_each_number_kind_checks_its_own_json_type(self, kind, inside):
+        # a number kind takes an integer, never a boolean; an integer kind no
+        # float; and no kind a number that is not finite or a float cannot hold
+        integers = kind.says.startswith("an integer")
+        assert kind.holds(inside)
+        if _json_type(inside) == "integer":
+            assert kind.holds(float(inside)) is not integers
+        assert not any(map(kind.holds, (True, False, *NOT_FINITE, -10**400, "1", [1], {})))
 
     def test_typed_numeric_error_exits_one_and_is_named(self, tmp_path, capsys):
         # one snapshot pair gives a rank-deficient Gram matrix
@@ -411,12 +420,15 @@ class TestExitCodes:
         else:
             args = [*args, "--seed", "-1", "--out", str(out)]
         assert run_cli(args) == 2
-        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("argument --seed: must be an integer >= 0, got -1" in err
+                or "seed must be an integer >= 0, got -1" in err)
         assert not out.exists()
 
     def test_no_config_holds_a_negative_seed(self):
         # so neither `koopext.experiments.run` nor a subcommand gets one
-        with pytest.raises(ConfigurationError, match="config: seed must be nonnegative, got -1"):
+        with pytest.raises(ConfigurationError,
+                           match="config: seed must be an integer >= 0, got -1"):
             ExperimentConfig("lin5d_check", seed=-1)
 
     def test_success_exit_zero(self, tmp_path):
@@ -526,7 +538,8 @@ class TestOneBlasThread:
                 raise ConfigurationError("refused inside the runner")
             return {"criteria": []}
 
-        monkeypatch.setitem(EXPERIMENTS, "probe", (runner, lambda: {"fail": (False, _ANY)}))
+        flag = _Domain("a boolean", lambda v: _json_type(v) == "boolean")
+        monkeypatch.setitem(EXPERIMENTS, "probe", (runner, lambda: {"fail": (False, flag)}))
         run(ExperimentConfig("probe", out_dir=str(tmp_path)))
         with pytest.raises(ConfigurationError, match="refused inside the runner"):
             run(ExperimentConfig("probe", out_dir=str(tmp_path), params={"fail": True}))
@@ -630,8 +643,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("version, named", [
         (7, "schema_version must be 1, got 7"),
-        ("x", 'schema_version takes a JSON integer like its default 1, got "x"'),
-        (True, "schema_version takes a JSON integer like its default 1, got true"),
+        ("x", 'schema_version must be 1, got "x"'),
+        (True, "schema_version must be 1, got true"),
+        (1.0, "schema_version must be 1, got 1.0"),
     ])
     def test_other_schema_version_is_a_usage_error_that_names_it(self, tmp_path, capsys,
                                                                  version, named):
@@ -645,15 +659,16 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, named", [
-        ("seed", "x", 'seed takes a JSON integer like its default 0, got "x"'),
-        ("seed", True, "seed takes a JSON integer like its default 0, got true"),
-        ("seed", 1.5, "seed takes a JSON integer like its default 0, got 1.5"),
-        ("out_dir", 5, 'out_dir takes a JSON string like its default ".", got 5'),
-        ("out_dir", None, 'out_dir takes a JSON string like its default ".", got null'),
+        ("seed", "x", 'seed must be an integer >= 0, got "x"'),
+        ("seed", True, "seed must be an integer >= 0, got true"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("seed", math.inf, "seed must be an integer >= 0, got Infinity"),
+        ("out_dir", 5, "out_dir must be a JSON string, got 5"),
+        ("out_dir", None, "out_dir must be a JSON string, got null"),
         ("experiment", ["x"], 'experiment must be the name of an experiment: linear2d_dmd, '),
-        ("params", 5, "params takes a JSON object like its default {}, got 5"),
-        ("params", None, "params takes a JSON object like its default {}, got null"),
-        ("params", ["dt"], 'params takes a JSON object like its default {}, got ["dt"]'),
+        ("params", 5, "params must be a JSON object, got 5"),
+        ("params", None, "params must be a JSON object, got null"),
+        ("params", ["dt"], 'params must be a JSON object, got ["dt"]'),
     ])
     def test_config_value_of_another_json_type_is_a_usage_error(self, tmp_path, capsys,
                                                                 key, value, named):
@@ -715,7 +730,7 @@ class TestConfig:
         assert "bandwidth" in proc.stdout
         assert "0.7" in proc.stdout
         # each default beside its domain, however argparse wraps the lines
-        assert "n_rbf=40 (>= 1)" in " ".join(proc.stdout.split())
+        assert "n_rbf=40 (an integer >= 1)" in " ".join(proc.stdout.split())
 
 
 @pytest.fixture(scope="module")
@@ -730,10 +745,10 @@ def linear2d_model_stem(tmp_path_factory):
 
 class TestToolSubcommands:
     @pytest.mark.parametrize("args, named", [
-        (["eig", "--n", "-1"], "asked for -1 eigenpairs of a 2x2 matrix"),
-        (["eig", "--n", "0"], "asked for 0 eigenpairs of a 2x2 matrix"),
+        (["eig", "--n", "-1"], "argument --n: must be an integer >= 1, got -1"),
+        (["eig", "--n", "0"], "argument --n: must be an integer >= 1, got 0"),
         (["extend", "--system", "linear2d", "--n", "0"],
-         "asked for 0 eigenpairs of a 2-dim model"),
+         "argument --n: must be an integer >= 1, got 0"),
         (["extend", "--system", "quad1d"], "the model's dictionary takes 2-dim states, but "
                                            "quad1d is 1-dim"),
         (["extend", "--system", "cubic1d"], "the model's dictionary takes 2-dim states, but "
@@ -743,8 +758,9 @@ class TestToolSubcommands:
         (["phase", "--grid", "1", "1", "0.1"],
          "grid box needs hi > lo on every axis, got lo = (1.0, 1.0), hi = (1.0, 1.0)"),
         (["simulate", "--system", "linear2d", "--box", "0"],
-         "sampling box needs hi > lo on every axis, got lo = (-0.0, -0.0), hi = (0.0, 0.0)"),
-        (["simulate", "--system", "linear2d", "--dt", "0"], "dt must be positive, got 0.0"),
+         "argument --box: must be a finite positive number, got 0"),
+        (["simulate", "--system", "linear2d", "--dt", "0"],
+         "argument --dt: must be a finite positive number, got 0"),
     ])
     def test_edge_tool_input_is_a_usage_error_that_names_it(self, tmp_path, capsys,
                                                             linear2d_model_stem, args, named):
@@ -757,6 +773,25 @@ class TestToolSubcommands:
         assert run_cli([*args, *model, "--out", str(tmp_path)]) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, flag, nargs", [
+        (command, action.option_strings[0], action.nargs)
+        for command, parser in build_parser()._subparsers._group_actions[0].choices.items()
+        for action in parser._actions if action.type is not None
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tool_flag_is_a_usage_error_that_names_it(self, tmp_path, capsys,
+                                                                 command, flag, nargs, value):
+        # every flag that takes a number: simulate --system vanderpol --dt inf
+        # ran forever, fit --ridge nan wrote a NaN model and --ridge inf one
+        # of K = 0, and extend --epsilon nan certified nothing, each exit 0
+        required = {"simulate": ["--system", "vanderpol"], "fit": ["--snapshots", "s"],
+                    "eig": ["--model", "m"], "extend": ["--model", "m", "--system", "linear2d"]}
+        given = [flag, *[value] * nargs] if nargs else [f"{flag}={value}"]
+        out = tmp_path / "out"
+        assert run_cli([command, *required.get(command, []), *given, "--out", str(out)]) == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("system, d", [("linear2d", 2), ("cubic1d", 1)])
     def test_simulate_from_an_overflowing_box_is_a_usage_error(self, tmp_path, capsys,
@@ -912,7 +947,7 @@ class TestExtendTool:
         assert run_cli(["extend", "--model", os.path.join(out, "model"),
                         "--system", "linear2d", "--grid", "-1", "1", "0.25",
                         "--p-max", "0", "--out", out]) == 2
-        assert "error: p_max must be >= 1, got 0" in capsys.readouterr().err
+        assert "error: argument --p-max: must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "extension_report.json").exists()
 
     def test_extend_writes_the_softplus_edmd_report(self, tmp_path):

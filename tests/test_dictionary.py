@@ -214,9 +214,10 @@ class TestRBF:
 
 class TestGaussianBuilderRefusals:
     # the builder behind rbf_dictionary, dictionary_from_spec and the bridge families
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_bandwidth(self, snaps, bandwidth):
-        named = f"bandwidth must be positive, got {bandwidth}"
+        # an infinite bandwidth made every feature 1, a rank-one fit (exit 1)
+        named = f"bandwidth must be a finite positive number, got {bandwidth}"
         with pytest.raises(ConfigurationError, match=named):
             _dictionary_from_centers([[0.0]], bandwidth)
         with pytest.raises(ConfigurationError, match=named):

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -133,6 +134,27 @@ class TestFlow:
         sys_ = make_system("linear2d")
         with pytest.raises(ConfigurationError):
             FlowMap(sys_.field, 0.2, method="euler", step=0.0003)
+
+    @pytest.mark.parametrize("method, dt, step, named", [
+        ("rk45", math.inf, None, "dt must be a finite nonnegative number, got inf"),
+        ("rk45", math.nan, None, "dt must be a finite nonnegative number, got nan"),
+        ("euler", 0.2, math.inf, "euler step must be finite and positive, got inf"),
+        ("euler", 0.2, math.nan, "euler step must be finite and positive, got nan"),
+    ])
+    def test_non_finite_dt_or_step_is_refused(self, method, dt, step, named):
+        # dt = inf ran dp45 forever, and an Euler step of inf took 0 steps:
+        # an identity flow
+        with pytest.raises(ConfigurationError, match=named):
+            FlowMap(make_system("linear2d").field, dt, method=method, step=step)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_dp45_refuses_a_non_finite_time(self, t):
+        # with t = inf the step stayed inf and the loop never ended; NaN
+        # returned the input unmoved
+        from koopext.dynamics import dp45
+
+        with pytest.raises(ConfigurationError, match=f"t must be finite, got {t}"):
+            dp45(make_system("vanderpol").field.rhs, np.array([[2.0, 0.0]]), t)
 
     def test_exact_method_requires_closed_form(self):
         sys_ = make_system("vanderpol")
@@ -354,6 +376,17 @@ class TestSampling:
         sys_ = make_system("duffing")
         with pytest.raises(ConfigurationError):
             sample_snapshots(sys_, 301, 0.25, ((-6, -6), (6, 6)), 0, samples_per_traj=11)
+
+    @pytest.mark.parametrize("box, dt, named", [
+        (((-0.0, -0.0), (0.0, 0.0)), 0.2,
+         "sampling box needs hi > lo on every axis, got lo = (-0.0, -0.0), hi = (0.0, 0.0)"),
+        (((-2, -2), (2, 2)), 0.0, "dt must be positive, got 0.0"),
+    ])
+    def test_empty_box_or_zero_dt_is_refused(self, box, dt, named):
+        # `simulate --box 0` and `--dt 0` now stop at their flags; the sampler
+        # refuses them too
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            sample_snapshots(make_system("linear2d"), 8, dt, box, seed=0)
 
     def test_transform_snapshots(self):
         sys_ = make_system("linear2d")

@@ -199,9 +199,11 @@ class TestDeflation:
         assert len(pairs) == 2
         assert pairs[1].lam == pytest.approx(np.conj(pairs[0].lam))
 
-    def test_too_many_pairs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            deflate_spectrum(np.eye(2), 3)
+    @pytest.mark.parametrize("n", [3, 0, -1])
+    def test_too_many_pairs_rejected(self, n):
+        # `eig --n` 0 and -1 now stop at their flag; the library refuses them too
+        with pytest.raises(ConfigurationError, match=f"asked for {n} eigenpairs of a 2x2 matrix"):
+            deflate_spectrum(np.eye(2), n)
 
     def test_near_defective_matrix_raises_in_both_solvers(self):
         # eigenvalues 1 and 0.5, but the huge coupling makes the left and

@@ -386,8 +386,9 @@ class TestExtensionLoops:
                 iterative_koopman_eigensolver(model, flowed, n=1, **kw)
 
     @pytest.mark.parametrize("entry", ["extend_discrete", "extend_continuous"])
-    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
     def test_nonpositive_epsilon_is_refused(self, linear2d_model, entry, epsilon):
+        # a NaN budget was taken and certified nothing
         sys_, model = linear2d_model
         flowed = self.make_flow(sys_, EvalGrid((-1, -1), (1, 1), 0.5))
         with pytest.raises(ConfigurationError, match="epsilon must be positive"):

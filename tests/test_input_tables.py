@@ -73,19 +73,23 @@ class TestWritersAndTablesAgree:
 # a value of each JSON type; each number lies outside every file domain
 SAMPLES = {"boolean": True, "integer": -7, "number": -0.5, "string": "x", "array": [],
            "object": {}, "null": None}
+# no number kind takes a number that is not finite, nor an integer beyond
+# float range
+NOT_FINITE = (math.inf, -math.inf, math.nan, 10**400)
 # values just outside each file domain, by what its refusal says
 OUTSIDE = {
-    "a finite positive number": (0, -1, math.inf, math.nan),
-    "a finite nonnegative number": (-1e-9, math.inf, math.nan),
-    "an integer >= 1": (0,),
-    "nonnegative": (-1,),
-    "1": (0, 2),
+    "a finite positive number": (0, -1, *NOT_FINITE),
+    "a finite nonnegative number": (-1e-9, *NOT_FINITE),
+    "an integer >= 1": (0, 1.0, *NOT_FINITE),
+    "an integer >= 0": (-1, 0.0, *NOT_FINITE),
+    "1": (0, 2, 1.0, *NOT_FINITE),
     "identity or rbf_gaussian": ("gaussian",),
     _config_table()["experiment"][1].says: ("nope",),
-    "an array of rows of 2 finite numbers": ([[0.5]], [[0.5, 0.5, 0.5]], [[0.5, math.nan]]),
-    "null or an integer >= 0": (-1,),
+    "an array of rows of 2 finite numbers": ([[0.5]], [[0.5, 0.5, 0.5]], [[0.5, math.nan]],
+                                             [[math.inf, 0.5]], [[0.5, 10**400]]),
+    "null or an integer >= 0": (-1, 0.0, *NOT_FINITE),
+    "a JSON string": (),
     "a JSON object": (),
-    "any value": (),
 }
 DROP = object()
 
@@ -141,7 +145,8 @@ def generated_cases():
                                                                    and sample is None)]
             values += OUTSIDE[domain.says]
             for value in values:
-                shown = "drop" if value is DROP else json.dumps(value)
+                shown = ("drop" if value is DROP else "10**400" if value == 10**400
+                         else json.dumps(value))
                 yield pytest.param(kind, file, edit_key(under, key, value), key,
                                    id=f"{file}:{under or ''}.{key}={shown}")
 
@@ -198,7 +203,7 @@ HAND_CASES = [
                  "centers must be an array of rows of 3 finite numbers", id="rbf-dim-not-centers"),
     # a JSON array was reported as unknown config keys ['lin5d_check']
     pytest.param("config", "config.json", replaced(b'["lin5d_check"]'),
-                 'takes a JSON object, got ["lin5d_check"] (array)', id="config-array"),
+                 'must be a JSON object, got ["lin5d_check"]', id="config-array"),
     # a file that cannot be opened or decoded exited 3
     pytest.param("config", "config.json", to_directory, "cannot read", id="config-directory"),
     pytest.param("config", "config.json", replaced(b'\xff\xfe{"experiment": "lin5d_check"}'),

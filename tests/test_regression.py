@@ -1,9 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
-from koopext.core import IllConditionedError
+from koopext.core import ConfigurationError, IllConditionedError
 from koopext.dictionary import identity_dictionary, rbf_dictionary
 from koopext.dynamics import (
     FlowMap,
@@ -93,6 +94,14 @@ class TestFitEDMD:
         snaps = SnapshotSet(x=x, y=x.copy(), dt=0.1)
         model = fit_edmd(snaps, identity_dictionary(2), ridge=1e-8)
         assert np.all(np.isfinite(model.K))
+
+    @pytest.mark.parametrize("ridge", [-1e-9, math.nan, math.inf])
+    def test_ridge_outside_finite_nonnegative_is_refused(self, ridge):
+        # a NaN ridge fit a NaN model and an infinite one K = 0
+        snaps = sample_snapshots(make_system("linear2d"), 20, 0.1, ((-2, -2), (2, 2)), seed=3)
+        with pytest.raises(ConfigurationError,
+                           match=f"ridge must be a finite nonnegative number, got {ridge}"):
+            fit_edmd(snaps, identity_dictionary(2), ridge=ridge)
 
     def test_underdetermined_warns(self):
         sys_ = make_system("linear2d")
