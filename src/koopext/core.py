@@ -105,6 +105,11 @@ DIVERGENCE_LIMIT = 1e8
 #: Most points an EvalGrid may hold; the largest grid a run builds has 40,401.
 MAX_GRID_POINTS = 10**7
 
+#: Most fixed steps one flow may take: an Euler flow's dt / step, or a Laplace
+#: average's horizon / step. The most a run takes is 10,000 (vdp_phase at its
+#: defaults: 50 periods of 200 steps).
+MAX_STEPS = 10**6
+
 
 def singular_mask(values) -> np.ndarray:
     """Boolean mask of singular-tagged entries."""

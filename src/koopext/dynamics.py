@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     DIVERGENCE_LIMIT,
+    MAX_STEPS,
     _POSITIVE,
     _REQUIRED,
     ConfigurationError,
@@ -218,6 +219,11 @@ class FlowMap:
                 raise ConfigurationError(f"euler step must be finite and positive, got {self.step}")
             if self.dt > 0:
                 ratio = self.dt / self.step
+                if ratio > MAX_STEPS:
+                    raise ConfigurationError(
+                        f"euler flow of {ratio:.4g} steps (dt {self.dt} / step {self.step}) "
+                        f"is over the {MAX_STEPS}-step cap"
+                    )
                 if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                     raise ConfigurationError(
                         f"euler step {self.step} does not divide dt {self.dt}"

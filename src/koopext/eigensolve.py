@@ -10,12 +10,13 @@ and every eigenvector scaled so its largest-modulus entry is real positive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigurationError, ConvergenceError, NearDefectiveError, _write_csv,
-                   _write_json)
+from .core import (ConfigurationError, ConvergenceError, DomainError, NearDefectiveError,
+                   _write_csv, _write_json)
 
 __all__ = [
     "Eigenpair",
@@ -55,7 +56,7 @@ class Eigenpair:
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Largest-modulus entry made real positive; deterministic tie-break (first)."""
-    k = int(np.argmax(np.abs(v)))
+    k = int(np.abs(v).argmax())
     pivot = v[k]
     if pivot == 0:
         return v
@@ -64,6 +65,17 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def _eig_sort_key(lam: complex):
     return (-abs(lam), -lam.real, -lam.imag)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D vector without its dispatch, bit for bit: the
+    same contiguous ravel and the same BLAS dot calls, real and imaginary
+    parts summed for a complex vector."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        xr, xi = x.real, x.imag
+        return math.sqrt(xr.dot(xr) + xi.dot(xi))
+    return math.sqrt(x.dot(x))
 
 
 # stopping rules of _warm_start and power_iteration_complex (see their docstrings)
@@ -79,16 +91,16 @@ def _warm_start(A: np.ndarray, seed: int) -> np.ndarray:
     residual |A v - (v^T A v) v| is at most _POWER_TOL * |A|."""
     rng = np.random.Generator(np.random.Philox(seed))
     v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     tol = _POWER_TOL * max(np.linalg.norm(A), 1e-300)
     w = A @ v
     for _ in range(_WARM_START_ITERS):
-        nw = np.linalg.norm(w)
+        nw = _norm(w)
         if nw == 0:
             return _fix_phase(v).real
         v = w / nw
         w = A @ v
-        if np.linalg.norm(w - float(v @ w) * v) <= tol:
+        if _norm(w - float(v @ w) * v) <= tol:
             break
     return _fix_phase(v.astype(complex)).real
 
@@ -99,21 +111,24 @@ def eigen2d(h: np.ndarray) -> tuple[complex, complex]:
     Ordered by descending modulus; ties by descending real part, then the
     +imaginary member first.
     """
-    h = np.asarray(h, dtype=float)
-    tr = h[0, 0] + h[1, 1]
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+    (a, b), (c, d) = np.asarray(h, dtype=float).tolist()
+    tr = a + d
+    det = a * d - b * c
     disc = tr * tr - 4.0 * det
     if disc >= 0:
-        s = np.sqrt(disc)
-        big = 0.5 * (tr + np.copysign(s, tr))
+        s = math.sqrt(disc)
+        big = 0.5 * (tr + math.copysign(s, tr))
         if big == 0.0:
             lams = (complex(0.0), complex(0.0))
         else:
             lams = (complex(big), complex(det / big))
     else:
-        s = np.sqrt(-disc)
+        s = math.sqrt(-disc)
         lams = (complex(tr / 2, s / 2), complex(tr / 2, -s / 2))
     return tuple(sorted(lams, key=_eig_sort_key))
+
+
+_EYE2 = np.eye(2)
 
 
 def eigvector2d(h: np.ndarray, lam: complex) -> np.ndarray:
@@ -122,15 +137,15 @@ def eigvector2d(h: np.ndarray, lam: complex) -> np.ndarray:
     this is the single eigenvector.
     """
     h = np.asarray(h, dtype=float)
-    M = h.astype(complex) - lam * np.eye(2)
+    M = h.astype(complex) - lam * _EYE2
     scale = max(np.abs(h).max(), abs(lam), 1e-300)
-    r0, r1 = np.linalg.norm(M[0]), np.linalg.norm(M[1])
+    r0, r1 = _norm(M[0]), _norm(M[1])
     if max(r0, r1) <= 1e-14 * scale:
         # full eigenspace; any direction works
         return np.array([1.0 + 0j, 0.0 + 0j])
     row = M[0] if r0 >= r1 else M[1]
     v = np.array([-row[1], row[0]])
-    return _fix_phase(v / np.linalg.norm(v))
+    return _fix_phase(v / _norm(v))
 
 
 def _arnoldi_2col(A: np.ndarray, x: np.ndarray):
@@ -140,18 +155,20 @@ def _arnoldi_2col(A: np.ndarray, x: np.ndarray):
     and h = V^T A V is the projected 2x2 matrix. Raises on Krylov breakdown
     (second basis vector below 1e-14).
     """
-    v1 = x / np.linalg.norm(x)
+    v1 = x / _norm(x)
     w = A @ v1
     h00 = v1 @ w
-    w = w - h00 * v1
-    h10 = np.linalg.norm(w)
+    w -= h00 * v1
+    h10 = _norm(w)
     if h10 < 1e-14:
         raise ConvergenceError("Krylov breakdown: x is already an eigenvector")
     v2 = w / h10
     w2 = A @ v2
     h01 = v1 @ w2
     h11 = v2 @ w2
-    V = np.column_stack([v1, v2])
+    V = np.empty((v1.shape[0], 2))
+    V[:, 0] = v1
+    V[:, 1] = v2
     h = np.array([[h00, h01], [h10, h11]])
     return h, V
 
@@ -164,18 +181,25 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
     then repeats: orthonormalize the two-column Krylov basis of the current
     vector, take the larger-modulus eigenvalue of the projected 2x2 matrix,
     and lift its eigenvector. Stops once the relative eigenvalue change drops
-    below 1e-13 and the residual is below 1e-10 * |A|.
+    below 1e-13 and the residual is below 1e-10 * |A|. A matrix with a NaN or
+    infinite entry, and a max_iter under 1, are refused before the warm start.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ConfigurationError("power_iteration_complex needs a square matrix")
+    if not max_iter >= 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
+    bad = int(np.count_nonzero(~np.isfinite(A)))
+    if bad:
+        raise DomainError(f"power_iteration_complex needs a finite matrix; {bad} of its "
+                          f"{A.size} entries are NaN or infinite")
     if n == 1:
         return Eigenpair(lam=complex(A[0, 0]), right=np.array([1.0 + 0j]), residual=0.0)
-    norm_A = max(np.linalg.norm(A), 1e-300)
+    tol = _RESIDUAL_TOL * max(np.linalg.norm(A), 1e-300)
     x = _warm_start(A, seed)
     lam_old = complex(np.inf)
-    best: Eigenpair | None = None
+    best: tuple[complex, np.ndarray, float] | None = None  # (lam, v, res), least res so far
     Ac = A.astype(complex)
     for _ in range(max_iter):
         try:
@@ -183,44 +207,43 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
         except ConvergenceError:
             # hard breakdown: the vector is (numerically) a real eigenvector
             lam = float(x @ (A @ x) / (x @ x))
-            v = _fix_phase((x / np.linalg.norm(x)).astype(complex))
-            res = float(np.linalg.norm(A @ v - lam * v))
+            v = _fix_phase((x / _norm(x)).astype(complex))
+            res = _norm(A @ v - lam * v)
             return Eigenpair(lam=complex(lam), right=v, residual=res)
         lam_c = eigen2d(h)[0]
         w2 = eigvector2d(h, lam_c)
         v_c = V.astype(complex) @ w2
-        v_c = _fix_phase(v_c / np.linalg.norm(v_c))
-        res_c = float(np.linalg.norm(Ac @ v_c - lam_c * v_c))
-        # the plain real candidate: residual of (h00, x) is exactly h10, so a
+        v_c = _fix_phase(v_c / _norm(v_c))
+        res_c = _norm(Ac @ v_c - lam_c * v_c)
+        # the plain real candidate (h00, x), whose residual is exactly h10: a
         # near-degenerate second basis column (real dominant eigenvalue) hands
-        # the result to this branch instead of amplifying basis noise
-        lam_r = complex(h[0, 0])
-        v_r = _fix_phase(V[:, 0].astype(complex))
+        # the result to it instead of amplifying basis noise. Its phase-fixed
+        # vector is built only when it is kept or returned.
         res_r = float(abs(h[1, 0]))
-        if res_r < res_c:
-            lam, v, res = lam_r, v_r, res_r
-        else:
-            lam, v, res = lam_c, v_c, res_c
-        if best is None or res < best.residual:
-            best = Eigenpair(lam=lam, right=v, residual=res)
-        converged = abs(lam - lam_old) < _ARNOLDI_TOL * max(1.0, abs(lam))
-        if converged and res <= _RESIDUAL_TOL * norm_A:
-            return Eigenpair(lam=lam, right=v, residual=res)
+        real = res_r < res_c
+        lam, res = (complex(h[0, 0]), res_r) if real else (lam_c, res_c)
+        done = abs(lam - lam_old) < _ARNOLDI_TOL * max(1.0, abs(lam)) and res <= tol
+        if done or best is None or res < best[2]:
+            v = _fix_phase(V[:, 0].astype(complex)) if real else v_c
+            if done:
+                return Eigenpair(lam=lam, right=v, residual=res)
+            best = (lam, v, res)
         lam_old = lam
         # advance the underlying vector by a plain power step; the sequence
         # may rotate within a complex pair's invariant plane, which the
         # two-column extraction above resolves, but its dominant-subspace
         # alignment improves monotonically
         x_next = A @ x
-        nx = np.linalg.norm(x_next)
+        nx = _norm(x_next)
         if nx < 1e-300:
             break
         x = x_next / nx
-    if best is not None and best.residual <= _RESIDUAL_TOL * norm_A:
-        return best
+    lam, v, res = best  # set by the first step, since max_iter >= 1
+    if res <= tol:
+        return Eigenpair(lam=lam, right=v, residual=res)
     raise ConvergenceError(
         f"complex power iteration stagnated after {max_iter} iterations "
-        f"(best residual {0.0 if best is None else best.residual:.3e})"
+        f"(best residual {res:.3e})"
     )
 
 
@@ -246,8 +269,6 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
     deflated too and counts as the next pair, even past n_pairs, so complex
     eigenvalues of a real matrix come in pairs and the matrix stays real.
     """
-    if not max_iter >= 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     work = np.asarray(A, dtype=float).copy()
     i = 0
     while i < n_pairs:

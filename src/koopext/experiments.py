@@ -130,14 +130,15 @@ def _linear2d_table():
 def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     sys_ = make_system("linear2d")
+    # built first, so a step that does not divide dt, or too many steps, is
+    # refused before anything flows
+    euler_map = FlowMap(sys_.field, p["dt"], method="euler", step=p["euler_step"])
     b = p["box"]
     snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed)
     model = fit_edmd(snaps, identity_dictionary(2))
     save_model(os.path.join(out, "model"), model)
     exact = FlowedGrid.of(FlowMap(sys_.field, p["dt"], method="exact"), grid)
-    euler = FlowedGrid.of(
-        FlowMap(sys_.field, p["dt"], method="euler", step=p["euler_step"]), grid
-    )
+    euler = FlowedGrid.of(euler_map, grid)
     eps_G = integration_error_sup(euler, exact)
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)

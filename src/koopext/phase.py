@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     DIVERGENCE_LIMIT,
+    MAX_STEPS,
     ConfigurationError,
     DivergenceError,
     DomainError,
@@ -337,7 +338,8 @@ def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     them: eigenvalue i omega, omega = 2 pi / period; the horizon (default 50
     periods) rounded to whole periods so rotating terms cancel exactly; the
     step period/200 unless set. A non-positive T or step is refused, and so is
-    a step over twice the rounded horizon, which leaves 0 steps."""
+    a step over twice the rounded horizon, which leaves 0 steps, or one that
+    leaves more than MAX_STEPS."""
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
             f"laplace_average needs the positive limit-cycle period, got {period}"
@@ -349,8 +351,14 @@ def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     horizon = 50.0 * period if T is None else T
     rounded = period * max(1, round(horizon / period))
     step = period / 200.0 if step is None else step
-    if round(rounded / step) == 0:
-        given = "50 periods" if T is None else f"{T:g}"
+    n_steps = float(rounded) / float(step)  # inf, not a warning, past the float range
+    given = "50 periods" if T is None else f"{T:g}"
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"horizon T = {given}, rounded to whole periods {rounded:g}, takes {n_steps:.4g} "
+            f"steps of step = {step:g}, over the {MAX_STEPS}-step cap"
+        )
+    if round(n_steps) == 0:
         raise ConfigurationError(
             f"horizon T = {given}, rounded to whole periods {rounded:g}, is under half "
             f"the step = {step:g}, so it rounds to 0 steps"

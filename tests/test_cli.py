@@ -231,6 +231,25 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("experiment, param, named", [
+        ("vdp_phase", "T=1e300", "horizon T = 1e+300, rounded to whole periods 1e+300, "
+                                 "takes 3.165e+301 steps of step = 0.0315922, over the "
+                                 "1000000-step cap"),
+        ("vdp_phase", "step=1e-300", "horizon T = 50 periods, rounded to whole periods "
+                                     "315.922, takes 3.159e+302 steps of step = 1e-300, "
+                                     "over the 1000000-step cap"),
+        ("linear2d_dmd", "euler_step=1e-300", "euler flow of 2e+299 steps (dt 0.2 / step "
+                                              "1e-300) is over the 1000000-step cap"),
+    ])
+    def test_flow_over_the_step_cap_is_a_usage_error(self, tmp_path, capsys, experiment,
+                                                     param, named):
+        # each of these spun for ever on a finite horizon or step; the count is
+        # refused before the flow that would take those steps starts, and
+        # linear2d_dmd, which builds its Euler map first, writes no model files
+        assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("experiment, param, named", [
         ("bridge1d", "window=[]", "window must be two finite numbers [lo, hi] with lo < hi, "
                                   "got []"),
         ("bridge1d", "window=[2.5]", "window must be two finite numbers [lo, hi] with lo < hi, "

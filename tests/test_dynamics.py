@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from koopext.core import ConfigurationError, DivergenceError, EvalGrid, FlowedGrid, singular_mask
+from koopext.core import (MAX_STEPS, ConfigurationError, DivergenceError, EvalGrid, FlowedGrid,
+                          singular_mask)
 from koopext.dynamics import (
     FlowMap,
     SnapshotSet,
@@ -146,6 +147,17 @@ class TestFlow:
         # an identity flow
         with pytest.raises(ConfigurationError, match=named):
             FlowMap(make_system("linear2d").field, dt, method=method, step=step)
+
+    def test_euler_step_count_is_capped(self):
+        # dt / step = 2e299 spun for ever, and 1e-320 overflowed to inf and
+        # raised OverflowError on round(inf); the cap itself is allowed
+        field = make_system("linear2d").field
+        assert FlowMap(field, 1.0, method="euler", step=1.0 / MAX_STEPS).step == 1e-6
+        for step, count in [(0.2 / (MAX_STEPS + 1), "1e\\+06"), (1e-300, "2e\\+299"),
+                            (1e-320, "inf")]:
+            with pytest.raises(ConfigurationError,
+                               match=f"euler flow of {count} steps .* over the 1000000-step cap"):
+                FlowMap(field, 0.2, method="euler", step=step)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_dp45_refuses_a_non_finite_time(self, t):

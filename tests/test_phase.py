@@ -124,6 +124,19 @@ class TestLaplaceAverage:
                 fld, lambda p: p[:, 0].astype(complex), -0.5, np.array([[1.0]]), T, 13.0
             )
 
+    @pytest.mark.parametrize("kwargs, count", [({"T": 1e300}, "3.175e\\+301"),
+                                               ({"step": 1e-300}, "3.15e\\+302"),
+                                               ({"T": 1e300, "step": 1e-300}, "inf"),
+                                               ({"T": 63.0, "step": 6.3e-5 * 0.999},
+                                                "1.001e\\+06")])
+    def test_step_count_over_the_cap_is_refused(self, kwargs, count):
+        # the first two spun for ever, and the third raised OverflowError on round(inf)
+        with pytest.raises(ConfigurationError,
+                           match=f"takes {count} steps of step = .* over the 1000000-step cap"):
+            _laplace_plan(6.3, **kwargs)
+        # 10 periods of 100,000 steps: the cap itself is allowed
+        assert _laplace_plan(6.3, 63.0, 6.3e-5)[1:] == (63.0, 6.3e-5)
+
     @pytest.mark.parametrize("kwargs", [{"T": -5.0}, {"T": 0.0}, {"step": 0.0},
                                         {"step": -0.1}, {"T": math.nan}])
     def test_non_positive_horizon_or_step_is_refused(self, kwargs):
