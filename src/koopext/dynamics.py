@@ -13,6 +13,7 @@ never returning Inf.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -49,6 +50,7 @@ __all__ = [
     "transform_snapshots",
     "unstable_manifold_sample",
     "dp45",
+    "DenseOrbit",
     "numeric_jacobian",
     "softplus",
     "softplus_inv",
@@ -95,8 +97,9 @@ def _dp_combine(k, row, h, tmp):
 
 
 # the (weight, stage) pairs of the error estimate and of each _DP_A row
-# whose weight is nonzero
-_DP_ERR_NZ = tuple((e, i) for i, e in enumerate(_DP_ERR) if e != 0.0)
+# whose weight is nonzero, the weights Python floats, so that the sums of
+# the single-trajectory driver stay Python floats
+_DP_ERR_NZ = tuple((float(e), i) for i, e in enumerate(_DP_ERR) if e != 0.0)
 _DP_A_NZ = tuple(tuple((a, j) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
 
 
@@ -157,17 +160,171 @@ def dp45(rhs, y0: np.ndarray, t: float, rel_tol: float = 1e-8, abs_tol: float = 
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore"):
             err_norm = float(np.nanmax(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
-        if not math.isfinite(err_norm):
-            err_norm = 10.0
         if err_norm <= 1.0:
             y, k0 = y_new, k[6]
             remaining -= h
             _check_divergence(y, "integration")
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < 1e-14 * abs(t):
-            raise DivergenceError("adaptive step collapsed; system too stiff here")
+        h = _next_step(h, err_norm, abs(t))
     return y
+
+
+def _next_step(h: float, err_norm: float, span: float) -> float:
+    """The step after a step h with scaled error err_norm, the one rule of
+    both Dormand-Prince drivers: h times 0.9 err^(-1/5), the factor clipped
+    to [0.2, 5]. A non-finite error counts as 10, and a step under 1e-14 of
+    the span |t| is refused (DivergenceError)."""
+    if not math.isfinite(err_norm):
+        err_norm = 10.0
+    factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+    h *= min(5.0, max(0.2, factor))
+    if h < 1e-14 * span:
+        raise DivergenceError("adaptive step collapsed; system too stiff here")
+    return h
+
+
+# Dormand-Prince 4th-order continuous extension (Shampine, Math. Comp. 46,
+# 1986; Hairer, Norsett & Wanner, Solving ODEs I, II.6), scipy's RK45
+# interpolant: within a step from t0 of size h,
+# y(t0 + x h) = y0 + h sum_j x^(j+1) sum_i _DP_P[i][j] k_i.
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# the (weight, stage) pairs of each power's coefficient whose weight is nonzero
+_DP_P_NZ = tuple(tuple((row[j], i) for i, row in enumerate(_DP_P) if row[j] != 0.0)
+                 for j in range(4))
+
+
+class DenseOrbit:
+    """One trajectory of `_dp45_dense`: its states `y` (n, d) at the step ends
+    `t` (n,), and between them the continuous extension of each step.
+
+    orbit(t) takes a scalar or an (m,) array of times and returns (d,) or
+    (d, m); at a step end it returns the stored state exactly. Past the last
+    step end the last step's polynomial extrapolates. Each value is summed
+    in Python floats, so it does not depend on the BLAS, and a time gives
+    the same bits alone or in an array.
+    """
+
+    def __init__(self, t: list, y: list, k: list):
+        self.t = np.array(t)
+        self.y = np.array(y)
+        self._t, self._y, self._k = t, y, k
+        self._coeffs = {}  # step -> per coordinate, its 4 polynomial coefficients
+
+    def _at(self, s: float) -> list:
+        t = self._t
+        j = min(max(bisect.bisect_right(t, s) - 1, 0), len(t) - 1)
+        if t[j] == s:
+            return self._y[j]
+        j = min(j, len(t) - 2)
+        if j not in self._coeffs:
+            k = self._k[j]
+            self._coeffs[j] = [[_weighted(k, col, i) for col in _DP_P_NZ]
+                               for i in range(len(k[0]))]
+        h = t[j + 1] - t[j]
+        x = (s - t[j]) / h
+        return [y + h * (x * (a + x * (b + x * (c + x * e))))
+                for y, (a, b, c, e) in zip(self._y[j], self._coeffs[j])]
+
+    def __call__(self, t):
+        tt = np.asarray(t, dtype=float)
+        if tt.ndim == 0:
+            return np.array(self._at(float(tt)))
+        values = [self._at(s) for s in tt.tolist()]
+        return np.array(values, dtype=float).reshape(-1, self.y.shape[1]).T
+
+
+def _weighted(k, row, i) -> float:
+    """sum c k[j][i] over the (c, j) pairs of `row`, in Python floats."""
+    acc = 0.0
+    for c, j in row:
+        acc += c * k[j][i]
+    return acc
+
+
+def _dp_step_floats(rhs, y: list, h: float, k0: list, rel_tol: float, abs_tol: float):
+    """_dp_step on one state held as Python floats, with dp45's scaled RMS
+    error: (y5, stages k, err_norm). `rhs` is called on a (d,) array."""
+    d = len(y)
+    k = [k0]
+    for row in _DP_A_NZ[1:]:
+        y5 = [y[i] + h * _weighted(k, row, i) for i in range(d)]
+        k.append(rhs(np.array(y5)).tolist())
+    sq = 0.0
+    for i in range(d):
+        r = h * _weighted(k, _DP_ERR_NZ, i) / (abs_tol + rel_tol * max(abs(y[i]), abs(y5[i])))
+        sq += r * r
+    return y5, k, math.sqrt(sq / d)
+
+
+def _dp45_dense(rhs, y0, t: float, rel_tol: float, abs_tol: float, section=None):
+    """Adaptive Dormand-Prince solve of the one state y0 (d,) from time 0 to t > 0.
+
+    The tableau, the error norm and the step rule are dp45's; the stages are
+    summed in Python floats and `rhs` is called on a (d,) array once per
+    stage, 6 times a step plus once at the start. No step calls the BLAS.
+
+    `section = (p0, n)` adds an event: the solve stops at the first upward
+    crossing of g(u) = n . (u - p0), from g < 0 to g >= 0, after t = 0,
+    located on the continuous extension by bisection. Returns (orbit,
+    t_event), t_event None without a crossing before t.
+
+    Refuses a t that is not finite and positive (ConfigurationError), a
+    state past the divergence guard and a collapsed step (DivergenceError).
+    """
+    if not 0.0 < t < math.inf:
+        raise ConfigurationError(f"t must be finite and positive, got {t}")
+    y = np.asarray(y0, dtype=float).tolist()
+    ts, ys, ks = [0.0], [y], []
+
+    def check(u):
+        if not all(abs(v) <= DIVERGENCE_LIMIT for v in u):
+            raise DivergenceError(f"state exceeded {DIVERGENCE_LIMIT:g} during integration")
+
+    check(y)
+    if section is not None:
+        p0, normal = (np.asarray(v, dtype=float).tolist() for v in section)
+
+        def g(u) -> float:
+            return sum(n * (a - b) for n, a, b in zip(normal, u, p0))
+
+        g_prev = g(y)
+    # dp45's first step, t / 16, can overflow the rhs; a step that does is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0 = rhs(np.array(y)).tolist()
+        t_now, h = 0.0, t / 16.0
+        while t_now < t:
+            last = h >= t - t_now
+            if last:
+                h = t - t_now
+            y_new, k, err_norm = _dp_step_floats(rhs, y, h, k0, rel_tol, abs_tol)
+            if err_norm <= 1.0:
+                check(y_new)
+                t_now = t if last else t_now + h
+                y, k0 = y_new, k[6]
+                ts.append(t_now)
+                ys.append(y)
+                ks.append(k)
+                if section is not None:
+                    g_now = g(y)
+                    if g_prev < 0.0 <= g_now:
+                        orbit = DenseOrbit(ts, ys, ks)
+                        lo, hi = ts[-2], t_now
+                        while lo < (mid := 0.5 * (lo + hi)) < hi:
+                            if g(orbit(mid).tolist()) < 0.0:
+                                lo = mid
+                            else:
+                                hi = mid
+                        return orbit, hi
+                    g_prev = g_now
+            h = _next_step(h, err_norm, t)
+    return DenseOrbit(ts, ys, ks), None
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +343,6 @@ class VectorField:
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
     exact_flow: Callable[[np.ndarray, float], np.ndarray] | None = None
-
-    def ode_rhs(self, _t, u: np.ndarray) -> np.ndarray:
-        """F at the single state u, in the (t, u) signature of solve_ivp."""
-        return self.rhs(u)
 
 
 @dataclass(frozen=True)
@@ -960,33 +1113,32 @@ def _find_saddle(system: BenchmarkSystem):
 
 def _trace_branch(system: BenchmarkSystem, seed_pt: np.ndarray, window_lo, window_hi, ds: float):
     """Polyline along one unstable-manifold branch, cropped at first window exit."""
-    from scipy.integrate import solve_ivp
-
     lo, hi = window_lo.tolist(), window_hi.tolist()
 
     def inside(p):
         # on Python floats: two numpy reductions per point cost more than the test
-        return all(a <= v <= b for a, v, b in zip(lo, p.tolist(), hi))
+        return all(a <= v <= b for a, v, b in zip(lo, p, hi))
 
-    rhs1 = system.field.ode_rhs
+    rhs = system.field.rhs
     pts = [seed_pt.copy()]
     x = seed_pt.copy()
     horizon, chunk, t_used = 2000.0, 1.0, 0.0
     while t_used < horizon:
-        sol = solve_ivp(rhs1, (0.0, chunk), x, rtol=1e-10, atol=1e-12, dense_output=True)
+        orbit, _ = _dp45_dense(rhs, x, chunk, 1e-10, 1e-12)
         # walk the dense solution in arclength increments of roughly ds
         t_local = 0.0
         while t_local < chunk:
-            speed = float(np.linalg.norm(rhs1(0.0, x)))
+            speed = math.hypot(*rhs(x).tolist())
             if speed < 1e-14:
                 return np.asarray(pts)
             t_local = min(t_local + ds / speed, chunk)
-            x = sol.sol(t_local)
-            if not inside(x):
+            x = orbit(t_local)
+            u = x.tolist()
+            if not inside(u):
                 return np.asarray(pts)
-            if np.linalg.norm(x) > DIVERGENCE_LIMIT:
+            if math.hypot(*u) > DIVERGENCE_LIMIT:
                 raise DivergenceError("unstable manifold escaped the divergence guard")
-            pts.append(x.copy())
+            pts.append(x)
         t_used += chunk
     return np.asarray(pts)
 

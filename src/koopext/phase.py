@@ -29,7 +29,9 @@ from .core import (
 )
 from .dynamics import (
     BenchmarkSystem,
+    DenseOrbit,
     VectorField,
+    _dp45_dense,
     _dp_step,
     _polar_lc_values,
     _polar_ss_values,
@@ -88,14 +90,13 @@ def laplace_average_batch(
 
     The steps are first-same-as-last: each step's 7th stage is the next
     step's 1st, so the average makes 6 rhs calls per step, plus one at t = 0.
+    A T or step that is not finite and positive, or a T / step that rounds
+    to 0 or to more than MAX_STEPS steps, is refused (ConfigurationError).
     """
-    if T <= 0 or step <= 0:
-        raise ConfigurationError("horizon and step must be positive")
-    n_steps = int(round(T / step))
-    if n_steps == 0:
-        raise ConfigurationError(
-            f"horizon T = {T:g} is under half the step = {step:g}, so it rounds to 0 steps"
-        )
+    if not (0 < T < math.inf and 0 < step < math.inf):
+        raise ConfigurationError(f"horizon and step must be finite and positive, got "
+                                 f"T = {T}, step = {step}")
+    n_steps = _laplace_steps(T, step, f"{T:g}")
     # column-major, so each coordinate column the rhs reads and writes is contiguous
     y = np.array(np.atleast_2d(points), dtype=float, order="F")
     h = T / n_steps
@@ -126,7 +127,7 @@ def laplace_average_batch(
 _PERIOD_HORIZON = 100.0
 
 
-def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, Callable]:
+def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, DenseOrbit]:
     """(omega, period, orbit) of the attracting limit cycle reachable from x0.
 
     The state is first relaxed onto the cycle for 60 time units, then a
@@ -137,49 +138,37 @@ def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, Callable]:
     search for that return: without one before t = _PERIOD_HORIZON,
     DivergenceError.
 
-    `orbit` is the dense output of that one-period integration (rtol = atol
-    = 1e-12): orbit(t) is the state at time t after the relaxed point, for
-    0 <= t <= the event time of the first return, which the Newton steps
-    refine into `period` (past it, the last interpolant extrapolates). So
+    Both solves are `_dp45_dense` at rtol = atol = 1e-12, and every product
+    here is summed in Python floats, so the period does not depend on the
+    BLAS. `orbit` is the dense output of the one-period solve: orbit(t) is
+    the state at time t after the relaxed point, for 0 <= t <= the step end
+    past the first return, which the Newton steps refine into `period`. So
     orbit(np.linspace(0, period, n)) samples the cycle once round.
     """
-    from scipy.integrate import solve_ivp
-
-    rhs1 = fld.ode_rhs
-    relax = solve_ivp(rhs1, (0.0, 60.0), np.asarray(x0, dtype=float),
-                      rtol=1e-12, atol=1e-12)
-    p0 = relax.y[:, -1]
-    normal = rhs1(0.0, p0)
-    speed = np.linalg.norm(normal)
+    relax, _ = _dp45_dense(fld.rhs, x0, 60.0, 1e-12, 1e-12)
+    p0 = relax.y[-1]
+    flow = fld.rhs(p0).tolist()
+    speed = math.hypot(*flow)
     if speed < 1e-12:
         raise ConfigurationError("x0 relaxed onto a steady state, not a cycle")
-    normal = normal / speed
+    normal = [v / speed for v in flow]
 
-    def section(t, u):
-        return normal @ (u - p0)
+    def along(v) -> float:
+        return sum(n * a for n, a in zip(normal, v.tolist()))
 
-    section.direction = 1.0
-    # the start point itself is the first occurrence, at t = 0; stop at the next
-    section.terminal = 2
-
-    sol = solve_ivp(
-        rhs1, (0.0, _PERIOD_HORIZON), p0, rtol=1e-12, atol=1e-12,
-        events=section, dense_output=True,
-    )
-    crossings = sol.t_events[0]
-    crossings = crossings[crossings > 1e-6]
-    if crossings.size == 0:
+    orbit, t_star = _dp45_dense(fld.rhs, p0, _PERIOD_HORIZON, 1e-12, 1e-12,
+                               section=(p0, normal))
+    if t_star is None:
         raise DivergenceError("no return to the section within the horizon; no cycle found")
-    t_star = float(crossings[0])
     for _ in range(3):
-        u = sol.sol(t_star)
-        g = normal @ (u - p0)
-        dg = normal @ rhs1(0.0, u)
+        u = orbit(t_star)
+        g = along(u - p0)
+        dg = along(fld.rhs(u))
         if dg == 0:
             break
         t_star -= g / dg
     period = t_star
-    return 2.0 * math.pi / period, period, sol.sol
+    return 2.0 * math.pi / period, period, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +328,7 @@ def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     periods) rounded to whole periods so rotating terms cancel exactly; the
     step period/200 unless set. A non-positive T or step is refused, and so is
     a step over twice the rounded horizon, which leaves 0 steps, or one that
-    leaves more than MAX_STEPS."""
+    leaves more than MAX_STEPS (`_laplace_steps`)."""
     if period is None or not (math.isfinite(period) and period > 0):
         raise ConfigurationError(
             f"laplace_average needs the positive limit-cycle period, got {period}"
@@ -351,19 +340,27 @@ def _laplace_plan(period, T=None, step=None) -> tuple[complex, float, float]:
     horizon = 50.0 * period if T is None else T
     rounded = period * max(1, round(horizon / period))
     step = period / 200.0 if step is None else step
-    n_steps = float(rounded) / float(step)  # inf, not a warning, past the float range
     given = "50 periods" if T is None else f"{T:g}"
+    _laplace_steps(rounded, step, f"{given}, rounded to whole periods {rounded:g},")
+    return lam, rounded, step
+
+
+def _laplace_steps(T: float, step: float, horizon: str) -> int:
+    """round(T / step), the fixed steps of a Laplace average over the
+    positive horizon T, and the one home of its refusals: a count over
+    MAX_STEPS or of 0 is a ConfigurationError naming the count and the
+    horizon, described by `horizon`."""
+    n_steps = float(T) / float(step)  # inf, not a warning, past the float range
     if n_steps > MAX_STEPS:
         raise ConfigurationError(
-            f"horizon T = {given}, rounded to whole periods {rounded:g}, takes {n_steps:.4g} "
-            f"steps of step = {step:g}, over the {MAX_STEPS}-step cap"
+            f"horizon T = {horizon} takes {n_steps:.4g} steps of step = {step:g}, "
+            f"over the {MAX_STEPS}-step cap"
         )
     if round(n_steps) == 0:
         raise ConfigurationError(
-            f"horizon T = {given}, rounded to whole periods {rounded:g}, is under half "
-            f"the step = {step:g}, so it rounds to 0 steps"
+            f"horizon T = {horizon} is under half the step = {step:g}, so it rounds to 0 steps"
         )
-    return lam, rounded, step
+    return round(n_steps)
 
 
 def write_phase_csv(path, field_: PhaseField) -> None:

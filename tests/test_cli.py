@@ -639,6 +639,46 @@ print(json.dumps([at_import, scipy_modules()]))
         assert not {"scipy.optimize", "scipy.integrate"} & set(after_run)
 
 
+    def test_phase_runs_load_no_scipy_subpackage(self, tmp_path):
+        # the limit-cycle and unstable-manifold solves are in-tree, and
+        # scipy.integrate alone took 0.4 s and about 50 MB of a run
+        after_run = run_python(f"""
+import json, sys
+from koopext.experiments import ExperimentConfig, run
+run(ExperimentConfig("vdp_phase", out_dir={str(tmp_path / "vdp")!r},
+                     params={{"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}}))
+run(ExperimentConfig("duffing_edmd", seed=7, out_dir={str(tmp_path / "duffing")!r},
+                     params={{"n_pairs": 100, "n_rbf": 20, "n_manifold": 20}}))
+print(json.dumps(sorted(sys.modules)))
+""")
+        assert (tmp_path / "duffing" / "manifold_samples.csv").exists()
+        assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(after_run)
+
+
+class TestKernelIndependence:
+    def test_vdp_phase_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
+        # the period moved 2 ulp under the Haswell and Prescott kernels while
+        # solve_ivp's steps went through the BLAS; Prescott runs on any x86-64
+        code = """
+import hashlib, json, os, sys
+from koopext.experiments import ExperimentConfig, run
+out = sys.argv[1]
+run(ExperimentConfig("vdp_phase", out_dir=out,
+                     params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
+print(json.dumps({name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+                  for name in sorted(os.listdir(out)) if name != "config.json"}))
+"""
+        got = []
+        for kernel in ("", "Prescott"):
+            env = {**child_env(), "OPENBLAS_CORETYPE": kernel}
+            proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / (kernel or "default"))],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            got.append(json.loads(proc.stdout))
+        assert sorted(got[0]) == ["phase_config.json", "summary.json", "vdp_phase.csv"]
+        assert got[0] == got[1]
+
+
 class TestConfig:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = ExperimentConfig(

@@ -10,7 +10,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from koopext import eigensolve, phase
 from koopext.core import (
@@ -70,20 +69,20 @@ def test_vdp_phase_solves_the_period_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_vdp_phase_makes_two_solve_ivp_calls(tmp_path, monkeypatch):
+def test_vdp_phase_makes_two_dense_solves(tmp_path, monkeypatch):
     spans = []
-    original = scipy.integrate.solve_ivp
+    original = phase._dp45_dense
 
-    def counting_solve_ivp(fun, t_span, *args, **kwargs):
-        spans.append(t_span)
-        return original(fun, t_span, *args, **kwargs)
+    def counting_dp45_dense(rhs, y0, t, *args, **kwargs):
+        spans.append(t)
+        return original(rhs, y0, t, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(phase, "_dp45_dense", counting_dp45_dense)
     run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
                          params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
     # limit_cycle_period's relaxation, then its one period, whose dense
     # output gives the band samples
-    assert spans == [(0.0, 60.0), (0.0, 100.0)]
+    assert spans == [60.0, 100.0]
 
 
 def test_vdp_phase_peak_memory_stays_under_16_mb(tmp_path):

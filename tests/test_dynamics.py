@@ -658,6 +658,84 @@ class TestDormandPrinceStep:
         self.assert_same_bits(sys_.field.rhs(p), want)
 
 
+class TestDenseDriver:
+    """_dp45_dense, the single-trajectory driver behind the limit-cycle and
+    unstable-manifold solves, against solve_ivp as a test-only oracle."""
+
+    @staticmethod
+    def vanderpol_orbit():
+        from koopext.dynamics import _dp45_dense
+
+        fld = make_system("vanderpol", mu=0.3).field
+        orbit, t_event = _dp45_dense(fld.rhs, [2.0, 0.0], 60.0, 1e-12, 1e-12)
+        ref = solve_ivp(lambda t, u: fld.rhs(u), (0.0, 60.0), [2.0, 0.0], rtol=1e-12,
+                        atol=1e-12, dense_output=True)
+        return orbit, t_event, ref
+
+    def test_vanderpol_state_after_60_units_matches_solve_ivp(self):
+        orbit, t_event, ref = self.vanderpol_orbit()
+        assert t_event is None
+        assert orbit.t[0] == 0.0 and orbit.t[-1] == 60.0
+        assert np.max(np.abs(orbit.y[-1] - ref.y[:, -1])) < 1e-9
+
+    def test_dense_output_is_the_nodes_and_between_them_solve_ivps(self):
+        orbit, _, ref = self.vanderpol_orbit()
+        nodes = orbit(orbit.t)
+        assert nodes.shape == (2, len(orbit.t))
+        assert nodes.T.tobytes() == orbit.y.tobytes()
+        assert orbit(orbit.t[7]).tobytes() == orbit.y[7].tobytes()
+        mids = 0.5 * (orbit.t[1:] + orbit.t[:-1])
+        assert np.max(np.abs(orbit(mids) - ref.sol(mids))) < 1e-9
+        assert orbit(mids[3]).shape == (2,)
+
+    def test_section_stops_at_the_first_upward_return(self):
+        # the harmonic oscillator from (1, 0), whose flow there is (0, -1):
+        # g = -(y - 0) rises from 0 at t = 0 and next crosses upward at 2 pi
+        from koopext.dynamics import _dp45_dense
+
+        rhs = lambda u: np.stack([u[..., 1], -u[..., 0]], axis=-1)  # noqa: E731
+        orbit, t_event = _dp45_dense(rhs, [1.0, 0.0], 100.0, 1e-12, 1e-12,
+                                    section=([1.0, 0.0], [0.0, -1.0]))
+        assert t_event == pytest.approx(2 * math.pi, rel=1e-10)
+        assert orbit.t[-2] < t_event <= orbit.t[-1] < 3 * math.pi
+        _, none = _dp45_dense(rhs, [1.0, 0.0], 6.0, 1e-12, 1e-12,
+                             section=([1.0, 0.0], [0.0, -1.0]))
+        assert none is None
+
+    # dp45's nanmax warns when every row's error is NaN, as in the collapse case
+    @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["non-finite t", "state past the guard", "blow-up",
+                                      "collapsed step"])
+    def test_refusals_match_dp45(self, case):
+        from koopext.dynamics import dp45, _dp45_dense
+
+        rhs, y0, t = {
+            "non-finite t": (lambda u: -u, [1.0], math.inf),
+            "state past the guard": (lambda u: -u, [2e8], 1.0),
+            # x' = x^2 from 1 blows up at t = 1
+            "blow-up": (lambda u: u * u, [1.0], 2.0),
+            # x' = 1 up to x = 1.5, where the field is NaN: the steps shrink
+            "collapsed step": (lambda u: np.where(u < 1.5, 1.0, np.nan), [0.0], 2.0),
+        }[case]
+        error, named = {
+            "non-finite t": (ConfigurationError, "t must be finite"),
+            "state past the guard": (DivergenceError, "state exceeded 1e\\+08 during integration"),
+            "blow-up": (DivergenceError, "state exceeded 1e\\+08 during integration"),
+            "collapsed step": (DivergenceError, "adaptive step collapsed"),
+        }[case]
+        with pytest.raises(error, match=named):
+            dp45(rhs, np.array([y0]), t)
+        with pytest.raises(error, match=named):
+            _dp45_dense(rhs, y0, t, 1e-8, 1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_a_time_that_is_not_positive_is_refused(self, t):
+        from koopext.dynamics import _dp45_dense
+
+        with pytest.raises(ConfigurationError, match=f"t must be finite and positive, got {t}"):
+            _dp45_dense(lambda u: -u, [1.0], t, 1e-8, 1e-10)
+
+
 def _pre_change_dp_combine(terms, h):
     # _dp_combine before the stage table: one scratch array per stage
     terms = iter(terms)
@@ -725,7 +803,6 @@ class TestSingleStateRhs:
             want = fld.rhs(u[None])[0]
             assert got.shape == u.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-            assert fld.ode_rhs(0.0, u).tobytes() == want.tobytes()
         assert fld.rhs(states).shape == states.shape
 
     @pytest.mark.parametrize("order", ["C", "F"])

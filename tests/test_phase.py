@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from koopext import phase
 from koopext.core import (
+    MAX_STEPS,
     ConfigurationError,
     DivergenceError,
     DomainError,
@@ -137,6 +138,34 @@ class TestLaplaceAverage:
         # 10 periods of 100,000 steps: the cap itself is allowed
         assert _laplace_plan(6.3, 63.0, 6.3e-5)[1:] == (63.0, 6.3e-5)
 
+    @staticmethod
+    def average_over(T, step):
+        fld = scalar_linear_field(-0.5)
+        return laplace_average_batch(
+            fld, lambda p: p[:, 0].astype(complex), -0.5, np.array([[1.0]]), T, step
+        )
+
+    def test_batch_step_count_that_overflows_is_refused(self):
+        # T / step overflowed to inf, and round(inf) raised a bare OverflowError
+        with pytest.raises(ConfigurationError,
+                           match="horizon T = 1 takes inf steps of step = 9.99989e-321, "
+                                 "over the 1000000-step cap"):
+            self.average_over(1.0, 1e-320)
+
+    @pytest.mark.parametrize("T, step, count", [(1.0, 1e-300, "1e\\+300"),
+                                                (1.0, 1.0 / (MAX_STEPS + 1), "1e\\+06")])
+    def test_batch_step_count_over_the_cap_is_refused(self, T, step, count):
+        # a finite count over the cap spun for as many steps
+        with pytest.raises(ConfigurationError, match=f"horizon T = 1 takes {count} steps"):
+            self.average_over(T, step)
+
+    @pytest.mark.parametrize("T, step", [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1),
+                                         (math.inf, math.inf), (0.0, 0.1), (1.0, -0.1)])
+    def test_batch_horizon_or_step_not_finite_and_positive_is_refused(self, T, step):
+        # a NaN passed the old `T <= 0` test and raised ValueError on round(nan)
+        with pytest.raises(ConfigurationError, match="must be finite and positive"):
+            self.average_over(T, step)
+
     @pytest.mark.parametrize("kwargs", [{"T": -5.0}, {"T": 0.0}, {"step": 0.0},
                                         {"step": -0.1}, {"T": math.nan}])
     def test_non_positive_horizon_or_step_is_refused(self, kwargs):
@@ -187,15 +216,14 @@ class TestColumnMajorAverage:
 
 
 class TestLimitCyclePeriod:
-    def test_polar_unit_cycle(self):
-        sys_ = make_system("polarLC", mu=1.0, omega=1.0, alpha=0.0)
-        omega, period, _ = limit_cycle_period(sys_.field, np.array([1.5, 0.0]))
-        assert period == pytest.approx(2 * math.pi, abs=1e-8)
-
-    def test_polar_double_speed(self):
-        sys_ = make_system("polarLC", mu=1.0, omega=2.0, alpha=0.0)
-        omega, period, _ = limit_cycle_period(sys_.field, np.array([1.5, 0.0]))
-        assert period == pytest.approx(math.pi, abs=1e-8)
+    @pytest.mark.parametrize("mu, omega, x0", [(1.0, 1.0, 1.5), (1.0, 2.0, 1.5),
+                                                (0.5, 3.0, 0.2)])
+    def test_polar_period_is_two_pi_over_omega(self, mu, omega, x0):
+        # with alpha = 0 the cycle r = sqrt(mu) turns at the rate omega
+        sys_ = make_system("polarLC", mu=mu, omega=omega, alpha=0.0)
+        got_omega, period, _ = limit_cycle_period(sys_.field, np.array([x0, 0.0]))
+        assert period == pytest.approx(2 * math.pi / omega, rel=1e-9)
+        assert got_omega == pytest.approx(omega, rel=1e-9)
 
     def test_vanderpol_period_closes_the_loop(self):
         # independent check: integrating exactly one measured period returns
@@ -231,12 +259,12 @@ class TestLimitCyclePeriod:
             return fld.rhs(p)
 
         omega, period, _ = limit_cycle_period(VectorField(2, counting_rhs), np.array([2.0, 0.0]))
-        # the value the search over the whole horizon gave, to the last bit
-        assert period == 6.318443203450758
+        # to the last bit, on every BLAS kernel: no step of the solve calls the BLAS
+        assert period == 6.318443203451206
         assert omega == 2.0 * math.pi / period
-        # integrating on to the horizon took 64,094 calls; every call is on
-        # one state, with no (1, d) batch around it
-        assert len(calls) == 26_618
+        # integrating on to the horizon would take over 60,000 calls; every
+        # call is on one state, with no (1, d) batch around it
+        assert len(calls) == 26_652
         assert set(calls) == {(2,)}
 
     def test_no_return_within_the_horizon(self, monkeypatch):
@@ -288,7 +316,7 @@ class TestCycleBand:
         near = _distance_to_samples(grid.points, orbit(np.linspace(0, period, 400)).T)
         # the oracle: relax x0 a second time at 1e-10, then integrate one
         # period, as vdp_phase did before it sampled the orbit
-        rhs1 = sys_.field.ode_rhs
+        rhs1 = lambda t, u: sys_.field.rhs(u)  # noqa: E731
         p0 = solve_ivp(rhs1, (0, 60.0), [2.0, 0.0], rtol=1e-10, atol=1e-10).y[:, -1]
         cyc = solve_ivp(
             rhs1, (0, period), p0, rtol=1e-10, atol=1e-10,
