@@ -13,7 +13,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import importlib
 import json
 import math
 import os
@@ -400,9 +399,9 @@ def write_grid_field(path, grid: EvalGrid, values) -> None:
 
 @dataclass(frozen=True)
 class OpenBLAS:
-    """An OpenBLAS that numpy or scipy bundles, reached through the
-    `scipy_openblas_*` functions it exports; numpy's 64-bit-integer build
-    suffixes their names with `64_`."""
+    """A bundled OpenBLAS, reached through the `scipy_openblas_*` functions
+    it exports; numpy's 64-bit-integer build suffixes their names with
+    `64_`."""
 
     lib: ctypes.CDLL
     suffix: str
@@ -422,30 +421,27 @@ class OpenBLAS:
 
 @functools.cache
 def openblas_libraries() -> dict[str, OpenBLAS]:
-    """The OpenBLAS that numpy and scipy each bundle, by package name. A
-    package built on another BLAS, which exports no such thread getter and
-    setter, is left out. Looked up on the first call, never at import."""
-    found = {}
-    for package in ("numpy", "scipy"):
-        root = os.path.dirname(importlib.import_module(package).__file__)
-        for path in sorted(glob.glob(root + ".libs/*openblas*")):
-            lib = ctypes.CDLL(path)
-            suffix = next((s for s in ("64_", "") if all(
-                hasattr(lib, f"scipy_openblas_{fn}_num_threads{s}") for fn in ("get", "set")
-            )), None)
-            if suffix is not None:
-                found[package] = OpenBLAS(lib, suffix)
-                break
-    return found
+    """The OpenBLAS that numpy bundles, under the key "numpy"; empty when
+    numpy is built on another BLAS, which exports no such thread getter and
+    setter. SciPy's own copy, which no koopext module calls, is left alone.
+    Looked up on the first call, never at import."""
+    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
+        lib = ctypes.CDLL(path)
+        suffix = next((s for s in ("64_", "") if all(
+            hasattr(lib, f"scipy_openblas_{fn}_num_threads{s}") for fn in ("get", "set")
+        )), None)
+        if suffix is not None:
+            return {"numpy": OpenBLAS(lib, suffix)}
+    return {}
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the body with one thread in every bundled OpenBLAS, then give each
-    library back the thread count it had, also when the body raises. The
-    count is process-wide, so a thread that runs BLAS beside the body runs on
-    one thread too. With no OpenBLAS found the body runs at the caller's
-    thread count."""
+    """Run the body with one thread in numpy's bundled OpenBLAS, then give it
+    back the thread count it had, also when the body raises. The count is
+    process-wide, so a thread that runs BLAS beside the body runs on one
+    thread too. With no OpenBLAS found the body runs at the caller's thread
+    count."""
     libs = list(openblas_libraries().values())
     before = [lib.threads() for lib in libs]
     for lib in libs:

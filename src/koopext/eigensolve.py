@@ -289,7 +289,9 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
         if conjugate:
             workc = workc - np.conj(lam) * np.outer(np.conj(v), np.conj(w))
             i += 1
-        work = workc.real
+        # a C-contiguous copy: products with the strided .real view run
+        # numpy's non-BLAS loop, slower and summed in another order
+        work = np.ascontiguousarray(workc.real)
 
 
 def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpair]:

@@ -32,7 +32,6 @@ import sys
 import tempfile
 
 import numpy
-import scipy
 
 from koopext.cli import main as cli_main
 from koopext.core import one_blas_thread, openblas_libraries
@@ -82,11 +81,11 @@ def label(experiment: str, seed: int, params: dict) -> str:
     )
 
 
-def _openblas(package: str) -> dict | None:
-    """Runtime configuration (kernel core included) of the OpenBLAS a package
+def _openblas() -> dict | None:
+    """Runtime configuration (kernel core included) of the OpenBLAS numpy
     bundles and the thread count runs use, read inside `one_blas_thread`; None
-    when the package bundles none and runs go unpinned."""
-    lib = openblas_libraries().get(package)
+    when numpy bundles none and runs go unpinned."""
+    lib = openblas_libraries().get("numpy")
     if lib is None:
         return None
     with one_blas_thread():
@@ -96,18 +95,16 @@ def _openblas(package: str) -> dict | None:
 
 
 def environment() -> dict:
-    """What artifact bytes depend on besides the source: library versions, the
-    OpenBLAS that numpy and scipy each run (kernel core and the thread count
-    of the runs) and the CPU features numpy dispatches on."""
+    """What artifact bytes depend on besides the source: the numpy version,
+    the OpenBLAS it runs (kernel core and the thread count of the runs) and
+    the CPU features it dispatches on. No run calls scipy."""
     from numpy._core._multiarray_umath import __cpu_features__
 
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "numpy_openblas": _openblas("numpy"),
-        "scipy_openblas": _openblas("scipy"),
+        "numpy_openblas": _openblas(),
         "numpy_cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
     }
 
