@@ -18,6 +18,7 @@ from .core import (ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, 
                    singular_mask)
 from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
+from .eigensolve import eigentriplets
 from .extend import EigenfunctionExpr, PowerErrors, expr_from_weights, normalize_to_grid
 from .regression import fit_edmd
 
@@ -92,23 +93,17 @@ def fit_local_family(
         FlowMap(system.field, dt, method="exact" if system.field.exact_flow else "rk45"),
         grid,
     )
-    lams, W = np.linalg.eig(model.K.T)
     members = []
-    for j in range(lams.size):
-        if abs(lams[j].imag) > IMAG_TOL:
+    for q in eigentriplets(model.K, model.dim):
+        if abs(q.lam.imag) > IMAG_TOL:
             continue
-        lam = float(lams[j].real)
-        w = W[:, j]
-        if np.max(np.abs(w.imag)) < 1e-12:
-            w = w.real
-        expr = expr_from_weights(model, w, lam)
+        expr = expr_from_weights(model, q.left, q.lam.real)
         try:
             expr = normalize_to_grid(expr, grid)
         except EmptySupportError:
             continue
         if PowerErrors(expr, flowed)(1)[1] <= spurious_threshold:
             members.append(expr)
-    members.sort(key=lambda m: -abs(m.eigenvalue))
     return tuple(members)
 
 

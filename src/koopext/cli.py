@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--bandwidth", type=_flag(_POSITIVE, float), default=0.3)
     fit.add_argument("--ridge", type=_flag(_NONNEGATIVE, float), default=0.0)
 
-    eig = sub.add_parser("eig", help="dominant eigenpairs of a stored model by deflation")
-    _add_out_seed(eig)
+    eig = sub.add_parser("eig", help="leading eigentriplets of a stored model")
+    eig.add_argument("--out", default=".", help="output directory")
     eig.add_argument("--model", required=True, help="model file stem")
     eig.add_argument("--n", type=_flag(_AT_LEAST_1, int), help=_N_HELP)
 
@@ -169,11 +169,11 @@ def _tool_fit(args) -> int:
 
 
 def _tool_eig(args) -> int:
-    from .eigensolve import deflate_spectrum, write_eigenvectors_csv, write_spectrum_json
+    from .eigensolve import eigentriplets, write_eigenvectors_csv, write_spectrum_json
     from .regression import load_model
 
     model = load_model(args.model)
-    pairs = deflate_spectrum(model.K, _n_pairs(args, model), seed=args.seed)
+    pairs = eigentriplets(model.K, _n_pairs(args, model))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.json")
     write_spectrum_json(path, pairs)

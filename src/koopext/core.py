@@ -44,7 +44,7 @@ __all__ = [
     "principal_pow",
     "write_grid_field",
     "OpenBLAS",
-    "openblas_libraries",
+    "numpy_openblas",
     "one_blas_thread",
 ]
 
@@ -420,19 +420,18 @@ class OpenBLAS:
 
 
 @functools.cache
-def openblas_libraries() -> dict[str, OpenBLAS]:
-    """The OpenBLAS that numpy bundles, under the key "numpy"; empty when
-    numpy is built on another BLAS, which exports no such thread getter and
-    setter. SciPy's own copy, which no koopext module calls, is left alone.
-    Looked up on the first call, never at import."""
+def numpy_openblas() -> OpenBLAS | None:
+    """The OpenBLAS that numpy bundles; None when numpy is built on another
+    BLAS, which exports no such thread getter and setter. Looked up on the
+    first call, never at import."""
     for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
         lib = ctypes.CDLL(path)
         suffix = next((s for s in ("64_", "") if all(
             hasattr(lib, f"scipy_openblas_{fn}_num_threads{s}") for fn in ("get", "set")
         )), None)
         if suffix is not None:
-            return {"numpy": OpenBLAS(lib, suffix)}
-    return {}
+            return OpenBLAS(lib, suffix)
+    return None
 
 
 @contextlib.contextmanager
@@ -442,12 +441,13 @@ def one_blas_thread():
     process-wide, so a thread that runs BLAS beside the body runs on one
     thread too. With no OpenBLAS found the body runs at the caller's thread
     count."""
-    libs = list(openblas_libraries().values())
-    before = [lib.threads() for lib in libs]
-    for lib in libs:
-        lib.set_threads(1)
+    lib = numpy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.threads()
+    lib.set_threads(1)
     try:
         yield
     finally:
-        for lib, n in zip(libs, before):
-            lib.set_threads(n)
+        lib.set_threads(before)

@@ -37,6 +37,7 @@ from .core import (
     _write_json,
     tag_nonfinite,
 )
+from .eigensolve import eigentriplets
 
 __all__ = [
     "VectorField",
@@ -518,46 +519,37 @@ def _cubic1d() -> BenchmarkSystem:
     def rhs(x):
         return (x - a) * (x - b) * (x - c)
 
-    def antiderivative(x: float) -> float:
-        return float(np.dot(res, np.log(np.abs(x - roots))))
-
-    intervals = [(-np.inf, a), (a, b), (b, c), (c, np.inf)]
-
-    def _interval_of(x: float):
-        for lo, hi in intervals:
-            if lo < x < hi:
-                return lo, hi
-        return None
-
     def exact_flow(pts, t):
+        # F(x(t)) = F(x0) + t for F = sum_k res_k log|x - root_k|, F' = 1/f,
+        # solved in s = log|x - r|: r is the steady state the flow heads for,
+        # or on an unbounded side heading out the one it leaves. F is smooth in
+        # s and reaches every value, so the bracket runs from x0 up to r itself
+        # (where e^s underflows) or out to |x - r| = DIVERGENCE_LIMIT
         out = np.empty_like(pts)
         for i, x0 in enumerate(pts[:, 0]):
-            if np.any(x0 == roots):
+            if t == 0 or np.any(x0 == roots):
                 out[i, 0] = x0
                 continue
-            lo, hi = _interval_of(x0)
-            target = antiderivative(x0) + t
-            gap = 1e-13 * (1.0 + abs(x0))
-            xlo = lo + gap if np.isfinite(lo) else None
-            xhi = hi - gap if np.isfinite(hi) else None
-            if xlo is None or xhi is None:
-                # unbounded side: expand the bracket; escape means blow-up
-                inner = xhi if xlo is None else xlo
-                width = 1.0
-                other = None
-                fn = lambda x: antiderivative(x) - target
-                f_inner = fn(inner)
-                while width < DIVERGENCE_LIMIT:
-                    cand = inner - width if xlo is None else inner + width
-                    if fn(cand) * f_inner <= 0:
-                        other = cand
-                        break
-                    width *= 4.0
-                if other is None:
+            ahead = int(np.searchsorted(roots, x0)) - int(rhs(x0) * t < 0)
+            j = min(max(ahead, 0), 2)
+            r, sign = roots[j], math.copysign(1.0, x0 - roots[j])
+            others, res_others = np.delete(roots, j), np.delete(res, j)
+
+            def F(s):
+                return res[j] * s + float(
+                    np.dot(res_others, np.log(np.abs(r - others + sign * math.exp(s)))))
+
+            s0 = math.log(abs(x0 - r))
+            target = F(s0) + t
+            end = math.log(math.ulp(0.0)) if ahead == j else math.log(DIVERGENCE_LIMIT)
+            if (F(end) - target) * t < 0:  # target not reached within the bracket
+                if ahead != j:
                     raise DivergenceError("cubic flow escaped to infinity in finite time")
-                xlo, xhi = (other, inner) if xlo is None else (inner, other)
-            out[i, 0] = _bracketed_root(lambda x: antiderivative(x) - target, xlo, xhi,
-                                        xtol=1e-15, rtol=8.9e-16)
+                out[i, 0] = r  # closer to r than the least subnormal
+                continue
+            s = _bracketed_root(lambda s: F(s) - target, min(s0, end), max(s0, end),
+                                xtol=1e-15, rtol=8.9e-16)
+            out[i, 0] = r + sign * math.exp(s)
         return out
 
     def make_eig(idx: int):
@@ -625,20 +617,6 @@ def _quad1d() -> BenchmarkSystem:
     )
 
 
-def _left_eigenvectors_2x2(A: np.ndarray):
-    lams, W = np.linalg.eig(A.T)
-    order = np.argsort(lams.real)
-    vecs = []
-    for j in order:
-        w = W[:, j].real
-        w = w / np.linalg.norm(w)
-        k = int(np.argmax(np.abs(w)))
-        if w[k] < 0:
-            w = -w
-        vecs.append((float(lams[j].real), w))
-    return vecs
-
-
 # linear2d's matrix; softplus2d is linear2d seen through softplus, and
 # softplus_edmd samples linear2d to fit it, so the two share this default
 _LINEAR2D_A = ((-0.9, 0.1), (0.0, -0.8))
@@ -700,7 +678,7 @@ def _seen_through(base: BenchmarkSystem, system_id: str, to_base, from_base, pus
 
 def _linear2d() -> BenchmarkSystem:
     A = np.array(_LINEAR2D_A)
-    return _linear("linear2d", A, _left_eigenvectors_2x2(A))
+    return _linear("linear2d", A, [(q.lam.real, q.left) for q in eigentriplets(A, 2)])
 
 
 def softplus(x):

@@ -44,7 +44,7 @@ from .dynamics import (
     write_snapshots,
     SnapshotSet,
 )
-from .eigensolve import deflate_spectrum, write_spectrum_json
+from .eigensolve import deflate_spectrum, eigentriplets, write_spectrum_json
 from .extend import (
     PairExtension,
     PowerErrors,
@@ -143,17 +143,11 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     L = spectral_norm_bound_L(model.dict, grid)
     M = feature_sup_M(model.dict, grid)
 
-    lams, W = np.linalg.eig(model.K.T)
-    order = np.argsort(-lams.real)
-    targets = np.exp(np.array([-0.8, -0.9]) * p["dt"])
-    eig_err = max(
-        abs(float(lams[j].real) - t) for j, t in zip(order, sorted(targets, reverse=True))
-    )
-    pairs = [(float(lams[j].real), W[:, j].real) for j in order]
-    write_spectrum_json(
-        os.path.join(out, "spectrum.json"),
-        deflate_spectrum(model.K, 2, seed=seed),
-    )
+    triplets = eigentriplets(model.K, 2)
+    write_spectrum_json(os.path.join(out, "spectrum.json"), triplets)
+    targets = np.exp(np.array([-0.8, -0.9]) * p["dt"])  # descending, as the triplets
+    eig_err = max(abs(q.lam.real - t) for q, t in zip(triplets, targets))
+    pairs = [(q.lam.real, q.left.real) for q in triplets]
     # reconstruction = one-step prediction from every training state
     recon = snaps.x @ model.K.T
     _write_csv(os.path.join(out, "reconstruction.csv"),
@@ -576,24 +570,19 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     S = unstable_manifold_sample(sys_, p["n_manifold"], tuple(map(tuple, p["window"])))
     _write_csv(os.path.join(out, "manifold_samples.csv"), ["x1", "x2"], S)
     saddle_idx = int(np.argmin(np.linalg.norm(S, axis=1)))
-    lams, W = np.linalg.eig(model.K.T)
-    order = np.argsort(-np.abs(lams))[: p["top_k"]]
+    triplets = eigentriplets(model.K, min(p["top_k"], model.dim))
     feats = dic.eval(S)
     _write_json(os.path.join(out, "spectrum.json"),
-                [{"re": float(lams[j].real), "im": float(lams[j].imag)} for j in order],
-                sort_keys=False)
+                [{"re": q.lam.real, "im": q.lam.imag} for q in triplets], sort_keys=False)
     good = total = 0
     profiles = {}
-    for j in order:
-        lam = lams[j]
+    for q in triplets:
         # eigenfunctions tied to the attractors: real and strictly decaying,
         # with the trivial unit eigenvalue excluded
-        if abs(lam.imag) > 1e-8 or abs(lam) >= 1.0 - p["unit_collar"]:
+        if abs(q.lam.imag) > 1e-8 or abs(q.lam) >= 1.0 - p["unit_collar"]:
             continue
-        w = W[:, j]
-        w = w.real if np.max(np.abs(w.imag)) < 1e-12 else w
-        vals = np.abs(feats @ w)
-        profiles[f"{lam.real:.6f}"] = vals.tolist()
+        vals = np.abs(feats @ q.left)
+        profiles[f"{q.lam.real:.6f}"] = vals.tolist()
         for i in range(saddle_idx):
             total += 1
             good += bool(vals[i + 1] > vals[i])

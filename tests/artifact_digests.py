@@ -16,8 +16,11 @@ named by path below the run directory.
 
 `--golden` rewrites `golden_sha256.json` beside this file: the digests of the
 GOLDEN_CONFIGS runs and of the README tool chain, which tier-1 makes and
-checks against it, and the environment that wrote them. A change that alters
-artifact bytes on purpose regenerates it this way and lists each changed file.
+checks against it, and the environment that wrote them. It prints one line
+`<label> <changed|added|removed> <file>` per file whose digest differs from
+the manifest it replaces, and `environment changed` when the environment
+does. A change that alters artifact bytes on purpose regenerates it this way
+and lists the printed files.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ import tempfile
 import numpy
 
 from koopext.cli import main as cli_main
-from koopext.core import one_blas_thread, openblas_libraries
+from koopext.core import numpy_openblas, one_blas_thread
 from koopext.experiments import ExperimentConfig, run
 from test_readme import tool_surface_commands
 
@@ -85,7 +88,7 @@ def _openblas() -> dict | None:
     """Runtime configuration (kernel core included) of the OpenBLAS numpy
     bundles and the thread count runs use, read inside `one_blas_thread`; None
     when numpy bundles none and runs go unpinned."""
-    lib = openblas_libraries().get("numpy")
+    lib = numpy_openblas()
     if lib is None:
         return None
     with one_blas_thread():
@@ -146,11 +149,36 @@ def tool_chain_digests() -> list[tuple[str, str]]:
         return file_digests(out)
 
 
+def manifest_changes(old: dict, new: dict) -> list[str]:
+    """`<label> <changed|added|removed> <file>` for every file whose digest
+    differs between two manifests' runs ({label: {file: sha256}}), by label
+    and then file."""
+    lines = []
+    for run_label in sorted(old.keys() | new.keys()):
+        before, after = old.get(run_label, {}), new.get(run_label, {})
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                lines.append(f"{run_label} added {name}")
+            elif name not in after:
+                lines.append(f"{run_label} removed {name}")
+            elif before[name] != after[name]:
+                lines.append(f"{run_label} changed {name}")
+    return lines
+
+
 def write_golden() -> None:
     runs = {label(*cfg): dict(digests(*cfg)) for cfg in GOLDEN_CONFIGS}
     runs[TOOL_CHAIN_LABEL] = dict(tool_chain_digests())
+    manifest = {"environment": environment(), "runs": runs}
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH) as fh:
+            old = json.load(fh)
+        if old["environment"] != manifest["environment"]:
+            print("environment changed")
+        for line in manifest_changes(old["runs"], runs):
+            print(line)
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump({"environment": environment(), "runs": runs}, fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 

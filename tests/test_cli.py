@@ -11,7 +11,7 @@ import pytest
 import koopext
 from koopext.cli import build_parser, main
 from koopext import core
-from koopext.core import ConfigurationError, _Domain, _json_type, openblas_libraries
+from koopext.core import ConfigurationError, _Domain, _json_type, numpy_openblas
 from koopext.experiments import EXPERIMENTS, ExperimentConfig, run
 
 from artifact_digests import (
@@ -22,6 +22,7 @@ from artifact_digests import (
     environment,
     file_digests,
     label,
+    manifest_changes,
     tool_chain_digests,
 )
 
@@ -422,7 +423,6 @@ class TestExitCodes:
         ["run"],
         ["simulate", "--system", "linear2d"],
         ["fit", "--snapshots", "snapshots", "--dict", "rbf"],
-        ["eig", "--model", "model"],
         ["extend", "--model", "model", "--system", "linear2d"],
     ])
     def test_negative_seed_is_refused_before_anything_is_written(self, tmp_path, capsys, args):
@@ -442,6 +442,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("argument --seed: must be an integer >= 0, got -1" in err
                 or "seed must be an integer >= 0, got -1" in err)
+        assert not out.exists()
+
+    def test_eig_takes_no_seed(self, tmp_path, capsys):
+        # one LAPACK call draws nothing; the flag went with the deflation
+        out = tmp_path / "out"
+        assert run_cli(["eig", "--model", "model", "--seed", "0", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_config_holds_a_negative_seed(self):
@@ -512,24 +519,30 @@ class TestDeterminism:
         # simulate -> fit -> eig -> extend -> phase as the README runs them
         assert_matches_golden(TOOL_CHAIN_LABEL, dict(tool_chain_digests()))
 
+    def test_golden_rewrite_lists_each_moved_file(self):
+        old = {"a@0": {"x.csv": "1", "y.csv": "2", "z.csv": "3"}, "gone@0": {"w.csv": "4"}}
+        new = {"a@0": {"x.csv": "1", "y.csv": "5", "v.csv": "6"}, "new@0": {"u.csv": "7"}}
+        assert manifest_changes(old, new) == [
+            "a@0 added v.csv", "a@0 changed y.csv", "a@0 removed z.csv",
+            "gone@0 removed w.csv", "new@0 added u.csv"]
+        assert manifest_changes(new, new) == []
+
 
 @pytest.fixture
 def two_blas_threads():
-    """Every bundled OpenBLAS at 2 threads, so that a pin to one shows, and
-    the caller's counts given back afterwards."""
-    libs = openblas_libraries()
-    if not libs:
+    """numpy's bundled OpenBLAS at 2 threads, so that a pin to one shows, and
+    the caller's count given back afterwards."""
+    lib = numpy_openblas()
+    if lib is None:
         pytest.skip("numpy bundles no OpenBLAS here")
-    before = {name: lib.threads() for name, lib in libs.items()}
-    for lib in libs.values():
-        lib.set_threads(2)
+    before = lib.threads()
+    lib.set_threads(2)
     yield
-    for name, n in before.items():
-        libs[name].set_threads(n)
+    lib.set_threads(before)
 
 
-def blas_threads() -> dict:
-    return {name: lib.threads() for name, lib in openblas_libraries().items()}
+def blas_threads() -> int:
+    return numpy_openblas().threads()
 
 
 class TestOneBlasThread:
@@ -562,23 +575,23 @@ class TestOneBlasThread:
         run(ExperimentConfig("probe", out_dir=str(tmp_path)))
         with pytest.raises(ConfigurationError, match="refused inside the runner"):
             run(ExperimentConfig("probe", out_dir=str(tmp_path), params={"fail": True}))
-        assert seen == [dict.fromkeys(openblas_libraries(), 1)] * 2
-        assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
+        assert seen == [1, 1]
+        assert blas_threads() == 2
 
     @pytest.mark.parametrize("args", [
         ["linear2d_dmd", "--param", "grid_hi=-1"],
         ["phase", "--method", "analytic", "--grid", "-1", "1", "0.5"],
         ["phase", "--grid", "1", "1", "0.1"],
     ])
-    def test_cli_gives_each_library_its_count_back(self, tmp_path, two_blas_threads, args):
+    def test_cli_gives_the_count_back(self, tmp_path, two_blas_threads, args):
         # a run its runner refuses, a tool that succeeds and a tool that
         # refuses its input
         run_cli([*args, "--out", str(tmp_path)])
-        assert blas_threads() == dict.fromkeys(openblas_libraries(), 2)
+        assert blas_threads() == 2
 
     def test_run_completes_when_no_blas_can_be_pinned(self, tmp_path, monkeypatch):
         # another BLAS exports no thread setter: the run goes on unpinned
-        monkeypatch.setattr(core, "openblas_libraries", lambda: {})
+        monkeypatch.setattr(core, "numpy_openblas", lambda: None)
         summary = run(ExperimentConfig("bridge1d", out_dir=str(tmp_path)))
         assert summary["all_pass"] is True
 

@@ -1,10 +1,11 @@
 """Regression tests that pin the compute-once data flow of the experiments:
-each evaluation grid is flowed once per flow map, the limit-cycle period and
-orbit are solved once per phase run and Laplace-averaged in one batch, the
-Arnoldi eigensolver makes one 2x2 eigenvalue solve per step and its warm
-start one product per power step, and the certified extension loop computes
-what does not depend on the power p once. The work moved out of a loop is
-pinned bit for bit against copies of the code that recomputed it."""
+each evaluation grid is flowed once per flow map, linear2d_dmd decomposes its
+fitted K once, the limit-cycle period and orbit are solved once per phase run
+and Laplace-averaged in one batch, the Arnoldi eigensolver makes one 2x2
+eigenvalue solve per step and its warm start one product per power step, and
+the certified extension loop computes what does not depend on the power p
+once. The work moved out of a loop is pinned bit for bit against copies of
+the code that recomputed it."""
 import inspect
 import tracemalloc
 
@@ -34,7 +35,7 @@ from koopext.extend import (
     _eval_base,
     _pow_values,
 )
-from koopext.regression import fit_edmd
+from koopext.regression import fit_edmd, load_model
 
 
 def test_linear2d_dmd_flows_the_grid_once_per_flow_map(tmp_path, monkeypatch):
@@ -53,6 +54,22 @@ def test_linear2d_dmd_flows_the_grid_once_per_flow_map(tmp_path, monkeypatch):
     assert summary["all_pass"]
     # one exact and one Euler flow feed every error, bound and extension loop
     assert sorted(on_grid) == ["euler", "exact"]
+
+
+def test_linear2d_dmd_decomposes_k_once(tmp_path, monkeypatch):
+    # its pairs came from np.linalg.eig(K.T) and its spectrum.json from a
+    # second decomposition of K by deflation; the linear2d builder's own
+    # eigentriplets call decomposes A, not K
+    seen = []
+    for owner, name in ((np.linalg, "eig"), (eigensolve, "power_iteration_complex")):
+        def spy(A, *args, original=getattr(owner, name), **kwargs):
+            seen.append(np.array(A))
+            return original(A, *args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    run(ExperimentConfig("linear2d_dmd", seed=42, out_dir=str(tmp_path),
+                         params={"grid_h": 0.1}))
+    K = load_model(str(tmp_path / "model")).K
+    assert sum(np.array_equal(A, K) or np.array_equal(A, K.T) for A in seen) == 1
 
 
 def test_vdp_phase_solves_the_period_once(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from koopext.dynamics import (
     _bracketed_root,
     bistable_transform,
     bistable_transform_inv,
+    dp45,
     integration_error_sup,
     make_system,
     read_snapshots,
@@ -846,9 +847,23 @@ def _frozen_propagator(A):
     return functools.cache(lambda t: expm(A * t))
 
 
+def _left_eigenvectors_2x2(A: np.ndarray):
+    # verbatim from src/ before eigensolve.eigentriplets took its place
+    lams, W = np.linalg.eig(A.T)
+    order = np.argsort(lams.real)
+    vecs = []
+    for j in order:
+        w = W[:, j].real
+        w = w / np.linalg.norm(w)
+        k = int(np.argmax(np.abs(w)))
+        if w[k] < 0:
+            w = -w
+        vecs.append((float(lams[j].real), w))
+    return vecs
+
+
 def _frozen_linear2d():
-    from koopext.dynamics import (AnalyticEigenfunction, BenchmarkSystem, VectorField,
-                                  _left_eigenvectors_2x2)
+    from koopext.dynamics import AnalyticEigenfunction, BenchmarkSystem, VectorField
 
     A = np.array(((-0.9, 0.1), (0.0, -0.8)))
     propagator = _frozen_propagator(A)
@@ -863,7 +878,7 @@ def _frozen_linear2d():
 
 def _frozen_softplus2d():
     from koopext.dynamics import (AnalyticEigenfunction, BenchmarkSystem, VectorField,
-                                  _left_eigenvectors_2x2, softplus, softplus_inv)
+                                  softplus, softplus_inv)
 
     A = np.array(((-0.9, 0.1), (0.0, -0.8)))
     propagator = _frozen_propagator(A)
@@ -1127,8 +1142,8 @@ class TestLinearPropagator:
 class TestCubicRootFind:
     """cubic1d's exact flow solves F(x) = F(x0) + t on the interval between
     steady states that holds x0, F the monotone antiderivative of 1/f, with
-    `_bracketed_root`; scipy's brentq at the same xtol and rtol is the
-    reference."""
+    `_bracketed_root` in s = log|x - r|; scipy's brentq on x at the same xtol
+    and rtol is the reference."""
 
     ROOTS = np.array([-1.0, 0.0, 3.0])
     RESIDUES = np.array([1.0 / 4.0, -1.0 / 3.0, 1.0 / 12.0])
@@ -1161,6 +1176,11 @@ class TestCubicRootFind:
                 gap = 1e-13 * (1.0 + abs(x0))
                 lo = interval[0] + gap if np.isfinite(interval[0]) else got - 1.0
                 hi = interval[1] - gap if np.isfinite(interval[1]) else got + 1.0
+                if (self.F(lo) - target) * (self.F(hi) - target) > 0:
+                    # the root lies within gap of a steady state, past the
+                    # reference's bracket: backward onto 3 or -1 at t = -3, -2
+                    assert min(abs(got - e) for e in interval if np.isfinite(e)) <= gap
+                    continue
                 want = brentq(lambda x: self.F(x) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
                 noise = 4 * eps * (np.sum(np.abs(self.RESIDUES * np.log(np.abs(want - self.ROOTS))))
                                    + abs(target)) * abs(np.prod(want - self.ROOTS))
@@ -1178,6 +1198,24 @@ class TestCubicRootFind:
     def test_bracket_without_a_sign_change_is_refused(self):
         with pytest.raises(ValueError, match="different signs"):
             _bracketed_root(lambda x: x - 3.0, 0.75, 2.0, 1e-15, 8.9e-16)
+
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
+    def test_starts_near_the_stable_state_match_dp45(self, t):
+        # a bracket in x stopped 1e-13 (1 + |x0|) short of the stable state 0,
+        # so these flows raised an untyped ValueError once x(t) passed it.
+        # dp45 at rel_tol 1e-12 with pure relative control agrees to 1.2e-11
+        # relative; the flow is within 1.2e-14 of a 50-digit mpmath root.
+        fld = make_system("cubic1d").field
+        starts = [s * 10.0**-k for k in range(14, 1, -1) for s in (1.0, -1.0)] + [-0.5, 2.9]
+        x0 = np.array(starts)[:, None]
+        got = fld.exact_flow(x0, t)
+        ref = dp45(fld.rhs, x0, t, rel_tol=1e-12, abs_tol=1e-300)
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
+
+    def test_a_flow_past_the_least_subnormal_returns_the_steady_state(self):
+        flow = make_system("cubic1d").field.exact_flow
+        assert flow(np.array([[0.5], [-0.5]]), 300.0).tolist() == [[0.0], [0.0]]
+        assert flow(np.array([[3.5]]), -100.0).tolist() == [[3.0]]
 
     @pytest.mark.parametrize("x0, t", [(4.0, 0.1), (4.0, 10.0), (-2.0, 0.1), (-2.0, 10.0)])
     def test_blow_up_side_raises_divergence(self, x0, t):
