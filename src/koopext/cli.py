@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .core import (_AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _NONNEGATIVE, _NUMBER, _POSITIVE,
-                   ConfigurationError, NumericError, one_blas_thread)
+from .core import (_AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _BANDWIDTH, _NONNEGATIVE, _NUMBER,
+                   _POSITIVE, ConfigurationError, NumericError, one_blas_thread)
 from .experiments import EXPERIMENTS, ExperimentConfig, run
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--snapshots", required=True, help="snapshot file stem")
     fit.add_argument("--dict", dest="dict_kind", choices=("identity", "rbf"), default="identity")
     fit.add_argument("--n-centers", type=_flag(_AT_LEAST_1, int), default=40)
-    fit.add_argument("--bandwidth", type=_flag(_POSITIVE, float), default=0.3)
+    fit.add_argument("--bandwidth", type=_flag(_BANDWIDTH, float), default=0.3)
     fit.add_argument("--ridge", type=_flag(_NONNEGATIVE, float), default=0.0)
 
     eig = sub.add_parser("eig", help="leading eigentriplets of a stored model")

@@ -335,6 +335,19 @@ _AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3 = (_Domain(
     for n in range(4))
 _POSITIVE = _Domain("a finite positive number", lambda v: _is_number(v) and v > 0)
 _NONNEGATIVE = _Domain("a finite nonnegative number", lambda v: _is_number(v) and v >= 0)
+
+
+def _is_bandwidth(value) -> bool:
+    """A Gaussian sigma whose 2 sigma^2 is a finite nonzero float to divide by,
+    sigma^2 being float(sigma) ** 2 as the features square it (libm's pow,
+    which can differ from sigma * sigma in the last bit)."""
+    try:
+        return _POSITIVE.holds(value) and 0 < 2.0 * float(value) ** 2 < math.inf
+    except OverflowError:  # float ** raises where sigma^2 leaves float range
+        return False
+
+
+_BANDWIDTH = _Domain("a positive number b with 2*b**2 finite and nonzero", _is_bandwidth)
 _UNIT_OPEN = _Domain("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)  # EvalGrid's h
 _NULL_OR_POSITIVE = _Domain("null or a finite positive number",
                             lambda v: v is None or _POSITIVE.holds(v))

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_AT_LEAST_0, _AT_LEAST_1, _POSITIVE, _REQUIRED, ConfigurationError,
+from .core import (_AT_LEAST_0, _AT_LEAST_1, _BANDWIDTH, _REQUIRED, ConfigurationError,
                    ContractViolationError, EvalGrid, _check_record, _Domain, _is_number, _json_type)
 
 __all__ = [
@@ -107,6 +107,7 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
                 new_centers[j] = pts[far]
             else:
                 new_centers[j] = members.mean(axis=0)
+        del d2  # gone before the next sweep builds its own
         motion = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         if motion < 1e-8:
@@ -124,12 +125,29 @@ def rbf_dictionary(data, n_centers: int, bandwidth: float, seed: int) -> Diction
     return _dictionary_from_centers(centers, bandwidth, seed=int(seed))
 
 
+def _sq_dists(p: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (n, k) squared distances of the points `p` to the rows of
+    `centers`, with at most one more (n, k) array.
+
+    The squares are added one coordinate at a time in coordinate order. They
+    are >= +0, and np.sum(..., axis=2) adds fewer than 8 terms in that order,
+    so for d < 8 the bits are those of np.sum((p[:, None] - c[None]) ** 2, axis=2).
+    """
+    out = np.subtract(p[:, :1], centers[:, 0])
+    np.square(out, out=out)
+    spare = None
+    for j in range(1, centers.shape[1]):
+        spare = np.subtract(p[:, j:j + 1], centers[:, j], out=spare)
+        out += np.square(spare, out=spare)
+    return out
+
+
 def _dictionary_from_centers(centers, bandwidth: float, seed: int | None = None) -> Dictionary:
     """The one Gaussian builder: a feature of sigma `bandwidth` per row of
     `centers`. A given seed (of the k-means that chose the centers) is kept
     in the spec."""
-    if not 0 < bandwidth < np.inf:
-        raise ConfigurationError(f"bandwidth must be a finite positive number, got {bandwidth}")
+    if not _BANDWIDTH.holds(bandwidth):
+        raise ConfigurationError(f"bandwidth must be {_BANDWIDTH.says}, got {bandwidth}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.size == 0:
         raise ConfigurationError("a Gaussian dictionary needs at least one center, got none")
@@ -137,13 +155,18 @@ def _dictionary_from_centers(centers, bandwidth: float, seed: int | None = None)
     d = centers.shape[1]
 
     def eval_fn(p):
-        diff = p[:, None, :] - centers[None, :, :]
-        return np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
+        # exp(-|p - c|^2 / (2 sigma^2)), in place in the distance array
+        feats = _sq_dists(p, centers)
+        np.negative(feats, out=feats)
+        feats /= 2.0 * sigma2
+        return np.exp(feats, out=feats)
 
     def jac_fn(p):
-        diff = p[:, None, :] - centers[None, :, :]
-        feats = np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
-        return feats[:, :, None] * (-diff / sigma2)
+        feats = eval_fn(p)
+        jac = np.empty(feats.shape + (d,))
+        for j in range(d):
+            np.multiply(feats, -(p[:, j:j + 1] - centers[:, j]) / sigma2, out=jac[:, :, j])
+        return jac
 
     spec = {"kind": "rbf_gaussian", "dim": d, "bandwidth": float(bandwidth),
             "centers": centers.tolist()}
@@ -177,7 +200,7 @@ def _spec_tables(dim: int) -> dict:
                    and all(_json_type(r) == "array" and len(r) == dim and all(map(_is_number, r))
                            for r in v))
     return {"identity": _SPEC_HEAD,
-            "rbf_gaussian": {**_SPEC_HEAD, "bandwidth": (_REQUIRED, _POSITIVE),
+            "rbf_gaussian": {**_SPEC_HEAD, "bandwidth": (_REQUIRED, _BANDWIDTH),
                              "centers": (_REQUIRED, rows), "seed": (None, _NULL_OR_SEED)}}
 
 

@@ -15,11 +15,11 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import phase as phase_mod
 from .core import (
-    SINGULAR, _AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _CORNERS, _INTERVAL,
-    _NONNEGATIVE, _NULL_OR_POSITIVE, _NUMBER, _OBJECT, _POINT, _POSITIVE, _POSITIVE_NUMBERS,
-    _REQUIRED, _STRING, _UNIT_OPEN, ConfigurationError, EvalGrid, FlowedGrid, _check_record,
-    _Domain, _read_record, _write_csv, _write_json, one_blas_thread, principal_arg,
-    write_grid_field,
+    SINGULAR, _AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _BANDWIDTH, _CORNERS,
+    _INTERVAL, _NONNEGATIVE, _NULL_OR_POSITIVE, _NUMBER, _OBJECT, _POINT, _POSITIVE,
+    _POSITIVE_NUMBERS, _REQUIRED, _STRING, _UNIT_OPEN, ConfigurationError, EvalGrid, FlowedGrid,
+    _check_record, _Domain, _read_record, _write_csv, _write_json, one_blas_thread,
+    principal_arg, write_grid_field,
 )
 from .dictionary import (
     identity_dictionary,
@@ -230,7 +230,7 @@ def _softplus_table():
         "dt": (0.02, _POSITIVE),
         "box": (2.0, _POSITIVE),
         "n_rbf": (40, _AT_LEAST_1),
-        "bandwidth": (0.7, _POSITIVE),
+        "bandwidth": (0.7, _BANDWIDTH),
         "ridge": (1e-10, _NONNEGATIVE),
         # softplus2d lives on y > 0
         "grid_lo": (1.0, _POSITIVE),
@@ -288,9 +288,9 @@ def _bridge_table():
     return {
         "radius": (0.85, _POSITIVE),
         "left_n_centers": (100, _AT_LEAST_1),
-        "left_bandwidth": (0.05, _POSITIVE),
+        "left_bandwidth": (0.05, _BANDWIDTH),
         "right_n_centers": (80, _AT_LEAST_1),
-        "right_bandwidth": (0.15, _POSITIVE),
+        "right_bandwidth": (0.15, _BANDWIDTH),
         "left_n_pairs": (4000, _AT_LEAST_1),
         "right_n_pairs": (8000, _AT_LEAST_1),
         "dt": (0.1, _POSITIVE),
@@ -545,7 +545,7 @@ def _duffing_table():
         "dt": (0.25, _POSITIVE),
         "box": (6.0, _POSITIVE),
         "n_rbf": (100, _AT_LEAST_1),
-        "bandwidth": (2.2, _POSITIVE),
+        "bandwidth": (2.2, _BANDWIDTH),
         "ridge": (1e-6, _NONNEGATIVE),
         # fewer than 3 samples hold no step away from the saddle on either
         # side: 1 is the saddle's seed point alone, 2 the two branch ends,

@@ -66,7 +66,10 @@ def fit_edmd(data: SnapshotSet, dic: Dictionary, ridge: float = 0.0) -> KoopmanM
     inv = U @ np.diag(1.0 / (s + ridge)) @ U.T
     # C-contiguous so matmul reduction order matches a reloaded model bitwise
     K = np.ascontiguousarray((inv @ A).T)
-    resid = float(np.sqrt(np.mean(np.sum((PY - PX @ K.T) ** 2, axis=1))))
+    # the residual PY - PX K^T squared in one array, in the order of the formula
+    R = PX @ K.T
+    np.square(np.subtract(PY, R, out=R), out=R)
+    resid = float(np.sqrt(np.mean(np.sum(R, axis=1))))
     return KoopmanModel(dict=dic, K=K, dt=float(data.dt), fit_residual=resid)
 
 

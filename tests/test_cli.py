@@ -76,6 +76,10 @@ OUTSIDE = {
     "a finite nonnegative number": (-1e-9, -1, *NOT_FINITE),
     "null or a finite positive number": (0, -1, *NOT_FINITE),
     "a number in (0, 1)": (0, 1, 1.5, -1, *NOT_FINITE),
+    # 2 sigma^2 passes float range just above the first edge and underflows
+    # to 0 just below the second
+    core._BANDWIDTH.says: (9.480751908109177e+153, 1e170, 1.5717277847026285e-162, 1e-170, 0,
+                           -1, *NOT_FINITE),
 }
 # the array-valued domains, which the hand-kept rows cover
 ARRAY_KINDS = {
@@ -364,6 +368,7 @@ class TestExitCodes:
         (core._NUMBER, -1), (core._POSITIVE, 1), (core._NONNEGATIVE, 0),
         (core._NULL_OR_POSITIVE, 1), (core._UNIT_OPEN, 0.5), (core._AT_LEAST_0, 0),
         (core._AT_LEAST_1, 1), (core._AT_LEAST_2, 2), (core._AT_LEAST_3, 3),
+        (core._BANDWIDTH, 1),
     ], ids=lambda v: v.says if isinstance(v, _Domain) else str(v))
     def test_each_number_kind_checks_its_own_json_type(self, kind, inside):
         # a number kind takes an integer, never a boolean; an integer kind no
@@ -849,6 +854,19 @@ class TestToolSubcommands:
                         "--n-centers", "5", "--out", str(out)]) == 2
         assert (f"error: {stem}.csv: snapshot row 4 (after the header) holds a non-finite "
                 "value; snapshots must be finite") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth", ["1e170", "9.480751908109177e+153",
+                                           "1.5717277847026285e-162", "1e-170"])
+    def test_fit_refuses_a_bandwidth_whose_doubled_square_leaves_float_range(
+            self, tmp_path, capsys, bandwidth):
+        # 1e170 exited 3 on an OverflowError after k-means; 1e-170 divided by
+        # 2 sigma^2 = 0 and failed on a rank-deficient Gram matrix (exit 1)
+        out = tmp_path / "out"
+        assert run_cli(["fit", "--snapshots", str(tmp_path / "none"), "--dict", "rbf",
+                        "--bandwidth", bandwidth, "--out", str(out)]) == 2
+        assert (f"error: argument --bandwidth: must be {core._BANDWIDTH.says}, got {bandwidth}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("sidecar, row, named", [

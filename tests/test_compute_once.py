@@ -5,7 +5,8 @@ and Laplace-averaged in one batch, the Arnoldi eigensolver makes one 2x2
 eigenvalue solve per step and its warm start one product per power step, and
 the certified extension loop computes what does not depend on the power p
 once. The work moved out of a loop is pinned bit for bit against copies of
-the code that recomputed it."""
+the code that recomputed it. Gaussian features and the EDMD fit hold no
+(points, centers, dimension) array, and their peak memory is pinned."""
 import inspect
 import tracemalloc
 
@@ -24,7 +25,8 @@ from koopext.core import (
     singular_mask,
     tag_nonfinite,
 )
-from koopext.dictionary import Dictionary, identity_dictionary, rbf_dictionary
+from koopext.dictionary import (Dictionary, _dictionary_from_centers, identity_dictionary,
+                                rbf_dictionary)
 from koopext.dynamics import FlowMap, _check_divergence, make_system, sample_snapshots
 from koopext.experiments import ExperimentConfig, run
 from koopext.extend import (
@@ -112,6 +114,38 @@ def test_vdp_phase_peak_memory_stays_under_16_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edmd_fit_holds_three_feature_arrays_at_most():
+    # bridge1d's right family at its defaults: 8,000 one-dimensional pairs
+    # and 80 Gaussians. PX, PY and the residual are the three (n, D) arrays;
+    # the slack covers the (D, D) normal equations. The residual took two
+    # more (n, D) temporaries (20.8 MB here)
+    snaps = sample_snapshots(make_system("quad1d"), 8000, 0.1, ((2.15,), (3.85,)), seed=2)
+    dic = _dictionary_from_centers(np.linspace(2.0, 4.0, 80).reshape(-1, 1), 0.15)
+    assert traced_peak(fit_edmd, snaps, dic, ridge=1e-10) < 3 * 8000 * 80 * 8 + 1e6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_eval_holds_one_distance_array_beside_its_output(d):
+    # the squared distances are summed into the output one coordinate at a
+    # time, the spare holding each coordinate's; the slack covers numpy's
+    # ufunc buffers. The (n, k, d) differences and their squares took 3 to 7
+    # outputs' worth here
+    rng = np.random.default_rng(d)
+    pts, centers = rng.standard_normal((4000, d)), rng.standard_normal((50, d))
+    dic = _dictionary_from_centers(centers, 0.5)
+    assert traced_peak(dic.eval, pts) < 2 * 4000 * 50 * 8 + 256 * 1024
 
 
 def test_vdp_phase_averages_the_grid_and_its_image_in_one_batch(tmp_path, monkeypatch):

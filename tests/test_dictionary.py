@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from koopext.core import ConfigurationError, EvalGrid
+from koopext.core import _BANDWIDTH, ConfigurationError, EvalGrid
 from koopext.dictionary import (
     _dictionary_from_centers,
     dictionary_from_spec,
@@ -13,7 +14,7 @@ from koopext.dictionary import (
     rbf_dictionary,
     spectral_norm_bound_L,
 )
-from koopext.dynamics import make_system, sample_snapshots
+from koopext.dynamics import make_system, numeric_jacobian, sample_snapshots
 
 
 def fd_jacobian(dic, x, step=1e-6):
@@ -165,6 +166,54 @@ class TestKMeansBitIdentity:
         assert events["zero_total"] == 4
 
 
+def frozen_gaussian(centers, bandwidth):
+    """The Gaussian eval_fn and jac_fn as they were before they summed the
+    squared distances one coordinate at a time: through (n, k, d) arrays.
+    Kept as the oracle the new features must match byte for byte."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    sigma2 = float(bandwidth) ** 2
+
+    def eval_fn(p):
+        diff = p[:, None, :] - centers[None, :, :]
+        return np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
+
+    def jac_fn(p):
+        diff = p[:, None, :] - centers[None, :, :]
+        feats = np.exp(-np.sum(diff**2, axis=2) / (2.0 * sigma2))
+        return feats[:, :, None] * (-diff / sigma2)
+
+    return eval_fn, jac_fn
+
+
+class TestGaussianBitIdentity:
+    # points on a center (a feature of exactly 1 and a zero Jacobian column),
+    # scattered ones, and ones far enough away that exp underflows to 0
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("bandwidth", [0.05, 0.7, 2.2])
+    def test_features_and_jacobian_match_the_tensor_form(self, d, bandwidth):
+        rng = np.random.default_rng(30 + d)
+        centers = rng.standard_normal((17, d)) * rng.uniform(0.5, 3.0, size=d)
+        pts = np.vstack([centers[::3], rng.standard_normal((60, d)) * 2.0,
+                         centers[:4] + 1e3])
+        dic = _dictionary_from_centers(centers, bandwidth)
+        eval_fn, jac_fn = frozen_gaussian(centers, bandwidth)
+        feats, want = dic.eval(pts), eval_fn(pts)
+        assert np.array_equal(feats, want) and feats.tobytes() == want.tobytes()
+        jac, want = dic.jacobian(pts), jac_fn(pts)
+        assert np.array_equal(jac, want) and jac.tobytes() == want.tobytes()
+        assert np.all(feats[:len(centers[::3])].max(axis=1) == 1.0)
+        assert np.all(feats[-4:] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, d):
+        rng = np.random.default_rng(40 + d)
+        centers = rng.standard_normal((9, d))
+        dic = _dictionary_from_centers(centers, 0.8)
+        for x in rng.standard_normal((12, d)):
+            ref = numeric_jacobian(dic.eval, x)
+            assert np.max(np.abs(dic.jacobian(x[None, :])[0] - ref)) < 1e-7
+
+
 @pytest.fixture(scope="module")
 def snaps():
     sys_ = make_system("linear2d")
@@ -214,14 +263,28 @@ class TestRBF:
 
 class TestGaussianBuilderRefusals:
     # the builder behind rbf_dictionary, dictionary_from_spec and the bridge families
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf"), 1e170,
+                                           1e-170])
     def test_nonpositive_bandwidth(self, snaps, bandwidth):
-        # an infinite bandwidth made every feature 1, a rank-one fit (exit 1)
-        named = f"bandwidth must be a finite positive number, got {bandwidth}"
+        # and one whose 2 sigma^2 leaves float range: an infinite bandwidth
+        # made every feature 1, a rank-one fit (exit 1); 1e170 overflowed
+        # sigma^2, an OverflowError (exit 3) after k-means; 1e-170 gave
+        # 2 sigma^2 = 0, a divide by zero and features of 0 or NaN (exit 1)
+        named = re.escape(f"bandwidth must be {_BANDWIDTH.says}, got {bandwidth}")
         with pytest.raises(ConfigurationError, match=named):
             _dictionary_from_centers([[0.0]], bandwidth)
         with pytest.raises(ConfigurationError, match=named):
             rbf_dictionary(snaps, 4, bandwidth=bandwidth, seed=0)
+
+    @pytest.mark.parametrize("refused, held", [
+        (9.480751908109177e+153, 9.480751908109176e+153),
+        (1.5717277847026285e-162, 1.5717277847026288e-162),
+    ])
+    def test_bandwidth_edges_are_adjacent_floats(self, refused, held):
+        assert np.nextafter(refused, held) == held
+        assert not _BANDWIDTH.holds(refused) and _BANDWIDTH.holds(held)
+        spec = {"kind": "rbf_gaussian", "dim": 1, "bandwidth": held, "centers": [[0.0]]}
+        assert dictionary_from_spec(spec).eval([[0.0]])[0, 0] == 1.0
 
     @pytest.mark.parametrize("centers", [[], np.empty((0, 1))])
     def test_no_centers(self, centers):

@@ -80,6 +80,8 @@ NOT_FINITE = (math.inf, -math.inf, math.nan, 10**400)
 OUTSIDE = {
     "a finite positive number": (0, -1, *NOT_FINITE),
     "a finite nonnegative number": (-1e-9, *NOT_FINITE),
+    "a positive number b with 2*b**2 finite and nonzero": (
+        9.480751908109177e+153, 1.5717277847026285e-162, 0, -1, *NOT_FINITE),
     "an integer >= 1": (0, 1.0, *NOT_FINITE),
     "an integer >= 0": (-1, 0.0, *NOT_FINITE),
     "1": (0, 2, 1.0, *NOT_FINITE),
