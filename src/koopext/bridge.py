@@ -18,7 +18,7 @@ from .core import (ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid, 
                    singular_mask)
 from .dictionary import _dictionary_from_centers
 from .dynamics import BenchmarkSystem, FlowMap, sample_snapshots
-from .eigensolve import eigentriplets
+from .eigensolve import _REAL_IMAG, eigentriplets
 from .extend import EigenfunctionExpr, PowerErrors, expr_from_weights, normalize_to_grid
 from .regression import fit_edmd
 
@@ -50,9 +50,6 @@ class BridgeMap:
     right_expr: EigenfunctionExpr
 
 
-IMAG_TOL = 1e-8
-
-
 def fit_local_family(
     system: BenchmarkSystem,
     anchor,
@@ -71,9 +68,10 @@ def fit_local_family(
     Snapshots are sampled uniformly in [anchor - radius, anchor + radius].
     The dictionary is `n_centers` Gaussians of sigma `bandwidth` with centers
     evenly tiled over the window, fit with ridge 1e-10.
-    A member survives when its eigenvalue is real (|Im| <= 1e-8) and its
-    power-1 trajectory error on a 257-point grid over the window, after
-    normalization to unit grid norm there, stays below `spurious_threshold`.
+    A member survives when its eigenvalue is real (|Im| <= 1e-8, eigensolve's
+    _REAL_IMAG) and its power-1 trajectory error on a 257-point grid over the
+    window, after normalization to unit grid norm there, stays below
+    `spurious_threshold`.
     """
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     if system.dim != 1:
@@ -95,7 +93,7 @@ def fit_local_family(
     )
     members = []
     for q in eigentriplets(model.K, model.dim):
-        if abs(q.lam.imag) > IMAG_TOL:
+        if abs(q.lam.imag) > _REAL_IMAG:
             continue
         expr = expr_from_weights(model, q.left, q.lam.real)
         try:

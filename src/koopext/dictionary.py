@@ -155,17 +155,27 @@ def _dictionary_from_centers(centers, bandwidth: float, seed: int | None = None)
     d = centers.shape[1]
 
     def eval_fn(p):
-        # exp(-|p - c|^2 / (2 sigma^2)), in place in the distance array
+        # exp(-|p - c|^2 / (2 sigma^2)), in place in the distance array; a
+        # quotient past float range is -inf, whose exp is the 0 it stands for
         feats = _sq_dists(p, centers)
         np.negative(feats, out=feats)
-        feats /= 2.0 * sigma2
+        with np.errstate(over="ignore"):
+            feats /= 2.0 * sigma2
         return np.exp(feats, out=feats)
 
     def jac_fn(p):
         feats = eval_fn(p)
         jac = np.empty(feats.shape + (d,))
         for j in range(d):
-            np.multiply(feats, -(p[:, j:j + 1] - centers[:, j]) / sigma2, out=jac[:, :, j])
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = -(p[:, j:j + 1] - centers[:, j]) / sigma2
+                np.multiply(feats, slope, out=jac[:, :, j])
+            # a feature that underflowed to 0 times a slope past float range:
+            # the 0 of a finite slope, not the NaN of 0 * inf
+            lost = np.isinf(slope)
+            if lost.any():
+                lost &= feats == 0
+                jac[:, :, j][lost] = np.copysign(0.0, slope[lost])
         return jac
 
     spec = {"kind": "rbf_gaussian", "dim": d, "bandwidth": float(bandwidth),

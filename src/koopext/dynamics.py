@@ -845,8 +845,10 @@ _SADDLE_R = np.array([[math.cos(_SADDLE_THETA), -math.sin(_SADDLE_THETA)],
 
 
 def _saddle_embed(x):
-    """The saddle2d state z = expm1((x @ R^T) / pi) of linear coordinates x."""
-    return np.expm1((x @ _SADDLE_R.T) / math.pi)
+    """The saddle2d state z = expm1((x @ R^T) / pi) of linear coordinates x;
+    inf past float range, which the flows' divergence guard refuses."""
+    with np.errstate(over="ignore"):
+        return np.expm1((x @ _SADDLE_R.T) / math.pi)
 
 
 def _saddle_coords(z):
@@ -1122,16 +1124,16 @@ def numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> n
 def _find_saddle(system: BenchmarkSystem):
     for ss in system.steady_states:
         J = numeric_jacobian(system.field.rhs, np.asarray(ss, dtype=float))
-        lams, vecs = np.linalg.eig(J)
-        pos = np.flatnonzero(lams.real > 1e-8)
-        neg = np.flatnonzero(lams.real < -1e-8)
-        if len(pos) == 1 and len(neg) == len(lams) - 1:
-            v = vecs[:, pos[0]].real
+        triplets = eigentriplets(J, len(J))
+        pos = [q for q in triplets if q.lam.real > 1e-8]
+        neg = [q for q in triplets if q.lam.real < -1e-8]
+        if len(pos) == 1 and len(neg) == len(triplets) - 1:
+            v = pos[0].right.real
             v = v / np.linalg.norm(v)
             k = int(np.flatnonzero(np.abs(v) > 1e-12)[0])
             if v[k] < 0:
                 v = -v
-            return np.asarray(ss, dtype=float), float(lams[pos[0]].real), v
+            return np.asarray(ss, dtype=float), pos[0].lam.real, v
     raise UnsupportedSystemError(f"{system.id} has no saddle with a 1D unstable manifold")
 
 

@@ -1,10 +1,13 @@
-"""Dense eigensolvers for real non-Hermitian matrices: `eigentriplets`, the
-leading triplets from one LAPACK call, which every run and tool reads but the
-certified extension and `lin5d_check`; these still deflate, as their benchmark
-op passes its CPU gate on LAPACK only once the probe runs on one BLAS thread.
+"""Dense eigensolvers for real non-Hermitian matrices, and the home of every
+eigen decision: one order, one pair rule, one phase fix, one realness
+tolerance and one (lambda, v, w) contract, `Eigenpair`. `eigentriplets` gives
+the leading triplets from one LAPACK call; every run and tool reads it but the
+certified extension and `lin5d_check`, which still deflate (their benchmark op
+passes its CPU gate on LAPACK only once the probe runs on one BLAS thread).
 The deflation is biorthogonal, around an Arnoldi-accelerated power iteration
 that resolves complex-conjugate dominant pairs through a two-column Krylov
-basis. Also 2x2 closed-form helpers and a reference QR iteration.
+basis, and yields the same contract. Also 2x2 closed-form helpers and a
+reference QR iteration.
 
 Determinism rules: seeded start vectors, eigenvalues ordered by descending
 modulus (ties: descending real part, then +Im first), a conjugate pair
@@ -36,9 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Eigenvalue with its right and, optionally, left eigenvector, both
-    paths biorthogonal (w^T v = 1, plain transpose) as the deflation update
-    A - lambda v w^T needs: deflate_spectrum's v has unit norm, eigentriplets' w.
+    """An eigenvalue with its right vector v and left vector w, as
+    eigentriplets and the deflation return them: w unit and phase-fixed (the
+    eigenfunction weights), v scaled so w^T v = 1 (plain transpose), both real
+    arrays for a real eigenvalue; the residual is the larger of the right and
+    left ones for unit vectors. power_iteration_complex fills a unit `right` only.
     """
 
     lam: complex
@@ -69,6 +74,7 @@ def _eig_sort_key(lam: complex):
 
 
 _PAIR_IMAG = 1e-6  # Im above which an eigenvalue is half of a pair no result splits
+_REAL_IMAG = 1e-8  # |Im| at or below which a run reads an eigenvalue as real
 
 
 def _norm(x: np.ndarray) -> float:
@@ -267,50 +273,47 @@ def _match_left(lam_right: complex, pair_left: Eigenpair) -> Eigenpair:
 
 def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
     """The deflation loop behind deflate_spectrum and the extension
-    eigensolver. Per round: right pair from the working matrix, left pair
-    from its transpose, w = left / (left^T v), A <- A - lambda v w^T; yields
-    (right, left, w, conjugate). With Im(lambda) > 1e-6 the conjugate pair is
-    deflated too and counts as the next pair, even past n_pairs, so complex
-    eigenvalues of a real matrix come in pairs and the matrix stays real.
+    eigensolver, yielding Eigenpairs in eigentriplets' contract. Per round: unit
+    v from the working matrix, unit u from its transpose, s = u^T v, A <- A -
+    lambda v (u / s)^T; the pair is (lambda, v / s, u) with the larger residual
+    of the two solves. With Im(lambda) > _PAIR_IMAG the conjugate is deflated
+    too and follows as the next pair, even past n_pairs, so the matrix stays real.
     """
     work = np.asarray(A, dtype=float).copy()
     i = 0
     while i < n_pairs:
         right = power_iteration_complex(work, seed=seed + i, max_iter=max_iter)
         left = power_iteration_complex(work.T, seed=seed + i, max_iter=max_iter)
-        left = _match_left(right.lam, left)
-        lam, v = right.lam, right.right
-        s = left.right @ v
+        lam, v, u = right.lam, right.right, _match_left(right.lam, left).right
+        s = u @ v
         if abs(s) < 1e-12:
             raise NearDefectiveError(
                 f"eigenpair {i}: |w^T v| = {abs(s):.3e}, matrix is near defective"
             )
-        w = left.right / s
+        w = u / s
         workc = work.astype(complex) - lam * np.outer(v, w)
         conjugate = lam.imag > _PAIR_IMAG
-        yield right, left, w, conjugate
-        i += 1
         if conjugate:
             workc = workc - np.conj(lam) * np.outer(np.conj(v), np.conj(w))
-            i += 1
         # a C-contiguous copy: products with the strided .real view run
         # numpy's non-BLAS loop, slower and summed in another order
         work = np.ascontiguousarray(workc.real)
+        if lam.imag == 0:
+            v, u, s = v.real, u.real, s.real
+        pair = Eigenpair(lam, v / s, u, max(right.residual, left.residual))
+        yield pair
+        if conjugate:
+            yield pair.conjugate()
+        i += 1 + conjugate
 
 
 def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpair]:
-    """Dominant eigenpairs of a real matrix by biorthogonal deflation
-    (see _deflation_rounds); each carries its biorthogonal left vector and
-    the residual of its right pair."""
+    """Dominant eigenpairs of a real matrix by biorthogonal deflation (see
+    _deflation_rounds), in eigentriplets' contract."""
     n = np.shape(A)[0]
     if not 1 <= n_pairs <= n:
         raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
-    out: list[Eigenpair] = []
-    for right, _, w, conjugate in _deflation_rounds(A, n_pairs, seed, max_iter=50000):
-        out.append(Eigenpair(lam=right.lam, right=right.right, left=w, residual=right.residual))
-        if conjugate:
-            out.append(out[-1].conjugate())
-    return out
+    return list(_deflation_rounds(A, n_pairs, seed, max_iter=50000))
 
 
 def eigentriplets(A: np.ndarray, n: int) -> list[Eigenpair]:

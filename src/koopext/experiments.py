@@ -44,7 +44,7 @@ from .dynamics import (
     write_snapshots,
     SnapshotSet,
 )
-from .eigensolve import deflate_spectrum, eigentriplets, write_spectrum_json
+from .eigensolve import _REAL_IMAG, deflate_spectrum, eigentriplets, write_spectrum_json
 from .extend import (
     PairExtension,
     PowerErrors,
@@ -572,14 +572,13 @@ def _run_duffing_edmd(p: dict, seed: int, out: str) -> dict:
     saddle_idx = int(np.argmin(np.linalg.norm(S, axis=1)))
     triplets = eigentriplets(model.K, min(p["top_k"], model.dim))
     feats = dic.eval(S)
-    _write_json(os.path.join(out, "spectrum.json"),
-                [{"re": q.lam.real, "im": q.lam.imag} for q in triplets], sort_keys=False)
+    write_spectrum_json(os.path.join(out, "spectrum.json"), triplets)
     good = total = 0
     profiles = {}
     for q in triplets:
         # eigenfunctions tied to the attractors: real and strictly decaying,
         # with the trivial unit eigenvalue excluded
-        if abs(q.lam.imag) > 1e-8 or abs(q.lam) >= 1.0 - p["unit_collar"]:
+        if abs(q.lam.imag) > _REAL_IMAG or abs(q.lam) >= 1.0 - p["unit_collar"]:
             continue
         vals = np.abs(feats @ q.left)
         profiles[f"{q.lam.real:.6f}"] = vals.tolist()

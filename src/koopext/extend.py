@@ -33,7 +33,7 @@ from .core import (
 )
 from .dictionary import Dictionary, feature_sup_M, spectral_norm_bound_L
 from .dynamics import BenchmarkSystem, FlowMap, integration_error_sup
-from .eigensolve import _deflation_rounds
+from .eigensolve import _PAIR_IMAG, _deflation_rounds
 from .regression import KoopmanModel
 
 __all__ = [
@@ -430,26 +430,25 @@ def iterative_koopman_eigensolver(
 ) -> list[PairExtension]:
     """Deflation-driven extension of the n dominant eigenpairs of the model.
 
-    Runs the deflation loop of eigensolve.deflate_spectrum; per round the
-    unit-norm left vector defines the eigenfunction, the integration-error
-    budget loop emits its certified powers, and the residual reported is the
-    larger of the right and left ones. A conjugate partner (Im > 1e-6)
-    inherits the conjugated extension list.
+    Runs the deflation loop of eigensolve.deflate_spectrum; per pair the unit
+    left vector defines the eigenfunction, the integration-error budget loop
+    emits its certified powers, and the pair's residual is reported. A
+    conjugate partner (Im < -1e-6, right after its +Im half) inherits the
+    conjugated extension list.
     """
     if not 1 <= n <= model.dim:
         raise ConfigurationError(f"asked for {n} eigenpairs of a {model.dim}-dim model")
     out: list[PairExtension] = []
-    for right, left, _, conjugate in _deflation_rounds(model.K, n, seed, max_iter):
-        lam, w_unit = right.lam, left.right
-        result = extend_continuous((w_unit, lam), model, flowed, epsilon, eps_G, L, M, p_max=p_max)
-        residual = max(right.residual, left.residual)
-        out.append(PairExtension(lam, result, residual))
-        if conjugate:
-            lam2 = np.conj(lam)
-            phi2 = expr_from_weights(model, np.conj(w_unit), lam2)
-            conj_exts = tuple(replace(e, expr=monomial(phi2, e.power)) for e in result.extensions)
-            out.append(PairExtension(lam2, ExtensionResult(conj_exts, result.status),
-                                     residual, conjugate_of=len(out) - 1))
+    for q in _deflation_rounds(model.K, n, seed, max_iter):
+        if q.lam.imag < -_PAIR_IMAG:  # the partner of the +Im half before it
+            phi, first = expr_from_weights(model, q.left, q.lam), out[-1].result
+            exts = tuple(replace(e, expr=monomial(phi, e.power)) for e in first.extensions)
+            out.append(PairExtension(q.lam, ExtensionResult(exts, first.status), q.residual,
+                                     conjugate_of=len(out) - 1))
+        else:
+            result = extend_continuous((q.left, q.lam), model, flowed, epsilon, eps_G, L, M,
+                                       p_max=p_max)
+            out.append(PairExtension(q.lam, result, q.residual))
     return out
 
 

@@ -133,17 +133,17 @@ def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, DenseOrbit]:
     The state is first relaxed onto the cycle for 60 time units, then a
     Poincare section is placed through the relaxed point with the flow
     direction as its normal, and the flow is integrated until its first
-    return to the section; the return time is refined with Newton steps on
-    the section-crossing condition down to 1e-10. _PERIOD_HORIZON caps the
-    search for that return: without one before t = _PERIOD_HORIZON,
+    return to the section; the period is that return time, bisected on the
+    dense output down to adjacent floats. _PERIOD_HORIZON caps the search
+    for that return: without one before t = _PERIOD_HORIZON,
     DivergenceError.
 
     Both solves are `_dp45_dense` at rtol = atol = 1e-12, and every product
     here is summed in Python floats, so the period does not depend on the
     BLAS. `orbit` is the dense output of the one-period solve: orbit(t) is
     the state at time t after the relaxed point, for 0 <= t <= the step end
-    past the first return, which the Newton steps refine into `period`. So
-    orbit(np.linspace(0, period, n)) samples the cycle once round.
+    past the first return. So orbit(np.linspace(0, period, n)) samples the
+    cycle once round.
     """
     relax, _ = _dp45_dense(fld.rhs, x0, 60.0, 1e-12, 1e-12)
     p0 = relax.y[-1]
@@ -152,22 +152,10 @@ def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, DenseOrbit]:
     if speed < 1e-12:
         raise ConfigurationError("x0 relaxed onto a steady state, not a cycle")
     normal = [v / speed for v in flow]
-
-    def along(v) -> float:
-        return sum(n * a for n, a in zip(normal, v.tolist()))
-
-    orbit, t_star = _dp45_dense(fld.rhs, p0, _PERIOD_HORIZON, 1e-12, 1e-12,
-                               section=(p0, normal))
-    if t_star is None:
+    orbit, period = _dp45_dense(fld.rhs, p0, _PERIOD_HORIZON, 1e-12, 1e-12,
+                                section=(p0, normal))
+    if period is None:
         raise DivergenceError("no return to the section within the horizon; no cycle found")
-    for _ in range(3):
-        u = orbit(t_star)
-        g = along(u - p0)
-        dg = along(fld.rhs(u))
-        if dg == 0:
-            break
-        t_star -= g / dg
-    period = t_star
     return 2.0 * math.pi / period, period, orbit
 
 

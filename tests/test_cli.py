@@ -25,6 +25,7 @@ from artifact_digests import (
     manifest_changes,
     tool_chain_digests,
 )
+from domain_edges import NOT_FINITE, OUTSIDE
 
 
 @pytest.fixture(scope="module")
@@ -62,25 +63,6 @@ def defaults(experiment: str) -> dict:
     return {key: default for key, (default, _) in EXPERIMENTS[experiment][1]().items()}
 
 
-# no number kind takes a number that is not finite, nor an integer beyond
-# float range
-NOT_FINITE = (math.inf, -math.inf, math.nan, 10**400)
-# values just outside each number domain, by what its refusal says: each edge
-# itself and a value past it
-OUTSIDE = {
-    "an integer >= 1": (0, -1, *NOT_FINITE),
-    "an integer >= 2": (1, 0, -1, *NOT_FINITE),
-    "an integer >= 3": (2, 1, 0, -1, *NOT_FINITE),
-    "a finite number": NOT_FINITE,
-    "a finite positive number": (0, -1, *NOT_FINITE),
-    "a finite nonnegative number": (-1e-9, -1, *NOT_FINITE),
-    "null or a finite positive number": (0, -1, *NOT_FINITE),
-    "a number in (0, 1)": (0, 1, 1.5, -1, *NOT_FINITE),
-    # 2 sigma^2 passes float range just above the first edge and underflows
-    # to 0 just below the second
-    core._BANDWIDTH.says: (9.480751908109177e+153, 1e170, 1.5717277847026285e-162, 1e-170, 0,
-                           -1, *NOT_FINITE),
-}
 # the array-valued domains, which the hand-kept rows cover
 ARRAY_KINDS = {
     "two finite numbers [x, y]",

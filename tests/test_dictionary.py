@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,34 @@ class TestGaussianBitIdentity:
         assert np.array_equal(jac, want) and jac.tobytes() == want.tobytes()
         assert np.all(feats[:len(centers[::3])].max(axis=1) == 1.0)
         assert np.all(feats[-4:] == 0.0)
+
+    @pytest.mark.parametrize("centers, bandwidth, pts, nan_before", [
+        # sigma^2 subnormal: a feature that underflowed to 0 met a slope of inf
+        ([[0.0], [1.0]], 1e-160, [[0.0], [0.5]], 3),
+        # sigma^2 normal, but centers 100 apart still push the slope past float range
+        ([[0.0], [100.0]], 1.5e-154, [[0.0], [50.0]], 3),
+        ([[0.0, 0.0], [100.0, -100.0]], 1.5e-154, [[0.0, 0.0], [50.0, 3.0]], 5),
+    ])
+    def test_jacobian_is_finite_where_the_slope_overflows(self, centers, bandwidth, pts,
+                                                          nan_before):
+        # the tensor form gave 0 * inf = NaN; the 0 a finite slope gives is
+        # written there instead, with the slope's sign, and no overflow warns
+        assert _BANDWIDTH.holds(bandwidth)
+        pts = np.asarray(pts)
+        with np.errstate(all="ignore"):
+            want = frozen_gaussian(centers, bandwidth)[1](pts)
+        assert np.count_nonzero(np.isnan(want)) == nan_before
+        dic = _dictionary_from_centers(centers, bandwidth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats, jac = dic.eval(pts), dic.jacobian(pts)
+        assert np.all(np.isfinite(jac))
+        kept = ~np.isnan(want)
+        assert jac[kept].tobytes() == want[kept].tobytes()
+        assert np.all(jac[~kept] == 0.0) and np.all(np.broadcast_to(feats[:, :, None],
+                                                                    jac.shape)[~kept] == 0.0)
+        slope_sign = np.signbit(-(pts[:, None, :] - np.asarray(centers)[None, :, :]))
+        assert np.array_equal(np.signbit(jac[~kept]), slope_sign[~kept])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_jacobian_matches_central_differences(self, d):

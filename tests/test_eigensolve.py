@@ -219,6 +219,32 @@ class TestPowerIterationComplex:
 
 
 class TestDeflation:
+    def test_pairs_meet_the_eigentriplets_contract(self):
+        lams = [1.1, 0.8 + 0.5j, 0.8 - 0.5j, -0.95, 0.45, 0.05]
+        A = random_matrix_with_spectrum(lams, seed=3)
+        rounds = list(eigensolve._deflation_rounds(A, 6, 0, 50000))
+        assert all(isinstance(p, Eigenpair) for p in rounds)
+        got = deflate_spectrum(A, 6)
+        assert [p.lam for p in got] == [p.lam for p in rounds]
+        W = np.column_stack([p.left for p in got])
+        V = np.column_stack([p.right for p in got])
+        assert np.abs(W.T @ V - np.eye(6)).max() < 1e-8
+        for p in got:
+            assert np.linalg.norm(p.left) == pytest.approx(1.0, abs=1e-15)
+            pivot = p.left[np.abs(p.left).argmax()]
+            assert abs(pivot.imag) < 1e-15 and pivot.real > 0
+            # both vectors, per unit norm, are eigenvectors of A; the residual
+            # reported is the larger of the two on the deflated working matrix
+            u = p.right / np.linalg.norm(p.right)
+            assert np.linalg.norm(A @ u - p.lam * u) < 1e-9
+            assert np.linalg.norm(A.T @ p.left - p.lam * p.left) < 1e-9
+            assert 0 < p.residual < 1e-9
+            assert np.isrealobj(p.left) == np.isrealobj(p.right) == (p.lam.imag == 0)
+        # a +Im half, then its conjugate partner
+        k = next(i for i, p in enumerate(got) if p.lam.imag != 0)
+        assert got[k].lam.imag > 0 and got[k + 1].lam == np.conj(got[k].lam)
+        assert np.array_equal(got[k + 1].left, np.conj(got[k].left))
+
     def test_diagonal_full_spectrum(self):
         A = np.diag([3.0, 2.0, 1.0])
         pairs = deflate_spectrum(A, 3, seed=0)
@@ -346,14 +372,15 @@ class TestEigentriplets:
         assert len(eigentriplets(A, 3)) == 3
 
     def test_agrees_with_deflation(self):
+        # one contract: the deflation returns what the triplets return, vector
+        # for vector, the realness of a real eigenvalue's vectors included
         A = random_matrix_with_spectrum([1.1, 0.8 + 0.5j, 0.8 - 0.5j, 0.45, -0.2], seed=7)
         got, want = eigentriplets(A, 5), deflate_spectrum(A, 5, seed=0)
         assert [p.lam for p in got] == pytest.approx([p.lam for p in want], abs=1e-9)
         for p, q in zip(got, want):
-            # the deflation's w is scaled to w^T v = 1; phase-fixed at unit
-            # norm, it is the triplet's left vector
-            unit = eigensolve._fix_phase(q.left / np.linalg.norm(q.left))
-            assert np.allclose(p.left, unit, rtol=0, atol=1e-8)
+            assert np.allclose(p.left, q.left, rtol=0, atol=1e-8)
+            assert np.allclose(p.right, q.right, rtol=0, atol=1e-7)
+            assert np.isrealobj(q.left) == np.isrealobj(q.right) == (q.lam.imag == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_is_refused(self, bad):
@@ -409,8 +436,9 @@ class TestEDMDMatrixDeflation:
         norm_K = np.linalg.norm(K)
         tol = 1e-8
         for p in pairs:
-            assert np.linalg.norm(K.astype(complex) @ p.right - p.lam * p.right) <= tol * norm_K
-            # the left vector is biorthogonally scaled; measure per unit norm
+            # the right vector is biorthogonally scaled; measure per unit norm
+            right_res = np.linalg.norm(K.astype(complex) @ p.right - p.lam * p.right)
+            assert right_res <= tol * norm_K * np.linalg.norm(p.right)
             left_res = np.linalg.norm(K.T.astype(complex) @ p.left - p.lam * p.left)
             assert left_res <= tol * norm_K * np.linalg.norm(p.left)
 

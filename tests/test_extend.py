@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from koopext import extend
 from koopext.core import (
     ConfigurationError,
     EmptySupportError,
@@ -13,14 +14,16 @@ from koopext.core import (
     principal_pow,
     singular_mask,
 )
-from koopext.dictionary import identity_dictionary
+from koopext.dictionary import identity_dictionary, rbf_dictionary
 from koopext.dynamics import FlowMap, make_system, sample_snapshots
+from koopext.eigensolve import eigentriplets
 from koopext.extend import (
     EigenfunctionExpr,
     PowerErrors,
     _base_values,
     _BoundConstants,
     _pow_values,
+    certify_on_grid,
     continuous_bound,
     discrete_bound,
     expr_from_analytic,
@@ -502,6 +505,37 @@ class TestExtensionLoops:
         e1 = PowerErrors(normalize_to_grid(phi, grid), flowed)(1)[1]
         e2 = PowerErrors(normalize_to_grid(scaled, grid), flowed)(1)[1]
         assert e1 == pytest.approx(e2, abs=1e-14)
+
+
+class TestEigenpairSwap:
+    def test_lapack_triplets_in_place_of_the_deflation_give_the_same_certified_pairs(
+            self, monkeypatch):
+        # the deflation yields what eigentriplets returns, so handing the
+        # extension the one LAPACK call is a swap at the call site: the same
+        # pair layout, statuses and certified powers, eigenvalues within 1e-9
+        sys_ = make_system("polarLC")
+        snaps = sample_snapshots(sys_, 400, 0.1, ((-2, -2), (2, 2)), seed=3)
+        model = fit_edmd(snaps, rbf_dictionary(snaps, 12, bandwidth=1.0, seed=3), ridge=1e-10)
+        grid = EvalGrid((-1.5, -1.5), (1.5, 1.5), 0.25)
+
+        def certified():
+            pairs, *_ = certify_on_grid(model, sys_, grid, n=5, epsilon=3e-3, p_max=12, seed=0)
+            return pairs
+
+        deflated = certified()
+        monkeypatch.setattr(extend, "_deflation_rounds",
+                            lambda A, n, seed, max_iter: eigentriplets(A, n))
+        swapped = certified()
+
+        def layout(pairs):
+            return [(pe.conjugate_of, pe.result.status, [e.power for e in pe.result.extensions])
+                    for pe in pairs]
+
+        assert layout(swapped) == layout(deflated)
+        assert [pe.conjugate_of for pe in deflated] == [None, None, 1, None, 3]
+        assert all(len(pe.result) == 4 for pe in deflated)
+        assert np.abs(np.array([pe.eigenvalue for pe in swapped])
+                      - np.array([pe.eigenvalue for pe in deflated])).max() < 1e-9
 
 
 class TestPrincipalFilter:

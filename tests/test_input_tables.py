@@ -7,7 +7,6 @@ domain. Each case, and each malformed file beside them, is a usage error
 (exit 2) that names the file, warns of nothing and writes nothing.
 """
 import json
-import math
 import os
 import shutil
 
@@ -21,6 +20,8 @@ from koopext.dynamics import (_SNAPSHOTS_TABLE, make_system, read_snapshots, sam
                               write_snapshots)
 from koopext.experiments import ExperimentConfig, _config_table
 from koopext.regression import _MODEL_TABLE, fit_edmd, load_model, save_model
+
+from domain_edges import OUTSIDE
 
 
 def spec_table(spec: dict) -> dict:
@@ -73,26 +74,6 @@ class TestWritersAndTablesAgree:
 # a value of each JSON type; each number lies outside every file domain
 SAMPLES = {"boolean": True, "integer": -7, "number": -0.5, "string": "x", "array": [],
            "object": {}, "null": None}
-# no number kind takes a number that is not finite, nor an integer beyond
-# float range
-NOT_FINITE = (math.inf, -math.inf, math.nan, 10**400)
-# values just outside each file domain, by what its refusal says
-OUTSIDE = {
-    "a finite positive number": (0, -1, *NOT_FINITE),
-    "a finite nonnegative number": (-1e-9, *NOT_FINITE),
-    "a positive number b with 2*b**2 finite and nonzero": (
-        9.480751908109177e+153, 1.5717277847026285e-162, 0, -1, *NOT_FINITE),
-    "an integer >= 1": (0, 1.0, *NOT_FINITE),
-    "an integer >= 0": (-1, 0.0, *NOT_FINITE),
-    "1": (0, 2, 1.0, *NOT_FINITE),
-    "identity or rbf_gaussian": ("gaussian",),
-    _config_table()["experiment"][1].says: ("nope",),
-    "an array of rows of 2 finite numbers": ([[0.5]], [[0.5, 0.5, 0.5]], [[0.5, math.nan]],
-                                             [[math.inf, 0.5]], [[0.5, 10**400]]),
-    "null or an integer >= 0": (-1, 0.0, *NOT_FINITE),
-    "a JSON string": (),
-    "a JSON object": (),
-}
 DROP = object()
 
 

@@ -264,7 +264,7 @@ class TestLimitCyclePeriod:
         assert omega == 2.0 * math.pi / period
         # integrating on to the horizon would take over 60,000 calls; every
         # call is on one state, with no (1, d) batch around it
-        assert len(calls) == 26_652
+        assert len(calls) == 26_649
         assert set(calls) == {(2,)}
 
     def test_no_return_within_the_horizon(self, monkeypatch):

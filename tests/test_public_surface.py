@@ -104,3 +104,38 @@ def test_every_listed_oracle_is_public_and_unused_in_src():
               for attr in importlib.import_module(f"koopext.{name}").__all__}
     assert sorted(set(TEST_ORACLES) - public) == []
     assert sorted(set(TEST_ORACLES) & _referenced_in_src()) == []
+
+
+EIGEN_CALLS = {"eig", "eigvals"}
+
+
+def _eigen_uses(source: str) -> list[int]:
+    """Lines of `source` that read numpy's eig or eigvals: as an attribute
+    (np.linalg.eig, an aliased linalg module's .eigvals) or imported by name
+    from numpy.linalg."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in EIGEN_CALLS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            lines += [node.lineno for alias in node.names if alias.name in EIGEN_CALLS]
+    return lines
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nnp.linalg.eig(A)", [2]),
+    ("import numpy\nlams = numpy.linalg.eigvals(A)", [2]),
+    ("from numpy import linalg as la\nla.eig(A)", [2]),
+    ("from numpy.linalg import eig as e\ne(A)", [1]),
+    ("import numpy as np\nnp.linalg.eigh(A)\nnp.linalg.svd(A)", []),
+])
+def test_the_eigen_use_finder_sees_every_spelling(source, found):
+    assert _eigen_uses(source) == found
+
+
+def test_only_eigensolve_calls_numpy_eig():
+    # one eigendecomposition path: every eigen decision (order, pair rule,
+    # phase fix, realness) lives in eigensolve, so no other module decomposes
+    uses = {path.stem: _eigen_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(uses.pop("eigensolve")) == 1
+    assert {stem: lines for stem, lines in uses.items() if lines} == {}
