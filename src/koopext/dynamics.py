@@ -266,17 +266,13 @@ def _dp_step_floats(rhs, y: list, h: float, k0: list, rel_tol: float, abs_tol: f
     return y5, k, math.sqrt(sq / d)
 
 
-def _dp45_dense(rhs, y0, t: float, rel_tol: float, abs_tol: float, section=None):
-    """Adaptive Dormand-Prince solve of the one state y0 (d,) from time 0 to t > 0.
+def _dp45_steps(rhs, y0, t: float, rel_tol: float, abs_tol: float):
+    """Adaptive Dormand-Prince steps of the one state y0 (d,) from time 0 to t > 0.
 
-    The tableau, the error norm and the step rule are dp45's; the stages are
-    summed in Python floats and `rhs` is called on a (d,) array once per
-    stage, 6 times a step plus once at the start. No step calls the BLAS.
-
-    `section = (p0, n)` adds an event: the solve stops at the first upward
-    crossing of g(u) = n . (u - p0), from g < 0 to g >= 0, after t = 0,
-    located on the continuous extension by bisection. Returns (orbit,
-    t_event), t_event None without a crossing before t.
+    Yields (0.0, y0, None), then each accepted step's end time, end state and
+    7 stages, all Python floats. The tableau, the error norm and the step
+    rule are dp45's; `rhs` is called on a (d,) array once per stage, 6 times
+    a step plus once at the start. No step calls the BLAS.
 
     Refuses a t that is not finite and positive (ConfigurationError), a
     state past the divergence guard and a collapsed step (DivergenceError).
@@ -284,13 +280,42 @@ def _dp45_dense(rhs, y0, t: float, rel_tol: float, abs_tol: float, section=None)
     if not 0.0 < t < math.inf:
         raise ConfigurationError(f"t must be finite and positive, got {t}")
     y = np.asarray(y0, dtype=float).tolist()
-    ts, ys, ks = [0.0], [y], []
 
     def check(u):
         if not all(abs(v) <= DIVERGENCE_LIMIT for v in u):
             raise DivergenceError(f"state exceeded {DIVERGENCE_LIMIT:g} during integration")
 
     check(y)
+    yield 0.0, y, None
+    # dp45's first step, t / 16, can overflow the rhs; a step that does is
+    # rejected. Each errstate spans one step: across a yield it leaks out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0 = rhs(np.array(y)).tolist()
+    t_now, h = 0.0, t / 16.0
+    while t_now < t:
+        last = h >= t - t_now
+        if last:
+            h = t - t_now
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_new, k, err_norm = _dp_step_floats(rhs, y, h, k0, rel_tol, abs_tol)
+        if err_norm <= 1.0:
+            check(y_new)
+            t_now = t if last else t_now + h
+            y, k0 = y_new, k[6]
+            yield t_now, y, k
+        h = _next_step(h, err_norm, t)
+
+
+def _dp45_dense(rhs, y0, t: float, rel_tol: float, abs_tol: float, section=None):
+    """The steps of `_dp45_steps` kept as one DenseOrbit. `section = (p0, n)`
+    adds an event: the solve stops at the first upward crossing of
+    g(u) = n . (u - p0), from g < 0 to g >= 0, after t = 0, located on the
+    continuous extension by bisection. Returns (orbit, t_event), t_event
+    None without a crossing before t.
+    """
+    steps = _dp45_steps(rhs, y0, t, rel_tol, abs_tol)
+    _, y, _ = next(steps)
+    ts, ys, ks = [0.0], [y], []
     if section is not None:
         p0, normal = (np.asarray(v, dtype=float).tolist() for v in section)
 
@@ -298,35 +323,22 @@ def _dp45_dense(rhs, y0, t: float, rel_tol: float, abs_tol: float, section=None)
             return sum(n * (a - b) for n, a, b in zip(normal, u, p0))
 
         g_prev = g(y)
-    # dp45's first step, t / 16, can overflow the rhs; a step that does is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        k0 = rhs(np.array(y)).tolist()
-        t_now, h = 0.0, t / 16.0
-        while t_now < t:
-            last = h >= t - t_now
-            if last:
-                h = t - t_now
-            y_new, k, err_norm = _dp_step_floats(rhs, y, h, k0, rel_tol, abs_tol)
-            if err_norm <= 1.0:
-                check(y_new)
-                t_now = t if last else t_now + h
-                y, k0 = y_new, k[6]
-                ts.append(t_now)
-                ys.append(y)
-                ks.append(k)
-                if section is not None:
-                    g_now = g(y)
-                    if g_prev < 0.0 <= g_now:
-                        orbit = DenseOrbit(ts, ys, ks)
-                        lo, hi = ts[-2], t_now
-                        while lo < (mid := 0.5 * (lo + hi)) < hi:
-                            if g(orbit(mid).tolist()) < 0.0:
-                                lo = mid
-                            else:
-                                hi = mid
-                        return orbit, hi
-                    g_prev = g_now
-            h = _next_step(h, err_norm, t)
+    for t_now, y, k in steps:
+        ts.append(t_now)
+        ys.append(y)
+        ks.append(k)
+        if section is not None:
+            g_now = g(y)
+            if g_prev < 0.0 <= g_now:
+                orbit = DenseOrbit(ts, ys, ks)
+                lo, hi = ts[-2], t_now
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    if g(orbit(mid).tolist()) < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                return orbit, hi
+            g_prev = g_now
     return DenseOrbit(ts, ys, ks), None
 
 

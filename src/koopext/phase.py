@@ -32,6 +32,7 @@ from .dynamics import (
     DenseOrbit,
     VectorField,
     _dp45_dense,
+    _dp45_steps,
     _dp_step,
     _polar_lc_values,
     _polar_ss_values,
@@ -138,15 +139,16 @@ def limit_cycle_period(fld: VectorField, x0) -> tuple[float, float, DenseOrbit]:
     for that return: without one before t = _PERIOD_HORIZON,
     DivergenceError.
 
-    Both solves are `_dp45_dense` at rtol = atol = 1e-12, and every product
-    here is summed in Python floats, so the period does not depend on the
-    BLAS. `orbit` is the dense output of the one-period solve: orbit(t) is
-    the state at time t after the relaxed point, for 0 <= t <= the step end
-    past the first return. So orbit(np.linspace(0, period, n)) samples the
-    cycle once round.
+    Both solves step through `_dp45_steps` at rtol = atol = 1e-12, summed in
+    Python floats, so the period does not depend on the BLAS; the relaxation
+    keeps its last state alone. `orbit` is the dense output of the one-period
+    solve: orbit(t) is the state at time t after the relaxed point, for 0 <=
+    t <= the step end past the first return. So orbit(np.linspace(0, period,
+    n)) samples the cycle once round.
     """
-    relax, _ = _dp45_dense(fld.rhs, x0, 60.0, 1e-12, 1e-12)
-    p0 = relax.y[-1]
+    for _, p0, _ in _dp45_steps(fld.rhs, x0, 60.0, 1e-12, 1e-12):
+        pass
+    p0 = np.array(p0)
     flow = fld.rhs(p0).tolist()
     speed = math.hypot(*flow)
     if speed < 1e-12:

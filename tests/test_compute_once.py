@@ -1,19 +1,20 @@
 """Regression tests that pin the compute-once data flow of the experiments:
 each evaluation grid is flowed once per flow map, linear2d_dmd decomposes its
-fitted K once, the limit-cycle period and orbit are solved once per phase run
-and Laplace-averaged in one batch, the Arnoldi eigensolver makes one 2x2
-eigenvalue solve per step and its warm start one product per power step, and
-the certified extension loop computes what does not depend on the power p
-once. The work moved out of a loop is pinned bit for bit against copies of
-the code that recomputed it. Gaussian features and the EDMD fit hold no
-(points, centers, dimension) array, and their peak memory is pinned."""
+fitted K once, the limit-cycle period and orbit are solved once per phase run,
+after a relaxation that keeps only its last state, and Laplace-averaged in
+one batch, the Arnoldi eigensolver makes one 2x2 eigenvalue solve per step
+and its warm start one product per power step, and the certified extension
+loop computes what does not depend on the power p once. The work moved out
+of a loop is pinned bit for bit against copies of the code that recomputed
+it. Gaussian features and the EDMD fit hold no (points, centers, dimension)
+array, and their peak memory is pinned, as is the limit-cycle solve's."""
 import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from koopext import eigensolve, phase
+from koopext import dynamics, eigensolve, phase
 from koopext.core import (
     DIVERGENCE_LIMIT,
     SINGULAR,
@@ -89,14 +90,17 @@ def test_vdp_phase_solves_the_period_once(tmp_path, monkeypatch):
 
 
 def test_vdp_phase_makes_two_dense_solves(tmp_path, monkeypatch):
+    # the one step loop, reached by the relaxation directly and by the
+    # period solve through _dp45_dense
     spans = []
-    original = phase._dp45_dense
+    original = dynamics._dp45_steps
 
-    def counting_dp45_dense(rhs, y0, t, *args, **kwargs):
+    def counting_steps(rhs, y0, t, *args, **kwargs):
         spans.append(t)
         return original(rhs, y0, t, *args, **kwargs)
 
-    monkeypatch.setattr(phase, "_dp45_dense", counting_dp45_dense)
+    monkeypatch.setattr(dynamics, "_dp45_steps", counting_steps)
+    monkeypatch.setattr(phase, "_dp45_steps", counting_steps)
     run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path),
                          params={"T": 2.0, "step": 0.1, "grid_h": 0.4, "band": 0.4}))
     # limit_cycle_period's relaxation, then its one period, whose dense
@@ -104,16 +108,24 @@ def test_vdp_phase_makes_two_dense_solves(tmp_path, monkeypatch):
     assert spans == [60.0, 100.0]
 
 
-def test_vdp_phase_peak_memory_stays_under_16_mb(tmp_path):
+def test_vdp_phase_peak_memory_stays_under_3_mb(tmp_path):
     # the run's own arrays: the band mask streams its distances instead of
-    # holding a (points, samples, 2) tensor
+    # holding a (points, samples, 2) tensor, and the relaxation onto the
+    # cycle keeps its last state, not its steps
     tracemalloc.start()
     try:
         run(ExperimentConfig("vdp_phase", out_dir=str(tmp_path), params={"T": 20.0}))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 3e6
+
+
+def test_limit_cycle_period_peaks_under_1_mib():
+    # 60 time units at 1e-12 take about 4,000 steps; kept with their stages
+    # as a DenseOrbit they peaked at 4.4 MiB
+    fld = make_system("vanderpol", mu=0.3).field
+    assert traced_peak(phase.limit_cycle_period, fld, np.array([2.0, 0.0])) < 2**20
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

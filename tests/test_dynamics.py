@@ -739,6 +739,117 @@ class TestDenseDriver:
             _dp45_dense(lambda u: -u, [1.0], t, 1e-8, 1e-10)
 
 
+def _pre_change_dp45_dense(rhs, y0, t, rel_tol, abs_tol, section=None):
+    # _dp45_dense before its step loop became the _dp45_steps generator: the
+    # loop inline, under one errstate
+    from koopext.core import DIVERGENCE_LIMIT
+    from koopext.dynamics import DenseOrbit, _dp_step_floats, _next_step
+
+    if not 0.0 < t < math.inf:
+        raise ConfigurationError(f"t must be finite and positive, got {t}")
+    y = np.asarray(y0, dtype=float).tolist()
+    ts, ys, ks = [0.0], [y], []
+
+    def check(u):
+        if not all(abs(v) <= DIVERGENCE_LIMIT for v in u):
+            raise DivergenceError(f"state exceeded {DIVERGENCE_LIMIT:g} during integration")
+
+    check(y)
+    if section is not None:
+        p0, normal = (np.asarray(v, dtype=float).tolist() for v in section)
+
+        def g(u) -> float:
+            return sum(n * (a - b) for n, a, b in zip(normal, u, p0))
+
+        g_prev = g(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0 = rhs(np.array(y)).tolist()
+        t_now, h = 0.0, t / 16.0
+        while t_now < t:
+            last = h >= t - t_now
+            if last:
+                h = t - t_now
+            y_new, k, err_norm = _dp_step_floats(rhs, y, h, k0, rel_tol, abs_tol)
+            if err_norm <= 1.0:
+                check(y_new)
+                t_now = t if last else t_now + h
+                y, k0 = y_new, k[6]
+                ts.append(t_now)
+                ys.append(y)
+                ks.append(k)
+                if section is not None:
+                    g_now = g(y)
+                    if g_prev < 0.0 <= g_now:
+                        orbit = DenseOrbit(ts, ys, ks)
+                        lo, hi = ts[-2], t_now
+                        while lo < (mid := 0.5 * (lo + hi)) < hi:
+                            if g(orbit(mid).tolist()) < 0.0:
+                                lo = mid
+                            else:
+                                hi = mid
+                        return orbit, hi
+                    g_prev = g_now
+            h = _next_step(h, err_norm, t)
+    return DenseOrbit(ts, ys, ks), None
+
+
+class TestStepGenerator:
+    """_dp45_steps, the one step loop of the single-trajectory driver."""
+
+    def test_the_callers_error_state_holds_between_steps(self):
+        # an errstate around the whole loop would span each yield and hold
+        # "ignore" in the caller until the generator is done
+        from koopext.dynamics import _dp45_steps
+
+        fld = make_system("vanderpol", mu=0.3).field
+        with np.errstate(over="raise", invalid="warn", divide="call", under="print"):
+            caller = np.geterr()
+            steps = _dp45_steps(fld.rhs, [2.0, 0.0], 5.0, 1e-8, 1e-10)
+            for _ in range(4):
+                next(steps)
+                assert np.geterr() == caller
+            for _ in steps:
+                assert np.geterr() == caller
+
+    def test_steps_are_the_dense_orbits_nodes(self):
+        from koopext.dynamics import _dp45_dense, _dp45_steps
+
+        fld = make_system("vanderpol", mu=0.3).field
+        steps = list(_dp45_steps(fld.rhs, [2.0, 0.0], 20.0, 1e-12, 1e-12))
+        orbit, _ = _dp45_dense(fld.rhs, [2.0, 0.0], 20.0, 1e-12, 1e-12)
+        assert steps[0] == (0.0, [2.0, 0.0], None)
+        assert [s[0] for s in steps] == orbit.t.tolist()
+        assert np.array([s[1] for s in steps]).tobytes() == orbit.y.tobytes()
+        assert all(len(k) == 7 and all(type(v) is float for v in k[6]) for _, _, k in steps[1:])
+
+    @pytest.mark.parametrize("section", [None, ([2.0, 0.0], [0.0, -1.0])])
+    def test_dense_orbit_matches_the_pre_change_driver(self, section):
+        from koopext.dynamics import _dp45_dense
+
+        fld = make_system("vanderpol", mu=1.0).field
+        got, got_t = _dp45_dense(fld.rhs, [2.0, 0.0], 30.0, 1e-12, 1e-12, section=section)
+        want, want_t = _pre_change_dp45_dense(fld.rhs, [2.0, 0.0], 30.0, 1e-12, 1e-12,
+                                              section=section)
+        assert got_t == want_t and (got_t is None) == (section is None)
+        assert got.t.tobytes() == want.t.tobytes() and got.y.tobytes() == want.y.tobytes()
+        s = np.linspace(0.0, got.t[-1], 301)
+        assert got(s).tobytes() == want(s).tobytes()
+
+    def test_duffing_manifold_matches_the_pre_change_driver(self, monkeypatch):
+        # duffing_edmd's unstable-manifold walk, at the runner's window
+        from koopext import dynamics
+        from koopext.experiments import EXPERIMENTS
+
+        table = EXPERIMENTS["duffing_edmd"][1]()
+        window = tuple(map(tuple, table["window"][0]))
+        n = table["n_manifold"][0]
+        sys_ = make_system("duffing")
+        got = unstable_manifold_sample(sys_, n, window)
+        monkeypatch.setattr(dynamics, "_dp45_dense", _pre_change_dp45_dense)
+        want = unstable_manifold_sample(sys_, n, window)
+        assert got.tobytes() == want.tobytes()
+
+
 def _pre_change_dp_combine(terms, h):
     # _dp_combine before the stage table: one scratch array per stage
     terms = iter(terms)

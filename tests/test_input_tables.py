@@ -131,7 +131,7 @@ def generated_cases():
                 shown = ("drop" if value is DROP else "10**400" if value == 10**400
                          else json.dumps(value))
                 yield pytest.param(kind, file, edit_key(under, key, value), key,
-                                   id=f"{file}:{under or ''}.{key}={shown}")
+                                   id=f"{kind}/{file}:{under or ''}.{key}={shown}")
 
 
 def replaced(data):

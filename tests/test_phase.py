@@ -215,6 +215,21 @@ class TestColumnMajorAverage:
         assert got.tobytes() == want.tobytes()
 
 
+def _pre_change_limit_cycle_period(fld, x0):
+    # limit_cycle_period before the relaxation kept its last state alone:
+    # both solves through the pre-change dense driver
+    from test_dynamics import _pre_change_dp45_dense
+
+    relax, _ = _pre_change_dp45_dense(fld.rhs, x0, 60.0, 1e-12, 1e-12)
+    p0 = relax.y[-1]
+    flow = fld.rhs(p0).tolist()
+    speed = math.hypot(*flow)
+    normal = [v / speed for v in flow]
+    orbit, period = _pre_change_dp45_dense(fld.rhs, p0, phase._PERIOD_HORIZON, 1e-12, 1e-12,
+                                           section=(p0, normal))
+    return 2.0 * math.pi / period, period, orbit
+
+
 class TestLimitCyclePeriod:
     @pytest.mark.parametrize("mu, omega, x0", [(1.0, 1.0, 1.5), (1.0, 2.0, 1.5),
                                                 (0.5, 3.0, 0.2)])
@@ -224,6 +239,16 @@ class TestLimitCyclePeriod:
         got_omega, period, _ = limit_cycle_period(sys_.field, np.array([x0, 0.0]))
         assert period == pytest.approx(2 * math.pi / omega, rel=1e-9)
         assert got_omega == pytest.approx(omega, rel=1e-9)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 2.0])
+    def test_vanderpol_matches_the_pre_change_solves(self, mu):
+        fld = make_system("vanderpol", mu=mu).field
+        omega, period, orbit = limit_cycle_period(fld, np.array([2.0, 0.0]))
+        want_omega, want_period, want_orbit = _pre_change_limit_cycle_period(
+            fld, np.array([2.0, 0.0]))
+        assert (omega, period) == (want_omega, want_period)
+        s = np.linspace(0, period, 400)
+        assert orbit(s).tobytes() == want_orbit(s).tobytes()
 
     def test_vanderpol_period_closes_the_loop(self):
         # independent check: integrating exactly one measured period returns
