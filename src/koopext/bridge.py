@@ -87,10 +87,7 @@ def fit_local_family(
     model = fit_edmd(snaps, dic, ridge=1e-10)
     h = (hi[0] - lo[0]) / 256
     grid = EvalGrid((lo[0],), (hi[0],), min(h, 0.999))
-    flowed = FlowedGrid.of(
-        FlowMap(system.field, dt, method="exact" if system.field.exact_flow else "rk45"),
-        grid,
-    )
+    flowed = FlowedGrid.of(FlowMap(system.field, dt, method=snaps.metadata["method"]), grid)
     members = []
     for q in eigentriplets(model.K, model.dim):
         if abs(q.lam.imag) > _REAL_IMAG:
@@ -201,7 +198,5 @@ def write_bridge_report(path, bmap: BridgeMap) -> None:
         "residual_forward": bmap.residuals[0],
         "residual_backward": bmap.residuals[1],
         "tikhonov": bmap.tikhonov,
-        # no member indices: fit_bridge always pairs the two leading members
-        "member_indices": [None, None],
     }
     _write_json(path, payload, sort_keys=True)

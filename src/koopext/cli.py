@@ -17,7 +17,8 @@ import sys
 
 from .core import (_AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _BANDWIDTH, _NONNEGATIVE, _NUMBER,
                    _POSITIVE, ConfigurationError, NumericError, one_blas_thread)
-from .experiments import EXPERIMENTS, ExperimentConfig, run
+from .experiments import EXPERIMENTS, ExperimentConfig, _vdp_table, run
+from .extend import P_MAX_DEFAULT
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--epsilon", type=_flag(_POSITIVE, float), default=0.01)
     ext.add_argument("--grid", type=_flag(_NUMBER, float), nargs=3, default=(-1.0, 1.0, 0.01),
                      metavar=("LO", "HI", "H"))
-    ext.add_argument("--p-max", type=_flag(_AT_LEAST_1, int), default=64)
+    ext.add_argument("--p-max", type=_flag(_AT_LEAST_1, int), default=P_MAX_DEFAULT)
 
     ph = sub.add_parser("phase", help="isochron/isostable field for a benchmark system")
     ph.add_argument("--out", default=".", help="output directory")
@@ -213,7 +214,7 @@ def _tool_phase(args) -> int:
     grid = EvalGrid((lo, lo), (hi, hi), h)
     period = None
     if args.method == "laplace_average":
-        _, period, _ = limit_cycle_period(sys_.field, (2.0, 0.0))
+        _, period, _ = limit_cycle_period(sys_.field, _vdp_table()["x0_cycle"][0])
     field = isofield(sys_, args.method, grid, period)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase.csv")

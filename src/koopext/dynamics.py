@@ -66,7 +66,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) tableau, used both adaptively (flows) and at fixed step
-# (quadrature nodes for averaging). Batched: every stage acts on (n, d).
+# (quadrature nodes for averaging). _dp_step's stages act on a batch (n, d);
+# _dp_step_floats, which _dp45_steps drives, steps one state in Python floats.
 
 _DP_A = (
     (),

@@ -17,22 +17,16 @@ from . import phase as phase_mod
 from .core import (
     SINGULAR, _AT_LEAST_0, _AT_LEAST_1, _AT_LEAST_2, _AT_LEAST_3, _BANDWIDTH, _CORNERS,
     _INTERVAL, _NONNEGATIVE, _NULL_OR_POSITIVE, _NUMBER, _OBJECT, _POINT, _POSITIVE,
-    _POSITIVE_NUMBERS, _REQUIRED, _STRING, _UNIT_OPEN, ConfigurationError, EvalGrid, FlowedGrid,
+    _POSITIVE_NUMBERS, _REQUIRED, _STRING, _UNIT_OPEN, ConfigurationError, EvalGrid,
     _check_record, _Domain, _read_record, _write_csv, _write_json, one_blas_thread,
     principal_arg, write_grid_field,
 )
-from .dictionary import (
-    identity_dictionary,
-    rbf_dictionary,
-    feature_sup_M,
-    spectral_norm_bound_L,
-)
+from .dictionary import identity_dictionary, rbf_dictionary
 from .dynamics import (
     FlowMap,
     VectorField,
     _LIN5D_RATES,
     _saddle_embed,
-    integration_error_sup,
     lin5d_base_flow,
     lin5d_lift,
     make_system,
@@ -48,6 +42,7 @@ from .eigensolve import _REAL_IMAG, deflate_spectrum, eigentriplets, write_spect
 from .extend import (
     PairExtension,
     PowerErrors,
+    _certified_constants,
     certify_on_grid,
     expr_from_analytic,
     expr_from_weights,
@@ -127,6 +122,10 @@ def _linear2d_table():
     }
 
 
+# the last power whose budget and measured crossings linear2d_dmd looks for
+_CROSSING_P_MAX = 40
+
+
 def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     grid = EvalGrid((p["grid_lo"],) * 2, (p["grid_hi"],) * 2, p["grid_h"])
     sys_ = make_system("linear2d")
@@ -137,15 +136,15 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     snaps = sample_snapshots(sys_, p["n_pairs"], p["dt"], ((-b, -b), (b, b)), seed)
     model = fit_edmd(snaps, identity_dictionary(2))
     save_model(os.path.join(out, "model"), model)
-    exact = FlowedGrid.of(FlowMap(sys_.field, p["dt"], method="exact"), grid)
-    euler = FlowedGrid.of(euler_map, grid)
-    eps_G = integration_error_sup(euler, exact)
-    L = spectral_norm_bound_L(model.dict, grid)
-    M = feature_sup_M(model.dict, grid)
+    euler, exact, eps_G, L, M = _certified_constants(model, sys_, grid, euler_map)
+    # each exact eigenfunction <w, x> as (multiplier exp(lambda dt), w); over
+    # the identity dictionary its weights are its values at the unit vectors
+    exact_pairs = [(math.exp(eig.eigenvalue.real * p["dt"]), eig.eval(np.eye(2)).real)
+                   for eig in sys_.analytic_eigenfunctions]
 
     triplets = eigentriplets(model.K, 2)
     write_spectrum_json(os.path.join(out, "spectrum.json"), triplets)
-    targets = np.exp(np.array([-0.8, -0.9]) * p["dt"])  # descending, as the triplets
+    targets = sorted((lam for lam, _ in exact_pairs), reverse=True)  # as the triplets
     eig_err = max(abs(q.lam.real - t) for q, t in zip(triplets, targets))
     pairs = [(q.lam.real, q.left.real) for q in triplets]
     # reconstruction = one-step prediction from every training state
@@ -161,12 +160,7 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
     crossing_rows = []
     for lam, w in pairs:
         # continuous bound: exact eigenvector, numerical (Euler) flow
-        exact_pair = min(
-            [(math.exp(-0.9 * p["dt"]), np.array([1.0, -1.0]) / math.sqrt(2)),
-             (math.exp(-0.8 * p["dt"]), np.array([0.0, 1.0]))],
-            key=lambda t: abs(t[0] - lam),
-        )
-        lam_x, w_x = exact_pair
+        lam_x, w_x = min(exact_pairs, key=lambda t: abs(t[0] - lam))
         cont = extend_continuous((w_x, lam_x), model, euler, math.inf, eps_G, L, M,
                                  p_max=p["p_max_curve"])
         # discrete bound: exact flow, injected eigenvector error
@@ -181,7 +175,8 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
                            d.trajectory_error, d.bound))
         # crossing fidelity: certified budget crossing vs measured crossing of
         # the unit-grid-norm eigenfunction error curve, whose errors at
-        # p = 1, 2, ... are measured once per pair and shared by every epsilon
+        # p = 1, 2, ... are measured once per pair and shared by every epsilon;
+        # a crossing not reached by _CROSSING_P_MAX counts as the power after it
         errors_meas = PowerErrors(
             normalize_to_grid(expr_from_weights(model, w, lam), grid), euler
         )
@@ -189,17 +184,16 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
         for eps in p["epsilons"]:
             res = extend_continuous(
                 (w, lam), model, euler, eps, eps_G, L, M,
-                p_max=40, measure_errors=False,
+                p_max=_CROSSING_P_MAX, measure_errors=False,
             )
-            p_alg_cross = res.max_power + 1
-            p_emp_cross = None
-            for power in range(1, 41):
+            p_emp_cross = _CROSSING_P_MAX + 1
+            for power in range(1, _CROSSING_P_MAX + 1):
                 if power > len(measured):
                     measured.append(errors_meas(power)[1])
                 if measured[power - 1] > eps:
                     p_emp_cross = power
                     break
-            crossing_rows.append((lam, eps, p_alg_cross, p_emp_cross))
+            crossing_rows.append((lam, eps, res.max_power + 1, p_emp_cross))
             write_extension_report(
                 os.path.join(out, f"extension_eps{eps:g}_lam{lam:.4f}.json"),
                 [PairExtension(complex(lam), res, 0.0)],
@@ -212,10 +206,9 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
                ["lambda", "p", "traj_err_integration", "bound_integration",
                 "traj_err_eigvec", "bound_eigvec"],
                np.array(curves))
-    with open(os.path.join(out, "crossings.csv"), "w") as fh:
-        fh.write("lambda,epsilon,budget_crossing,empirical_crossing\n")
-        for row in crossing_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _write_csv(os.path.join(out, "crossings.csv"),
+               ["lambda", "epsilon", "budget_crossing", "empirical_crossing"],
+               np.array(crossing_rows))
     return {
         "criteria": criteria,
         "artifacts": ["model.json", "model_K.csv", "spectrum.json", "reconstruction.csv",
@@ -518,14 +511,9 @@ def _run_saddle_fields(p: dict, seed: int, out: str) -> dict:
         eig = sys_.analytic_eigenfunctions[eig_idx]
         pts = np.zeros((len(ts), 2))
         pts[:, axis] = ts
-        zc = _saddle_embed(pts)
-        eps = 1e-6
-        pp, pm = pts.copy(), pts.copy()
-        pp[:, axis] += eps
-        pm[:, axis] -= eps
-        tang = (_saddle_embed(pp) - _saddle_embed(pm)) / (2 * eps)
+        tang = np.array([numeric_jacobian(_saddle_embed, x)[:, axis] for x in pts])
         tang /= np.linalg.norm(tang, axis=1, keepdims=True)
-        for zz, tg in zip(zc, tang):
+        for zz, tg in zip(_saddle_embed(pts), tang):
             g = numeric_jacobian(lambda q: eig.eval(q).real, zz)
             g /= np.linalg.norm(g)
             worst = min(worst, abs(float(g @ np.array([-tg[1], tg[0]]))))

@@ -452,6 +452,31 @@ def iterative_koopman_eigensolver(
     return out
 
 
+def _certified_constants(
+    model: KoopmanModel, system: BenchmarkSystem, grid: EvalGrid, fmap: FlowMap
+) -> tuple[FlowedGrid, FlowedGrid, float, float, float]:
+    """(numeric, exact, eps_G, L, M) for a certified loop over a model of
+    `system` on `grid`: the grid flowed by `fmap` and by the closed-form flow
+    over the same dt, eps_G the worst gap between the two, and L and M the
+    dictionary constants on the grid. A system without a closed-form flow has
+    no eps_G to certify with and is refused, as is a system of another
+    dimension than the model's states."""
+    if model.dict.dim_in != system.dim:
+        raise ConfigurationError(
+            f"the model's dictionary takes {model.dict.dim_in}-dim states, but {system.id} "
+            f"is {system.dim}-dim"
+        )
+    if system.field.exact_flow is None:
+        raise ConfigurationError(
+            f"{system.id} has no closed-form flow to measure the integration error "
+            "eps_G against, so no bound can be certified for it"
+        )
+    numeric = FlowedGrid.of(fmap, grid)
+    exact = FlowedGrid.of(FlowMap(system.field, fmap.dt, method="exact"), grid)
+    return (numeric, exact, integration_error_sup(numeric, exact),
+            spectral_norm_bound_L(model.dict, grid), feature_sup_M(model.dict, grid))
+
+
 def certify_on_grid(
     model: KoopmanModel,
     system: BenchmarkSystem,
@@ -466,29 +491,14 @@ def certify_on_grid(
     on `grid`: (pairs, eps_G, L, M).
 
     The grid is flowed over the model's dt by rk45 at rel_tol 1e-11 and
-    abs_tol 1e-13; eps_G is that flow's worst gap from the closed-form flow,
-    L and M the dictionary constants on the grid, and
-    iterative_koopman_eigensolver runs on the rk45-flowed grid. A system
-    without a closed-form flow has no eps_G to certify with and is refused,
-    as is a system of another dimension than the model's states.
+    abs_tol 1e-13, and `_certified_constants` measures eps_G, L and M (and
+    refuses a system it cannot certify); iterative_koopman_eigensolver runs
+    on the rk45-flowed grid.
     """
-    if model.dict.dim_in != system.dim:
-        raise ConfigurationError(
-            f"the model's dictionary takes {model.dict.dim_in}-dim states, but {system.id} "
-            f"is {system.dim}-dim"
-        )
-    if system.field.exact_flow is None:
-        raise ConfigurationError(
-            f"{system.id} has no closed-form flow to measure the integration error "
-            "eps_G against, so no bound can be certified for it"
-        )
-    rk = FlowedGrid.of(
-        FlowMap(system.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13), grid
+    rk, _, eps_G, L, M = _certified_constants(
+        model, system, grid,
+        FlowMap(system.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13),
     )
-    exact = FlowedGrid.of(FlowMap(system.field, model.dt, method="exact"), grid)
-    eps_G = integration_error_sup(rk, exact)
-    L = spectral_norm_bound_L(model.dict, grid)
-    M = feature_sup_M(model.dict, grid)
     pairs = iterative_koopman_eigensolver(
         model, rk, n=n, epsilon=epsilon, eps_G=eps_G, L=L, M=M,
         p_max=p_max, seed=seed, max_iter=max_iter,

@@ -11,7 +11,7 @@ from koopext.bridge import (
 )
 from koopext.core import ConfigurationError, EmptySupportError, EvalGrid, FlowedGrid
 from koopext.extend import PowerErrors, expr_from_analytic
-from koopext.dynamics import FlowMap, make_system
+from koopext.dynamics import FlowMap, make_system, sample_snapshots
 
 @pytest.fixture(scope="module")
 def quad1d():
@@ -81,6 +81,27 @@ class TestLocalFamilies:
             dt=0.1, n_pairs=400,
         )
         assert len(fam) == 0
+
+    @pytest.mark.parametrize("method", ["exact", "rk45"])
+    def test_grid_flows_by_the_method_the_snapshots_recorded(self, quad1d, monkeypatch,
+                                                             method):
+        # the exact-else-rk45 rule lives in sample_snapshots, which records
+        # the method it chose; the family's error grid reads it from there
+        from koopext import bridge
+
+        def sampled(*args, **kwargs):
+            snaps = sample_snapshots(*args, **kwargs)
+            return replace(snaps, metadata={**snaps.metadata, "method": method})
+
+        def flow_map(field, dt, method):
+            flowed.append(method)
+            return FlowMap(field, dt, method=method)
+
+        flowed = []
+        monkeypatch.setattr(bridge, "sample_snapshots", sampled)
+        monkeypatch.setattr(bridge, "FlowMap", flow_map)
+        fit_local_family(quad1d, 2.0, 0.85, 20, 0.05, seed=1, dt=0.1, n_pairs=400)
+        assert flowed == [method]
 
 
 class TestFitBridge:

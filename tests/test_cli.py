@@ -369,6 +369,18 @@ class TestExitCodes:
         assert "numeric failure: IllConditionedError: " in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("params", [
+        ["grid_h=0.05", "epsilons=[10.0]"],
+        ["dt=5"],
+    ], ids=" ".join)
+    def test_a_crossing_past_p_40_counts_as_41(self, tmp_path, params):
+        # no measured error passes epsilon by p = 40: the empirical crossing
+        # stayed None and the crossing gap exited 3 on a TypeError
+        args = [a for param in params for a in ("--param", param)]
+        assert run_cli(["linear2d_dmd", "--seed", "42", "--out", str(tmp_path), *args]) == 0
+        rows = (tmp_path / "crossings.csv").read_text().splitlines()[1:]
+        assert rows and [row.split(",")[2:] for row in rows] == [["41", "41"]] * len(rows)
+
     @pytest.mark.parametrize("error", [
         "IllConditionedError", "NearDefectiveError", "DivergenceError",
         "ConvergenceError", "EmptySupportError", "DomainError",

@@ -14,14 +14,16 @@ from koopext.core import (
     principal_pow,
     singular_mask,
 )
-from koopext.dictionary import identity_dictionary, rbf_dictionary
-from koopext.dynamics import FlowMap, make_system, sample_snapshots
+from koopext.dictionary import (feature_sup_M, identity_dictionary, rbf_dictionary,
+                                 spectral_norm_bound_L)
+from koopext.dynamics import FlowMap, integration_error_sup, make_system, sample_snapshots
 from koopext.eigensolve import eigentriplets
 from koopext.extend import (
     EigenfunctionExpr,
     PowerErrors,
     _base_values,
     _BoundConstants,
+    _certified_constants,
     _pow_values,
     certify_on_grid,
     continuous_bound,
@@ -505,6 +507,34 @@ class TestExtensionLoops:
         e1 = PowerErrors(normalize_to_grid(phi, grid), flowed)(1)[1]
         e2 = PowerErrors(normalize_to_grid(scaled, grid), flowed)(1)[1]
         assert e1 == pytest.approx(e2, abs=1e-14)
+
+
+class TestCertifiedConstants:
+    def test_numeric_and_exact_grids_and_their_constants(self, linear2d_model):
+        sys_, model = linear2d_model
+        grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.1)
+        fmap = FlowMap(sys_.field, model.dt, method="euler", step=0.001)
+        numeric, exact, eps_G, L, M = _certified_constants(model, sys_, grid, fmap)
+        assert np.array_equal(numeric.image, fmap(grid.points))
+        assert np.array_equal(exact.image,
+                              FlowMap(sys_.field, model.dt, method="exact")(grid.points))
+        assert eps_G == integration_error_sup(numeric, exact) > 0
+        assert (L, M) == (spectral_norm_bound_L(model.dict, grid),
+                          feature_sup_M(model.dict, grid))
+
+    def test_certify_on_grid_reports_the_constants_of_its_rk45_grid(self, linear2d_model):
+        sys_, model = linear2d_model
+        grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.25)
+        rk = FlowMap(sys_.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13)
+        _, *constants = certify_on_grid(model, sys_, grid, 2, 0.1, 3, seed=0)
+        assert constants == list(_certified_constants(model, sys_, grid, rk)[2:])
+
+    def test_system_without_a_closed_form_flow_is_refused(self, linear2d_model):
+        _, model = linear2d_model
+        vdp = make_system("vanderpol")
+        grid = EvalGrid((-1.0, -1.0), (1.0, 1.0), 0.5)
+        with pytest.raises(ConfigurationError, match="vanderpol has no closed-form flow"):
+            _certified_constants(model, vdp, grid, FlowMap(vdp.field, model.dt))
 
 
 class TestEigenpairSwap:

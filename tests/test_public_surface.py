@@ -139,3 +139,61 @@ def test_only_eigensolve_calls_numpy_eig():
     uses = {path.stem: _eigen_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert len(uses.pop("eigensolve")) == 1
     assert {stem: lines for stem, lines in uses.items() if lines} == {}
+
+
+WRITE_MODES = set("wax+")
+
+
+def _is_name(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines of `source` that write a file by hand: an `open` (a builtin or a
+    path's method) whose mode writes, appends, creates or updates, or is not a
+    literal; a `write_text` or `write_bytes`; numpy's `savetxt`; or
+    `json.dump`, as an attribute or imported by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "numpy"):
+            lines += [node.lineno for alias in node.names if alias.name in ("dump", "savetxt")]
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if _is_name(fn, "open"):
+            args = node.args[1:] if isinstance(fn, ast.Name) else node.args
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not WRITE_MODES & set(mode.value)):
+                lines.append(node.lineno)
+        elif any(_is_name(fn, name) for name in ("write_text", "write_bytes", "savetxt")) or (
+                isinstance(fn, ast.Attribute) and fn.attr == "dump"
+                and _is_name(fn.value, "json")):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, found", [
+    ("with open(p, 'w') as fh:\n    fh.write(s)", [1]),
+    ("fh = open(p, mode='a')", [1]),
+    ("fh = open(p, m)", [1]),
+    ("fh = path.open('x')", [1]),
+    ("path.write_text(s)", [1]),
+    ("import numpy as np\nnp.savetxt(p, a)", [2]),
+    ("from numpy import savetxt\nsavetxt(p, a)", [1, 2]),
+    ("import json\njson.dump(d, fh)", [2]),
+    ("from json import dump\ndump(d, fh)", [1]),
+    ("with open(p) as fh:\n    json.load(fh)\nopen(p, 'rb')\njson.dumps(d)", []),
+])
+def test_the_file_write_finder_sees_every_spelling(source, found):
+    assert _file_writes(source) == found
+
+
+def test_only_core_writes_files():
+    # one CSV row writer and one JSON writer: every artifact goes through
+    # core._write_csv or core._write_json, so no other module writes by hand
+    writes = {path.stem: _file_writes(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert writes.pop("core")
+    assert {stem: lines for stem, lines in writes.items() if lines} == {}
