@@ -4,10 +4,11 @@ tolerance and one (lambda, v, w) contract, `Eigenpair`. `eigentriplets` gives
 the leading triplets from one LAPACK call; every run and tool reads it but the
 certified extension and `lin5d_check`, which still deflate (their benchmark op
 passes its CPU gate on LAPACK only once the probe runs on one BLAS thread).
-The deflation is biorthogonal, around an Arnoldi-accelerated power iteration
-that resolves complex-conjugate dominant pairs through a two-column Krylov
-basis, and yields the same contract. Also 2x2 closed-form helpers and a
-reference QR iteration.
+The deflation, `deflate_spectrum`, is biorthogonal, around an
+Arnoldi-accelerated power iteration that resolves complex-conjugate dominant
+pairs through a two-column Krylov basis, and yields the same contract. Each
+power solve stops at _ARNOLDI_STEPS Arnoldi steps, the one cap every caller
+shares. Also 2x2 closed-form helpers and a reference QR iteration.
 
 Determinism rules: seeded start vectors, eigenvalues ordered by descending
 modulus (ties: descending real part, then +Im first), a conjugate pair
@@ -93,6 +94,7 @@ _POWER_TOL = 1e-12
 _ARNOLDI_TOL = 1e-13
 _WARM_START_ITERS = 500
 _RESIDUAL_TOL = 1e-10
+_ARNOLDI_STEPS = 300_000
 
 
 def _warm_start(A: np.ndarray, seed: int) -> np.ndarray:
@@ -183,7 +185,7 @@ def _arnoldi_2col(A: np.ndarray, x: np.ndarray):
     return h, V
 
 
-def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0) -> Eigenpair:
+def power_iteration_complex(A: np.ndarray, seed: int = 0) -> Eigenpair:
     """Arnoldi-accelerated power iteration for real non-Hermitian matrices
     whose dominant eigenvalue is simple or a complex-conjugate pair.
 
@@ -191,15 +193,15 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
     then repeats: orthonormalize the two-column Krylov basis of the current
     vector, take the larger-modulus eigenvalue of the projected 2x2 matrix,
     and lift its eigenvector. Stops once the relative eigenvalue change drops
-    below 1e-13 and the residual is below 1e-10 * |A|. A matrix with a NaN or
-    infinite entry, and a max_iter under 1, are refused before the warm start.
+    below 1e-13 and the residual is below 1e-10 * |A|. After _ARNOLDI_STEPS
+    steps it returns the least-residual pair seen when that residual is below
+    1e-10 * |A|, and raises otherwise. A matrix with a NaN or infinite entry
+    is refused before the warm start.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ConfigurationError("power_iteration_complex needs a square matrix")
-    if not max_iter >= 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     bad = int(np.count_nonzero(~np.isfinite(A)))
     if bad:
         raise DomainError(f"power_iteration_complex needs a finite matrix; {bad} of its "
@@ -211,7 +213,7 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
     lam_old = complex(np.inf)
     best: tuple[complex, np.ndarray, float] | None = None  # (lam, v, res), least res so far
     Ac = A.astype(complex)
-    for _ in range(max_iter):
+    for _ in range(_ARNOLDI_STEPS):
         try:
             h, V = _arnoldi_2col(A, x)
         except ConvergenceError:
@@ -248,11 +250,11 @@ def power_iteration_complex(A: np.ndarray, max_iter: int = 50000, seed: int = 0)
         if nx < 1e-300:
             break
         x = x_next / nx
-    lam, v, res = best  # set by the first step, since max_iter >= 1
+    lam, v, res = best  # set by the first step
     if res <= tol:
         return Eigenpair(lam=lam, right=v, residual=res)
     raise ConvergenceError(
-        f"complex power iteration stagnated after {max_iter} iterations "
+        f"complex power iteration stagnated after {_ARNOLDI_STEPS} iterations "
         f"(best residual {res:.3e})"
     )
 
@@ -271,19 +273,22 @@ def _match_left(lam_right: complex, pair_left: Eigenpair) -> Eigenpair:
     )
 
 
-def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
-    """The deflation loop behind deflate_spectrum and the extension
-    eigensolver, yielding Eigenpairs in eigentriplets' contract. Per round: unit
-    v from the working matrix, unit u from its transpose, s = u^T v, A <- A -
-    lambda v (u / s)^T; the pair is (lambda, v / s, u) with the larger residual
-    of the two solves. With Im(lambda) > _PAIR_IMAG the conjugate is deflated
-    too and follows as the next pair, even past n_pairs, so the matrix stays real.
-    """
+def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpair]:
+    """Dominant eigenpairs of a real matrix by biorthogonal deflation, in
+    eigentriplets' contract. Per round: unit v from the working matrix, unit u
+    from its transpose, s = u^T v, A <- A - lambda v (u / s)^T; the pair is
+    (lambda, v / s, u) with the larger residual of the two solves. With
+    Im(lambda) > _PAIR_IMAG the conjugate is deflated too and follows as the
+    next pair, even past n_pairs, so the matrix stays real."""
     work = np.asarray(A, dtype=float).copy()
-    i = 0
-    while i < n_pairs:
-        right = power_iteration_complex(work, seed=seed + i, max_iter=max_iter)
-        left = power_iteration_complex(work.T, seed=seed + i, max_iter=max_iter)
+    n = work.shape[0]
+    if not 1 <= n_pairs <= n:
+        raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
+    out: list[Eigenpair] = []
+    while len(out) < n_pairs:
+        i = len(out)
+        right = power_iteration_complex(work, seed=seed + i)
+        left = power_iteration_complex(work.T, seed=seed + i)
         lam, v, u = right.lam, right.right, _match_left(right.lam, left).right
         s = u @ v
         if abs(s) < 1e-12:
@@ -300,20 +305,10 @@ def _deflation_rounds(A: np.ndarray, n_pairs: int, seed: int, max_iter: int):
         work = np.ascontiguousarray(workc.real)
         if lam.imag == 0:
             v, u, s = v.real, u.real, s.real
-        pair = Eigenpair(lam, v / s, u, max(right.residual, left.residual))
-        yield pair
+        out.append(Eigenpair(lam, v / s, u, max(right.residual, left.residual)))
         if conjugate:
-            yield pair.conjugate()
-        i += 1 + conjugate
-
-
-def deflate_spectrum(A: np.ndarray, n_pairs: int, seed: int = 0) -> list[Eigenpair]:
-    """Dominant eigenpairs of a real matrix by biorthogonal deflation (see
-    _deflation_rounds), in eigentriplets' contract."""
-    n = np.shape(A)[0]
-    if not 1 <= n_pairs <= n:
-        raise ConfigurationError(f"asked for {n_pairs} eigenpairs of a {n}x{n} matrix")
-    return list(_deflation_rounds(A, n_pairs, seed, max_iter=50000))
+            out.append(out[-1].conjugate())
+    return out
 
 
 def eigentriplets(A: np.ndarray, n: int) -> list[Eigenpair]:
@@ -341,7 +336,9 @@ def eigentriplets(A: np.ndarray, n: int) -> list[Eigenpair]:
         lam, v, w = complex(lams[j]), V[:, i], W[:, i]
         if lam.imag == 0:
             v, w = v.real, w.real
-        u = v / np.linalg.norm(v)
+        # a near-Jordan v's norm overflows to inf: u is then 0, refused below
+        with np.errstate(over="ignore"):
+            u = v / np.linalg.norm(v)
         if abs(w @ u) < 1e-12:
             raise NearDefectiveError(f"eigentriplet {i}: |w^T v| = {abs(w @ u):.3e} for unit "
                                      "w and v, matrix is near defective")

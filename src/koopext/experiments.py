@@ -176,7 +176,7 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
         # crossing fidelity: certified budget crossing vs measured crossing of
         # the unit-grid-norm eigenfunction error curve, whose errors at
         # p = 1, 2, ... are measured once per pair and shared by every epsilon;
-        # a crossing not reached by _CROSSING_P_MAX counts as the power after it
+        # a crossing not reached by _CROSSING_P_MAX is recorded as the power after it
         errors_meas = PowerErrors(
             normalize_to_grid(expr_from_weights(model, w, lam), grid), euler
         )
@@ -199,8 +199,10 @@ def _run_linear2d_dmd(p: dict, seed: int, out: str) -> dict:
                 [PairExtension(complex(lam), res, 0.0)],
             )
     criteria.append(_leq("bound_violation_relative", max(bound_violation, 0.0), 1e-9))
-    worst_cross = max(abs(a - b) for _, _, a, b in crossing_rows)
-    criteria.append(_leq("algorithm_crossing_gap", worst_cross, 1))
+    # a row is evidence when either crossing is reached by _CROSSING_P_MAX; with
+    # none, the gap is NaN and fails
+    gaps = [abs(a - b) for _, _, a, b in crossing_rows if min(a, b) <= _CROSSING_P_MAX]
+    criteria.append(_leq("algorithm_crossing_gap", max(gaps, default=math.nan), 1))
 
     _write_csv(os.path.join(out, "error_curves.csv"),
                ["lambda", "p", "traj_err_integration", "bound_integration",
@@ -233,7 +235,6 @@ def _softplus_table():
         "epsilon": (0.01, _POSITIVE),
         # extension_reaches_p3 would pass at 0 == 0 with no power extended
         "p_cap": (3, _AT_LEAST_1),
-        "max_iter": (300000, _AT_LEAST_1),
     }
 
 
@@ -250,7 +251,7 @@ def _run_softplus_edmd(p: dict, seed: int, out: str) -> dict:
     model = fit_edmd(snaps, dic, ridge=p["ridge"])
     save_model(os.path.join(out, "model"), model)
     results, eps_G, L, M = certify_on_grid(
-        model, soft, grid, p["n_eig"], p["epsilon"], p["p_cap"], seed, max_iter=p["max_iter"]
+        model, soft, grid, p["n_eig"], p["epsilon"], p["p_cap"], seed
     )
     write_extension_report(os.path.join(out, "extension_report.json"), results)
     norm_K = np.linalg.norm(model.K)

@@ -33,7 +33,7 @@ from .core import (
 )
 from .dictionary import Dictionary, feature_sup_M, spectral_norm_bound_L
 from .dynamics import BenchmarkSystem, FlowMap, integration_error_sup
-from .eigensolve import _PAIR_IMAG, _deflation_rounds
+from .eigensolve import _PAIR_IMAG, deflate_spectrum
 from .regression import KoopmanModel
 
 __all__ = [
@@ -426,20 +426,17 @@ def iterative_koopman_eigensolver(
     M: float,
     p_max: int = P_MAX_DEFAULT,
     seed: int = 0,
-    max_iter: int = 50000,
 ) -> list[PairExtension]:
     """Deflation-driven extension of the n dominant eigenpairs of the model.
 
-    Runs the deflation loop of eigensolve.deflate_spectrum; per pair the unit
+    Runs eigensolve.deflate_spectrum on the model's K; per pair the unit
     left vector defines the eigenfunction, the integration-error budget loop
     emits its certified powers, and the pair's residual is reported. A
     conjugate partner (Im < -1e-6, right after its +Im half) inherits the
     conjugated extension list.
     """
-    if not 1 <= n <= model.dim:
-        raise ConfigurationError(f"asked for {n} eigenpairs of a {model.dim}-dim model")
     out: list[PairExtension] = []
-    for q in _deflation_rounds(model.K, n, seed, max_iter):
+    for q in deflate_spectrum(model.K, n, seed):
         if q.lam.imag < -_PAIR_IMAG:  # the partner of the +Im half before it
             phi, first = expr_from_weights(model, q.left, q.lam), out[-1].result
             exts = tuple(replace(e, expr=monomial(phi, e.power)) for e in first.extensions)
@@ -485,7 +482,6 @@ def certify_on_grid(
     epsilon: float,
     p_max: int,
     seed: int,
-    max_iter: int = 50000,
 ) -> tuple[list[PairExtension], float, float, float]:
     """Certified powers of the n dominant eigenpairs of a model of `system`
     on `grid`: (pairs, eps_G, L, M).
@@ -500,8 +496,7 @@ def certify_on_grid(
         FlowMap(system.field, model.dt, method="rk45", rel_tol=1e-11, abs_tol=1e-13),
     )
     pairs = iterative_koopman_eigensolver(
-        model, rk, n=n, epsilon=epsilon, eps_G=eps_G, L=L, M=M,
-        p_max=p_max, seed=seed, max_iter=max_iter,
+        model, rk, n=n, epsilon=epsilon, eps_G=eps_G, L=L, M=M, p_max=p_max, seed=seed
     )
     return pairs, eps_G, L, M
 

@@ -37,6 +37,7 @@ from koopext.extend import (
     normalize_to_grid,
     principal_filter,
 )
+from koopext import extend
 from koopext.bridge import continue_across, fit_bridge
 from koopext.experiments import ExperimentConfig, run
 from koopext.regression import fit_edmd
@@ -144,7 +145,14 @@ def test_criterion_3_algorithm_crossing(linear2d_setup, linear2d_run):
     )
 
 
-def test_criterion_4_softplus_reproduction():
+def test_criterion_4_softplus_reproduction(monkeypatch):
+    deflated = []
+
+    def recorded(A, n_pairs, seed=0):
+        deflated.append((A, deflate_spectrum(A, n_pairs, seed)))
+        return deflated[-1][1]
+
+    monkeypatch.setattr(extend, "deflate_spectrum", recorded)
     lin = make_system("linear2d")
     soft = make_system("softplus2d")
     snaps = transform_snapshots(
@@ -158,6 +166,13 @@ def test_criterion_4_softplus_reproduction():
     worst_res = max(pe.residual for pe in results) / norm_K
     worst_bound = max(e.bound for pe in results for e in pe.result.extensions)
     min_p = min(pe.result.max_power for pe in results)
+    # every deflated pair is an eigenpair of K itself, both vectors per unit norm
+    (K, pairs), = deflated
+    assert K is model.K and [p.lam for p in pairs] == [pe.eigenvalue for pe in results]
+    for p in pairs:
+        for M, x in ((K, p.right), (K.T, p.left)):
+            u = x / np.linalg.norm(x)
+            assert np.linalg.norm(M @ u - p.lam * u) <= 1e-8 * norm_K
     ok = worst_res <= 1e-8 and worst_bound <= 0.01 * (1 + 1e-12) and min_p == 3
     report(
         4, "softplus EDMD reproduction", ok,

@@ -75,6 +75,23 @@ SAMPLES = {"boolean": True, "integer": 2, "number": 0.5, "string": "x", "array":
            "object": {}, "null": None}
 
 
+# keys a runner table once held, with the default and domain it held: each is
+# now an unknown key, refused before anything is written whatever its value
+RETIRED = {"softplus_edmd": {"max_iter": (300000, core._AT_LEAST_1)}}
+
+
+def with_retired(experiment: str, table) -> dict:
+    """The runner's parameter table, then the keys it retired."""
+    return {**table(), **RETIRED.get(experiment, {})}
+
+
+def refusal(experiment: str, key: str, says: str, value) -> str:
+    """The usage error for `key` = `value`: its domain's, or the unknown key's."""
+    if key in RETIRED.get(experiment, {}):
+        return f"error: {experiment}: unknown keys ['{key}']"
+    return f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
+
+
 def shown(value):
     """A test id for `value`, short for the 400-digit integer."""
     return "10**400" if value == 10**400 else None
@@ -163,6 +180,13 @@ class TestExitCodes:
         assert run_cli(["lin5d_check", "--out", str(tmp_path), "--param", "typo=3"]) == 2
         assert "['typo']" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_the_power_loop_cap_is_not_a_parameter(self, tmp_path, capsys):
+        # eigensolve._ARNOLDI_STEPS is the one cap, so the runner and the
+        # extend tool certify alike
+        code = run_cli(["softplus_edmd", "--out", str(tmp_path), "--param", "max_iter=300000"])
+        assert code == 2
+        assert "['max_iter']" in capsys.readouterr().err
 
     def test_laplace_step_longer_than_the_horizon_is_a_usage_error(self, tmp_path, capsys):
         # T rounds up to one period (about 6.3), under half of step = 13
@@ -296,7 +320,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment, key, says, value", [
         (experiment, key, domain.says, value)
         for experiment, (_, table) in sorted(EXPERIMENTS.items())
-        for key, (_, domain) in table().items()
+        for key, (_, domain) in with_retired(experiment, table).items()
         for value in OUTSIDE.get(domain.says, ())
     ], ids=shown)
     def test_number_just_outside_its_domain_is_refused_before_anything_is_written(
@@ -309,11 +333,10 @@ class TestExitCodes:
         # snapshot and model files were written (or, for a grid_h of 1 or
         # more, after config.json); and an Infinity or NaN ran forever
         # (vdp_phase dt_check), exited 3 or 1, or ran and passed (linear2d_dmd
-        # euler_step = Infinity flowed nothing)
+        # euler_step = Infinity flowed nothing); a retired key is unknown
         param = f"{key}={json.dumps(value)}"
         assert run_cli([experiment, "--out", str(tmp_path), "--param", param]) == 2
-        assert (f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
-                in capsys.readouterr().err)
+        assert refusal(experiment, key, says, value) in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -327,7 +350,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment, key, value", [
         (experiment, key, value)
         for experiment, (_, table) in sorted(EXPERIMENTS.items())
-        for key, (default, _) in table().items()
+        for key, (default, _) in with_retired(experiment, table).items()
         for name, value in SAMPLES.items()
         if name != _json_type(default) and default is not None
         and (_json_type(default), name) != ("number", "integer")
@@ -338,12 +361,11 @@ class TestExitCodes:
         # kind checked its own type (a number default took an integer too, and
         # a null default, vdp_phase T and step, whatever its kind takes): a
         # string count exited 3 on a TypeError comparing str and int, a
-        # fractional one on numpy's TypeError
-        says = EXPERIMENTS[experiment][1]()[key][1].says
+        # fractional one on numpy's TypeError; a retired key is unknown
+        says = with_retired(experiment, EXPERIMENTS[experiment][1])[key][1].says
         assert run_cli([experiment, "--out", str(tmp_path), "--param",
                         f"{key}={json.dumps(value)}"]) == 2
-        assert (f"error: {experiment}: {key} must be {says}, got {json.dumps(value)}"
-                in capsys.readouterr().err)
+        assert refusal(experiment, key, says, value) in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("kind, inside", [
@@ -373,11 +395,13 @@ class TestExitCodes:
         ["grid_h=0.05", "epsilons=[10.0]"],
         ["dt=5"],
     ], ids=" ".join)
-    def test_a_crossing_past_p_40_counts_as_41(self, tmp_path, params):
+    def test_a_crossing_past_p_40_counts_as_41(self, tmp_path, capsys, params):
         # no measured error passes epsilon by p = 40: the empirical crossing
-        # stayed None and the crossing gap exited 3 on a TypeError
+        # stayed None and the crossing gap exited 3 on a TypeError, then the
+        # gap of two unreached crossings, 41 - 41, passed on no evidence
         args = [a for param in params for a in ("--param", param)]
-        assert run_cli(["linear2d_dmd", "--seed", "42", "--out", str(tmp_path), *args]) == 0
+        assert run_cli(["linear2d_dmd", "--seed", "42", "--out", str(tmp_path), *args]) == 1
+        assert "FAIL algorithm_crossing_gap: value=nan threshold=1" in capsys.readouterr().out
         rows = (tmp_path / "crossings.csv").read_text().splitlines()[1:]
         assert rows and [row.split(",")[2:] for row in rows] == [["41", "41"]] * len(rows)
 
@@ -950,7 +974,7 @@ class TestToolSubcommands:
         assert run_cli(["eig", "--model", model, "--n", "3", "--out", out]) == 2
         assert "asked for 3 eigenpairs of a 2x2 matrix" in capsys.readouterr().err
         assert run_cli([*extend, "--n", "3"]) == 2
-        assert "asked for 3 eigenpairs of a 2-dim model" in capsys.readouterr().err
+        assert "asked for 3 eigenpairs of a 2x2 matrix" in capsys.readouterr().err
 
     def test_phase_tool(self, tmp_path):
         assert run_cli(["phase", "--system", "polarLC", "--method", "analytic",

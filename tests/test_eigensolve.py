@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -164,8 +165,8 @@ class TestPowerIterationComplex:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_is_refused_before_the_warm_start(self, monkeypatch, bad):
-        # it spun to max_iter (about 20 s at the runner's 300,000) and then
-        # reported "stagnated ... (best residual nan)"
+        # it spun to the step cap (about 20 s at 300,000) and then reported
+        # "stagnated ... (best residual nan)"
         def warm_start(A, seed):
             raise AssertionError("the warm start ran on a non-finite matrix")
 
@@ -183,18 +184,26 @@ class TestPowerIterationComplex:
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_is_refused(self, max_iter):
         # 0 raised "stagnated after 0 iterations (best residual 0.000e+00)", a
-        # residual never computed; the deflation loop now meets the same check
-        named = f"max_iter must be >= 1, got {max_iter}"
-        with pytest.raises(ConfigurationError, match=named):
+        # residual never computed; the cap is now _ARNOLDI_STEPS, so no entry
+        # takes a cap of its own, this one or any other
+        with pytest.raises(TypeError, match="max_iter"):
             power_iteration_complex(np.diag([3.0, 2.0]), max_iter=max_iter)
         model = KoopmanModel(dict=identity_dictionary(2), K=np.diag([0.9, 0.5]), dt=0.1,
                              fit_residual=0.0)
         pts = np.array([[0.5, -0.5]])
-        with pytest.raises(ConfigurationError, match=named):
+        with pytest.raises(TypeError, match="max_iter"):
             iterative_koopman_eigensolver(
                 model, FlowedGrid(pts, pts, 0.1), n=2, epsilon=0.1, eps_G=1e-9, L=1.0,
                 M=1.0, max_iter=max_iter,
             )
+
+    def test_stagnation_names_the_step_cap(self, monkeypatch):
+        # a slow pair (0.95 against |0.9 + 0.4i| = 0.985) cannot settle in 7
+        # steps; the refusal says how many steps it was given
+        monkeypatch.setattr(eigensolve, "_ARNOLDI_STEPS", 7)
+        A = random_matrix_with_spectrum([0.9 + 0.4j, 0.9 - 0.4j, 0.95, 0.2], seed=5)
+        with pytest.raises(ConvergenceError, match=r"stagnated after 7 iterations \(best"):
+            power_iteration_complex(A, seed=0)
 
     def test_real_dominant_path(self):
         pair = power_iteration_complex(np.diag([3.0, 2.0, 1.0]), seed=1)
@@ -222,10 +231,8 @@ class TestDeflation:
     def test_pairs_meet_the_eigentriplets_contract(self):
         lams = [1.1, 0.8 + 0.5j, 0.8 - 0.5j, -0.95, 0.45, 0.05]
         A = random_matrix_with_spectrum(lams, seed=3)
-        rounds = list(eigensolve._deflation_rounds(A, 6, 0, 50000))
-        assert all(isinstance(p, Eigenpair) for p in rounds)
         got = deflate_spectrum(A, 6)
-        assert [p.lam for p in got] == [p.lam for p in rounds]
+        assert all(isinstance(p, Eigenpair) for p in got)
         W = np.column_stack([p.left for p in got])
         V = np.column_stack([p.right for p in got])
         assert np.abs(W.T @ V - np.eye(6)).max() < 1e-8
@@ -409,6 +416,14 @@ class TestEigentriplets:
         with pytest.raises(NearDefectiveError, match=r"eigentriplet 0: \|w\^T v\| = .* near defective"):
             eigentriplets(A, 2)
 
+    def test_a_jordan_block_is_refused_without_a_warning(self):
+        # the norm of its huge right vector overflowed and warned before the
+        # refusal, an untyped failure under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearDefectiveError, match=r"eigentriplet 0: .* near defective"):
+                eigentriplets(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+
 
     def test_duffing_reads_every_mode_when_top_k_passes_the_dimension(self, tmp_path):
         # the runner took the top_k leading modes, or all of a smaller model's
@@ -419,29 +434,6 @@ class TestEigentriplets:
 
 
 class TestEDMDMatrixDeflation:
-    def test_desk_scale_edmd_matrix_first_nine_pairs(self):
-        # deflation on a fitted EDMD matrix: every returned pair must satisfy
-        # both residuals relative to the matrix norm
-        from koopext.dictionary import rbf_dictionary
-        from koopext.dynamics import make_system, sample_snapshots, softplus, transform_snapshots
-        from koopext.regression import fit_edmd
-
-        lin = make_system("linear2d")
-        snaps = transform_snapshots(
-            sample_snapshots(lin, 400, 0.02, ((-2, -2), (2, 2)), seed=5), softplus
-        )
-        dic = rbf_dictionary(snaps, 40, bandwidth=0.7, seed=5)
-        K = fit_edmd(snaps, dic, ridge=1e-10).K
-        pairs = deflate_spectrum(K, 9, seed=0)
-        norm_K = np.linalg.norm(K)
-        tol = 1e-8
-        for p in pairs:
-            # the right vector is biorthogonally scaled; measure per unit norm
-            right_res = np.linalg.norm(K.astype(complex) @ p.right - p.lam * p.right)
-            assert right_res <= tol * norm_K * np.linalg.norm(p.right)
-            left_res = np.linalg.norm(K.T.astype(complex) @ p.left - p.lam * p.left)
-            assert left_res <= tol * norm_K * np.linalg.norm(p.left)
-
     def test_eigenvector_csv(self, tmp_path):
         from koopext.eigensolve import write_eigenvectors_csv
 
@@ -586,11 +578,14 @@ def frozen_power_iteration_complex(A, max_iter, seed, counts):
 class BitIdentityCheck:
     """Runs each solve through the frozen loop and the module's, and asserts
     that both return the same bits, or raise the same text, after the same
-    number of eigvector2d calls."""
+    number of eigvector2d calls. A solve given `steps` runs with the module's
+    _ARNOLDI_STEPS set to it; one without, at the shipped cap."""
 
     def __init__(self, monkeypatch):
         # taken before a test patches the module's name with this check
         self.solver = eigensolve.power_iteration_complex
+        self.monkeypatch = monkeypatch
+        self.shipped_steps = eigensolve._ARNOLDI_STEPS
         self.frozen = {"extractions": 0, "breakdown": 0, "best": 0}
         self.extractions = 0
         self.solves = 0
@@ -603,18 +598,20 @@ class BitIdentityCheck:
 
         monkeypatch.setattr(eigensolve, "eigvector2d", counted)
 
-    def __call__(self, A, max_iter=50000, seed=0):
+    def __call__(self, A, seed=0, steps=None):
+        steps = self.shipped_steps if steps is None else steps
+        self.monkeypatch.setattr(eigensolve, "_ARNOLDI_STEPS", steps)
         frozen_before, module_before = dict(self.frozen), self.extractions
         result = None
         try:
-            want = frozen_power_iteration_complex(A, max_iter, seed, self.frozen)
+            want = frozen_power_iteration_complex(A, steps, seed, self.frozen)
         except ConvergenceError as exc:
             with pytest.raises(ConvergenceError) as raised:
-                self.solver(A, max_iter=max_iter, seed=seed)
+                self.solver(A, seed=seed)
             assert str(raised.value) == str(exc)
             self.outcomes["stagnated"] += 1
         else:
-            result = self.solver(A, max_iter=max_iter, seed=seed)
+            result = self.solver(A, seed=seed)
             assert result.lam == want.lam and type(result.lam) is complex
             assert result.right.dtype == want.right.dtype == complex
             assert result.right.view(float).tobytes() == want.right.view(float).tobytes()
@@ -660,9 +657,9 @@ class TestPowerLoopBitIdentity:
         rng = np.random.default_rng(40)
         for n in (2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 40):
             A = rng.standard_normal((n, n))
-            for max_iter in (1, 3000):
-                check(A, max_iter=max_iter, seed=n)
-                check(A.T, max_iter=max_iter, seed=n)
+            for steps in (1, 3000):
+                check(A, seed=n, steps=steps)
+                check(A.T, seed=n, steps=steps)
         # one step returns the warm start's pair as the best so far where its
         # residual is small enough, and stagnates where it is not
         assert check.outcomes["best"] > 0 and check.outcomes["stagnated"] > 0
@@ -672,7 +669,7 @@ class TestPowerLoopBitIdentity:
         rng = np.random.default_rng(41)
         for n in (2, 3, 5, 9, 17, 40):
             B = rng.standard_normal((n, n))
-            check((B + B.T) / 2, max_iter=3000, seed=n)
+            check((B + B.T) / 2, seed=n, steps=3000)
 
     def test_rotation_scale_pairs(self, monkeypatch):
         check = BitIdentityCheck(monkeypatch)
@@ -692,7 +689,7 @@ class TestPowerLoopBitIdentity:
         check(np.array([[2.0 * math.cos(theta), -1.0], [1.0, 0.0]]), seed=3)
         rng = np.random.default_rng(42)
         for n in (3, 5, 8, 13):
-            check(companion(rng.uniform(-0.5, 0.5, size=n)), max_iter=3000, seed=n)
+            check(companion(rng.uniform(-0.5, 0.5, size=n)), seed=n, steps=3000)
 
     def test_breakdown_and_stagnation_paths(self, monkeypatch):
         check = BitIdentityCheck(monkeypatch)
@@ -714,8 +711,8 @@ class TestPowerLoopBitIdentity:
         check(np.array([[4.0]]), seed=0)
         # too few steps for a slow pair: the stagnation text, best residual and all
         A = random_matrix_with_spectrum([0.9 + 0.4j, 0.9 - 0.4j, 0.95, 0.2], seed=5)
-        for max_iter in (1, 2, 7):
-            check(A, max_iter=max_iter, seed=0)
+        for steps in (1, 2, 7):
+            check(A, seed=0, steps=steps)
         assert check.outcomes["breakdown"] >= 6 and check.outcomes["stagnated"] == 3
 
     @pytest.mark.parametrize("experiment, seed, params", [

@@ -197,3 +197,17 @@ def test_only_core_writes_files():
     writes = {path.stem: _file_writes(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert writes.pop("core")
     assert {stem: lines for stem, lines in writes.items() if lines} == {}
+
+
+def test_the_power_loop_cap_is_one_constant():
+    # eigensolve._ARNOLDI_STEPS caps every power solve: no function takes a
+    # max_iter of its own, and no table (a runner's parameters) offers one
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                assert "max_iter" not in names, f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                assert "max_iter" not in keys, f"{path.name}:{node.lineno}"
